@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -309,7 +310,7 @@ def run_transport(sc: dict, rng, validate: str):
         cost = np.asarray(sc["cost"], dtype=float)
     prob = TransportProblem(cost=cost, mu=sc["mu"], nu=sc["nu"])
     coupling, pots, value = solve_transport(prob)
-    audit = kantorovich_gap_report(prob)
+    audit = kantorovich_gap_report(prob, (coupling, pots, value))
     results = {
         "value": value,
         "coupling": [[float(v) for v in row] for row in coupling.q],
@@ -338,6 +339,11 @@ def run_peaking(sc: dict, rng, validate: str):
     domain = parse_domain(sc["domain"], validate)
     family = parse_family(sc["family"], domain)
     y0 = int(sc["y0"])
+    if not 0 <= y0 < domain.n:
+        raise ScenarioError("y0 out of range")
+    anchor = sc.get("g", {}).get("anchor")
+    if anchor is not None and not 0 <= anchor < domain.n:
+        raise ScenarioError("g.anchor out of range")
     results: dict = {}
     code = EXIT_OK
     if "g" in sc:
@@ -402,13 +408,24 @@ def load_schema(path: Path) -> dict:
         return json.load(fh)
 
 
-def validate_scenario(scenario: dict) -> None:
-    import jsonschema
+@functools.cache
+def scenario_validator():
+    """Validator for the scenario schema, built once per process.  The schema
+    is checked against its metaschema here, on first use, not per scenario."""
+    from jsonschema.validators import validator_for
 
-    try:
-        jsonschema.validate(scenario, load_schema(SCHEMA_PATH))
-    except jsonschema.ValidationError as e:
-        raise ScenarioError(f"scenario failed schema validation: {e.message}")
+    schema = load_schema(SCHEMA_PATH)
+    cls = validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def validate_scenario(scenario: dict) -> None:
+    from jsonschema.exceptions import best_match
+
+    error = best_match(scenario_validator().iter_errors(scenario))
+    if error is not None:
+        raise ScenarioError(f"scenario failed schema validation: {error.message}")
 
 
 def run_scenario(path: str, out=None, seed=None, tol=None, validate="full",
@@ -434,7 +451,8 @@ def run_scenario(path: str, out=None, seed=None, tol=None, validate="full",
                 raise ScenarioError("randomized scenarios require a seed")
         rng = np.random.default_rng(seed_val)
         results, curve, code = RUNNERS[kind](scenario, rng, validate)
-    except (ScenarioError, AbconvexError, LevelAbovePrimal, ValueError, KeyError) as e:
+    except (ScenarioError, AbconvexError, LevelAbovePrimal, ValueError, KeyError,
+            OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_SCENARIO
 

@@ -304,10 +304,14 @@ class KantorovichReport:
     orientation: str = "potentials maximized, coupling minimized"
 
 
-def kantorovich_gap_report(prob: TransportProblem) -> KantorovichReport:
+def kantorovich_gap_report(prob: TransportProblem, solved=None) -> KantorovichReport:
     """Solve the instance and assert the two optima agree to 1e-6, counting
-    complementary-slackness breaches (there must be none)."""
-    coupling, pots, value = solve_transport(prob)
+    complementary-slackness breaches (there must be none).
+
+    ``solved`` is the ``(coupling, potentials, value)`` triple that
+    ``solve_transport(prob)`` returned, for callers that already have it; the
+    solver is deterministic, so the audit is the same either way."""
+    coupling, pots, value = solve_transport(prob) if solved is None else solved
     primal = dual_objective(pots.psi, pots.phi, prob.mu, prob.nu)
     gap = abs(primal - value)
     if not gap <= GAP_TOL:

@@ -19,7 +19,16 @@ from abconvex.cli import (
     ext_to_json,
     load_schema,
     run_scenario,
+    scenario_validator,
+    validate_scenario,
 )
+from abconvex.errors import ScenarioError
+from abconvex.transport import (
+    TransportProblem,
+    kantorovich_gap_report,
+    solve_transport,
+)
+from conftest import random_transport
 
 REPO = Path(__file__).resolve().parents[1]
 SCENARIOS = REPO / "scenarios"
@@ -198,3 +207,141 @@ class TestSchemaCopiesInSync:
             docs = (REPO / "docs" / name).read_text()
             pkg = (REPO / "src" / "abconvex" / "schemas" / name).read_text()
             assert docs == pkg
+
+
+def _mutated(name, mutate):
+    sc = json.loads((SCENARIOS / name).read_text())
+    mutate(sc)
+    return sc
+
+
+# invalid mutations of shipped scenarios, one per kind of schema breach
+SCHEMA_MUTATIONS = {
+    "missing_required": ("transport_2x2.json", lambda sc: sc.pop("mu")),
+    "wrong_type": ("certify_vee_up.json", lambda sc: sc.update(alpha="high")),
+    "bad_extreal": ("gap_vee_down.json",
+                    lambda sc: sc["p"][0].__setitem__(1, "inf")),
+    "bad_finite_wrapper": ("conjugate_abs.json",
+                           lambda sc: sc["function"].__setitem__(0, {"value": 1.0})),
+    "unknown_property": ("gap_vee_up.json",
+                         lambda sc: sc["family"]["params"][0].update(slope=1.0)),
+    "bad_family_kind": ("peaking_demo.json",
+                        lambda sc: sc["family"].update(kind="cubic")),
+    "bad_scenario_kind": ("conic_small.json", lambda sc: sc.update(kind="dual")),
+    "negative_seed": ("peaking_demo.json", lambda sc: sc.update(seed=-1)),
+}
+
+
+class TestSchemaValidator:
+    @pytest.mark.parametrize("case", sorted(SCHEMA_MUTATIONS))
+    def test_message_matches_jsonschema_validate(self, case, tmp_path):
+        sc = _mutated(*SCHEMA_MUTATIONS[case])
+        with pytest.raises(jsonschema.ValidationError) as oracle:
+            jsonschema.validate(sc, load_schema(SCHEMA_PATH))
+        with pytest.raises(ScenarioError) as got:
+            validate_scenario(sc)
+        assert str(got.value) == (
+            f"scenario failed schema validation: {oracle.value.message}")
+        p = tmp_path / "sc.json"
+        p.write_text(json.dumps(sc))
+        assert run_scenario(str(p), out=str(tmp_path / "o.json")) == EXIT_BAD_SCENARIO
+
+    def test_metaschema_checked_once(self, monkeypatch, tmp_path):
+        from jsonschema.validators import validator_for
+
+        cls = validator_for(load_schema(SCHEMA_PATH))
+        original = cls.check_schema
+        checks = []
+
+        def counting_check(schema, *args, **kwargs):
+            checks.append(schema)
+            return original(schema, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "check_schema", staticmethod(counting_check))
+        scenario_validator.cache_clear()
+        for name in ("gap_vee_down.json", "transport_2x2.json"):
+            code, _, _ = run_file(SCENARIOS / name, tmp_path, name=f"o_{name}")
+            assert code == EXIT_OK
+        assert len(checks) == 1
+
+    def test_invalid_schema_raises_on_first_use(self, monkeypatch, tmp_path):
+        import abconvex.cli as cli
+
+        bad = tmp_path / "schema.json"
+        bad.write_text(json.dumps({"type": 12}))
+        monkeypatch.setattr(cli, "SCHEMA_PATH", bad)
+        cli.scenario_validator.cache_clear()
+        try:
+            with pytest.raises(jsonschema.SchemaError):
+                cli.validate_scenario({"kind": "conic"})
+        finally:
+            cli.scenario_validator.cache_clear()
+
+
+def _cli_subprocess(command, sc, tmp_path):
+    p = tmp_path / "sc.json"
+    p.write_text(json.dumps(sc))
+    return subprocess.run(
+        [sys.executable, "-m", "abconvex.cli", command, "--scenario", str(p),
+         "--out", str(tmp_path / "o.json")],
+        capture_output=True, text=True,
+    )
+
+
+class TestBadInputsExit2:
+    def test_missing_cost_csv(self, tmp_path):
+        sc = {"kind": "transport", "cost_csv": str(tmp_path / "absent.csv"),
+              "mu": [1.0, 0.0], "nu": [0.0, 1.0]}
+        proc = _cli_subprocess("transport", sc, tmp_path)
+        assert proc.returncode == EXIT_BAD_SCENARIO
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("mutate", [
+        lambda sc: sc.update(y0=99),
+        lambda sc: sc["g"].update(anchor=99),
+    ], ids=["y0", "anchor"])
+    def test_peaking_index_out_of_range(self, mutate, tmp_path):
+        sc = _mutated("peaking_demo.json", mutate)
+        proc = _cli_subprocess("peaking", sc, tmp_path)
+        assert proc.returncode == EXIT_BAD_SCENARIO
+        assert "Traceback" not in proc.stderr
+        assert "out of range" in proc.stderr
+
+
+def _degenerate_transport(rng, n, m):
+    """Small integer costs and integer marginals: ties and zero basics."""
+    mu = rng.integers(0, 4, n).astype(float)
+    mu[0] += 1.0
+    nu = rng.multinomial(int(mu.sum()), np.full(m, 1.0 / m)).astype(float)
+    return TransportProblem(cost=rng.integers(0, 10, (n, m)).astype(float),
+                            mu=mu, nu=nu)
+
+
+class TestTransportSolvedOnce:
+    @pytest.mark.parametrize("degenerate", [False, True],
+                             ids=["generic", "degenerate"])
+    def test_report_from_solved_triple_matches(self, degenerate):
+        rng = np.random.default_rng(31 + degenerate)
+        for _ in range(20):
+            n, m = (int(v) for v in rng.integers(1, 16, 2))
+            prob = (_degenerate_transport(rng, n, m) if degenerate
+                    else random_transport(rng, max_n=15, max_m=15))
+            solved = solve_transport(prob)
+            assert kantorovich_gap_report(prob, solved) == kantorovich_gap_report(prob)
+
+    def test_cli_solves_once(self, monkeypatch, tmp_path):
+        import abconvex.cli as cli
+        import abconvex.transport as transport
+
+        calls = []
+
+        def counting_solve(prob):
+            calls.append(prob)
+            return solve_transport(prob)
+
+        monkeypatch.setattr(cli, "solve_transport", counting_solve)
+        monkeypatch.setattr(transport, "solve_transport", counting_solve)
+        code, report, _ = run_file(SCENARIOS / "transport_2x2.json", tmp_path)
+        assert code == EXIT_OK and report["results"]["gap"] == 0.0
+        assert len(calls) == 1
