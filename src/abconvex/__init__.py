@@ -14,6 +14,7 @@ from .core import (
     build_metric_space,
     ext_sub_real,
 )
+from .errors import SolverLimit
 from .families import (
     DualGrid,
     ElemFamily,

@@ -5,8 +5,10 @@ with extended reals encoded as {"finite": v} | "+inf" | "-inf" so that
 infinities round-trip losslessly.  Reports are byte-identical for a fixed
 (scenario, seed) pair; wall-clock timing goes to stderr only.
 
-Exit codes: 0 success, 2 invalid scenario, 3 negative mathematical outcome
-where a positive one was demanded (e.g. certify found no certificate).
+Exit codes: 0 success, 2 invalid scenario (also an unreadable input, an
+unwritable --out or --csv path, or a solver out of iterations), 3 negative
+mathematical outcome where a positive one was demanded (e.g. certify found no
+certificate).
 """
 
 from __future__ import annotations
@@ -468,16 +470,24 @@ def run_scenario(path: str, out=None, seed=None, tol=None, validate="full",
     if out in (None, "-"):
         sys.stdout.write(payload)
     else:
-        Path(out).write_text(payload, encoding="utf-8")
+        try:
+            Path(out).write_text(payload, encoding="utf-8")
+        except OSError as e:
+            print(f"error: cannot write report: {e}", file=sys.stderr)
+            return EXIT_BAD_SCENARIO
 
     if csv_path is not None:
         if not curve:
             print("error: this scenario produces no curve table", file=sys.stderr)
             return EXIT_BAD_SCENARIO
-        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(curve[0].keys()))
-            writer.writeheader()
-            writer.writerows(curve)
+        try:
+            with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.DictWriter(fh, fieldnames=list(curve[0].keys()))
+                writer.writeheader()
+                writer.writerows(curve)
+        except OSError as e:
+            print(f"error: cannot write csv: {e}", file=sys.stderr)
+            return EXIT_BAD_SCENARIO
 
     print(f"elapsed_s={time.monotonic() - t0:.3f}", file=sys.stderr)
     return code

@@ -67,3 +67,7 @@ class Unbalanced(AbconvexError):
 
 class ScenarioError(AbconvexError):
     """A CLI scenario file is malformed or violates an invariant."""
+
+
+class SolverLimit(AbconvexError):
+    """An iterative solver used up its iteration budget without converging."""

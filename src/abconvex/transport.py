@@ -4,7 +4,11 @@ The coupling problem (minimize total cost over nonnegative matrices with
 prescribed marginals) is solved by a transportation simplex on the bipartite
 flow network: north-west-corner start, row/column potentials read off the
 spanning-tree basis, epsilon-perturbed marginals against degeneracy with
-Bland's rule as the anti-cycling backstop.  The optimal basis certifies the
+Bland's rule as the anti-cycling backstop.  The basis is kept as a spanning
+tree rooted at row 0 (parent and depth per node, network-simplex style): each
+pivot takes its cycle from the two tree paths up to the lowest common
+ancestor and recomputes potentials only on the subtree that the leaving arc
+cuts off and the entering arc re-hangs.  The optimal basis certifies the
 feasible-potentials maximum simultaneously, which is the discrete strong
 duality statement.
 """
@@ -18,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import ExtReal, MINUS_INF, sub_up
-from .errors import Unbalanced
+from .errors import SolverLimit, Unbalanced
 
 MARGINAL_TOL = 1e-9
 GAP_TOL = 1e-6
@@ -75,10 +79,6 @@ class Potentials:
     phi: np.ndarray
 
 
-class _PivotLimit(Exception):
-    pass
-
-
 def _northwest_start(mu: np.ndarray, nu: np.ndarray):
     """Initial spanning-tree basis: exactly n + m - 1 cells."""
     n, m = mu.shape[0], nu.shape[0]
@@ -133,24 +133,6 @@ def _duals_from_basis(cost: np.ndarray, basis, adj) -> tuple[np.ndarray, np.ndar
     return u, v
 
 
-def _tree_path(adj, start: int, goal: int) -> list[int]:
-    parent = {start: None}
-    dq = deque([start])
-    while dq:
-        node = dq.popleft()
-        if node == goal:
-            break
-        for nb in adj[node]:
-            if nb not in parent:
-                parent[nb] = node
-                dq.append(nb)
-    path = [goal]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
-
-
 def _solve_tree_alloc(n: int, m: int, basis, mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
     """Unique allocation on a spanning-tree basis, by leaf elimination."""
     alloc = np.zeros((n, m))
@@ -181,56 +163,112 @@ def _solve_tree_alloc(n: int, m: int, basis, mu: np.ndarray, nu: np.ndarray) -> 
     return alloc
 
 
+def _hang(arcs, parent, depth, pot, cell, top: int) -> list[int]:
+    """Give every node below ``top`` (reached without going back up through
+    ``parent[top]``) its parent, depth, potential and basic cell, top-down,
+    with ``pot[child] = cost(arc) - pot[parent]`` as in ``_duals_from_basis``.
+    ``arcs[x]`` maps each tree neighbour of node x to the arc's (cost, flat
+    cell index); ``top`` itself must already be set.  Returns the nodes in
+    visiting order."""
+    order = [top]
+    for x in order:
+        up, d, px = parent[x], depth[x] + 1, pot[x]
+        for y, (c, k) in arcs[x].items():
+            if y != up:
+                parent[y], depth[y], pot[y] = x, d, c - px
+                cell[y] = k
+                order.append(y)
+    return order
+
+
 def _simplex_pivots(cost, mu, nu, bland: bool, max_pivots: int):
-    """Run the pivot loop; returns (basis, alloc) on the given marginals."""
+    """Run the pivot loop; returns (basis, alloc) on the given marginals.
+
+    The basis is a spanning tree on nodes 0..n-1 (rows) and n..n+m-1
+    (columns), rooted at row 0.  Per node it keeps the parent, the depth, the
+    potential (row potentials first, then columns), the flat index i*m + j
+    of the basic cell joining it to its parent, and a dict from its tree
+    neighbours to the arc's cost and cell.  A pivot finds the cycle by walking
+    both ends of the entering arc up to their lowest common ancestor, cuts
+    the leaving arc and re-hangs the cut-off subtree from the entering arc,
+    recomputing only that subtree's potentials."""
     n, m = cost.shape
     cscale = max(1.0, float(np.abs(cost).max()))
     enter_tol = 1e-12 * cscale
     alloc, basis = _northwest_start(mu, nu)
-    basis_set = set(basis)
-    adj = _build_adj(n, m, basis)
+    size = n + m
+    arcs = [{} for _ in range(size)]
+    for (i, j) in basis:
+        arcs[i][n + j] = arcs[n + j][i] = (cost.item(i, j), i * m + j)
+    parent, depth, pot, cell = [-1] * size, [0] * size, [0.0] * size, [-1] * size
+    if len(_hang(arcs, parent, depth, pot, cell, 0)) != size:
+        raise AssertionError("basis graph is not a spanning tree")
+    # numpy mirrors of the potentials and basic cells for the reduced costs
+    pot_np, cell_np = np.array(pot), np.array(cell)
+    u, v = pot_np[:n, None], pot_np[None, n:]
+    flat_alloc = alloc.ravel()
+    red = np.empty((n, m))
+    flat_red = red.ravel()
 
     for _ in range(max_pivots):
-        u, v = _duals_from_basis(cost, basis, adj)
-        red = cost - u[:, None] - v[None, :]
-        for (i, j) in basis_set:
-            red[i, j] = 0.0
+        np.subtract(cost, u, out=red)
+        red -= v
+        flat_red[cell_np[1:]] = 0.0
         if bland:
-            cand = np.flatnonzero(red.ravel() < -enter_tol)
+            cand = np.flatnonzero(flat_red < -enter_tol)
             if cand.size == 0:
-                return list(basis_set), alloc
+                break
             flat = int(cand[0])
         else:
             flat = int(red.argmin())
-            if red.ravel()[flat] >= -enter_tol:
-                return list(basis_set), alloc
+            if flat_red[flat] >= -enter_tol:
+                break
         ei, ej = divmod(flat, m)
 
-        path = _tree_path(adj, ei, n + ej)
-        # cells along the closed cycle: entering gets +theta, then alternate
-        minus_cells = []
-        plus_cells = [(ei, ej)]
-        for k in range(len(path) - 1):
-            a, b = path[k], path[k + 1]
-            cell = (a, b - n) if a < n else (b, a - n)
-            (minus_cells if k % 2 == 0 else plus_cells).append(cell)
-        theta = min(alloc[c] for c in minus_cells)
-        leaving = min(c for c in minus_cells if alloc[c] == theta)
+        # basic cells on the tree path from row ei to column ej, in path
+        # order: up from ei to the common ancestor, then down to ej
+        a, b = ei, n + ej
+        up_a, up_b = [], []
+        while depth[a] > depth[b]:
+            up_a.append(cell[a])
+            a = parent[a]
+        while depth[b] > depth[a]:
+            up_b.append(cell[b])
+            b = parent[b]
+        while a != b:
+            up_a.append(cell[a])
+            up_b.append(cell[b])
+            a, b = parent[a], parent[b]
+        path = np.array(up_a + up_b[::-1])
+        # the closed cycle: entering gets +theta, then the path cells
+        # alternate -theta, +theta, ...
+        minus, plus = path[0::2], path[1::2]
+        minus_alloc = flat_alloc[minus]
+        theta = minus_alloc.min()
+        # ties go to the smallest (i, j), which is the smallest flat index
+        leaving = int(minus[minus_alloc == theta].min())
 
-        for c in plus_cells:
-            alloc[c] += theta
-        for c in minus_cells:
-            alloc[c] -= theta
-        alloc[alloc < 0] = 0.0
-        alloc[leaving] = 0.0
+        flat_alloc[flat] += theta
+        flat_alloc[plus] += theta
+        flat_alloc[minus] = minus_alloc - theta  # >= 0: theta is their minimum
+        flat_alloc[leaving] = 0.0
 
-        basis_set.discard(leaving)
-        basis_set.add((ei, ej))
-        adj[leaving[0]].discard(n + leaving[1])
-        adj[n + leaving[1]].discard(leaving[0])
-        adj[ei].add(n + ej)
-        adj[n + ej].add(ei)
-    raise _PivotLimit
+        # cut the leaving arc; the entering end inside the cut-off subtree
+        # becomes that subtree's top, hung from the other end
+        li, lj = divmod(leaving, m)
+        top, up = (ei, n + ej) if leaving in up_a else (n + ej, ei)
+        del arcs[li][n + lj], arcs[n + lj][li]
+        c = cost.item(ei, ej)
+        arcs[ei][n + ej] = arcs[n + ej][ei] = (c, flat)
+        parent[top], depth[top], pot[top] = up, depth[up] + 1, c - pot[up]
+        cell[top] = flat
+        moved = _hang(arcs, parent, depth, pot, cell, top)
+        pot_np[moved] = [pot[x] for x in moved]
+        cell_np[moved] = [cell[x] for x in moved]
+    else:
+        raise SolverLimit(f"transportation simplex: no optimal basis within "
+                          f"{max_pivots} pivots")
+    return [divmod(k, m) for k in cell[1:]], alloc
 
 
 def solve_transport(prob: TransportProblem):
@@ -240,6 +278,8 @@ def solve_transport(prob: TransportProblem):
     Degeneracy is handled by a deterministic epsilon-perturbation of the
     supplies during pivoting; reported allocations are re-solved on the true
     marginals so the perturbation never leaks into results.
+
+    Raises ``SolverLimit`` when a Bland-rule rerun also runs out of pivots.
     """
     cost, mu, nu = prob.cost, prob.mu, prob.nu
     n, m = cost.shape
@@ -253,7 +293,7 @@ def solve_transport(prob: TransportProblem):
     try:
         basis, _ = _simplex_pivots(cost, mu_p, nu_p, bland=False,
                                    max_pivots=max_pivots)
-    except _PivotLimit:
+    except SolverLimit:
         basis, _ = _simplex_pivots(cost, mu, nu, bland=True,
                                    max_pivots=20 * max_pivots)
 

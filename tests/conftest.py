@@ -94,11 +94,25 @@ def random_constrained(rng, max_x=20, max_y=20):
 def random_transport(rng, max_n=50, max_m=50):
     n = int(rng.integers(1, max_n + 1))
     m = int(rng.integers(1, max_m + 1))
+    return generic_transport(rng, n, m)
+
+
+def generic_transport(rng, n, m):
+    """Real costs and positive real marginals: no ties in practice."""
     cost = rng.uniform(0.0, 10.0, size=(n, m))
     mu = rng.uniform(0.1, 1.0, size=n)
     nu = rng.uniform(0.1, 1.0, size=m)
     mu *= nu.sum() / mu.sum()
     return TransportProblem(cost=cost, mu=mu, nu=nu)
+
+
+def degenerate_transport(rng, n, m):
+    """Small integer costs and integer marginals: ties and zero basics."""
+    mu = rng.integers(0, 4, n).astype(float)
+    mu[0] += 1.0
+    nu = rng.multinomial(int(mu.sum()), np.full(m, 1.0 / m)).astype(float)
+    return TransportProblem(cost=rng.integers(0, 10, (n, m)).astype(float),
+                            mu=mu, nu=nu)
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,8 @@ from abconvex.cli import (
     validate_scenario,
 )
 from abconvex.errors import ScenarioError
-from abconvex.transport import (
-    TransportProblem,
-    kantorovich_gap_report,
-    solve_transport,
-)
-from conftest import random_transport
+from abconvex.transport import kantorovich_gap_report, solve_transport
+from conftest import degenerate_transport, random_transport
 
 REPO = Path(__file__).resolve().parents[1]
 SCENARIOS = REPO / "scenarios"
@@ -309,13 +305,46 @@ class TestBadInputsExit2:
         assert "out of range" in proc.stderr
 
 
-def _degenerate_transport(rng, n, m):
-    """Small integer costs and integer marginals: ties and zero basics."""
-    mu = rng.integers(0, 4, n).astype(float)
-    mu[0] += 1.0
-    nu = rng.multinomial(int(mu.sum()), np.full(m, 1.0 / m)).astype(float)
-    return TransportProblem(cost=rng.integers(0, 10, (n, m)).astype(float),
-                            mu=mu, nu=nu)
+class TestUnwritableOutputExit2:
+    def _run(self, *args):
+        return subprocess.run([sys.executable, "-m", "abconvex.cli", *args],
+                              capture_output=True, text=True)
+
+    def test_unwritable_out(self, tmp_path):
+        proc = self._run("transport", "--scenario",
+                         str(SCENARIOS / "transport_2x2.json"),
+                         "--out", str(tmp_path / "missing" / "r.json"))
+        assert proc.returncode == EXIT_BAD_SCENARIO
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: cannot write report")
+
+    def test_unwritable_csv(self, tmp_path):
+        out = tmp_path / "r.json"
+        proc = self._run("gap", "--scenario",
+                         str(SCENARIOS / "gap_refinement.json"), "--out", str(out),
+                         "--csv", str(tmp_path / "missing" / "c.csv"))
+        assert proc.returncode == EXIT_BAD_SCENARIO
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: cannot write csv")
+        # the report is written before the table, with its usual bytes
+        code, _, ok = run_file(SCENARIOS / "gap_refinement.json", tmp_path, "ok.json")
+        assert code == EXIT_OK and out.read_bytes() == ok.read_bytes()
+
+
+class TestSolverLimitExit2:
+    def test_cli_exits_2_without_traceback(self, monkeypatch, capsys):
+        import abconvex.transport as transport
+        from abconvex.cli import main
+
+        real = transport._simplex_pivots
+        monkeypatch.setattr(
+            transport, "_simplex_pivots",
+            lambda cost, mu, nu, bland, max_pivots: real(cost, mu, nu, bland, 0))
+        code = main(["transport", "--scenario", str(SCENARIOS / "transport_2x2.json")])
+        err = capsys.readouterr().err
+        assert code == EXIT_BAD_SCENARIO
+        assert err.startswith("error: ") and "pivots" in err
+        assert "Traceback" not in err
 
 
 class TestTransportSolvedOnce:
@@ -325,7 +354,7 @@ class TestTransportSolvedOnce:
         rng = np.random.default_rng(31 + degenerate)
         for _ in range(20):
             n, m = (int(v) for v in rng.integers(1, 16, 2))
-            prob = (_degenerate_transport(rng, n, m) if degenerate
+            prob = (degenerate_transport(rng, n, m) if degenerate
                     else random_transport(rng, max_n=15, max_m=15))
             solved = solve_transport(prob)
             assert kantorovich_gap_report(prob, solved) == kantorovich_gap_report(prob)

@@ -1,11 +1,14 @@
 """Transportation simplex, potentials, conic LP closed form."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 from abconvex import (
     ConicLP,
+    SolverLimit,
     TransportProblem,
     c_transform,
     conic_lp_dual,
@@ -13,10 +16,21 @@ from abconvex import (
     kantorovich_gap_report,
     solve_transport,
 )
+import abconvex.transport as transport
 from abconvex.errors import Unbalanced
-from abconvex.transport import dual_objective
+from abconvex.transport import (
+    _build_adj,
+    _duals_from_basis,
+    _northwest_start,
+    dual_objective,
+)
 
-from conftest import random_transport, transport_vertex_oracle
+from conftest import (
+    degenerate_transport,
+    generic_transport,
+    random_transport,
+    transport_vertex_oracle,
+)
 
 
 class TestProblemValidation:
@@ -88,6 +102,176 @@ class TestSolveTransport:
             _, _, value = solve_transport(prob)
             oracle = transport_vertex_oracle(prob.cost, prob.mu, prob.nu)
             assert abs(value - oracle) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the breadth-first pivot loop the rooted-tree kernel replaced, kept verbatim
+# (only its budget exception is now the public SolverLimit) as an oracle
+# ---------------------------------------------------------------------------
+
+def _tree_path(adj, start: int, goal: int) -> list[int]:
+    parent = {start: None}
+    dq = deque([start])
+    while dq:
+        node = dq.popleft()
+        if node == goal:
+            break
+        for nb in adj[node]:
+            if nb not in parent:
+                parent[nb] = node
+                dq.append(nb)
+    path = [goal]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return path
+
+
+def _bfs_simplex_pivots(cost, mu, nu, bland: bool, max_pivots: int):
+    """Run the pivot loop; returns (basis, alloc) on the given marginals."""
+    n, m = cost.shape
+    cscale = max(1.0, float(np.abs(cost).max()))
+    enter_tol = 1e-12 * cscale
+    alloc, basis = _northwest_start(mu, nu)
+    basis_set = set(basis)
+    adj = _build_adj(n, m, basis)
+
+    for _ in range(max_pivots):
+        u, v = _duals_from_basis(cost, basis, adj)
+        red = cost - u[:, None] - v[None, :]
+        for (i, j) in basis_set:
+            red[i, j] = 0.0
+        if bland:
+            cand = np.flatnonzero(red.ravel() < -enter_tol)
+            if cand.size == 0:
+                return list(basis_set), alloc
+            flat = int(cand[0])
+        else:
+            flat = int(red.argmin())
+            if red.ravel()[flat] >= -enter_tol:
+                return list(basis_set), alloc
+        ei, ej = divmod(flat, m)
+
+        path = _tree_path(adj, ei, n + ej)
+        # cells along the closed cycle: entering gets +theta, then alternate
+        minus_cells = []
+        plus_cells = [(ei, ej)]
+        for k in range(len(path) - 1):
+            a, b = path[k], path[k + 1]
+            cell = (a, b - n) if a < n else (b, a - n)
+            (minus_cells if k % 2 == 0 else plus_cells).append(cell)
+        theta = min(alloc[c] for c in minus_cells)
+        leaving = min(c for c in minus_cells if alloc[c] == theta)
+
+        for c in plus_cells:
+            alloc[c] += theta
+        for c in minus_cells:
+            alloc[c] -= theta
+        alloc[alloc < 0] = 0.0
+        alloc[leaving] = 0.0
+
+        basis_set.discard(leaving)
+        basis_set.add((ei, ej))
+        adj[leaving[0]].discard(n + leaving[1])
+        adj[n + leaving[1]].discard(leaving[0])
+        adj[ei].add(n + ej)
+        adj[n + ej].add(ei)
+    raise SolverLimit
+
+
+def _oracle_shapes(rng):
+    """Square, 1 x m, n x 1 and rectangular shapes, up to 60 x 60."""
+    shapes = [(60, 60), (1, 60), (60, 1), (1, 1), (45, 60), (60, 17)]
+    for _ in range(10):
+        n, m = (int(v) for v in rng.integers(1, 31, 2))
+        shapes += [(n, n), (1, m), (n, 1), (n, m)]
+    return shapes
+
+
+MAKERS = {"generic": generic_transport, "degenerate": degenerate_transport}
+
+
+class TestRootedTreeKernel:
+    """The rooted-tree pivot loop against the breadth-first one it replaced:
+    same pivots, so bit-identical bases, plans, potentials and values."""
+
+    @pytest.mark.parametrize("kind", sorted(MAKERS))
+    def test_solve_matches_bfs_kernel(self, kind, monkeypatch):
+        rng = np.random.default_rng(71 if kind == "generic" else 72)
+        for n, m in _oracle_shapes(rng):
+            prob = MAKERS[kind](rng, n, m)
+            coupling, pots, value = solve_transport(prob)
+            with monkeypatch.context() as mp:
+                mp.setattr(transport, "_simplex_pivots", _bfs_simplex_pivots)
+                ref_coupling, ref_pots, ref_value = solve_transport(prob)
+            assert np.array_equal(coupling.q, ref_coupling.q)
+            assert np.array_equal(pots.psi, ref_pots.psi)
+            assert np.array_equal(pots.phi, ref_pots.phi)
+            assert value == ref_value
+
+    @pytest.mark.parametrize("kind", sorted(MAKERS))
+    @pytest.mark.parametrize("bland", [False, True], ids=["dantzig", "bland"])
+    def test_pivot_loop_matches_bfs_kernel(self, kind, bland):
+        rng = np.random.default_rng(73 if kind == "generic" else 74)
+        for n, m in _oracle_shapes(rng):
+            prob = MAKERS[kind](rng, n, m)
+            args = (prob.cost, prob.mu, prob.nu, bland, 400 * (n + m) + 200)
+            basis, alloc = transport._simplex_pivots(*args)
+            ref_basis, ref_alloc = _bfs_simplex_pivots(*args)
+            assert sorted(basis) == sorted(ref_basis)
+            assert len(basis) == n + m - 1
+            assert np.array_equal(alloc, ref_alloc)
+
+
+class TestSolverLimit:
+    def test_bland_rerun_out_of_pivots_raises(self, monkeypatch):
+        real = transport._simplex_pivots
+        monkeypatch.setattr(
+            transport, "_simplex_pivots",
+            lambda cost, mu, nu, bland, max_pivots: real(cost, mu, nu, bland, 0))
+        prob = random_transport(np.random.default_rng(75), max_n=6, max_m=6)
+        with pytest.raises(SolverLimit, match="pivots"):
+            solve_transport(prob)
+
+    def test_first_run_out_of_pivots_falls_back_to_bland(self, monkeypatch):
+        real = transport._simplex_pivots
+        rng = np.random.default_rng(76)
+        for _ in range(20):
+            prob = random_transport(rng, max_n=12, max_m=12)
+            _, _, value = solve_transport(prob)
+            with monkeypatch.context() as mp:
+                mp.setattr(transport, "_simplex_pivots",
+                           lambda cost, mu, nu, bland, max_pivots:
+                           real(cost, mu, nu, bland, max_pivots if bland else 0))
+                _, _, bland_value = solve_transport(prob)
+            assert abs(bland_value - value) <= 1e-9 * max(1.0, abs(value))
+
+
+def _highs_transport_value(prob):
+    """Optimal coupling cost of the dense LP by HiGHS: an oracle that shares
+    no code with the simplex."""
+    n, m = prob.shape
+    a_eq = np.zeros((n + m, n * m))
+    for i in range(n):
+        a_eq[i, i * m:(i + 1) * m] = 1.0
+    for j in range(m):
+        a_eq[n + j, j::m] = 1.0
+    res = linprog(prob.cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([prob.mu, prob.nu]),
+                  bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0
+    return float(res.fun)
+
+
+class TestHighsOracle:
+    @pytest.mark.parametrize("kind", sorted(MAKERS))
+    def test_value_matches_highs_50x50(self, kind):
+        rng = np.random.default_rng(77 if kind == "generic" else 78)
+        for _ in range(6):
+            prob = MAKERS[kind](rng, 50, 50)
+            _, _, value = solve_transport(prob)
+            assert abs(value - _highs_transport_value(prob)) <= 1e-9 * max(1.0, abs(value))
 
 
 class TestCTransform:
