@@ -1,14 +1,15 @@
 """Scenario runner: every module exposed as a subcommand with JSON reports.
 
-Scenarios are JSON files validated against docs/schema.json; reports are JSON
+Scenarios are JSON files validated against schemas/schema.json in this
+package (reports against schemas/report_schema.json); reports are JSON
 with extended reals encoded as {"finite": v} | "+inf" | "-inf" so that
 infinities round-trip losslessly.  Reports are byte-identical for a fixed
 (scenario, seed) pair; wall-clock timing goes to stderr only.
 
 Exit codes: 0 success, 2 invalid scenario (also an unreadable input, an
-unwritable --out or --csv path, or a solver out of iterations), 3 negative
-mathematical outcome where a positive one was demanded (e.g. certify found no
-certificate).
+unwritable --out or --csv path, a solver out of iterations, or a failed
+internal invariant), 3 negative mathematical outcome where a positive one was
+demanded (e.g. certify found no certificate).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -55,15 +57,8 @@ from .transport import (
     solve_transport,
 )
 
-def _schema_path(name: str) -> Path:
-    repo = Path(__file__).resolve().parents[2] / "docs" / name
-    if repo.exists():
-        return repo
-    return Path(__file__).resolve().parent / "schemas" / name
-
-
-SCHEMA_PATH = _schema_path("schema.json")
-REPORT_SCHEMA_PATH = _schema_path("report_schema.json")
+SCHEMA_PATH = Path(__file__).resolve().parent / "schemas" / "schema.json"
+REPORT_SCHEMA_PATH = SCHEMA_PATH.with_name("report_schema.json")
 
 EXIT_OK = 0
 EXIT_BAD_SCENARIO = 2
@@ -443,10 +438,15 @@ def run_scenario(path: str, out=None, seed=None, tol=None, validate="full",
         return EXIT_BAD_SCENARIO
 
     try:
+        if tol is not None and isinstance(scenario, dict):
+            scenario = {**scenario, "tol": tol}
         validate_scenario(scenario)
         kind = scenario["kind"]
-        if tol is not None:
-            scenario = {**scenario, "tol": tol}
+        if "tol" in scenario:
+            if kind != "constrained":
+                raise ScenarioError(f"tol applies to constrained scenarios, not {kind}")
+            if not math.isfinite(scenario["tol"]):
+                raise ScenarioError("tol must be finite")
         seed_val = seed if seed is not None else scenario.get("seed")
         if scenario.get("draws") or "random" in scenario:
             if seed_val is None:
@@ -454,7 +454,7 @@ def run_scenario(path: str, out=None, seed=None, tol=None, validate="full",
         rng = np.random.default_rng(seed_val)
         results, curve, code = RUNNERS[kind](scenario, rng, validate)
     except (ScenarioError, AbconvexError, LevelAbovePrimal, ValueError, KeyError,
-            OSError) as e:
+            OSError, AssertionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_SCENARIO
 

@@ -4,7 +4,8 @@ A feasibility map A sends each parameter point to the set of admissible
 arguments; perturbing the constraint set embeds the problem in the generic
 Lagrangian machinery.  Metric-cone multipliers admit a closed-form Lagrangian
 through the distance to the inverse-feasible set, quadratic multipliers
-through a parabola envelope; both agree entry-exactly with the generic path.
+through a parabola envelope; both are evaluated by the generic partial
+conjugate on the constrained perturbation.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .lagrangian import (
     DualityReport,
     EQ_TOL,
     PerturbationProblem,
+    _partial_conjugate,
     duality_report,
 )
 
@@ -105,13 +107,10 @@ def _metric_family(inst: ConstrainedInstance) -> ElemFamily:
 
 
 def _cone_lagrangian(inst: ConstrainedInstance, member_vals: np.ndarray) -> np.ndarray:
-    """L(x) = psi(y0) - sup_{y in G(x)} (psi(y) - f(x)) for one multiplier,
-    composed exactly as the generic Lagrangian table does."""
-    with np.errstate(invalid="ignore"):
-        diff = np.where(inst.map.mask, member_vals[None, :] - inst.f.values[:, None],
-                        -np.inf)
-        S = diff.max(axis=1)
-        return member_vals[inst.y0] - S
+    """L(x) = psi(y0) - sup_{y in G(x)} (psi(y) - f(x)) for one multiplier with
+    finite values: the +inf cells of the perturbation drop out of the sup."""
+    p = build_constrained_perturbation(inst).p
+    return member_vals[inst.y0] - _partial_conjugate(member_vals[None, :], p)[:, 0]
 
 
 def metric_lagrangian(inst: ConstrainedInstance, anchor: int, a: float) -> GridFn:
@@ -143,15 +142,12 @@ def metric_grid_sup(inst: ConstrainedInstance, x: int,
                     a_ladder: Sequence[float]) -> np.ndarray:
     """sup over every anchor of the metric Lagrangian at x, one value per rung;
     the finite-ladder companion of metric_primal_sup."""
-    out = np.empty(len(a_ladder))
-    fam = _metric_family(inst)
-    for k, a in enumerate(a_ladder):
-        best = -np.inf
-        for anchor in range(inst.Y.n):
-            vals = eval_on_domain(fam, ElemParams(a=float(a), anchor=anchor, c=0.0))
-            best = max(best, float(_cone_lagrangian(inst, vals)[x]))
-        out[k] = best
-    return out
+    fam, n = _metric_family(inst), inst.Y.n
+    E = np.array([eval_on_domain(fam, ElemParams(a=float(a), anchor=anchor, c=0.0))
+                  for a in a_ladder for anchor in range(n)]).reshape(-1, n)
+    p = build_constrained_perturbation(inst).p[x][None, :]
+    L = E[:, inst.y0] - _partial_conjugate(E, p)[0]
+    return L.reshape(len(a_ladder), n).max(axis=1)
 
 
 def metric_dual_grid(inst: ConstrainedInstance, a_ladder: Sequence[float]) -> DualGrid:
@@ -222,7 +218,7 @@ def verify_zero_gap_metric(inst: ConstrainedInstance,
 
     minimal_rung = None
     if np.isfinite(primal):
-        col_min = _lag_matrix(inst, grid).min(axis=0)
+        col_min = report.table.L.min(axis=0)
         rung_of = np.asarray([p.a for p in grid.params_list])
         for a in ladder:
             best = col_min[rung_of <= a].max()
@@ -242,13 +238,6 @@ def verify_zero_gap_metric(inst: ConstrainedInstance,
         anchor_feasible=anchor_feasible,
         hypothesis="peaking metric cones (anchored-rung certificates)",
     )
-
-
-def _lag_matrix(inst: ConstrainedInstance, grid: DualGrid) -> np.ndarray:
-    prob = build_constrained_perturbation(inst)
-    from .lagrangian import build_lagrangian
-
-    return build_lagrangian(prob, grid).L
 
 
 def phi_lsc_set_separation(space: FiniteMetricSpace, C, p_out: int,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Union
 
 import numpy as np
 
@@ -226,17 +226,6 @@ def sub_up(a, b) -> np.ndarray:
     return out
 
 
-def ext_sub_arrays(a, b) -> np.ndarray:
-    """Elementwise a - b under IEEE round-to-nearest; opposite infinities raise."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    with np.errstate(invalid="ignore"):
-        out = a - b
-    if np.isnan(out).any():
-        raise UndefinedSum("(+inf) + (-inf) arose in an array subtraction")
-    return out
-
-
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -353,16 +342,6 @@ class GridFn:
     def is_real_valued(self) -> bool:
         return bool(np.isfinite(self.values).all())
 
-    def value_ext(self, i: int) -> ExtReal:
-        return ExtReal(self.values[i])
-
-    def values_ext(self) -> list[ExtReal]:
-        return [ExtReal(v) for v in self.values]
-
     def shifted(self, c: float) -> "GridFn":
         """The function plus a finite constant."""
         return GridFn(self.domain, self.values + float(c))
-
-    @classmethod
-    def from_values(cls, domain: Domain, values: Iterable) -> "GridFn":
-        return cls(domain, as_ext_array(list(values)))

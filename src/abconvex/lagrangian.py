@@ -3,13 +3,15 @@
 A problem instance is a table p(x, y) with a distinguished parameter y0.
 Multipliers are drawn from a finite sample of an elementary family over the
 parameter grid; the Lagrangian is L(x, psi) = psi(y0) - sup_y (psi(y) - p(x, y)).
+The sup, the partial conjugate, is computed by one kernel for every caller,
+the constrained module included.
 Reports expose the primal/dual values, the optimal value function V and its
 grid biconjugate at y0, and level certificates built from constant supports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -74,6 +76,7 @@ class LagTable:
     """L(x, psi) over the multiplier grid; rows of +inf mark empty dom p(x, .)."""
 
     L: np.ndarray
+    S: np.ndarray  # the partial conjugate p*_x(psi) that L is composed from
     psi_grid: DualGrid
     y0: int
 
@@ -85,6 +88,7 @@ class LagTable:
         L = np.asarray(self.L, dtype=float).copy()
         L.flags.writeable = False
         object.__setattr__(self, "L", L)
+        self.S.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -112,7 +116,8 @@ class Certificate:
 
 @dataclass(frozen=True)
 class DualityReport:
-    """Primal/dual values of the Lagrangian pair relative to a multiplier grid."""
+    """Primal/dual values of the Lagrangian pair relative to a multiplier grid;
+    `table` is the Lagrangian table they were reduced from."""
 
     primal: ExtReal
     dual: ExtReal
@@ -126,6 +131,7 @@ class DualityReport:
     y0: int
     convexity_scope: str
     convexity_holds: bool
+    table: LagTable = field(compare=False, repr=False)
 
     def anchor_gap(self) -> ExtReal:
         """V(y0) - dual: discrepancy between the original problem's value and
@@ -135,40 +141,38 @@ class DualityReport:
         return ExtReal(0.0) if v0 == d else ExtReal(v0) - self.dual
 
 
-def _partial_conjugate_matrix(prob: PerturbationProblem, psi_grid: DualGrid) -> np.ndarray:
-    """S[x, j] = sup_y (psi_j(y) - p(x, y)); -inf exactly on empty rows."""
-    E = psi_grid.matrix  # (P, n_y)
+def _partial_conjugate(E: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """S[x, j] = max_k (E[j, k] - p[x, k]): the sup over the parameter grid of
+    member j minus row x of the perturbation; -inf exactly on empty rows.
+
+    The one reduction behind every Lagrangian in the package.
+    """
     with np.errstate(invalid="ignore"):
-        diff = E[None, :, :] - prob.p[:, None, :]
-    return diff.max(axis=2)
+        return (E[None, :, :] - p[:, None, :]).max(axis=2)
 
 
 def partial_conjugate(prob: PerturbationProblem, x: int,
                       family: ElemFamily, params: ElemParams) -> ExtReal:
     """sup over the parameter grid of psi(y) - p(x, y) for one multiplier."""
     vals = eval_on_domain(family, params)
-    with np.errstate(invalid="ignore"):
-        out = (vals - prob.p[x]).max()
-    return ExtReal(float(out))
+    return ExtReal(float(_partial_conjugate(vals[None, :], prob.p[x][None, :])[0, 0]))
 
 
 def build_lagrangian(prob: PerturbationProblem, psi_grid: DualGrid) -> LagTable:
     """L(x, psi) = psi(y0) - p*_x(psi) for every multiplier on the grid."""
     if psi_grid.family.domain.n != prob.Y.n:
         raise ImproperProblem("multiplier grid must live on the parameter domain")
-    S = _partial_conjugate_matrix(prob, psi_grid)
-    E0 = psi_grid.matrix[:, prob.y0]
+    E = psi_grid.matrix
+    S = _partial_conjugate(E, prob.p)
     with np.errstate(invalid="ignore"):
-        L = E0[None, :] - S
-    return LagTable(L=L, psi_grid=psi_grid, y0=prob.y0)
+        L = E[:, prob.y0][None, :] - S
+    return LagTable(L=L, S=S, psi_grid=psi_grid, y0=prob.y0)
 
 
 def _full_convexity_holds(prob: PerturbationProblem, psi_grid: DualGrid,
                           S: np.ndarray) -> bool:
     """Whether every p(x, .) equals its grid biconjugate on all of Y (1e-9)."""
-    E = psi_grid.matrix
-    with np.errstate(invalid="ignore"):
-        bidual = (E[None, :, :] - S[:, :, None]).max(axis=1)
+    bidual = _partial_conjugate(psi_grid.matrix.T, S)
     p = prob.p
     finite = np.isfinite(p)
     ok_fin = np.abs(bidual[finite] - p[finite]).max(initial=0.0) <= EQ_TOL
@@ -189,14 +193,8 @@ def duality_report(prob: PerturbationProblem, psi_grid: DualGrid,
     """
     if convexity_scope not in ("anchor", "full"):
         raise ValueError("convexity_scope must be 'anchor' or 'full'")
-    if psi_grid.family.domain.n != prob.Y.n:
-        raise ImproperProblem("multiplier grid must live on the parameter domain")
-    E = psi_grid.matrix
-    S = _partial_conjugate_matrix(prob, psi_grid)
-    with np.errstate(invalid="ignore"):
-        L_raw = E[:, prob.y0][None, :] - S
-    table = LagTable(L=L_raw, psi_grid=psi_grid, y0=prob.y0)
-    L = table.L
+    table = build_lagrangian(prob, psi_grid)
+    E, S, L = psi_grid.matrix, table.S, table.L
 
     row_sup = L.max(axis=1)            # sup_psi L(x, .) = p_x**(y0)
     primal = float(row_sup.min())
@@ -205,8 +203,7 @@ def duality_report(prob: PerturbationProblem, psi_grid: DualGrid,
 
     V = GridFn(prob.Y, prob.p.min(axis=0))
     V_star = S.max(axis=0)
-    with np.errstate(invalid="ignore"):
-        V_bidual = float((E[:, prob.y0] - V_star).max())
+    V_bidual = float(_partial_conjugate(E[:, prob.y0][None, :], V_star[None, :])[0, 0])
     if V_bidual != dual:
         raise AssertionError("dual != V**(y0); internal reduction mismatch")
 
@@ -236,7 +233,7 @@ def duality_report(prob: PerturbationProblem, psi_grid: DualGrid,
         V=V, V_star=V_star, V_bidual_at_y0=ExtReal(V_bidual),
         reconstruction_ok=reconstruction_ok, certificate=certificate,
         psi_grid=psi_grid, y0=prob.y0, convexity_scope=convexity_scope,
-        convexity_holds=convexity_holds,
+        convexity_holds=convexity_holds, table=table,
     )
 
 
@@ -293,14 +290,9 @@ def concavity_probe(prob: PerturbationProblem, family: ElemFamily,
         raise ValueError("t must lie in [0, 1]")
     Ea = eval_on_domain(family, psi_a)
     Eb = eval_on_domain(family, psi_b)
-    Ec = t * Ea + (1.0 - t) * Eb
-
-    def lag_row(E):
-        with np.errstate(invalid="ignore"):
-            S = (E[None, :] - prob.p).max(axis=1)
-            return E[prob.y0] - S
-
-    La, Lb, Lc = lag_row(Ea), lag_row(Eb), lag_row(Ec)
+    E = np.vstack([Ea, Eb, t * Ea + (1.0 - t) * Eb])
+    with np.errstate(invalid="ignore"):
+        La, Lb, Lc = (E[:, prob.y0][None, :] - _partial_conjugate(E, prob.p)).T
     if t == 0.0:
         rhs = Lb
     elif t == 1.0:

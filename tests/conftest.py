@@ -8,11 +8,16 @@ from abconvex import (
     ConstrainedInstance,
     ConstraintMap,
     ElemFamily,
+    ElemParams,
+    ExtReal,
     GridFn,
     PerturbationProblem,
     TransportProblem,
+    build_constrained_perturbation,
     build_metric_space,
     default_dual_grid,
+    eval_on_domain,
+    metric_dual_grid,
 )
 
 
@@ -195,3 +200,175 @@ def transport_vertex_oracle(cost, mu, nu, feas_tol=1e-9):
             continue
         best = min(best, sum(qq * cost[i, j] for qq, (i, j) in zip(q, subset)))
     return best
+
+
+# ---------------------------------------------------------------------------
+# the Lagrangian reductions as written before they shared one partial-conjugate
+# kernel, kept as oracles the kernel's callers must match bit for bit: copied
+# as they were, except that duality_report and verify_zero_gap_metric keep only
+# the values they derive from the table, and EQ_TOL is spelled out
+# ---------------------------------------------------------------------------
+
+def old_partial_conjugate_matrix(prob, psi_grid):
+    """S[x, j] = sup_y (psi_j(y) - p(x, y)); -inf exactly on empty rows."""
+    E = psi_grid.matrix  # (P, n_y)
+    with np.errstate(invalid="ignore"):
+        diff = E[None, :, :] - prob.p[:, None, :]
+    return diff.max(axis=2)
+
+
+def old_partial_conjugate(prob, x, family, params):
+    """sup over the parameter grid of psi(y) - p(x, y) for one multiplier."""
+    vals = eval_on_domain(family, params)
+    with np.errstate(invalid="ignore"):
+        out = (vals - prob.p[x]).max()
+    return ExtReal(float(out))
+
+
+def old_lagrangian(prob, psi_grid):
+    """L(x, psi) = psi(y0) - p*_x(psi) for every multiplier on the grid."""
+    S = old_partial_conjugate_matrix(prob, psi_grid)
+    E0 = psi_grid.matrix[:, prob.y0]
+    with np.errstate(invalid="ignore"):
+        L = E0[None, :] - S
+    return L
+
+
+def old_full_convexity_holds(prob, psi_grid, S):
+    """Whether every p(x, .) equals its grid biconjugate on all of Y (1e-9)."""
+    E = psi_grid.matrix
+    with np.errstate(invalid="ignore"):
+        bidual = (E[None, :, :] - S[:, :, None]).max(axis=1)
+    p = prob.p
+    finite = np.isfinite(p)
+    ok_fin = np.abs(bidual[finite] - p[finite]).max(initial=0.0) <= 1e-9
+    inf_cells = ~finite
+    ok_inf = np.isposinf(bidual[inf_cells]).all() if inf_cells.any() else True
+    return bool(ok_fin and ok_inf)
+
+
+def old_duality_fields(prob, psi_grid, convexity_scope="anchor"):
+    """The values duality_report derived from its own partial-conjugate table,
+    with the certificate as the index of its multiplier (None when absent)."""
+    E = psi_grid.matrix
+    S = old_partial_conjugate_matrix(prob, psi_grid)
+    with np.errstate(invalid="ignore"):
+        L = E[:, prob.y0][None, :] - S
+
+    row_sup = L.max(axis=1)            # sup_psi L(x, .) = p_x**(y0)
+    primal = float(row_sup.min())
+    col_inf = L.min(axis=0)            # inf_x L(., psi)
+    dual = float(col_inf.max())
+
+    V = prob.p.min(axis=0)
+    V_star = S.max(axis=0)
+    with np.errstate(invalid="ignore"):
+        V_bidual = float((E[:, prob.y0] - V_star).max())
+
+    p0 = prob.p[:, prob.y0]
+    both_inf = np.isposinf(row_sup) & np.isposinf(p0)
+    with np.errstate(invalid="ignore"):
+        finite_ok = (np.isfinite(row_sup) & np.isfinite(p0)
+                     & (np.abs(row_sup - p0) <= 1e-9))
+    reconstruction_ok = bool((both_inf | finite_ok).all())
+
+    if convexity_scope == "anchor":
+        convexity_holds = reconstruction_ok
+    else:
+        convexity_holds = old_full_convexity_holds(prob, psi_grid, S)
+
+    if primal == dual:
+        gap = ExtReal(0.0)
+    else:
+        gap = ExtReal(primal) - ExtReal(dual)
+
+    certificate = None
+    if np.isfinite(primal) and float(gap) <= 1e-9:
+        hits = np.flatnonzero(col_inf >= primal - 1e-6)
+        certificate = int(hits[0]) if hits.size else None
+    return {"L": L, "S": S, "primal": primal, "dual": dual, "gap": gap, "V": V,
+            "V_star": V_star, "V_bidual_at_y0": V_bidual,
+            "reconstruction_ok": reconstruction_ok,
+            "convexity_holds": convexity_holds, "certificate": certificate}
+
+
+def old_concavity_probe(prob, family, psi_a, psi_b, t):
+    """concavity_probe's verdict, with the three Lagrangian rows it compares."""
+    Ea = eval_on_domain(family, psi_a)
+    Eb = eval_on_domain(family, psi_b)
+    Ec = t * Ea + (1.0 - t) * Eb
+
+    def lag_row(E):
+        with np.errstate(invalid="ignore"):
+            S = (E[None, :] - prob.p).max(axis=1)
+            return E[prob.y0] - S
+
+    La, Lb, Lc = lag_row(Ea), lag_row(Eb), lag_row(Ec)
+    if t == 0.0:
+        rhs = Lb
+    elif t == 1.0:
+        rhs = La
+    else:
+        rhs = np.where(np.isposinf(La) | np.isposinf(Lb), np.inf,
+                       t * np.where(np.isposinf(La), 0.0, La)
+                       + (1.0 - t) * np.where(np.isposinf(Lb), 0.0, Lb))
+    both_inf = np.isposinf(Lc) & np.isposinf(rhs)
+    return bool((both_inf | (Lc >= rhs - 1e-9)).all()), (La, Lb, Lc)
+
+
+def old_cone_lagrangian(inst, member_vals):
+    """L(x) = psi(y0) - sup_{y in G(x)} (psi(y) - f(x)) for one multiplier,
+    composed exactly as the generic Lagrangian table does."""
+    with np.errstate(invalid="ignore"):
+        diff = np.where(inst.map.mask, member_vals[None, :] - inst.f.values[:, None],
+                        -np.inf)
+        S = diff.max(axis=1)
+        return member_vals[inst.y0] - S
+
+
+def old_metric_grid_sup(inst, x, a_ladder):
+    """sup over every anchor of the metric Lagrangian at x, one value per rung."""
+    out = np.empty(len(a_ladder))
+    fam = ElemFamily.metric(inst.Y)
+    for k, a in enumerate(a_ladder):
+        best = -np.inf
+        for anchor in range(inst.Y.n):
+            vals = eval_on_domain(fam, ElemParams(a=float(a), anchor=anchor, c=0.0))
+            best = max(best, float(old_cone_lagrangian(inst, vals)[x]))
+        out[k] = best
+    return out
+
+
+def old_rung_and_bound(inst, a_ladder, tol=1e-9):
+    """(minimal_rung, proof_bound) of verify_zero_gap_metric, with the
+    Lagrangian table rebuilt from the constrained perturbation."""
+    ladder = tuple(sorted(float(a) for a in a_ladder))
+    prob = build_constrained_perturbation(inst)
+    grid = metric_dual_grid(inst, ladder)
+    primal = old_duality_fields(prob, grid)["primal"]
+
+    dist_to_G = np.full(inst.n_x, np.inf)
+    for x in range(inst.n_x):
+        row = inst.map.mask[x]
+        if row.any():
+            dist_to_G[x] = inst.Y.dist[inst.y0][row].min()
+    infeasible = ~inst.map.mask[:, inst.y0] & np.isfinite(inst.f.values) \
+        & np.isfinite(dist_to_G) & (dist_to_G > 0)
+    if np.isfinite(primal) and infeasible.any():
+        proof_bound = float(
+            np.max((primal - inst.f.values[infeasible]) / dist_to_G[infeasible],
+                   initial=0.0)
+        )
+    else:
+        proof_bound = 0.0
+
+    minimal_rung = None
+    if np.isfinite(primal):
+        col_min = old_lagrangian(prob, grid).min(axis=0)
+        rung_of = np.asarray([p.a for p in grid.params_list])
+        for a in ladder:
+            best = col_min[rung_of <= a].max()
+            if primal - best <= tol:
+                minimal_rung = a
+                break
+    return minimal_rung, proof_bound

@@ -197,14 +197,6 @@ class TestEntryPoint:
         assert proc.returncode == EXIT_BAD_SCENARIO
 
 
-class TestSchemaCopiesInSync:
-    def test_docs_and_package_match(self):
-        for name in ("schema.json", "report_schema.json"):
-            docs = (REPO / "docs" / name).read_text()
-            pkg = (REPO / "src" / "abconvex" / "schemas" / name).read_text()
-            assert docs == pkg
-
-
 def _mutated(name, mutate):
     sc = json.loads((SCENARIOS / name).read_text())
     mutate(sc)
@@ -274,12 +266,12 @@ class TestSchemaValidator:
             cli.scenario_validator.cache_clear()
 
 
-def _cli_subprocess(command, sc, tmp_path):
+def _cli_subprocess(command, sc, tmp_path, *flags):
     p = tmp_path / "sc.json"
     p.write_text(json.dumps(sc))
     return subprocess.run(
         [sys.executable, "-m", "abconvex.cli", command, "--scenario", str(p),
-         "--out", str(tmp_path / "o.json")],
+         "--out", str(tmp_path / "o.json"), *flags],
         capture_output=True, text=True,
     )
 
@@ -303,6 +295,44 @@ class TestBadInputsExit2:
         assert proc.returncode == EXIT_BAD_SCENARIO
         assert "Traceback" not in proc.stderr
         assert "out of range" in proc.stderr
+
+
+    def test_failed_invariant_exit_2(self, tmp_path):
+        # schema-valid, but the extreme costs break transport strong duality
+        sc = {"kind": "transport", "cost": [[1e308, -1e308], [-1e308, 1e308]],
+              "mu": [0.5, 0.5], "nu": [0.5, 0.5]}
+        proc = _cli_subprocess("transport", sc, tmp_path)
+        assert proc.returncode == EXIT_BAD_SCENARIO
+        assert "Traceback" not in proc.stderr
+        assert "error: strong duality failed" in proc.stderr
+
+
+class TestTol:
+    @pytest.mark.parametrize("name, tol", [
+        ("constrained_2x2.json", "-1"),
+        ("constrained_2x2.json", "0"),
+        ("constrained_2x2.json", "inf"),
+        ("gap_vee_up.json", "5"),
+    ])
+    def test_bad_or_unused_tol_exit_2(self, name, tol, tmp_path):
+        sc = _mutated(name, lambda sc: None)
+        proc = _cli_subprocess(sc["kind"], sc, tmp_path, "--tol", tol)
+        assert proc.returncode == EXIT_BAD_SCENARIO
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert not (tmp_path / "o.json").exists()
+
+    def test_tol_in_file_of_other_kind_exit_2(self, tmp_path):
+        p = tmp_path / "sc.json"
+        sc = _mutated("gap_vee_up.json", lambda sc: sc.update(tol=0.1))
+        p.write_text(json.dumps(sc))
+        assert run_scenario(str(p), out=str(tmp_path / "o.json")) == EXIT_BAD_SCENARIO
+
+    def test_constrained_tol_accepted(self, tmp_path):
+        sc = _mutated("constrained_2x2.json", lambda sc: None)
+        proc = _cli_subprocess("constrained", sc, tmp_path, "--tol", "1e-6")
+        assert proc.returncode == EXIT_OK
+        assert json.loads((tmp_path / "o.json").read_text())["scenario"]["tol"] == 1e-6
 
 
 class TestUnwritableOutputExit2:

@@ -22,7 +22,7 @@ from abconvex import (
 )
 from abconvex.errors import ImproperObjective
 
-from conftest import line_space, random_constrained
+from conftest import line_space, old_lagrangian, random_constrained
 
 
 def worked_2x2():
@@ -107,9 +107,11 @@ class TestMetricLagrangian:
                            if p.key() not in seen and not seen.add(p.key()))
             grid = DualGrid(ElemFamily.metric(inst.Y), params)
             table = build_lagrangian(prob, grid)
+            oracle = old_lagrangian(prob, grid)
             for j, p in enumerate(params):
                 direct = metric_lagrangian(inst, p.anchor, p.a).values
                 assert np.array_equal(direct, table.L[:, j])
+                assert np.array_equal(direct, oracle[:, j])
 
 
 class TestQuadLagrangian:
@@ -129,6 +131,8 @@ class TestQuadLagrangian:
         grid = DualGrid(ElemFamily.affine(inst.Y), (ElemParams(ell=u),))
         table = build_lagrangian(prob, grid)
         assert np.array_equal(quad_lagrangian(inst, u, 0.0).values, table.L[:, 0])
+        assert np.array_equal(quad_lagrangian(inst, u, 0.0).values,
+                              old_lagrangian(prob, grid)[:, 0])
 
     def test_worked_one_dim(self):
         Y = line_space([-1.0, 0.0, 1.0])
@@ -150,9 +154,11 @@ class TestQuadLagrangian:
             )
             grid = DualGrid(ElemFamily.quad_minus(inst.Y), params)
             table = build_lagrangian(prob, grid)
+            oracle = old_lagrangian(prob, grid)
             for j, p in enumerate(params):
                 direct = quad_lagrangian(inst, p.ell, p.a).values
                 assert np.array_equal(direct, table.L[:, j])
+                assert np.array_equal(direct, oracle[:, j])
 
 
 class TestMetricPrimalSup:
