@@ -6,10 +6,11 @@ with extended reals encoded as {"finite": v} | "+inf" | "-inf" so that
 infinities round-trip losslessly.  Reports are byte-identical for a fixed
 (scenario, seed) pair; wall-clock timing goes to stderr only.
 
-Exit codes: 0 success, 2 invalid scenario (also an unreadable input, an
-unwritable --out or --csv path, a solver out of iterations, or a failed
-internal invariant), 3 negative mathematical outcome where a positive one was
-demanded (e.g. certify found no certificate).
+Exit codes: 0 success, 2 invalid scenario (also an unreadable input, a file
+that is not a JSON object or holds NaN/Infinity literals, an unwritable --out
+or --csv path, a solver out of iterations, or a failed internal invariant),
+3 negative mathematical outcome where a positive one was demanded (e.g.
+certify found no certificate).
 """
 
 from __future__ import annotations
@@ -425,20 +426,39 @@ def validate_scenario(scenario: dict) -> None:
         raise ScenarioError(f"scenario failed schema validation: {error.message}")
 
 
+READ_ERRORS = (OSError, UnicodeDecodeError, json.JSONDecodeError, ScenarioError)
+
+
+def _reject_constant(name: str):
+    raise ScenarioError(f"non-standard JSON literal {name}; extended reals are "
+                        'written "+inf" or "-inf"')
+
+
+def load_scenario(path) -> dict:
+    """Parse a scenario file.  The non-standard literals NaN, Infinity and
+    -Infinity are rejected, and so is a top-level value that is not an object;
+    every failure raises one of READ_ERRORS."""
+    with open(path, "r", encoding="utf-8") as fh:
+        scenario = json.load(fh, parse_constant=_reject_constant)
+    if not isinstance(scenario, dict):
+        raise ScenarioError(f"top-level value is a {type(scenario).__name__}, "
+                            "not an object")
+    return scenario
+
+
 def run_scenario(path: str, out=None, seed=None, tol=None, validate="full",
                  csv_path=None) -> int:
     """Execute one scenario file and write its JSON report.  Returns the exit
     code; raises nothing scenario-related (errors map to exit codes)."""
     t0 = time.monotonic()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            scenario = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+        scenario = load_scenario(path)
+    except READ_ERRORS as e:
         print(f"error: cannot read scenario: {e}", file=sys.stderr)
         return EXIT_BAD_SCENARIO
 
     try:
-        if tol is not None and isinstance(scenario, dict):
+        if tol is not None:
             scenario = {**scenario, "tol": tol}
         validate_scenario(scenario)
         kind = scenario["kind"]
@@ -509,9 +529,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        with open(args.scenario, "r", encoding="utf-8") as fh:
-            kind = json.load(fh).get("kind")
-    except (OSError, json.JSONDecodeError) as e:
+        kind = load_scenario(args.scenario).get("kind")
+    except READ_ERRORS as e:
         print(f"error: cannot read scenario: {e}", file=sys.stderr)
         return EXIT_BAD_SCENARIO
     if kind != args.command:

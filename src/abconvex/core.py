@@ -10,13 +10,17 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
 from .errors import EmptyDomain, NonMetric, UndefinedSum
 
 METRIC_TOL = 1e-12
+
+#: bytes the temporaries of one block of a dense row-wise reduction may take
+#: (see by_row_blocks); a block never has fewer than one row
+BLOCK_BYTES = 4 << 20
 
 
 class ExtReal:
@@ -226,6 +230,21 @@ def sub_up(a, b) -> np.ndarray:
     return out
 
 
+def by_row_blocks(fn: Callable[[slice], np.ndarray], n_rows: int,
+                  row_bytes: int) -> np.ndarray:
+    """fn(rows) over consecutive row slices of n_rows rows, concatenated.
+
+    Each slice holds as many rows as fit BLOCK_BYTES at row_bytes bytes of
+    temporaries per row (at least one).  fn must compute each output row from
+    its own input row alone, so that blocking changes no bit of the result.
+    When every row fits, fn(slice(None)) is called once and returned as is.
+    """
+    step = max(1, BLOCK_BYTES // max(1, row_bytes))
+    if step >= n_rows:
+        return fn(slice(None))
+    return np.concatenate([fn(slice(i, i + step)) for i in range(0, n_rows, step)])
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -259,7 +278,9 @@ def build_metric_space(points, metric_kind="euclidean", validate: str = "full") 
     """Build a FiniteMetricSpace from coordinates, validating the metric axioms.
 
     metric_kind is either "euclidean" or an explicit square distance matrix.
-    validate="fast" skips the O(n^3) triangle-inequality sweep for large grids.
+    validate="full" sweeps the triangle inequality over every triple: O(n^3)
+    time, in row blocks of BLOCK_BYTES, so O(n^2) memory.  validate="fast"
+    skips the sweep for large grids.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -295,8 +316,11 @@ def build_metric_space(points, metric_kind="euclidean", validate: str = "full") 
         raise NonMetric("zero distance between distinct points")
     if validate == "full":
         # dist[i,k] <= dist[i,j] + dist[j,k] within METRIC_TOL
-        via = dist[:, :, None] + dist[None, :, :]
-        if (via.min(axis=1) < dist - METRIC_TOL).any():
+        def violated(rows):
+            via = (dist[rows, :, None] + dist[None, :, :]).min(axis=1)
+            return (via < dist[rows] - METRIC_TOL).any(axis=1)
+
+        if by_row_blocks(violated, n, dist.nbytes).any():
             raise NonMetric("triangle inequality violated")
     elif validate != "fast":
         raise ValueError("validate must be 'full' or 'fast'")

@@ -176,9 +176,6 @@ class ElemParams:
         ell = None if self.ell is None else tuple(self.ell.tolist())
         return (self.a, ell, self.anchor, self.c)
 
-    def with_offset(self, c: float) -> "ElemParams":
-        return ElemParams(a=self.a, ell=self.ell, anchor=self.anchor, c=c)
-
 
 def validate_params(family: ElemFamily, params: ElemParams) -> None:
     """Raise BadParams unless params are admissible for the family."""

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ExtReal, FiniteMetricSpace, GridFn
+from .core import ExtReal, FiniteMetricSpace, GridFn, by_row_blocks
 from .errors import ImproperProblem, LevelAbovePrimal, NotConvexCombinable
 from .families import CONVEX_KINDS, DualGrid, ElemFamily, ElemParams, eval_on_domain
 from .minimax import TCertificate
@@ -65,10 +65,6 @@ class PerturbationProblem:
     @property
     def n_x(self) -> int:
         return self.p.shape[0]
-
-    @property
-    def anchor_proper(self) -> bool:
-        return bool(np.isfinite(self.p[:, self.y0]).any())
 
 
 @dataclass(frozen=True)
@@ -145,10 +141,14 @@ def _partial_conjugate(E: np.ndarray, p: np.ndarray) -> np.ndarray:
     """S[x, j] = max_k (E[j, k] - p[x, k]): the sup over the parameter grid of
     member j minus row x of the perturbation; -inf exactly on empty rows.
 
-    The one reduction behind every Lagrangian in the package.
+    The one reduction behind every Lagrangian in the package; reduced in row
+    blocks of x, so the n_x x P x n_y differences are never held at once.
     """
+    def block(rows):
+        return (E[None, :, :] - p[rows, None, :]).max(axis=2)
+
     with np.errstate(invalid="ignore"):
-        return (E[None, :, :] - p[:, None, :]).max(axis=2)
+        return by_row_blocks(block, p.shape[0], E.nbytes)
 
 
 def partial_conjugate(prob: PerturbationProblem, x: int,

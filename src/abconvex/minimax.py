@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ExtReal, GridFn
+from .core import ExtReal, GridFn, by_row_blocks
 from .errors import ImproperInput
 
 
@@ -111,7 +111,8 @@ def intersection_certificate(phi1: GridFn, phi2: GridFn, alpha: float):
     maximizing t as a TCertificate when max g >= alpha, else None."""
     v1, v2 = _real_pair(phi1, phi2)
     ts = envelope_candidates(v1, v2)
-    env = _combination(v1, v2, ts).min(axis=1)
+    env = by_row_blocks(lambda rows: _combination(v1, v2, ts[rows]).min(axis=1),
+                        ts.shape[0], v1.nbytes)
     best = env.max()
     if best < alpha:
         return None

@@ -12,6 +12,7 @@ from abconvex import (
     ExtReal,
     GridFn,
     PerturbationProblem,
+    TCertificate,
     TransportProblem,
     build_constrained_perturbation,
     build_metric_space,
@@ -19,6 +20,14 @@ from abconvex import (
     eval_on_domain,
     metric_dual_grid,
 )
+from abconvex.core import METRIC_TOL
+from abconvex.minimax import envelope_candidates
+
+
+def same_bits(a, b):
+    """Equal shapes and equal raw bytes: bit identity, signed zeros included."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def line_space(points, validate="full"):
@@ -372,3 +381,35 @@ def old_rung_and_bound(inst, a_ladder, tol=1e-9):
                 minimal_rung = a
                 break
     return minimal_rung, proof_bound
+
+
+# ---------------------------------------------------------------------------
+# the dense kernels as they were before they were reduced in row blocks of
+# core.BLOCK_BYTES: each materializes its whole cubic (or n^2 x n) temporary
+# and reduces it in one call; blocked results must match them bit for bit
+# ---------------------------------------------------------------------------
+
+def old_triangle_violated(dist):
+    """build_metric_space's full sweep: some dist[i,k] > dist[i,j] + dist[j,k]
+    beyond METRIC_TOL."""
+    via = dist[:, :, None] + dist[None, :, :]
+    return bool((via.min(axis=1) < dist - METRIC_TOL).any())
+
+
+def old_partial_conjugate_kernel(E, p):
+    """S[x, j] = max_k (E[j, k] - p[x, k]) in one n_x x P x n_y tensor."""
+    with np.errstate(invalid="ignore"):
+        return (E[None, :, :] - p[:, None, :]).max(axis=2)
+
+
+def old_intersection_certificate(phi1, phi2, alpha):
+    """Smallest maximizer of min_x (t phi1 + (1-t) phi2) over the candidates,
+    with every candidate's combination row held at once."""
+    v1, v2 = phi1.values, phi2.values
+    ts = envelope_candidates(v1, v2)
+    env = (v2[None, :] + ts[:, None] * (v1 - v2)[None, :]).min(axis=1)
+    best = env.max()
+    if best < alpha:
+        return None
+    t0 = float(ts[np.flatnonzero(env == best)[0]])
+    return TCertificate(t0=t0, level=float(alpha), lower_envelope_value=float(best))

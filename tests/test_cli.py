@@ -1,6 +1,7 @@
 """Scenario runner: exit codes, schema validation, determinism, CSV output."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -404,3 +405,36 @@ class TestTransportSolvedOnce:
         code, report, _ = run_file(SCENARIOS / "transport_2x2.json", tmp_path)
         assert code == EXIT_OK and report["results"]["gap"] == 0.0
         assert len(calls) == 1
+
+
+class TestMalformedJsonExit2:
+    @pytest.mark.parametrize("name, mutate", [
+        ("certify_vee_up.json", lambda sc: sc.update(alpha=-math.inf)),
+        ("certify_vee_up.json", lambda sc: sc.update(alpha=math.inf)),
+        ("transport_2x2.json", lambda sc: sc["cost"][0].__setitem__(1, math.nan)),
+    ], ids=["-Infinity", "Infinity", "NaN"])
+    def test_non_standard_literal(self, name, mutate, tmp_path):
+        sc = _mutated(name, mutate)
+        proc = _cli_subprocess(sc["kind"], sc, tmp_path)
+        assert proc.returncode == EXIT_BAD_SCENARIO
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: cannot read scenario: non-standard JSON")
+        assert not (tmp_path / "o.json").exists()
+        assert run_scenario(str(tmp_path / "sc.json")) == EXIT_BAD_SCENARIO
+
+    @pytest.mark.parametrize("data, message", [
+        (b"[1, 2]", "top-level value"),
+        (b"3", "top-level value"),
+        (b'"transport"', "top-level value"),
+        (b"null", "top-level value"),
+        (b"\xff\xfe{", "'utf-8' codec"),
+    ], ids=["list", "number", "string", "null", "not-utf8"])
+    def test_not_a_json_object(self, data, message, tmp_path):
+        p = tmp_path / "sc.json"
+        p.write_bytes(data)
+        proc = subprocess.run([sys.executable, "-m", "abconvex.cli", "transport",
+                               "--scenario", str(p)], capture_output=True, text=True)
+        assert proc.returncode == EXIT_BAD_SCENARIO
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"error: cannot read scenario: {message}")
+        assert run_scenario(str(p)) == EXIT_BAD_SCENARIO

@@ -38,13 +38,9 @@ from conftest import (
     old_partial_conjugate_matrix,
     old_rung_and_bound,
     random_dual_grid,
+    same_bits,
     spaced_line,
 )
-
-
-def same_bits(a, b):
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def perturbation(rng, n_x, n_y, holes=True, empty_rows=False, kind=None):
