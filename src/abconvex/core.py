@@ -277,10 +277,14 @@ class FiniteMetricSpace:
 def build_metric_space(points, metric_kind="euclidean", validate: str = "full") -> FiniteMetricSpace:
     """Build a FiniteMetricSpace from coordinates, validating the metric axioms.
 
-    metric_kind is either "euclidean" or an explicit square distance matrix.
-    validate="full" sweeps the triangle inequality over every triple: O(n^3)
-    time, in row blocks of BLOCK_BYTES, so O(n^2) memory.  validate="fast"
-    skips the sweep for large grids.
+    metric_kind is either "euclidean" or an explicit square distance matrix
+    (a nearly symmetric one, within METRIC_TOL, is symmetrized).
+    validate="full" sweeps the triangle inequality over every triple in row
+    blocks of BLOCK_BYTES, so O(n^2) memory.  The test for (i, k) is the test
+    for (k, i), so a block starting at row k0 checks columns k >= k0 only:
+    each unordered pair once (twice when both rows share a block), about
+    n^3 / 2 sums instead of n^3 once the rows span many blocks.
+    validate="fast" skips the sweep for large grids.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -315,10 +319,16 @@ def build_metric_space(points, metric_kind="euclidean", validate: str = "full") 
     if (off == 0).any():
         raise NonMetric("zero distance between distinct points")
     if validate == "full":
-        # dist[i,k] <= dist[i,j] + dist[j,k] within METRIC_TOL
+        # dist[i,k] <= dist[i,j] + dist[j,k] within METRIC_TOL.  dist is
+        # exactly symmetric here (Euclidean differences negate exactly, and
+        # custom matrices were symmetrized), so dist[k,j] stands in for
+        # dist[j,k], the reduction runs over the contiguous last axis, and
+        # columns k < k0 are left to the earlier block that holds row k.
+        # Per-row flags then depend on the blocking; their any() does not.
         def violated(rows):
-            via = (dist[rows, :, None] + dist[None, :, :]).min(axis=1)
-            return (via < dist[rows] - METRIC_TOL).any(axis=1)
+            k0 = rows.start or 0
+            via = (dist[rows, None, :] + dist[None, k0:, :]).min(axis=2)
+            return (via < dist[rows, k0:] - METRIC_TOL).any(axis=1)
 
         if by_row_blocks(violated, n, dist.nbytes).any():
             raise NonMetric("triangle inequality violated")

@@ -30,6 +30,14 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def same_certificate(a, b):
+    """Both None, or certificates with bit-identical t0, level and value."""
+    if a is None or b is None:
+        return a is None and b is None
+    return (same_bits(a.t0, b.t0) and same_bits(a.level, b.level)
+            and same_bits(a.lower_envelope_value, b.lower_envelope_value))
+
+
 def line_space(points, validate="full"):
     return build_metric_space(np.asarray(points, dtype=float)[:, None],
                               validate=validate)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from abconvex import (
     ElemFamily,
@@ -15,10 +16,11 @@ from abconvex import (
     intersection_property_direct,
     saddle_values,
 )
-from abconvex.errors import ImproperInput
+from abconvex import minimax
+from abconvex.errors import EmptyDomain, ImproperInput
 from abconvex.minimax import envelope_candidates
 
-from conftest import line_space
+from conftest import line_space, old_intersection_certificate, same_certificate
 
 
 def _pair(v1, v2):
@@ -94,6 +96,113 @@ class TestCertificate:
             TCertificate(t0=1.5, level=0.0, lower_envelope_value=1.0)
         with pytest.raises(ValueError):
             TCertificate(t0=0.5, level=1.0, lower_envelope_value=0.0)
+        with pytest.raises(ValueError, match="NaN"):
+            TCertificate(t0=0.5, level=np.nan, lower_envelope_value=0.0)
+
+
+class TestImproperInputs:
+    def setup_method(self):
+        # phi1 - phi2 = (2e308, -2e308) overflows to (+inf, -inf)
+        self.phi1, self.phi2 = _pair([1e308, -1e308], [-1e308, 1e308])
+
+    def test_overflowing_slopes_certificate(self):
+        with pytest.raises(ImproperInput, match="overflows"):
+            intersection_certificate(self.phi1, self.phi2, 0.0)
+
+    def test_overflowing_slopes_direct(self):
+        # at t = 1/2 both points lie strictly below 1e300: the answer is not True
+        with pytest.raises(ImproperInput, match="overflows"):
+            intersection_property_direct(self.phi1, self.phi2, 1e300, 11)
+
+    def test_empty_grid(self):
+        empty = GridFn(0, [])
+        with pytest.raises(EmptyDomain):
+            intersection_certificate(empty, empty, 0.0)
+
+    def test_largest_finite_slopes_accepted(self):
+        phi1, phi2 = _pair([1e308, -1e308], [0.0, 0.0])
+        cert = intersection_certificate(phi1, phi2, -np.inf)
+        assert same_certificate(cert, old_intersection_certificate(phi1, phi2, -np.inf))
+        assert intersection_property_direct(phi1, phi2, -1e300, 11)
+
+    @pytest.mark.parametrize("check", [
+        lambda a, b: intersection_certificate(a, b, np.nan),
+        lambda a, b: intersection_property_direct(a, b, np.nan, 11),
+        lambda a, b: disjoint_sublevel(a, b, np.nan),
+    ])
+    def test_nan_level_rejected(self, check):
+        phi1, phi2 = _pair([-1.0, 0.0, 1.0], [1.0, 0.0, -1.0])
+        with pytest.raises(ValueError, match="NaN"):
+            check(phi1, phi2)
+
+
+@st.composite
+def line_pairs(draw):
+    """(2, n) values, n <= 60: integer or one-decimal data (concurrent
+    crossings, flat tops), near-tied slopes, or reals, with some lines
+    repeated."""
+    n = draw(st.integers(1, 40))
+    style = draw(st.sampled_from(["integer", "one_decimal", "near_tied", "real"]))
+    if style == "integer":
+        v = draw(st.lists(st.integers(-4, 4), min_size=2 * n, max_size=2 * n))
+        v = np.asarray(v, dtype=float).reshape(2, n)
+    elif style == "one_decimal":
+        v = draw(st.lists(st.floats(-3.0, 3.0), min_size=2 * n, max_size=2 * n))
+        v = np.round(np.asarray(v).reshape(2, n), 1)
+    else:
+        v2 = np.asarray(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+        if style == "near_tied":
+            k = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+            sign = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+            s = np.asarray(sign) * (1.0 + np.asarray(k) * 2.0 ** -50)
+        else:
+            s = np.asarray(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+        v = np.stack([v2 + s, v2])
+    repeat = draw(st.lists(st.integers(0, n - 1), max_size=20))
+    return np.concatenate([v, v[:, repeat]], axis=1)
+
+
+class TestPrunedCertificateOracle:
+    """The pruned search against evaluating every candidate (the enumerator
+    in conftest), by raw bytes of t0, level and value, or both None."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(line_pairs(), st.one_of(st.sampled_from([-np.inf, np.inf, "max"]),
+                                   st.integers(-4, 4).map(float),
+                                   st.floats(-1e3, 1e3)))
+    def test_matches_enumerator(self, v, alpha):
+        phi1, phi2 = _pair(v[0], v[1])
+        if alpha == "max":
+            # exactly the envelope maximum: the boundary of best >= alpha
+            alpha = old_intersection_certificate(phi1, phi2, -np.inf).lower_envelope_value
+        want = old_intersection_certificate(phi1, phi2, alpha)
+        assert same_certificate(intersection_certificate(phi1, phi2, alpha), want)
+
+    def test_few_rows_evaluated_at_n_400(self, monkeypatch):
+        # the full combination rows are the cubic part: on random data only
+        # a handful of candidates may reach them
+        rows = []
+        real = minimax._combination
+
+        def spy(v1, v2, ts):
+            rows.append(ts.shape[0])
+            return real(v1, v2, ts)
+
+        monkeypatch.setattr(minimax, "_combination", spy)
+        rng = np.random.default_rng(27)
+        for _ in range(5):
+            v = rng.normal(size=(2, 400))
+            rows.clear()
+            cert = intersection_certificate(*_pair(v[0], v[1]), -np.inf)
+            assert sum(rows) <= 40
+            # every candidate evaluated, a thousand rows at a time
+            ts = envelope_candidates(v[0], v[1])
+            assert ts.size > 10_000
+            env = np.concatenate([real(v[0], v[1], ts[i:i + 1000]).min(axis=1)
+                                  for i in range(0, ts.size, 1000)])
+            best = env.max()
+            assert cert.lower_envelope_value == best
+            assert cert.t0 == ts[np.flatnonzero(env == best)[0]]
 
 
 class TestKeyLemmaRoundTrip:

@@ -19,6 +19,7 @@ from conftest import (
     old_triangle_violated,
     random_perturbation,
     same_bits,
+    same_certificate,
 )
 
 
@@ -86,14 +87,18 @@ def violating_rows(D):
 
 
 class TestTriangleCheck:
+    """A block starting at row k0 checks columns k >= k0 only, so "edge"
+    plants the violation at k == k0 (rows 3 and 4 share the block 3-5), and
+    "across" pairs a block's first row with an earlier block's row."""
+
     N = 11  # three-row blocks 0-2, 3-5, 6-8, 9-10
 
-    @pytest.mark.parametrize("where", ["first", "last", "both", "none"])
+    @pytest.mark.parametrize("where", ["first", "last", "both", "edge", "across", "none"])
     @pytest.mark.parametrize("budget", ["one_row", "ragged", "default"])
     def test_verdict_matches_one_tensor_sweep(self, where, budget, monkeypatch):
         n = self.N
         pair = {"first": (0, 1), "last": (n - 2, n - 1), "both": (0, n - 1),
-                "none": (4, 5)}[where]
+                "edge": (3, 4), "across": (1, 6), "none": (4, 5)}[where]
         monkeypatch.setattr(core, "BLOCK_BYTES", budgets(n * n * 8)[budget])
         rng = np.random.default_rng(600 + len(where))
         outcomes = set()
@@ -110,7 +115,33 @@ class TestTriangleCheck:
             outcomes.add(want)
         assert outcomes == ({False} if where == "none" else {True, False})
 
-    @pytest.mark.parametrize("budget", ["one_row", "ragged"])
+    @pytest.mark.parametrize("budget", ["one_row", "ragged", "default"])
+    def test_nearly_symmetric_matrices(self, budget, monkeypatch):
+        # asymmetry within METRIC_TOL is averaged away before the sweep
+        n = self.N
+        monkeypatch.setattr(core, "BLOCK_BYTES", budgets(n * n * 8)[budget])
+        rng = np.random.default_rng(615)
+        outcomes = set()
+        for _ in range(30):
+            i, k = (int(x) for x in rng.choice(n, 2, replace=False))
+            D = metric_with_violation(rng, n, i, k, float(rng.choice([-1e-3, 2e-12, 1e-3])))
+            noise = rng.uniform(-1e-13, 1e-13, D.shape)
+            np.fill_diagonal(noise, 0.0)
+            D = D + noise
+            sym = 0.5 * (D + D.T)
+            want = old_triangle_violated(sym)
+            try:
+                space = build_metric_space(np.arange(n, dtype=float), D)
+                assert same_bits(space.dist, sym)
+                got = False
+            except NonMetric as e:
+                assert e.reason == "triangle inequality violated"
+                got = True
+            assert got == want
+            outcomes.add(got)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("budget", ["one_row", "ragged", "default"])
     def test_random_spaces(self, budget, monkeypatch):
         rng = np.random.default_rng(610)
         outcomes = set()
@@ -194,13 +225,6 @@ class TestPartialConjugate:
             > 50 * core.BLOCK_BYTES
         peak = traced_peak(lambda: lagrangian._partial_conjugate(E, p))
         assert peak <= 2 * core.BLOCK_BYTES + 2 * tables
-
-
-def same_certificate(a, b):
-    if a is None or b is None:
-        return a is None and b is None
-    return (same_bits(a.t0, b.t0) and same_bits(a.level, b.level)
-            and same_bits(a.lower_envelope_value, b.lower_envelope_value))
 
 
 class TestEnvelope:
