@@ -7,8 +7,10 @@ rejected at construction so that every later sup/inf stays total.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -18,9 +20,18 @@ from .errors import EmptyDomain, NonMetric, UndefinedSum
 
 METRIC_TOL = 1e-12
 
-#: bytes the temporaries of one block of a dense row-wise reduction may take
-#: (see by_row_blocks); a block never has fewer than one row
+#: bytes the temporaries of the blocks of a dense row-wise reduction may take
+#: together while they are in flight (see by_row_blocks); a block never has
+#: fewer than one row
 BLOCK_BYTES = 4 << 20
+
+#: threads that reduce the blocks of one call of by_row_blocks: the usable cores
+WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
+
+_pools = {}  # WORKERS -> its ThreadPoolExecutor, made on the first parallel call
+if hasattr(os, "register_at_fork"):  # a forked child has none of the pool threads
+    os.register_at_fork(after_in_child=_pools.clear)
 
 
 class ExtReal:
@@ -234,15 +245,40 @@ def by_row_blocks(fn: Callable[[slice], np.ndarray], n_rows: int,
                   row_bytes: int) -> np.ndarray:
     """fn(rows) over consecutive row slices of n_rows rows, concatenated.
 
-    Each slice holds as many rows as fit BLOCK_BYTES at row_bytes bytes of
-    temporaries per row (at least one).  fn must compute each output row from
-    its own input row alone, so that blocking changes no bit of the result.
-    When every row fits, fn(slice(None)) is called once and returned as is.
+    fn makes row_bytes bytes of temporaries per row.  When all rows fit
+    BLOCK_BYTES, fn(slice(None)) is called once and returned as is.  Otherwise
+    WORKERS threads share the budget, BLOCK_BYTES // (WORKERS * row_bytes) rows
+    a block; when that is no row, or WORKERS is 1, the calling thread takes
+    blocks of the whole budget (at least one row) in turn.  fn must compute
+    each output row from its own input row alone, so that blocking changes no
+    bit of the result, and must not call by_row_blocks (a worker would wait on
+    its own pool).  It runs in a copy of the caller's context, so an
+    np.errstate around the call holds in the workers.
     """
-    step = max(1, BLOCK_BYTES // max(1, row_bytes))
-    if step >= n_rows:
+    row_bytes = max(1, row_bytes)
+    serial = max(1, BLOCK_BYTES // row_bytes)
+    if serial >= n_rows:
         return fn(slice(None))
-    return np.concatenate([fn(slice(i, i + step)) for i in range(0, n_rows, step)])
+    step = BLOCK_BYTES // (WORKERS * row_bytes)
+    if WORKERS == 1 or step < 1:
+        return np.concatenate([fn(slice(i, i + serial)) for i in range(0, n_rows, serial)])
+    pool = _executor()
+    futures = [pool.submit(contextvars.copy_context().run, fn, slice(i, i + step))
+               for i in range(0, n_rows, step)]
+    try:
+        return np.concatenate([f.result() for f in futures])
+    finally:
+        for f in futures:  # after an error, blocks not yet started are dropped
+            f.cancel()
+
+
+def _executor():
+    if WORKERS not in _pools:  # racing callers keep one pool; the other starts no thread
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(WORKERS, thread_name_prefix="abconvex-rows")
+        _pools.setdefault(WORKERS, pool)
+    return _pools[WORKERS]
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

@@ -15,11 +15,12 @@ from typing import Optional
 
 import numpy as np
 
-from .core import FiniteMetricSpace, GridFn, sub_up
+from .core import FiniteMetricSpace, GridFn, by_row_blocks, sub_up
 from .errors import BadParams, ImproperInput, InfiniteAtPoint, NoWitness
 
 _NUDGE = 1.0 + 2.0 ** -46
 _MAX_NUDGES = 64
+_SUB_UP_BYTES = 80  # temporaries core.sub_up makes per output cell: ten doubles
 
 
 class FamilyKind(str, Enum):
@@ -367,22 +368,35 @@ def conjugate_transform(f: GridFn, dual: DualGrid) -> np.ndarray:
 
     Entries are -inf exactly when f is identically +inf.  Subtractions round
     upward (see core.sub_up) so the conjugation pair is an exact Galois
-    connection on floats.
+    connection on floats.  Reduced in row blocks of the parameter grid.
     """
     _check_aligned(f, dual)
     if np.isneginf(f.values).any():
         raise ImproperInput("conjugate of a function taking -inf is +inf everywhere")
-    return sub_up(dual.matrix, f.values[None, :]).max(axis=1)
+    M, v = dual.matrix, f.values
+    return by_row_blocks(lambda rows: sub_up(M[rows], v[None, :]).max(axis=1),
+                         M.shape[0], _SUB_UP_BYTES * M.shape[1])
 
 
 def biconjugate(f: GridFn, dual: DualGrid) -> GridFn:
     """Largest minorant of f built from the dual grid's members.
 
     Dominates exactly: biconjugate(f) <= f at every point, and applying the
-    map twice reproduces its output bit-for-bit.
+    map twice reproduces its output bit-for-bit.  Reduced in blocks of grid
+    points (columns of the member matrix).
     """
     star = conjugate_transform(f, dual)
-    vals = sub_up(dual.matrix, star[:, None]).max(axis=0)
+    M = dual.matrix
+
+    def column_max(cols):
+        # max(axis=0) folds the rows in order, which sets the sign of a zero
+        # maximum; numpy would reduce a lone column as a vector, in another order
+        d = sub_up(M[:, cols], star[:, None])
+        if d.shape[1] == 1 < M.shape[1]:
+            return np.repeat(d, 2, axis=1).max(axis=0)[:1]
+        return d.max(axis=0)
+
+    vals = by_row_blocks(column_max, M.shape[1], _SUB_UP_BYTES * M.shape[0])
     return GridFn(f.domain, vals)
 
 

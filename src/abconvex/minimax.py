@@ -120,11 +120,10 @@ def disjoint_sublevel(phi1: GridFn, phi2: GridFn, alpha: float) -> bool:
 def envelope_candidates(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
     """Endpoints plus all pairwise crossing abscissae of the lines
     t -> t*phi1(x) + (1-t)*phi2(x) inside [0, 1], sorted ascending."""
-    slopes = v1 - v2
     i, j = np.triu_indices(v1.shape[0], k=1)
-    ds = slopes[i] - slopes[j]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ts = (v2[j] - v2[i]) / ds
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        slopes = v1 - v2
+        ts = (v2[j] - v2[i]) / (slopes[i] - slopes[j])
     ts = ts[np.isfinite(ts)]
     ts = ts[(ts > 0.0) & (ts < 1.0)]
     return np.unique(np.concatenate([[0.0, 1.0], ts]))

@@ -20,7 +20,7 @@ from abconvex import (
     eval_on_domain,
     metric_dual_grid,
 )
-from abconvex.core import METRIC_TOL
+from abconvex.core import METRIC_TOL, sub_up
 from abconvex.minimax import envelope_candidates
 
 
@@ -408,6 +408,17 @@ def old_partial_conjugate_kernel(E, p):
     """S[x, j] = max_k (E[j, k] - p[x, k]) in one n_x x P x n_y tensor."""
     with np.errstate(invalid="ignore"):
         return (E[None, :, :] - p[:, None, :]).max(axis=2)
+
+
+def old_conjugate_transform(f, dual):
+    """conjugate_transform with the differences of every member held at once."""
+    return sub_up(dual.matrix, f.values[None, :]).max(axis=1)
+
+
+def old_biconjugate(f, dual):
+    """biconjugate's values from one P x n difference table."""
+    star = old_conjugate_transform(f, dual)
+    return sub_up(dual.matrix, star[:, None]).max(axis=0)
 
 
 def old_intersection_certificate(phi1, phi2, alpha):
