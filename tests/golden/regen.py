@@ -2,8 +2,11 @@
 
 Entries cover the reports of the shipped scenarios, `intersection_certificate`
 on a fixed seeded corpus (integer, one-decimal, flat-top, near-tied-slope and
-scaled inputs, levels of +-inf included) and the triangle verdicts of
-`build_metric_space(validate="full")` on spaces with planted violations.
+scaled inputs, levels of +-inf included), the triangle verdicts of
+`build_metric_space(validate="full")` on spaces with planted violations, the
+peaking and Urysohn witnesses (searches that step and searches that fail
+included) and the conjugate/biconjugate pair of every family kind on grid
+functions with +inf holes and signed zeros.
 `tests/test_golden.py` recomputes every entry and compares it with
 `digests.json`.  Run this script to see which entries changed:
 
@@ -29,10 +32,22 @@ DIGESTS = Path(__file__).with_name("digests.json")
 if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
-from abconvex import GridFn, build_metric_space, intersection_certificate  # noqa: E402
+from abconvex import (  # noqa: E402
+    ElemFamily,
+    ElemParams,
+    GridFn,
+    Sampled1D,
+    biconjugate,
+    build_metric_space,
+    conjugate_transform,
+    default_dual_grid,
+    intersection_certificate,
+    peaking_witness,
+    urysohn_witness,
+)
 from abconvex.cli import run_scenario  # noqa: E402
 from abconvex.core import BLOCK_BYTES  # noqa: E402
-from abconvex.errors import NonMetric  # noqa: E402
+from abconvex.errors import BadParams, NonMetric, NoWitness  # noqa: E402
 
 
 def f64(x) -> bytes:
@@ -165,8 +180,182 @@ def triangle_entries() -> dict:
     return out
 
 
+# -- peaking and Urysohn witnesses ---------------------------------------------
+
+def _witness(search) -> bytes:
+    """The raw bytes of a, ell, anchor and c, or the message of the failure.
+
+    BadParams is recorded too: HiGHS can return a = -0.0 at the LP's 1e-9
+    lower bound on a, and that member is rejected when it is evaluated.
+    """
+    try:
+        w = search()
+    except NoWitness as e:
+        return b"X" + str(e).encode()
+    except BadParams as e:
+        return b"B" + str(e).encode()
+    ell = b"-" if w.ell is None else w.ell.tobytes()
+    anchor = b"-" if w.anchor is None else np.int64(w.anchor).tobytes()
+    return b"W" + f64(w.a) + b"|" + ell + b"|" + anchor + b"|" + f64(w.c)
+
+
+def _grid(rng, dim, origin, n_min=1):
+    """1-D or 2-D points: uniform, or integer-valued (whose distances make
+    1/delta * delta round below 1); the origin is a point when asked for."""
+    n = int(rng.integers(n_min, 13))
+    if rng.random() < 0.3:
+        pts = rng.choice(np.arange(-60, 61), (n, dim), replace=False).astype(float) \
+            if dim == 1 else rng.integers(-60, 61, (n, dim)).astype(float)
+    else:
+        pts = rng.uniform(-2.0, 2.0, (n, dim))
+    if origin:
+        pts[int(rng.integers(n))] = 0.0
+    pts = np.unique(pts, axis=0)
+    return build_metric_space(pts, validate="fast")
+
+
+def _delta(rng, space, y0):
+    """A positive distance of the grid from y0, or a uniform draw."""
+    d = space.dist[y0]
+    pos = d[d > 0]
+    if pos.size and rng.random() < 0.4:
+        return float(rng.choice(pos))
+    return float(rng.uniform(0.05, 1.2)) * max(1.0, float(d.max()))
+
+
+def _eps(rng):
+    """Below 2**-53, 1 - eps rounds to 1 and no peak value passes the check."""
+    return 1e-17 if rng.random() < 0.1 else float(rng.uniform(0.01, 0.95))
+
+
+def _shape(rng):
+    """A 1-D shape through 0: increasing, flat zero near 0 (no decay on a
+    near far set), or dipping below zero (every scale fails the eps bound)."""
+    ts = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.5, 3))])
+    style = rng.integers(3)
+    vs = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 2.0, 3))])
+    if style == 1:
+        vs[1] = 0.0
+    elif style == 2:
+        vs[1] = -float(rng.uniform(0.1, 1.0))
+    return Sampled1D(ts, vs)
+
+
+def _peaking(rng, generalized, dim):
+    space = _grid(rng, dim, origin=False)
+    fam = ElemFamily.generalized_metric(space, _shape(rng), 2.0) if generalized \
+        else ElemFamily.metric(space)
+    y0 = int(rng.integers(space.n))
+    eps = float(rng.choice([0.0, float(rng.uniform(0.01, 1.0))], p=[0.1, 0.9]))
+    delta = _delta(rng, space, y0)
+    K = float(rng.uniform(0.0, 10.0))
+    g = ElemParams(a=float(rng.uniform(0.2, 5.0)), anchor=int(rng.integers(space.n)),
+                   c=float(rng.normal()))
+    return _witness(lambda: peaking_witness(fam, y0, eps, delta, K, g))
+
+
+def _urysohn(rng, kind, dim):
+    space = _grid(rng, dim, origin=kind != "metric", n_min=2 if kind == "gauge_lp" else 1)
+    origin = space.origin_index()
+    if kind == "metric":
+        fam, y0 = ElemFamily.metric(space), int(rng.integers(space.n))
+    else:
+        fam = ElemFamily.gauge(space, str(rng.choice(["l1", "l2", "linf"])))
+        if kind == "gauge_origin":
+            y0 = origin
+        else:
+            y0 = int(rng.choice([i for i in range(space.n) if i != origin]))
+    eps, delta = _eps(rng), _delta(rng, space, y0)
+    return _witness(lambda: urysohn_witness(fam, y0, eps, delta))
+
+
+WITNESS_CASES = {
+    "peaking_metric": lambda rng, dim: _peaking(rng, False, dim),
+    "peaking_generalized": lambda rng, dim: _peaking(rng, True, dim),
+    "urysohn_metric": lambda rng, dim: _urysohn(rng, "metric", dim),
+    "urysohn_gauge_origin": lambda rng, dim: _urysohn(rng, "gauge_origin", dim),
+    "urysohn_gauge_lp": lambda rng, dim: _urysohn(rng, "gauge_lp", dim),
+}
+
+
+def witness_entries() -> dict:
+    out = {}
+    for k, (name, case) in enumerate(WITNESS_CASES.items()):
+        rng = np.random.default_rng(7300 + k)
+        h = hashlib.sha256()
+        for i in range(120):
+            h.update(case(rng, 1 + i % 2))
+        out[f"witness/{name}"] = h.hexdigest()
+    return out
+
+
+# -- conjugate and biconjugate -------------------------------------------------
+
+KINDS = ("affine", "quad_minus", "quad_plus", "sigma_nu", "metric",
+         "generalized_metric", "gauge")
+
+
+def _family(rng, kind, space):
+    if kind == "sigma_nu":
+        sigma, nu = np.abs(rng.normal(size=space.n)), rng.normal(size=space.n)
+        o = space.origin_index()
+        if o is not None:
+            sigma[o] = nu[o] = 0.0
+        return ElemFamily.sigma_nu(space, GridFn(space, sigma), GridFn(space, nu))
+    if kind == "generalized_metric":
+        return ElemFamily.generalized_metric(space, _shape(rng), 2.0)
+    if kind == "gauge":
+        return ElemFamily.gauge(space, str(rng.choice(["l1", "l2", "linf"])))
+    return getattr(ElemFamily, kind)(space)
+
+
+def _values(rng, n):
+    """Integer or real values with +inf holes and zeros of both signs."""
+    if rng.random() < 0.5:
+        v = rng.integers(-3, 4, n).astype(float)
+    else:
+        v = rng.normal(size=n)
+    v[rng.random(n) < 0.2] = 0.0
+    v[rng.random(n) < 0.2] = -0.0
+    v[rng.random(n) < 0.25] = np.inf
+    if rng.random() < 0.05:
+        v[:] = np.inf
+    return v
+
+
+def _pair(f, dual) -> bytes:
+    return conjugate_transform(f, dual).tobytes() + biconjugate(f, dual).values.tobytes()
+
+
+def conjugation_entries() -> dict:
+    out = {}
+    for k, kind in enumerate(KINDS):
+        rng = np.random.default_rng(7400 + k)
+        h = hashlib.sha256()
+        for i in range(30):
+            dim = 1 + i % 2
+            pts = np.round(rng.uniform(-2.0, 2.0, (int(rng.integers(1, 16)), dim)), 1)
+            pts[0] = 0.0
+            space = build_metric_space(np.unique(pts, axis=0), validate="fast")
+            f = GridFn(space, _values(rng, space.n))
+            h.update(_pair(f, default_dual_grid(_family(rng, kind, space), f)))
+        out[f"conjugation/{kind}"] = h.hexdigest()
+
+    # grids large enough for several row and column blocks at the default budget
+    rng = np.random.default_rng(7410)
+    h = hashlib.sha256()
+    for n in (150, 210):
+        space = build_metric_space(np.unique(np.round(rng.uniform(-2.0, 2.0, n), 2)),
+                                   validate="fast")
+        f = GridFn(space, _values(rng, space.n))
+        h.update(_pair(f, default_dual_grid(ElemFamily.metric(space), f)))
+    out["conjugation/blocks"] = h.hexdigest()
+    return out
+
+
 def compute() -> dict:
-    return {**report_entries(), **certificate_entries(), **triangle_entries()}
+    return {**report_entries(), **certificate_entries(), **triangle_entries(),
+            **witness_entries(), **conjugation_entries()}
 
 
 def changed(old: dict, new: dict) -> list[str]:

@@ -20,6 +20,7 @@ from abconvex import (
     urysohn_witness,
 )
 from abconvex.errors import BadParams, ImproperInput, InfiniteAtPoint, NoWitness
+from abconvex.families import _NUDGE
 
 from conftest import (
     brute_biconjugate,
@@ -394,6 +395,15 @@ class TestUrysohnWitness:
         w = urysohn_witness(fam, 0, eps=0.5, delta=0.5)
         assert (w.a, w.c) == (2.0, 1.0)
         assert np.array_equal(eval_on_domain(fam, w), [1.0, -1.0])
+
+    @pytest.mark.parametrize("family", [ElemFamily.metric, ElemFamily.gauge])
+    def test_first_scale_steps_once(self, family):
+        # (1/49) * 49 rounds to 0.9999999999999999, so the first scale leaves
+        # the far point above zero and the search steps once
+        fam = family(line_space([0.0, 49.0]))
+        w = urysohn_witness(fam, 0, eps=0.5, delta=49.0)
+        assert w.a == (1.0 / 49.0) * _NUDGE and w.c == 1.0
+        assert (1.0 / 49.0) * 49.0 < 1.0
 
     def test_gauge_origin(self):
         space = line_space([-1.0, 0.0, 1.0, 2.0])

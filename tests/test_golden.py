@@ -9,7 +9,8 @@ from golden import regen
 
 WANT = json.loads(regen.DIGESTS.read_text())
 GROUPS = {"report": regen.report_entries, "certificate": regen.certificate_entries,
-          "triangle": regen.triangle_entries}
+          "triangle": regen.triangle_entries, "witness": regen.witness_entries,
+          "conjugation": regen.conjugation_entries}
 
 
 @pytest.mark.parametrize("group", sorted(GROUPS))
