@@ -37,7 +37,6 @@ from .families import (
     Sampled1D,
     biconjugate,
     conjugate_transform,
-    convexity_defect,
     default_dual_grid,
     peaking_witness,
     urysohn_witness,
@@ -206,10 +205,8 @@ def run_conjugate(sc: dict, rng, validate: str):
     grid = parse_dual_grid(sc["family"], domain, f)
     star = conjugate_transform(f, grid)
     second = biconjugate(f, grid)
-    defects = [
-        convexity_defect(f, i, grid) if np.isfinite(f.values[i]) else None
-        for i in range(f.size)
-    ]
+    defects = [float(v - w) if np.isfinite(v) else None
+               for v, w in zip(f.values, second.values)]
     results = {
         "conjugate": ext_list(star),
         "biconjugate": ext_list(second.values),

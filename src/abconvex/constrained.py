@@ -201,11 +201,7 @@ def verify_zero_gap_metric(inst: ConstrainedInstance,
     anchor_feasible = bool(np.isfinite(prob.p[:, inst.y0]).any())
     constrained_value = ExtReal(float(prob.p[:, inst.y0].min()))
 
-    dist_to_G = np.full(inst.n_x, np.inf)
-    for x in range(inst.n_x):
-        row = inst.map.mask[x]
-        if row.any():
-            dist_to_G[x] = inst.Y.dist[inst.y0][row].min()
+    dist_to_G = np.where(inst.map.mask, inst.Y.dist[inst.y0], np.inf).min(axis=1)
     infeasible = ~inst.map.mask[:, inst.y0] & np.isfinite(inst.f.values) \
         & np.isfinite(dist_to_G) & (dist_to_G > 0)
     if np.isfinite(primal) and infeasible.any():

@@ -422,11 +422,26 @@ def convexity_defect(f: GridFn, x0: int, dual: DualGrid) -> float:
 # Peaking and Urysohn witnesses
 # ---------------------------------------------------------------------------
 
-def _cone_shape_values(family: ElemFamily, y0: int) -> np.ndarray:
-    d = family.domain.dist[y0]
-    if family.kind == FamilyKind.GENERALIZED_METRIC:
-        return np.asarray(family.g_shape(d), dtype=float)
-    return d
+def _check_y0(family: ElemFamily, y0: int) -> None:
+    if not 0 <= y0 < family.domain.n:
+        raise BadParams(f"y0 must index a point of the {family.domain.n}-point domain")
+
+
+def _nudge(a: float) -> float:
+    return a * _NUDGE
+
+
+def _first_verified(family: ElemFamily, member, scale: float, step, holds,
+                    failure: str) -> ElemParams:
+    """The first member(scale) whose values on the grid pass holds, stepping
+    the scale after each failed check; NoWitness(failure) after _MAX_NUDGES
+    tries."""
+    for _ in range(_MAX_NUDGES):
+        params = member(scale)
+        if holds(eval_on_domain(family, params)):
+            return params
+        scale = step(scale)
+    raise NoWitness(failure)
 
 
 def peaking_witness(
@@ -438,15 +453,21 @@ def peaking_witness(
     g: ElemParams,
 ) -> ElemParams:
     """A cone member bar_g with bar_g <= eps everywhere and
-    bar_g <= g - K on {d(., y0) >= delta}, verified exactly on the grid."""
+    bar_g <= g - K on {d(., y0) >= delta}, verified exactly on the grid.
+
+    bar_g = eps - a * shape(d(., y0)) starts from the least a the far set
+    needs (1 when it is empty) and is nudged up until both bounds hold.
+    """
     if family.kind not in PEAKING_KINDS:
         raise BadParams("peaking witnesses exist for metric-cone families only")
     if delta <= 0:
         raise BadParams("delta must be positive")
     validate_params(family, g)
+    _check_y0(family, y0)
 
     d = family.domain.dist[y0]
-    shape = _cone_shape_values(family, y0)
+    shape = np.asarray(family.g_shape(d), dtype=float) \
+        if family.kind == FamilyKind.GENERALIZED_METRIC else d
     far = d >= delta
     g_vals = eval_on_domain(family, g)
 
@@ -460,120 +481,82 @@ def peaking_witness(
         if a <= 0.0:
             a = 1.0
 
-    for _ in range(_MAX_NUDGES):
-        bar = ElemParams(a=a, anchor=y0, c=eps)
-        bar_vals = eval_on_domain(family, bar)
-        if (bar_vals <= eps).all() and not (bar_vals[far] > g_vals[far] - K).any():
-            return bar
-        a *= _NUDGE
-    raise NoWitness("grid verification failed for every candidate scale")
+    return _first_verified(
+        family, lambda a: ElemParams(a=a, anchor=y0, c=eps), a, _nudge,
+        lambda vals: (vals <= eps).all() and not (vals[far] > g_vals[far] - K).any(),
+        "grid verification failed for every candidate scale")
 
 
 def urysohn_witness(family: ElemFamily, y0: int, eps: float, delta: float) -> ElemParams:
     """A member peaking at y0: value > 1 - eps there, <= 1 on d < delta,
-    <= 0 on d >= delta; all three checked exactly on the grid."""
+    <= 0 on d >= delta; all three checked exactly on the grid.
+
+    A metric cone 1 - a d(., y0), or a gauge ball 1 - a mu when y0 is the
+    origin, starts from the a that puts the far set at zero and is nudged
+    up.  An off-origin gauge peak comes from an LP, and its offset c is
+    shaved one ulp at a time.
+    """
     if eps <= 0 or delta <= 0:
         raise BadParams("eps and delta must be positive")
-    if family.kind == FamilyKind.METRIC:
-        return _urysohn_metric(family, y0, eps, delta)
-    if family.kind == FamilyKind.GAUGE:
-        return _urysohn_gauge(family, y0, eps, delta)
-    raise BadParams("urysohn witnesses are constructed for Metric or Gauge families")
+    if family.kind not in (FamilyKind.METRIC, FamilyKind.GAUGE):
+        raise BadParams("urysohn witnesses are constructed for Metric or Gauge families")
+    _check_y0(family, y0)
 
-
-def _verify_urysohn(family: ElemFamily, params: ElemParams, y0: int,
-                    eps: float, delta: float) -> bool:
-    vals = eval_on_domain(family, params)
-    d = family.domain.dist[y0]
-    near = d < delta
-    return bool(vals[y0] > 1.0 - eps
-                and (vals[near] <= 1.0).all()
-                and (vals[~near] <= 0.0).all())
-
-
-def _urysohn_metric(family: ElemFamily, y0: int, eps: float, delta: float) -> ElemParams:
-    a = 1.0 / delta
-    for _ in range(_MAX_NUDGES):
-        params = ElemParams(a=a, anchor=y0, c=1.0)
-        if _verify_urysohn(family, params, y0, eps, delta):
-            return params
-        a *= _NUDGE
-    raise NoWitness("metric urysohn construction failed grid verification")
-
-
-def _urysohn_gauge(family: ElemFamily, y0: int, eps: float, delta: float) -> ElemParams:
     domain = family.domain
-    mu = family.gauge_values()
     d = domain.dist[y0]
+    near = d < delta
 
-    if domain.origin_index() == y0:
+    def peaks(vals):
+        return bool(vals[y0] > 1.0 - eps
+                    and (vals[near] <= 1.0).all()
+                    and (vals[~near] <= 0.0).all())
+
+    if family.kind == FamilyKind.METRIC:
+        anchor, ell, a = y0, None, 1.0 / delta
+    elif domain.origin_index() == y0:
         # gauge ball centered at the peak: a = 1/(kappa * delta) with kappa the
         # grid equivalence constant between the gauge and the domain metric
         pos = d > 0
         if not pos.any():
             return ElemParams(a=1.0, ell=np.zeros(domain.dim), c=1.0)
+        mu = family.gauge_values()
         if (mu[pos] <= 0).any():
             raise NoWitness("gauge vanishes away from the origin on this grid")
         kappa = float((mu[pos] / d[pos]).min())
-        a = 1.0 / (kappa * delta)
-        for _ in range(_MAX_NUDGES):
-            params = ElemParams(a=a, ell=np.zeros(domain.dim), c=1.0)
-            if _verify_urysohn(family, params, y0, eps, delta):
-                return params
-            a *= _NUDGE
-        raise NoWitness("gauge urysohn construction failed grid verification")
+        anchor, ell, a = None, np.zeros(domain.dim), 1.0 / (kappa * delta)
+    else:
+        a, ell, c = _urysohn_gauge_lp(family, y0, eps, near)
+        return _first_verified(
+            family, lambda c: ElemParams(a=a, ell=ell, c=c), c,
+            lambda c: np.nextafter(c, -np.inf),  # shave solver slack off the upper bounds
+            peaks, "gauge urysohn LP solution failed exact grid verification")
+    return _first_verified(
+        family, lambda a: ElemParams(a=a, ell=ell, anchor=anchor, c=1.0), a, _nudge,
+        peaks, f"{family.kind.value} urysohn construction failed grid verification")
 
-    return _urysohn_gauge_lp(family, y0, eps, delta)
 
-
-def _urysohn_gauge_lp(family: ElemFamily, y0: int, eps: float, delta: float) -> ElemParams:
+def _urysohn_gauge_lp(family: ElemFamily, y0: int, eps: float, near: np.ndarray):
     # Off-origin peaks have no closed form for a gauge anchored at the origin;
-    # search (a, ell, c) by maximizing the worst slack of the three conditions.
+    # search (a, ell, c) by maximizing the worst slack m of the three conditions
+    # on g = -a mu + <ell, x> + c: g <= 1 on the near set, g + m <= 0 off it,
+    # and g(y0) - m >= 1 - eps.
     from scipy.optimize import linprog
 
-    domain = family.domain
+    pts = family.domain.points
     mu = family.gauge_values()
-    pts = domain.points
-    d = domain.dist[y0]
-    near = d < delta
-    dim = domain.dim
-
-    # variables: a, ell (dim), c, margin m; maximize m
-    n_var = dim + 3
-    rows, rhs = [], []
-
-    def g_row(i, margin_coeff):
-        row = np.zeros(n_var)
-        row[0] = -mu[i]
-        row[1:1 + dim] = pts[i]
-        row[1 + dim] = 1.0
-        row[2 + dim] = margin_coeff
-        return row
-
-    for i in range(domain.n):
-        if near[i]:
-            rows.append(g_row(i, 0.0))
-            rhs.append(1.0)
-        else:
-            rows.append(g_row(i, 1.0))
-            rhs.append(0.0)
-    rows.append(-g_row(y0, -1.0))
-    rhs.append(-(1.0 - eps))
+    n, dim = pts.shape
+    A_ub = np.vstack([np.column_stack([-mu, pts, np.ones(n), np.where(near, 0.0, 1.0)]),
+                      np.concatenate([[mu[y0]], -pts[y0], [-1.0, 1.0]])])
+    b_ub = np.append(np.where(near, 1.0, 0.0), -(1.0 - eps))
 
     big = 1e6
     res = linprog(
-        c=np.concatenate([np.zeros(n_var - 1), [-1.0]]),
-        A_ub=np.vstack(rows),
-        b_ub=np.asarray(rhs),
+        c=np.concatenate([np.zeros(dim + 2), [-1.0]]),
+        A_ub=A_ub,
+        b_ub=b_ub,
         bounds=[(1e-9, big)] + [(-big, big)] * dim + [(-big, big), (0.0, 1.0)],
         method="highs",
     )
     if not res.success or res.x[-1] <= 1e-9:
         raise NoWitness("no gauge member satisfies the peak inequalities on this grid")
-    a, ell, c = float(res.x[0]), res.x[1:1 + dim].copy(), float(res.x[1 + dim])
-    for _ in range(_MAX_NUDGES):
-        params = ElemParams(a=a, ell=ell, c=c)
-        if _verify_urysohn(family, params, y0, eps, delta):
-            return params
-        c = np.nextafter(c, -np.inf)  # shave solver slack off the upper bounds
-    raise NoWitness("gauge urysohn LP solution failed exact grid verification")
+    return float(res.x[0]), res.x[1:1 + dim].copy(), float(res.x[1 + dim])

@@ -10,6 +10,14 @@ import jsonschema
 import numpy as np
 import pytest
 
+from abconvex import (
+    DualGrid,
+    ElemFamily,
+    ElemParams,
+    GridFn,
+    build_metric_space,
+    convexity_defect,
+)
 from abconvex.cli import (
     EXIT_BAD_SCENARIO,
     EXIT_NEGATIVE,
@@ -93,6 +101,28 @@ class TestScenarios:
             {"finite": 1.0}, {"finite": 0.0}, {"finite": 0.0},
             {"finite": 0.0}, {"finite": 1.0},
         ]
+
+    def test_conjugate_defects_are_convexity_defects(self, tmp_path):
+        # a non-convex function with a +inf hole and a -0.0: the defect at each
+        # finite point is convexity_defect there, bit for bit
+        points, slopes = [-2.0, -1.0, 0.0, 1.0, 2.0], [-2.0, -1.0, 0.0, 1.0, 2.0]
+        values = [1.0, -0.0, 1.5, np.inf, 3.0]
+        sc = {"kind": "conjugate",
+              "domain": {"points": [[p] for p in points], "metric": "euclidean"},
+              "function": [ext_to_json(v) for v in values],
+              "family": {"kind": "affine", "params": [{"ell": [s]} for s in slopes]}}
+        path = tmp_path / "defects.json"
+        path.write_text(json.dumps(sc))
+        code, report, _ = run_file(path, tmp_path)
+        assert code == EXIT_OK
+        domain = build_metric_space(np.asarray(points)[:, None])
+        f = GridFn(domain, values)
+        grid = DualGrid(ElemFamily.affine(domain), tuple(ElemParams(ell=[s]) for s in slopes))
+        want = [convexity_defect(f, i, grid) if np.isfinite(v) else None
+                for i, v in enumerate(values)]
+        got = report["results"]["defect"]
+        assert [repr(v) for v in got] == [repr(v) for v in want]
+        assert got[3] is None and got[2] > 0
 
     def test_peaking_witness_values(self, tmp_path):
         _, report, _ = run_file(SCENARIOS / "peaking_demo.json", tmp_path)

@@ -373,6 +373,16 @@ class TestPeakingWitness:
             peaking_witness(ElemFamily.affine(self.space), 0, 0.1, 1.0, 1.0,
                             ElemParams(ell=[0.0]))
 
+    @pytest.mark.parametrize("y0", [-1, 3])
+    @pytest.mark.parametrize("generalized", [False, True])
+    def test_y0_outside_domain_rejected(self, generalized, y0):
+        fam = ElemFamily.generalized_metric(
+            self.space, Sampled1D([0.0, 1.0, 2.0], [0.0, 1.0, 1.2]), 2.0) \
+            if generalized else self.fam
+        with pytest.raises(BadParams, match="y0"):
+            peaking_witness(fam, y0, eps=0.5, delta=1.0, K=1.0,
+                            g=ElemParams(a=1.0, anchor=0))
+
 
 class TestUrysohnWitness:
     def test_metric_example(self):
@@ -447,6 +457,13 @@ class TestUrysohnWitness:
             assert vals[y0] > 1 - eps
             assert (vals[d < delta] <= 1.0).all()
             assert (vals[d >= delta] <= 0.0).all()
+
+    @pytest.mark.parametrize("y0", [-1, 4])
+    @pytest.mark.parametrize("family", [ElemFamily.metric, ElemFamily.gauge])
+    def test_y0_outside_domain_rejected(self, family, y0):
+        fam = family(line_space([-1.0, 0.0, 1.0, 2.0]))
+        with pytest.raises(BadParams, match="y0"):
+            urysohn_witness(fam, y0, eps=0.5, delta=0.5)
 
     def test_rejects_bad_inputs(self):
         space = line_space([0.0, 1.0])
