@@ -5,8 +5,11 @@ on a fixed seeded corpus (integer, one-decimal, flat-top, near-tied-slope and
 scaled inputs, levels of +-inf included), the triangle verdicts of
 `build_metric_space(validate="full")` on spaces with planted violations, the
 peaking and Urysohn witnesses (searches that step and searches that fail
-included) and the conjugate/biconjugate pair of every family kind on grid
-functions with +inf holes and signed zeros.
+included), the conjugate/biconjugate pair of every family kind on grid
+functions with +inf holes and signed zeros, the duality reports of every
+family kind on perturbation tables with +inf holes (both convexity scopes,
+default and explicit multiplier grids), and the constrained layer: zero-gap
+reports, finite-ladder sups and the conic LP.
 `tests/test_golden.py` recomputes every entry and compares it with
 `digests.json`.  Run this script to see which entries changed:
 
@@ -33,21 +36,31 @@ if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
 from abconvex import (  # noqa: E402
+    ConicLP,
+    ConstrainedInstance,
+    ConstraintMap,
+    DualGrid,
     ElemFamily,
     ElemParams,
     GridFn,
     Sampled1D,
     biconjugate,
+    PerturbationProblem,
     build_metric_space,
+    conic_lp_dual,
     conjugate_transform,
     default_dual_grid,
+    duality_report,
     intersection_certificate,
+    metric_grid_sup,
     peaking_witness,
     urysohn_witness,
+    verify_zero_gap_metric,
 )
 from abconvex.cli import run_scenario  # noqa: E402
 from abconvex.core import BLOCK_BYTES  # noqa: E402
-from abconvex.errors import BadParams, NonMetric, NoWitness  # noqa: E402
+from abconvex.constrained import DEFAULT_LADDER  # noqa: E402
+from abconvex.errors import AbconvexError, BadParams, NonMetric, NoWitness  # noqa: E402
 
 
 def f64(x) -> bytes:
@@ -194,9 +207,13 @@ def _witness(search) -> bytes:
         return b"X" + str(e).encode()
     except BadParams as e:
         return b"B" + str(e).encode()
+    return b"W" + _member(w)
+
+
+def _member(w) -> bytes:
     ell = b"-" if w.ell is None else w.ell.tobytes()
     anchor = b"-" if w.anchor is None else np.int64(w.anchor).tobytes()
-    return b"W" + f64(w.a) + b"|" + ell + b"|" + anchor + b"|" + f64(w.c)
+    return f64(w.a) + b"|" + ell + b"|" + anchor + b"|" + f64(w.c)
 
 
 def _grid(rng, dim, origin, n_min=1):
@@ -353,9 +370,180 @@ def conjugation_entries() -> dict:
     return out
 
 
+# -- duality reports -----------------------------------------------------------
+
+def _ext(v) -> bytes:
+    return f64(v.as_float())
+
+
+def _report(rep) -> bytes:
+    """Every DualityReport field, the Lagrangian table and its partial conjugate."""
+    cert = rep.certificate
+    cert = b"N" if cert is None else (b"C" + _member(cert.psi1) + _member(cert.psi2)
+                                      + f64(cert.t.t0) + f64(cert.t.level)
+                                      + f64(cert.t.lower_envelope_value))
+    return b"|".join([
+        _ext(rep.primal), _ext(rep.dual), _ext(rep.gap), _ext(rep.V_bidual_at_y0),
+        rep.V.values.tobytes(), rep.V_star.tobytes(), rep.table.L.tobytes(),
+        rep.table.S.tobytes(), bytes([rep.reconstruction_ok, rep.convexity_holds]),
+        rep.convexity_scope.encode(), np.int64(rep.y0).tobytes(), cert])
+
+
+def _outcome(run) -> bytes:
+    try:
+        return b"R" + run()
+    except (AbconvexError, ValueError) as e:
+        return b"X" + type(e).__name__.encode() + str(e).encode()
+
+
+def _table(rng, n_x, n_y):
+    """Values with zeros of both signs and +inf holes; every column keeps a
+    finite cell, and now and then a whole row is +inf."""
+    p = _values(rng, n_x * n_y).reshape(n_x, n_y)
+    empty = ~np.isfinite(p).any(axis=0)
+    p[rng.integers(n_x, size=int(empty.sum())), np.flatnonzero(empty)] = \
+        rng.integers(-3, 4, int(empty.sum())).astype(float)
+    if n_x > 1 and rng.random() < 0.1:
+        p[int(rng.integers(n_x))] = np.inf
+        p[:, ~np.isfinite(p).any(axis=0)] = 0.0
+    return p
+
+
+def _slope(rng, dim):
+    return rng.choice([0.0, -0.0, 1.0, -2.0, float(rng.normal()), float(rng.normal())], dim)
+
+
+def _explicit_grid(rng, fam):
+    """A member list with signed-zero slopes.  Now and then a member comes
+    back with its zeros' signs flipped, or breaks the family's rules; those
+    lists are recorded with their error."""
+    kind, dim = fam.kind.value, fam.domain.dim
+    members = {}
+    for _ in range(int(rng.integers(1, 9))):
+        a = float(rng.choice([0.0, -0.0, 0.5, 1.0, 2.0]))
+        if kind == "affine":
+            w = ElemParams(a=a if rng.random() < 0.05 else 0.0, ell=_slope(rng, dim))
+        elif kind in ("metric", "generalized_metric"):
+            w = ElemParams(a=a or 1.0, anchor=int(rng.integers(fam.domain.n)))
+        elif kind == "sigma_nu":
+            w = ElemParams(a=float(rng.choice([a, 2.0 * rng.random()])))
+        else:
+            w = ElemParams(a=a if kind != "gauge" else a or 1.0, ell=_slope(rng, dim))
+        members.setdefault(w.key(), w)
+    members = list(members.values())
+    if rng.random() < 0.15:
+        w = members[int(rng.integers(len(members)))]
+        members.append(ElemParams(a=-w.a if w.a == 0.0 else w.a, anchor=w.anchor,
+                                  ell=None if w.ell is None else np.where(w.ell == 0.0, -w.ell, w.ell)))
+    return DualGrid(fam, tuple(members))
+
+
+def _duality_case(rng, kind, dim, explicit):
+    space = _grid(rng, dim, origin=True)
+    n_x = int(rng.integers(1, 8))
+    prob = PerturbationProblem(Y=space, p=_table(rng, n_x, space.n),
+                               y0=int(rng.integers(space.n)))
+    fam = _family(rng, kind, space)
+    scope = str(rng.choice(["anchor", "full"]))
+
+    def run():
+        if explicit:
+            grid = _explicit_grid(rng, fam)
+        else:
+            grid = default_dual_grid(
+                fam, GridFn(space, prob.p.min(axis=0)),
+                slope_count=int(rng.integers(3, 10)),
+                curvature_levels=int(rng.integers(1, 6)),
+                max_anchors=None if rng.random() < 0.5 else int(rng.integers(1, 6)))
+        return _report(duality_report(prob, grid, convexity_scope=scope))
+    return _outcome(run)
+
+
+def duality_entries() -> dict:
+    out = {}
+    for k, kind in enumerate(KINDS):
+        for explicit in (False, True):
+            rng = np.random.default_rng(7500 + 10 * explicit + k)
+            h = hashlib.sha256()
+            for i in range(30):
+                h.update(_duality_case(rng, kind, 1 + i % 2, explicit))
+            out[f"duality/{'explicit_' if explicit else ''}{kind}"] = h.hexdigest()
+    return out
+
+
+# -- constrained problems --------------------------------------------------------
+
+def _constrained(rng, dim):
+    """f with +inf holes (one finite value kept), feasible sets that may be
+    empty, a 1-D or 2-D parameter grid."""
+    Y = _grid(rng, dim, origin=False, n_min=2)
+    n_x = int(rng.integers(1, 9))
+    f = _values(rng, n_x)
+    if not np.isfinite(f).any():
+        f[int(rng.integers(n_x))] = float(rng.normal())
+    allow_empty = rng.random() < 0.3
+    sets = tuple(frozenset(rng.choice(n_x, int(rng.integers(0 if allow_empty else 1, n_x + 1)),
+                                      replace=False).tolist()) for _ in range(Y.n))
+    return ConstrainedInstance(f=GridFn(n_x, f), map=ConstraintMap(sets, n_x, allow_empty),
+                               Y=Y, y0=int(rng.integers(Y.n)))
+
+
+def _ladder(rng):
+    style = rng.integers(3)
+    if style == 0:
+        return DEFAULT_LADDER
+    if style == 1:
+        return tuple(float(a) for a in rng.permutation([0.5, 1.0, 3.0, 8.0])[:int(rng.integers(1, 5))])
+    return tuple(float(a) for a in np.unique(np.round(rng.uniform(0.05, 20.0, 5), 2)))
+
+
+def _zero_gap(rng, dim) -> bytes:
+    inst, ladder = _constrained(rng, dim), _ladder(rng)
+
+    def run():
+        rep = verify_zero_gap_metric(inst, ladder)
+        rung = b"-" if rep.minimal_rung is None else f64(rep.minimal_rung)
+        return b"|".join([_report(rep.duality), _ext(rep.constrained_value),
+                          np.asarray(rep.ladder).tobytes(), rung, f64(rep.proof_bound),
+                          bytes([rep.anchor_feasible]), rep.hypothesis.encode()])
+    return _outcome(run)
+
+
+def _grid_sup(rng, dim) -> bytes:
+    inst, ladder = _constrained(rng, dim), _ladder(rng)
+    return b"".join(metric_grid_sup(inst, x, ladder).tobytes() for x in range(inst.n_x))
+
+
+def _conic(rng, dim) -> bytes:
+    n = int(rng.integers(1, 8))
+    pi, c = _values(rng, n), _values(rng, n)
+    pi[~np.isfinite(pi)], c[~np.isfinite(c)] = 1.5, -2.5
+    if rng.random() < 0.6:
+        pi = np.abs(pi)
+    rep = conic_lp_dual(ConicLP(pi=pi, c_vec=c))
+    q = b"-" if rep.q_star is None else rep.q_star.tobytes()
+    return _ext(rep.primal) + _ext(rep.dual) + q
+
+
+CONSTRAINED_CASES = {"verify_zero_gap_metric": _zero_gap, "metric_grid_sup": _grid_sup,
+                     "conic_lp_dual": _conic}
+
+
+def constrained_entries() -> dict:
+    out = {}
+    for k, (name, case) in enumerate(CONSTRAINED_CASES.items()):
+        rng = np.random.default_rng(7600 + k)
+        h = hashlib.sha256()
+        for i in range(40):
+            h.update(case(rng, 1 + i % 2))
+        out[f"constrained/{name}"] = h.hexdigest()
+    return out
+
+
 def compute() -> dict:
     return {**report_entries(), **certificate_entries(), **triangle_entries(),
-            **witness_entries(), **conjugation_entries()}
+            **witness_entries(), **conjugation_entries(), **duality_entries(),
+            **constrained_entries()}
 
 
 def changed(old: dict, new: dict) -> list[str]:

@@ -10,6 +10,7 @@ from abconvex import (
     GridFn,
     Sampled1D,
     biconjugate,
+    build_metric_space,
     conjugate_transform,
     convexity_defect,
     default_dual_grid,
@@ -28,6 +29,7 @@ from conftest import (
     line_space,
     lower_convex_envelope_1d,
     random_sigma_nu,
+    same_bits,
     spaced_line,
 )
 
@@ -107,6 +109,85 @@ class TestDualGrid:
         space = line_space([0.0, 1.0])
         with pytest.raises(ValueError):
             DualGrid(ElemFamily.affine(space), ())
+
+    @pytest.mark.parametrize("kind, first, second", [
+        ("affine", ElemParams(ell=[0.0, 1.0]), ElemParams(ell=[-0.0, 1.0])),
+        ("quad_minus", ElemParams(a=0.0, ell=[1.0, 2.0]), ElemParams(a=-0.0, ell=[1.0, 2.0])),
+        ("gauge", ElemParams(a=1.0, ell=[-0.0, -0.0]), ElemParams(a=1.0, ell=[0.0, 0.0])),
+        ("sigma_nu", ElemParams(a=-0.0), ElemParams(a=0.0)),
+    ])
+    def test_signed_zeros_are_duplicates(self, kind, first, second):
+        # members are compared as tuples of floats, where 0.0 == -0.0
+        space = build_metric_space(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]]))
+        fam = ElemFamily.sigma_nu(space, GridFn(space, [0.0, 1.0, 1.0]),
+                                  GridFn(space, [0.0, -1.0, 2.0])) \
+            if kind == "sigma_nu" else getattr(ElemFamily, kind)(space)
+        other = ElemParams(a=2.0, ell=None if kind == "sigma_nu" else [1.0, 1.0])
+        if kind == "affine":
+            other = ElemParams(ell=[1.0, 1.0])
+        with pytest.raises(ValueError, match="^duplicate parameter tuple in DualGrid$"):
+            DualGrid(fam, (first, other, second))
+
+    @pytest.mark.parametrize("kind, members, error, message", [
+        # the first failing member wins, whatever the kind of its failure
+        ("metric", [ElemParams(a=1.0, anchor=0), ElemParams(a=1.0, anchor=1, c=1.0),
+                    ElemParams(a=0.0, anchor=1)],
+         ValueError, "DualGrid offsets are eliminated analytically; use c = 0"),
+        ("metric", [ElemParams(a=1.0, anchor=0), ElemParams(a=0.0, anchor=1),
+                    ElemParams(a=1.0, anchor=1, c=1.0)],
+         BadParams, "metric cones need a > 0"),
+        ("metric", [ElemParams(a=1.0, anchor=0), ElemParams(a=1.0, anchor=0),
+                    ElemParams(a=1.0, anchor=7)],
+         ValueError, "duplicate parameter tuple in DualGrid"),
+        # within one member, the checks run in a fixed order
+        ("metric", [ElemParams(a=0.0, anchor=9, ell=[1.0], c=1.0)],
+         BadParams, "metric cones need a > 0"),
+        ("metric", [ElemParams(a=1.0, anchor=9, ell=[1.0], c=1.0)],
+         BadParams, "metric cones need an in-range anchor"),
+        ("metric", [ElemParams(a=1.0), ElemParams(a=1.0, anchor=0, ell=[1.0])],
+         BadParams, "metric cones need an in-range anchor"),
+        ("generalized_metric", [ElemParams(a=1.0, anchor=1), ElemParams(a=1.0, anchor=0, ell=[1.0])],
+         BadParams, "metric cones carry no slope"),
+        ("metric", [ElemParams(a=1.0, anchor=-1)],
+         BadParams, "metric cones need an in-range anchor"),
+        ("affine", [ElemParams(ell=[1.0]), ElemParams(a=1.0), ElemParams()],
+         BadParams, "affine members have no curvature term"),
+        ("affine", [ElemParams(ell=[1.0]), ElemParams(ell=[1.0, 2.0]), ElemParams()],
+         BadParams, "slope dimension does not match the domain"),
+        ("affine", [ElemParams(ell=[1.0], c=-1.0), ElemParams(ell=[1.0, 2.0])],
+         ValueError, "DualGrid offsets are eliminated analytically; use c = 0"),
+        ("quad_plus", [ElemParams(a=1.0, ell=[1.0]), ElemParams(a=1.0), ElemParams(a=-1.0)],
+         BadParams, "this family needs a slope vector"),
+        ("quad_minus", [ElemParams(a=-1.0, ell=[1.0, 2.0])],
+         BadParams, "quadratic curvature must satisfy a >= 0"),
+        ("gauge", [ElemParams(a=1.0, ell=[0.0]), ElemParams(a=0.0, ell=[0.0], c=1.0)],
+         BadParams, "gauge members need a > 0"),
+        ("sigma_nu", [ElemParams(a=1.0, ell=[5.0, 6.0]), ElemParams(a=-1.0, anchor=9)],
+         BadParams, "sigma coefficient must satisfy a >= 0"),
+    ])
+    def test_first_error_in_member_order(self, kind, members, error, message):
+        space = line_space([0.0, 1.0, 2.0])
+        fam = ElemFamily.sigma_nu(space, GridFn(space, [0.0, 1.0, 1.0]),
+                                  GridFn(space, [0.0, -1.0, 2.0])) \
+            if kind == "sigma_nu" else ElemFamily.generalized_metric(
+                space, Sampled1D([0.0, 1.0], [0.0, 1.0]), 2.0) \
+            if kind == "generalized_metric" else getattr(ElemFamily, kind)(space)
+        with pytest.raises(error) as caught:
+            DualGrid(fam, tuple(members))
+        assert type(caught.value) is error and str(caught.value) == message
+
+    def test_ignored_fields_still_tell_members_apart(self):
+        # an anchor or a slope the family does not read is part of the member
+        space = line_space([0.0, 1.0, 2.0])
+        grid = DualGrid(ElemFamily.affine(space), (ElemParams(ell=[1.0], anchor=0),
+                                                   ElemParams(ell=[1.0])))
+        assert grid.size == 2 and grid.params_list[0].anchor == 0
+        assert same_bits(grid.matrix[0], grid.matrix[1])
+        sig = ElemFamily.sigma_nu(space, GridFn(space, [0.0, 1.0, 1.0]),
+                                  GridFn(space, [0.0, -1.0, 2.0]))
+        grid = DualGrid(sig, (ElemParams(a=1.0), ElemParams(a=1.0, ell=[1.0, 2.0]),
+                              ElemParams(a=1.0, ell=[]), ElemParams(a=1.0, anchor=-3)))
+        assert grid.size == 4 and grid.params_list[2].ell.shape == (0,)
 
     def test_default_grid_covers_slope_bound(self):
         space = line_space([-1.0, 0.0, 1.0])

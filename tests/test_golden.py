@@ -10,7 +10,8 @@ from golden import regen
 WANT = json.loads(regen.DIGESTS.read_text())
 GROUPS = {"report": regen.report_entries, "certificate": regen.certificate_entries,
           "triangle": regen.triangle_entries, "witness": regen.witness_entries,
-          "conjugation": regen.conjugation_entries}
+          "conjugation": regen.conjugation_entries, "duality": regen.duality_entries,
+          "constrained": regen.constrained_entries}
 
 
 @pytest.mark.parametrize("group", sorted(GROUPS))
