@@ -28,8 +28,10 @@ from .families import (
     eval_elementary,
     eval_on_domain,
     is_support,
+    members_on_domain,
     peaking_witness,
     urysohn_witness,
+    validate_members,
 )
 from .minimax import (
     SaddleTable,

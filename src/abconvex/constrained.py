@@ -10,6 +10,7 @@ conjugate on the constrained perturbation.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -17,7 +18,8 @@ import numpy as np
 
 from .core import ExtReal, FiniteMetricSpace, GridFn, PLUS_INF
 from .errors import ImproperObjective, NotSeparable
-from .families import DualGrid, ElemFamily, ElemParams, eval_on_domain
+from .families import (DualGrid, ElemFamily, ElemParams, eval_on_domain, members_on_domain,
+                       validate_members)
 from .lagrangian import (
     DualityReport,
     EQ_TOL,
@@ -141,23 +143,23 @@ def metric_primal_sup(inst: ConstrainedInstance, x: int) -> ExtReal:
 def metric_grid_sup(inst: ConstrainedInstance, x: int,
                     a_ladder: Sequence[float]) -> np.ndarray:
     """sup over every anchor of the metric Lagrangian at x, one value per rung;
-    the finite-ladder companion of metric_primal_sup."""
+    the finite-ladder companion of metric_primal_sup.  The members come from
+    one members_on_domain call; only row x of the perturbation is built."""
     fam, n = _metric_family(inst), inst.Y.n
-    E = np.array([eval_on_domain(fam, ElemParams(a=float(a), anchor=anchor, c=0.0))
-                  for a in a_ladder for anchor in range(n)]).reshape(-1, n)
-    p = build_constrained_perturbation(inst).p[x][None, :]
+    ladder = np.asarray(a_ladder, dtype=float).reshape(-1)
+    a, anchor = np.repeat(ladder, n), np.tile(np.arange(n), ladder.size)
+    validate_members(fam, a, anchor=anchor)
+    E = members_on_domain(fam, a, anchor=anchor)
+    p = np.where(inst.map.mask[x], inst.f.values[x], np.inf)[None, :]
     L = E[:, inst.y0] - _partial_conjugate(E, p)[0]
-    return L.reshape(len(a_ladder), n).max(axis=1)
+    return L.reshape(ladder.size, n).max(axis=1)
 
 
 def metric_dual_grid(inst: ConstrainedInstance, a_ladder: Sequence[float]) -> DualGrid:
     """All parameter points as anchors crossed with the rung ladder."""
-    params = tuple(
-        ElemParams(a=float(a), anchor=anchor, c=0.0)
-        for anchor in range(inst.Y.n)
-        for a in a_ladder
-    )
-    return DualGrid(_metric_family(inst), params)
+    ladder = np.asarray(a_ladder, dtype=float).reshape(-1)
+    return DualGrid(_metric_family(inst), a=np.tile(ladder, inst.Y.n),
+                    anchor=np.repeat(np.arange(inst.Y.n), ladder.size))
 
 
 @dataclass(frozen=True)
@@ -215,9 +217,8 @@ def verify_zero_gap_metric(inst: ConstrainedInstance,
     minimal_rung = None
     if np.isfinite(primal):
         col_min = report.table.L.min(axis=0)
-        rung_of = np.asarray([p.a for p in grid.params_list])
         for a in ladder:
-            best = col_min[rung_of <= a].max()
+            best = col_min[grid.a <= a].max()
             if primal - best <= tol:
                 minimal_rung = a
                 break
@@ -252,29 +253,18 @@ def phi_lsc_set_separation(space: FiniteMetricSpace, C, p_out: int,
     fam = ElemFamily.quad_minus(space)
     pts = space.points
     p_vec = pts[p_out]
-
-    def margin(params: ElemParams) -> float:
-        vals = eval_on_domain(fam, params)
-        return min(float(vals[p_out]), float(-vals[C].max()))
-
-    best = -np.inf
+    D2 = float(((pts[C] - p_vec[None, :]) ** 2).sum(axis=1).min())
+    p_sq = float(p_vec @ p_vec)
     # affine first: direction from the centroid of C to the excluded point
     ell = p_vec - pts[C].mean(axis=0)
-    c = -float((pts[C] @ ell).max())
-    cand = ElemParams(a=0.0, ell=ell, c=c)
-    vals = eval_on_domain(fam, cand)
-    if vals[p_out] > 0.0 and (vals[C] <= 0.0).all():
-        return cand
-    best = max(best, margin(cand))
-
-    d2 = ((pts[C] - p_vec[None, :]) ** 2).sum(axis=1)
-    D2 = float(d2.min())
-    p_sq = float(p_vec @ p_vec)
-    for a in ladder:
-        cand = ElemParams(a=float(a), ell=2.0 * a * p_vec,
-                          c=a * D2 / 2.0 - a * p_sq)
+    candidates = itertools.chain(
+        [ElemParams(a=0.0, ell=ell, c=-float((pts[C] @ ell).max()))],
+        (ElemParams(a=float(a), ell=2.0 * a * p_vec, c=a * D2 / 2.0 - a * p_sq)
+         for a in ladder))
+    best = -np.inf
+    for cand in candidates:
         vals = eval_on_domain(fam, cand)
         if vals[p_out] > 0.0 and (vals[C] <= 0.0).all():
             return cand
-        best = max(best, margin(cand))
+        best = max(best, min(float(vals[p_out]), float(-vals[C].max())))
     raise NotSeparable("no separator on the grid ladder", best)

@@ -9,7 +9,10 @@ gauges.  A finite parameter sample (DualGrid) stands in for the full class.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from collections import namedtuple
+from dataclasses import dataclass
+from functools import cached_property
 from enum import Enum
 from typing import Optional
 
@@ -41,6 +44,9 @@ CONVEX_KINDS = frozenset({
     FamilyKind.SIGMA_NU,
     FamilyKind.GAUGE,
 })
+
+#: kinds whose members carry a slope vector ell
+SLOPE_KINDS = CONVEX_KINDS - {FamilyKind.SIGMA_NU}
 
 #: anchored cone kinds carrying the peaking property
 PEAKING_KINDS = frozenset({FamilyKind.METRIC, FamilyKind.GENERALIZED_METRIC})
@@ -178,64 +184,124 @@ class ElemParams:
         return (self.a, ell, self.anchor, self.c)
 
 
+# Members as arrays of shape (P,), or one member's scalars: a, ell (zero-
+# padded to the longest slope in a batch), ell_len (-1 for no slope), anchor
+# (0 where no_anchor) and c.  A member list of any shape keeps all it says.
+_Members = namedtuple("_Members", "a ell ell_len anchor no_anchor c")
+
+
+def _one(p: ElemParams) -> _Members:
+    return _Members(p.a, p.ell, -1 if p.ell is None else p.ell.size, p.anchor or 0,
+                    p.anchor is None, p.c)
+
+
+def _from_params(params) -> _Members:
+    a, ells, ell_len, anchor, no_anchor, c = zip(*map(_one, params))
+    ell = np.zeros((len(params), max(max(ell_len), 0)))
+    for row, slope in zip(ell, ells):
+        if slope is not None:
+            row[:slope.size] = slope
+    return _Members(np.array(a), ell, np.array(ell_len), np.array(anchor, np.int64),
+                    np.array(no_anchor), np.array(c))
+
+
+def _arrays(a, ell=None, anchor=None) -> _Members:
+    """Parameter arrays as members; non-finite values are rejected first, as
+    making every ElemParams before checking any would."""
+    a = np.array(a, dtype=float).reshape(-1)
+    ell_len = np.full(a.size, -1 if ell is None else np.shape(ell)[1])
+    ell = np.zeros((a.size, 0)) if ell is None else np.array(ell, dtype=float)
+    _raise_first([(~np.isfinite(ell).all(axis=1), BadParams, "slope must be finite"),
+                  (~np.isfinite(a), BadParams, "a must be finite")])
+    anchors = np.zeros(a.size, np.int64) if anchor is None else np.array(anchor, np.int64)
+    return _Members(a, ell, ell_len, anchors, np.full(a.size, anchor is None), np.zeros(a.size))
+
+
+#: the curvature rule of each kind: members with test(a, 0.0) fail it
+_CURVATURE_RULES = {
+    FamilyKind.AFFINE: (operator.ne, "affine members have no curvature term"),
+    FamilyKind.QUAD_MINUS: (operator.lt, "quadratic curvature must satisfy a >= 0"),
+    FamilyKind.QUAD_PLUS: (operator.lt, "quadratic curvature must satisfy a >= 0"),
+    FamilyKind.SIGMA_NU: (operator.lt, "sigma coefficient must satisfy a >= 0"),
+    FamilyKind.METRIC: (operator.le, "metric cones need a > 0"),
+    FamilyKind.GENERALIZED_METRIC: (operator.le, "metric cones need a > 0"),
+    FamilyKind.GAUGE: (operator.le, "gauge members need a > 0"),
+}
+
+
+def _member_rules(family: ElemFamily, m: _Members) -> list:
+    """(fails, BadParams, message) for each rule of the family, in the order
+    a member is checked against them; fails has the shape of m.a."""
+    test, message = _CURVATURE_RULES[family.kind]
+    rules = [(test(m.a, 0.0), message)]
+    if family.kind in PEAKING_KINDS:
+        rules += [(m.no_anchor | (m.anchor < 0) | (m.anchor >= family.domain.n),
+                   "metric cones need an in-range anchor"),
+                  (m.ell_len >= 0, "metric cones carry no slope")]
+    elif family.kind in SLOPE_KINDS:
+        rules += [(m.ell_len < 0, "this family needs a slope vector"),
+                  (m.ell_len != family.domain.dim, "slope dimension does not match the domain")]
+    return [(fails, BadParams, message) for fails, message in rules]
+
+
+def _raise_first(rules: list) -> None:
+    """Raise (error, message) of the first member that breaks a rule, taking
+    that member's rules in order."""
+    fails = np.array([f for f, _, _ in rules]).reshape(len(rules), -1)
+    bad = fails.any(axis=0)
+    if bad.any():
+        _, error, message = rules[int(fails[:, bad.argmax()].argmax())]
+        raise error(message)
+
+
+def validate_members(family: ElemFamily, a, ell=None, anchor=None) -> None:
+    """Raise BadParams unless every member (a[j], ell[j], anchor[j]) is
+    admissible for the family; a has shape (P,), ell (P, dim) or None and
+    anchor (P,) or None.  The first failing member decides the error."""
+    _raise_first(_member_rules(family, _arrays(a, ell, anchor)))
+
+
 def validate_params(family: ElemFamily, params: ElemParams) -> None:
-    """Raise BadParams unless params are admissible for the family."""
-    kind = family.kind
-    if kind == FamilyKind.AFFINE:
-        if params.a != 0.0:
-            raise BadParams("affine members have no curvature term")
-        _require_slope(family, params)
-    elif kind in (FamilyKind.QUAD_MINUS, FamilyKind.QUAD_PLUS):
-        if params.a < 0.0:
-            raise BadParams("quadratic curvature must satisfy a >= 0")
-        _require_slope(family, params)
+    """Raise BadParams unless params are admissible for the family: the
+    rules of validate_members on one member."""
+    _raise_first(_member_rules(family, _one(params)))
+
+
+def members_on_domain(family: ElemFamily, a, ell=None, anchor=None, c=0.0) -> np.ndarray:
+    """(P, n) values at every domain point of the members (a[j], ell[j],
+    anchor[j]) plus c (a scalar or shape (P,)), not validated.  Each row is
+    bit-identical to the member's formula evaluated alone: one (P, n) array
+    updated in place, one matrix-vector product per slope (a product with
+    the stacked slopes rounds differently), and a last + c that turns -0.0
+    into +0.0 as the formula does."""
+    kind, domain, a = family.kind, family.domain, np.asarray(a, dtype=float)
+    pts = domain.points
+    if kind in PEAKING_KINDS:
+        out = domain.dist[np.asarray(anchor)]
+        if kind == FamilyKind.GENERALIZED_METRIC:
+            out = family.g_shape(out)
+        out *= (-a)[:, None]
     elif kind == FamilyKind.SIGMA_NU:
-        if params.a < 0.0:
-            raise BadParams("sigma coefficient must satisfy a >= 0")
-    elif kind in (FamilyKind.METRIC, FamilyKind.GENERALIZED_METRIC):
-        if params.a <= 0.0:
-            raise BadParams("metric cones need a > 0")
-        if params.anchor is None or not 0 <= params.anchor < family.domain.n:
-            raise BadParams("metric cones need an in-range anchor")
-        if params.ell is not None:
-            raise BadParams("metric cones carry no slope")
-    elif kind == FamilyKind.GAUGE:
-        if params.a <= 0.0:
-            raise BadParams("gauge members need a > 0")
-        _require_slope(family, params)
-    else:  # pragma: no cover
-        raise BadParams(f"unknown family kind {kind}")
-
-
-def _require_slope(family: ElemFamily, params: ElemParams) -> None:
-    if params.ell is None:
-        raise BadParams("this family needs a slope vector")
-    if params.ell.shape[0] != family.domain.dim:
-        raise BadParams("slope dimension does not match the domain")
+        out = np.multiply.outer(a, family.sigma.values)
+        out += family.nu.values
+    elif kind == FamilyKind.AFFINE:
+        out = np.empty((a.size, domain.n))
+        for row, slope in zip(out, ell):
+            row[:] = pts @ slope
+    else:
+        base = family.gauge_values() if kind == FamilyKind.GAUGE else (pts * pts).sum(axis=1)
+        out = np.multiply.outer(a if kind == FamilyKind.QUAD_PLUS else -a, base)
+        for row, slope in zip(out, ell):
+            row += pts @ slope
+    out += np.asarray(c, dtype=float)[..., None]
+    return out
 
 
 def eval_on_domain(family: ElemFamily, params: ElemParams) -> np.ndarray:
-    """Values of one family member at every domain point."""
+    """Values of one family member at every domain point: the one-member
+    call of members_on_domain, after validate_params."""
     validate_params(family, params)
-    kind = family.kind
-    pts = family.domain.points
-    if kind == FamilyKind.AFFINE:
-        return pts @ params.ell + params.c
-    if kind == FamilyKind.QUAD_MINUS:
-        sq = (pts * pts).sum(axis=1)
-        return (-params.a) * sq + pts @ params.ell + params.c
-    if kind == FamilyKind.QUAD_PLUS:
-        sq = (pts * pts).sum(axis=1)
-        return params.a * sq + pts @ params.ell + params.c
-    if kind == FamilyKind.SIGMA_NU:
-        return params.a * family.sigma.values + family.nu.values + params.c
-    if kind == FamilyKind.METRIC:
-        return (-params.a) * family.domain.dist[params.anchor] + params.c
-    if kind == FamilyKind.GENERALIZED_METRIC:
-        shape_vals = family.g_shape(family.domain.dist[params.anchor])
-        return (-params.a) * shape_vals + params.c
-    # gauge
-    return (-params.a) * family.gauge_values() + pts @ params.ell + params.c
+    return members_on_domain(family, [params.a], [params.ell], [params.anchor], params.c)[0]
 
 
 def eval_elementary(family: ElemFamily, params: ElemParams, x: int) -> float:
@@ -243,40 +309,61 @@ def eval_elementary(family: ElemFamily, params: ElemParams, x: int) -> float:
     return float(eval_on_domain(family, params)[x])
 
 
-@dataclass(frozen=True)
+def _repeats(m: _Members) -> np.ndarray:
+    """Members equal to an earlier one as tuples of floats, where 0.0 equals
+    -0.0: + 0.0 makes every zero +0.0 before the bits are compared."""
+    floats = (np.column_stack([m.a, m.c, m.ell]) + 0.0).view(np.int64)
+    keys = np.column_stack([floats, m.ell_len, m.anchor, m.no_anchor])
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    return first[inverse.reshape(-1)] < np.arange(m.a.size)
+
+
 class DualGrid:
-    """A finite parameter sample of one family, offsets fixed to zero."""
+    """A finite parameter sample of one family, offsets fixed to zero.
 
-    family: ElemFamily
-    params_list: tuple[ElemParams, ...]
-    _matrix: np.ndarray = field(init=False, repr=False, compare=False, default=None)
+    Held as parameter arrays: a (P,), ell (P, dim) for the kinds with a
+    slope and anchor (P,) for the cone kinds, else None.  DualGrid(family,
+    params_list) converts a member list; DualGrid(family, a=..., ell=...,
+    anchor=...) takes the arrays.  Members are checked as validate_members
+    does, and an offset other than zero or a repeated member (0.0 == -0.0)
+    is a ValueError; the first failing member decides the error.  matrix
+    comes from one members_on_domain call; params_list is made on first use.
+    """
 
-    def __post_init__(self):
-        params = tuple(self.params_list)
-        if not params:
+    def __init__(self, family: ElemFamily, params_list=None, *, a=None, ell=None,
+                 anchor=None):
+        params = tuple(params_list or ())
+        m = _from_params(params) if params else _arrays(() if a is None else a, ell, anchor)
+        if not m.a.size:
             raise ValueError("DualGrid needs at least one parameter tuple")
-        seen = set()
-        for p in params:
-            validate_params(self.family, p)
-            if p.c != 0.0:
-                raise ValueError("DualGrid offsets are eliminated analytically; use c = 0")
-            k = p.key()
-            if k in seen:
-                raise ValueError("duplicate parameter tuple in DualGrid")
-            seen.add(k)
-        object.__setattr__(self, "params_list", params)
-        mat = np.vstack([eval_on_domain(self.family, p) for p in params])
-        mat.flags.writeable = False
-        object.__setattr__(self, "_matrix", mat)
+        _raise_first(_member_rules(family, m) + [
+            (m.c != 0.0, ValueError, "DualGrid offsets are eliminated analytically; use c = 0"),
+            (_repeats(m), ValueError, "duplicate parameter tuple in DualGrid")])
+        self.family, self.a = family, m.a
+        self.ell = m.ell if family.kind in SLOPE_KINDS else None
+        self.anchor = m.anchor if family.kind in PEAKING_KINDS else None
+        self.matrix = members_on_domain(family, m.a, m.ell, m.anchor, m.c)
+        for arr in (self.a, self.ell, self.anchor, self.matrix):
+            if arr is not None:
+                arr.flags.writeable = False
+        self._members = dict(enumerate(params))
 
     @property
     def size(self) -> int:
-        return len(self.params_list)
+        return self.a.size
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """(n_params, n_points) member values at grid points."""
-        return self._matrix
+    def member(self, j: int) -> ElemParams:
+        """Member j as ElemParams, made alone and kept."""
+        j = range(self.size)[j]
+        if j not in self._members:
+            self._members[j] = ElemParams(
+                a=float(self.a[j]), ell=None if self.ell is None else self.ell[j].copy(),
+                anchor=None if self.anchor is None else int(self.anchor[j]))
+        return self._members[j]
+
+    @cached_property
+    def params_list(self) -> tuple[ElemParams, ...]:
+        return tuple(self.member(j) for j in range(self.size))
 
 
 def _slope_ladder(bound: float, count: int) -> np.ndarray:
@@ -286,17 +373,16 @@ def _slope_ladder(bound: float, count: int) -> np.ndarray:
     return np.linspace(-bound, bound, count)
 
 
-def _slope_vectors(dim: int, bound: float, count: int) -> list[np.ndarray]:
+def _slope_vectors(dim: int, bound: float, count: int) -> np.ndarray:
+    """(k, dim) slopes: the ladder itself in 1-D; else zero and the ladder's
+    nonzero steps along each axis."""
     ladder = _slope_ladder(bound, count)
     if dim == 1:
-        return [np.array([s]) for s in ladder]
-    vecs = [np.zeros(dim)]
+        return ladder[:, None]
+    steps = ladder[ladder != 0.0]
+    vecs = np.zeros((1 + dim * steps.size, dim))
     for k in range(dim):
-        for s in ladder:
-            if s != 0.0:
-                v = np.zeros(dim)
-                v[k] = s
-                vecs.append(v)
+        vecs[1 + k * steps.size:1 + (k + 1) * steps.size, k] = steps
     return vecs
 
 
@@ -331,27 +417,22 @@ def default_dual_grid(
     L = slope_bound(f, domain) if f is not None else 1.0
     rungs = [2.0 ** k for k in range(max(1, curvature_levels))]
 
-    params: list[ElemParams] = []
     if kind == FamilyKind.AFFINE:
-        params = [ElemParams(ell=v) for v in _slope_vectors(domain.dim, L, slope_count)]
-    elif kind in (FamilyKind.QUAD_MINUS, FamilyKind.QUAD_PLUS):
-        vecs = _slope_vectors(domain.dim, L, min(slope_count, 5))
-        for a in [0.0] + rungs:
-            params.extend(ElemParams(a=a, ell=v) for v in vecs)
-    elif kind == FamilyKind.SIGMA_NU:
-        params = [ElemParams(a=a) for a in [0.0] + rungs]
-    elif kind in (FamilyKind.METRIC, FamilyKind.GENERALIZED_METRIC):
+        vecs = _slope_vectors(domain.dim, L, slope_count)
+        return DualGrid(family, a=np.zeros(len(vecs)), ell=vecs)
+    if kind == FamilyKind.SIGMA_NU:
+        return DualGrid(family, a=[0.0] + rungs)
+    if kind in PEAKING_KINDS:
         anchors = np.arange(domain.n)
         if max_anchors is not None and anchors.size > max_anchors:
             anchors = anchors[np.linspace(0, anchors.size - 1, max_anchors).round().astype(int)]
         ladder = rungs if f is None else sorted(set(rungs) | {max(L, rungs[0])})
-        for anchor in anchors:
-            params.extend(ElemParams(a=a, anchor=int(anchor)) for a in ladder)
-    elif kind == FamilyKind.GAUGE:
-        vecs = _slope_vectors(domain.dim, L, min(slope_count, 5))
-        for a in rungs:
-            params.extend(ElemParams(a=a, ell=v) for v in vecs)
-    return DualGrid(family, tuple(params))
+        return DualGrid(family, a=np.tile(ladder, anchors.size),
+                        anchor=np.repeat(anchors, len(ladder)))
+    vecs = _slope_vectors(domain.dim, L, min(slope_count, 5))
+    curvatures = rungs if kind == FamilyKind.GAUGE else [0.0] + rungs
+    return DualGrid(family, a=np.repeat(curvatures, len(vecs)),
+                    ell=np.tile(vecs, (len(curvatures), 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -432,14 +513,17 @@ def _nudge(a: float) -> float:
 
 
 def _first_verified(family: ElemFamily, member, scale: float, step, holds,
-                    failure: str) -> ElemParams:
+                    failure: str, doomed=lambda vals: False) -> ElemParams:
     """The first member(scale) whose values on the grid pass holds, stepping
     the scale after each failed check; NoWitness(failure) after _MAX_NUDGES
-    tries."""
+    tries, or as soon as the values of a failed member are doomed."""
     for _ in range(_MAX_NUDGES):
         params = member(scale)
-        if holds(eval_on_domain(family, params)):
+        vals = eval_on_domain(family, params)
+        if holds(vals):
             return params
+        if doomed(vals):
+            break
         scale = step(scale)
     raise NoWitness(failure)
 
@@ -462,14 +546,13 @@ def peaking_witness(
         raise BadParams("peaking witnesses exist for metric-cone families only")
     if delta <= 0:
         raise BadParams("delta must be positive")
-    validate_params(family, g)
+    g_vals = eval_on_domain(family, g)
     _check_y0(family, y0)
 
     d = family.domain.dist[y0]
     shape = np.asarray(family.g_shape(d), dtype=float) \
         if family.kind == FamilyKind.GENERALIZED_METRIC else d
     far = d >= delta
-    g_vals = eval_on_domain(family, g)
 
     if not far.any():
         a = 1.0
@@ -481,10 +564,13 @@ def peaking_witness(
         if a <= 0.0:
             a = 1.0
 
+    # where the shape is negative, eps - a * shape only grows with a: once it
+    # exceeds eps there, every later scale fails too
     return _first_verified(
         family, lambda a: ElemParams(a=a, anchor=y0, c=eps), a, _nudge,
         lambda vals: (vals <= eps).all() and not (vals[far] > g_vals[far] - K).any(),
-        "grid verification failed for every candidate scale")
+        "grid verification failed for every candidate scale",
+        doomed=lambda vals: (vals[shape < 0] > eps).any())
 
 
 def urysohn_witness(family: ElemFamily, y0: int, eps: float, delta: float) -> ElemParams:
@@ -507,7 +593,9 @@ def urysohn_witness(family: ElemFamily, y0: int, eps: float, delta: float) -> El
     near = d < delta
 
     def peaks(vals):
-        return bool(vals[y0] > 1.0 - eps
+        # 1.0 - vals[y0] is exact for vals[y0] in [0.5, 2] (Sterbenz), where
+        # 1.0 - eps would round to 1.0 for eps below 2**-53
+        return bool(1.0 - vals[y0] < eps
                     and (vals[near] <= 1.0).all()
                     and (vals[~near] <= 0.0).all())
 
@@ -549,14 +637,16 @@ def _urysohn_gauge_lp(family: ElemFamily, y0: int, eps: float, near: np.ndarray)
                       np.concatenate([[mu[y0]], -pts[y0], [-1.0, 1.0]])])
     b_ub = np.append(np.where(near, 1.0, 0.0), -(1.0 - eps))
 
-    big = 1e6
+    a_min, big = 1e-9, 1e6
     res = linprog(
         c=np.concatenate([np.zeros(dim + 2), [-1.0]]),
         A_ub=A_ub,
         b_ub=b_ub,
-        bounds=[(1e-9, big)] + [(-big, big)] * dim + [(-big, big), (0.0, 1.0)],
+        bounds=[(a_min, big)] + [(-big, big)] * dim + [(-big, big), (0.0, 1.0)],
         method="highs",
     )
     if not res.success or res.x[-1] <= 1e-9:
         raise NoWitness("no gauge member satisfies the peak inequalities on this grid")
-    return float(res.x[0]), res.x[1:1 + dim].copy(), float(res.x[1 + dim])
+    # HiGHS may return a below its bound within its feasibility tolerance
+    # (-0.0 for 1e-9); the clamped member is verified exactly by the caller
+    return max(float(res.x[0]), a_min), res.x[1:1 + dim].copy(), float(res.x[1 + dim])

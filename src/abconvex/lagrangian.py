@@ -254,7 +254,7 @@ def gap_certificate(prob: PerturbationProblem, psi_grid: DualGrid, alpha: float,
     hits = np.flatnonzero(col_inf >= alpha)
     if hits.size == 0:
         return None
-    psi_bar = psi_grid.params_list[int(hits[0])]
+    psi_bar = psi_grid.member(int(hits[0]))
     const = SupportFn.constant(alpha)
     return Certificate(
         psi1=psi_bar, psi2=psi_bar, phi1=const, phi2=const,

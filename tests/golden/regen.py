@@ -196,11 +196,8 @@ def triangle_entries() -> dict:
 # -- peaking and Urysohn witnesses ---------------------------------------------
 
 def _witness(search) -> bytes:
-    """The raw bytes of a, ell, anchor and c, or the message of the failure.
-
-    BadParams is recorded too: HiGHS can return a = -0.0 at the LP's 1e-9
-    lower bound on a, and that member is rejected when it is evaluated.
-    """
+    """The raw bytes of a, ell, anchor and c, or the message of the failure
+    (BadParams included, should a search make a member its family rejects)."""
     try:
         w = search()
     except NoWitness as e:
@@ -241,7 +238,7 @@ def _delta(rng, space, y0):
 
 
 def _eps(rng):
-    """Below 2**-53, 1 - eps rounds to 1 and no peak value passes the check."""
+    """Below 2**-53, 1 - eps rounds to 1: the peak check must not round."""
     return 1e-17 if rng.random() < 0.1 else float(rng.uniform(0.01, 0.95))
 
 

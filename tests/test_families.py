@@ -21,6 +21,7 @@ from abconvex import (
     urysohn_witness,
 )
 from abconvex.errors import BadParams, ImproperInput, InfiniteAtPoint, NoWitness
+from abconvex import families
 from abconvex.families import _NUDGE
 
 from conftest import (
@@ -449,6 +450,22 @@ class TestPeakingWitness:
         far = self.space.dist[0] >= 1.0
         assert (vals <= 0.5).all() and (vals[far] <= gv[far] - 2.0).all()
 
+    def test_negative_near_shape_fails_at_once(self, monkeypatch):
+        # the shape dips below zero at the near point 1, where eps - a * shape
+        # exceeds eps for the first scale and for every larger one
+        shape = Sampled1D([0.0, 1.0, 2.0], [0.0, -0.5, 1.0])
+        fam = ElemFamily.generalized_metric(line_space([0.0, 1.0, 3.0]), shape, 2.0)
+        tried = []
+
+        def spy(family, params):
+            tried.append(params)
+            return eval_on_domain(family, params)
+
+        monkeypatch.setattr(families, "eval_on_domain", spy)
+        with pytest.raises(NoWitness, match="^grid verification failed for every candidate scale$"):
+            peaking_witness(fam, 0, eps=0.5, delta=2.0, K=1.0, g=ElemParams(a=1.0, anchor=2))
+        assert len([p for p in tried if p.anchor == 0]) <= 1
+
     def test_wrong_family_rejected(self):
         with pytest.raises(BadParams):
             peaking_witness(ElemFamily.affine(self.space), 0, 0.1, 1.0, 1.0,
@@ -496,6 +513,14 @@ class TestUrysohnWitness:
         assert w.a == (1.0 / 49.0) * _NUDGE and w.c == 1.0
         assert (1.0 / 49.0) * 49.0 < 1.0
 
+    @pytest.mark.parametrize("family", [ElemFamily.metric, ElemFamily.gauge])
+    def test_eps_below_half_ulp_of_one(self, family):
+        # 1.0 - 1e-17 rounds to 1.0; the peak value 1.0 is still within eps
+        fam = family(line_space([0.0, 1.0, 2.0]))
+        w = urysohn_witness(fam, 0, eps=1e-17, delta=1.0)
+        vals = eval_on_domain(fam, w)
+        assert vals[0] == 1.0 and (vals[1:] <= 0.0).all()
+
     def test_gauge_origin(self):
         space = line_space([-1.0, 0.0, 1.0, 2.0])
         fam = ElemFamily.gauge(space, "l2")
@@ -515,6 +540,22 @@ class TestUrysohnWitness:
         d = space.dist[2]
         assert vals[2] > 0.1
         assert (vals[d < 1.2] <= 1.0).all() and (vals[d >= 1.2] <= 0.0).all()
+
+    def test_gauge_lp_slope_below_its_bound(self):
+        # HiGHS returns a = -0.0 under the LP's bound a >= 1e-9 here; the
+        # member is clamped to the bound and verified, not rejected
+        pts = [[-1.4091833781793275, 0.2314762773737753], [-1.1123512614527176, -0.8295003263520901],
+               [-1.0555214915037645, -0.9763425063835993], [-0.3652987489085153, -0.6674162173244773],
+               [0.0, 0.0], [0.4363030861966686, -0.3925675883941464],
+               [0.5178676426122792, 0.19282211701795093], [0.5877152216314196, 0.7216746797059277],
+               [1.3222877373687218, 0.560998385010683], [1.3390772040565655, -0.19017461280094228],
+               [1.3528716988595129, 1.4982537588172482], [1.5368184739797193, 1.5436365403388224]]
+        fam = ElemFamily.gauge(build_metric_space(np.array(pts), validate="fast"), "l2")
+        eps, delta = 0.3828464811218787, 2.993464901103726
+        w = urysohn_witness(fam, 8, eps, delta)
+        vals, d = eval_on_domain(fam, w), fam.domain.dist[8]
+        assert w.a >= 1e-9 and 1.0 - vals[8] < eps
+        assert (vals[d < delta] <= 1.0).all() and (vals[d >= delta] <= 0.0).all()
 
     def test_gauge_ray_limitation_flagged(self):
         # a sharp peak against a same-ray far point has no gauge witness on a
