@@ -209,8 +209,8 @@ def _arrays(a, ell=None, anchor=None) -> _Members:
     """Parameter arrays as members; non-finite values are rejected first, as
     making every ElemParams before checking any would."""
     a = np.array(a, dtype=float).reshape(-1)
-    ell_len = np.full(a.size, -1 if ell is None else np.shape(ell)[1])
-    ell = np.zeros((a.size, 0)) if ell is None else np.array(ell, dtype=float)
+    ell = np.zeros((a.size, 0)) if ell is None else np.array(ell, dtype=float).reshape(a.size, -1)
+    ell_len = np.full(a.size, ell.shape[1] or -1)  # zero width: no slopes
     _raise_first([(~np.isfinite(ell).all(axis=1), BadParams, "slope must be finite"),
                   (~np.isfinite(a), BadParams, "a must be finite")])
     anchors = np.zeros(a.size, np.int64) if anchor is None else np.array(anchor, np.int64)

@@ -430,8 +430,8 @@ def _explicit_grid(rng, fam):
     members = list(members.values())
     if rng.random() < 0.15:
         w = members[int(rng.integers(len(members)))]
-        members.append(ElemParams(a=-w.a if w.a == 0.0 else w.a, anchor=w.anchor,
-                                  ell=None if w.ell is None else np.where(w.ell == 0.0, -w.ell, w.ell)))
+        flipped = None if w.ell is None else np.where(w.ell == 0.0, -w.ell, w.ell)
+        members.append(ElemParams(a=-w.a if w.a == 0.0 else w.a, anchor=w.anchor, ell=flipped))
     return DualGrid(fam, tuple(members))
 
 
@@ -490,7 +490,8 @@ def _ladder(rng):
     if style == 0:
         return DEFAULT_LADDER
     if style == 1:
-        return tuple(float(a) for a in rng.permutation([0.5, 1.0, 3.0, 8.0])[:int(rng.integers(1, 5))])
+        rungs = rng.permutation([0.5, 1.0, 3.0, 8.0])
+        return tuple(float(a) for a in rungs[:int(rng.integers(1, 5))])
     return tuple(float(a) for a in np.unique(np.round(rng.uniform(0.05, 20.0, 5), 2)))
 
 

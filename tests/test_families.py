@@ -19,6 +19,7 @@ from abconvex import (
     is_support,
     peaking_witness,
     urysohn_witness,
+    validate_members,
 )
 from abconvex.errors import BadParams, ImproperInput, InfiniteAtPoint, NoWitness
 from abconvex import families
@@ -147,7 +148,8 @@ class TestDualGrid:
          BadParams, "metric cones need an in-range anchor"),
         ("metric", [ElemParams(a=1.0), ElemParams(a=1.0, anchor=0, ell=[1.0])],
          BadParams, "metric cones need an in-range anchor"),
-        ("generalized_metric", [ElemParams(a=1.0, anchor=1), ElemParams(a=1.0, anchor=0, ell=[1.0])],
+        ("generalized_metric",
+         [ElemParams(a=1.0, anchor=1), ElemParams(a=1.0, anchor=0, ell=[1.0])],
          BadParams, "metric cones carry no slope"),
         ("metric", [ElemParams(a=1.0, anchor=-1)],
          BadParams, "metric cones need an in-range anchor"),
@@ -189,6 +191,41 @@ class TestDualGrid:
         grid = DualGrid(sig, (ElemParams(a=1.0), ElemParams(a=1.0, ell=[1.0, 2.0]),
                               ElemParams(a=1.0, ell=[]), ElemParams(a=1.0, anchor=-3)))
         assert grid.size == 4 and grid.params_list[2].ell.shape == (0,)
+
+    @pytest.mark.parametrize("kind", ["affine", "quad_minus", "quad_plus", "sigma_nu",
+                                      "metric", "generalized_metric", "gauge"])
+    def test_arrays_and_member_list_agree(self, kind):
+        # the default grid is built from arrays; its lazy member list, the
+        # arrays again and each member alone give the same bits
+        _, grid = _random_family_and_grid(np.random.default_rng(11), kind)
+        fam = grid.family
+        again = DualGrid(fam, a=grid.a, ell=grid.ell, anchor=grid.anchor)
+        listed = DualGrid(fam, grid.params_list)
+        assert same_bits(again.matrix, grid.matrix) and same_bits(listed.matrix, grid.matrix)
+        for j, p in enumerate(grid.params_list):
+            assert grid.member(j) is p and same_bits(eval_on_domain(fam, p), grid.matrix[j])
+        assert not grid.matrix.flags.writeable and not grid.a.flags.writeable
+
+    def test_member_alone_is_kept(self):
+        grid = default_dual_grid(ElemFamily.metric(line_space([0.0, 1.0, 3.0])))
+        first = grid.member(-1)
+        assert first is grid.member(grid.size - 1) is grid.params_list[-1]
+        assert (first.a, first.anchor, first.ell, first.c) == (16.0, 2, None, 0.0)
+
+    @pytest.mark.parametrize("a, ell, anchor, message", [
+        ([1.0, 0.0, 1.0], None, [0, 5, 1], "metric cones need a > 0"),
+        ([1.0, 1.0], None, [0, 3], "metric cones need an in-range anchor"),
+        ([1.0, 1.0], [[1.0], [2.0]], [0, 1], "metric cones carry no slope"),
+        ([1.0, 0.0], None, None, "metric cones need an in-range anchor"),
+        # non-finite values come first, as making each ElemParams would
+        ([0.0, np.inf], None, [9, 0], "a must be finite"),
+    ])
+    def test_validate_members(self, a, ell, anchor, message):
+        fam = ElemFamily.metric(line_space([0.0, 1.0, 3.0]))
+        with pytest.raises(BadParams, match=f"^{message}$"):
+            validate_members(fam, a, ell, anchor)
+        with pytest.raises(BadParams, match=f"^{message}$"):
+            DualGrid(fam, a=a, ell=ell, anchor=anchor)
 
     def test_default_grid_covers_slope_bound(self):
         space = line_space([-1.0, 0.0, 1.0])
@@ -462,7 +499,8 @@ class TestPeakingWitness:
             return eval_on_domain(family, params)
 
         monkeypatch.setattr(families, "eval_on_domain", spy)
-        with pytest.raises(NoWitness, match="^grid verification failed for every candidate scale$"):
+        message = "^grid verification failed for every candidate scale$"
+        with pytest.raises(NoWitness, match=message):
             peaking_witness(fam, 0, eps=0.5, delta=2.0, K=1.0, g=ElemParams(a=1.0, anchor=2))
         assert len([p for p in tried if p.anchor == 0]) <= 1
 
@@ -544,8 +582,10 @@ class TestUrysohnWitness:
     def test_gauge_lp_slope_below_its_bound(self):
         # HiGHS returns a = -0.0 under the LP's bound a >= 1e-9 here; the
         # member is clamped to the bound and verified, not rejected
-        pts = [[-1.4091833781793275, 0.2314762773737753], [-1.1123512614527176, -0.8295003263520901],
-               [-1.0555214915037645, -0.9763425063835993], [-0.3652987489085153, -0.6674162173244773],
+        pts = [[-1.4091833781793275, 0.2314762773737753],
+               [-1.1123512614527176, -0.8295003263520901],
+               [-1.0555214915037645, -0.9763425063835993],
+               [-0.3652987489085153, -0.6674162173244773],
                [0.0, 0.0], [0.4363030861966686, -0.3925675883941464],
                [0.5178676426122792, 0.19282211701795093], [0.5877152216314196, 0.7216746797059277],
                [1.3222877373687218, 0.560998385010683], [1.3390772040565655, -0.19017461280094228],
