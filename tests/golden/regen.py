@@ -538,10 +538,16 @@ def constrained_entries() -> dict:
     return out
 
 
+#: every group of entries, by the prefix of its names; `tests/test_golden.py`
+#: checks each group as its own test
+GROUPS = {"report": report_entries, "certificate": certificate_entries,
+          "triangle": triangle_entries, "witness": witness_entries,
+          "conjugation": conjugation_entries, "duality": duality_entries,
+          "constrained": constrained_entries}
+
+
 def compute() -> dict:
-    return {**report_entries(), **certificate_entries(), **triangle_entries(),
-            **witness_entries(), **conjugation_entries(), **duality_entries(),
-            **constrained_entries()}
+    return {name: d for entries in GROUPS.values() for name, d in entries().items()}
 
 
 def changed(old: dict, new: dict) -> list[str]:
