@@ -9,7 +9,11 @@ included), the conjugate/biconjugate pair of every family kind on grid
 functions with +inf holes and signed zeros, the duality reports of every
 family kind on perturbation tables with +inf holes (both convexity scopes,
 default and explicit multiplier grids), and the constrained layer: zero-gap
-reports, finite-ladder sups and the conic LP.
+reports, finite-ladder sups and the conic LP, and the transportation simplex:
+plans, potentials, values and strong-duality audits of seeded generic and
+degenerate instances (square, rectangular, 1 x m, n x 1 and 1 x 1), solved as
+they come, with the Bland fallback forced by a Dantzig pivot budget of 0, and
+with it forced by a first plan that is infeasible.
 `tests/test_golden.py` recomputes every entry and compares it with
 `digests.json`.  Run this script to see which entries changed:
 
@@ -21,6 +25,7 @@ A digest is rewritten only in a change that says which outputs moved and why.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import sys
@@ -32,8 +37,9 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[2]
 DIGESTS = Path(__file__).with_name("digests.json")
 
-if str(ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(ROOT / "src"))
+for _path in (ROOT / "src", ROOT / "tests"):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 from abconvex import (  # noqa: E402
     ConicLP,
@@ -52,8 +58,10 @@ from abconvex import (  # noqa: E402
     default_dual_grid,
     duality_report,
     intersection_certificate,
+    kantorovich_gap_report,
     metric_grid_sup,
     peaking_witness,
+    solve_transport,
     urysohn_witness,
     verify_zero_gap_metric,
 )
@@ -61,6 +69,8 @@ from abconvex.cli import run_scenario  # noqa: E402
 from abconvex.core import BLOCK_BYTES  # noqa: E402
 from abconvex.constrained import DEFAULT_LADDER  # noqa: E402
 from abconvex.errors import AbconvexError, BadParams, NonMetric, NoWitness  # noqa: E402
+import abconvex.transport as transport  # noqa: E402
+from conftest import degenerate_transport, generic_transport  # noqa: E402
 
 
 def f64(x) -> bytes:
@@ -538,12 +548,86 @@ def constrained_entries() -> dict:
     return out
 
 
+# -- transportation simplex ------------------------------------------------------
+
+def _transport_shape(rng, k):
+    """Square, rectangular, 1 x m, n x 1 and 1 x 1 in turn, up to 40 a side."""
+    n, m = (int(v) for v in rng.integers(2, 41, 2))
+    return ((n, n), (n, m), (1, m), (n, 1), (1, 1))[k % 5]
+
+
+def _transport(prob) -> bytes:
+    """The raw bytes of q, psi, phi and the value, and every KantorovichReport
+    field."""
+    coupling, pots, value = solved = solve_transport(prob)
+    rep = kantorovich_gap_report(prob, solved)
+    return b"|".join([
+        np.int64(prob.shape).tobytes(), coupling.q.tobytes(), pots.psi.tobytes(),
+        pots.phi.tobytes(), f64(value), f64(rep.primal), f64(rep.dual), f64(rep.gap),
+        np.int64(rep.slack_violations).tobytes(), rep.orientation.encode()])
+
+
+def _no_dantzig_pivots(real):
+    """The Dantzig run gets a budget of 0 pivots, so the Bland fallback runs."""
+    return lambda cost, mu, nu, bland, max_pivots: real(cost, mu, nu, bland,
+                                                        max_pivots if bland else 0)
+
+
+def _first_plan_infeasible(real):
+    """The first plan gets a -inf entry, so the Bland fallback runs for an
+    infeasible plan; later plans are the real ones."""
+    plans = []
+
+    def alloc(n, m, basis, mu, nu):
+        q = real(n, m, basis, mu, nu)
+        if not plans:
+            q[0, 0] = -np.inf
+        plans.append(q)
+        return q
+    return alloc
+
+
+#: how each instance is solved: as it comes, or with one private step of
+#: abconvex.transport replaced (its name, and a maker of the replacement)
+TRANSPORT_RUNS = {"": None, "_bland": ("_simplex_pivots", _no_dantzig_pivots),
+                  "_infeasible_plan": ("_solve_tree_alloc", _first_plan_infeasible)}
+
+
+@contextlib.contextmanager
+def _patched(patch):
+    if patch is None:
+        yield
+        return
+    name, fake = patch
+    real = getattr(transport, name)
+    setattr(transport, name, fake(real))
+    try:
+        yield
+    finally:
+        setattr(transport, name, real)
+
+
+def transport_entries() -> dict:
+    out = {}
+    for k, (kind, make) in enumerate({"generic": generic_transport,
+                                      "degenerate": degenerate_transport}.items()):
+        for r, (suffix, patch) in enumerate(TRANSPORT_RUNS.items()):
+            rng = np.random.default_rng(7700 + 10 * r + k)
+            h = hashlib.sha256()
+            for i in range(40):
+                prob = make(rng, *_transport_shape(rng, i))
+                with _patched(patch):
+                    h.update(_outcome(lambda: _transport(prob)))
+            out[f"transport/{kind}{suffix}"] = h.hexdigest()
+    return out
+
+
 #: every group of entries, by the prefix of its names; `tests/test_golden.py`
 #: checks each group as its own test
 GROUPS = {"report": report_entries, "certificate": certificate_entries,
           "triangle": triangle_entries, "witness": witness_entries,
           "conjugation": conjugation_entries, "duality": duality_entries,
-          "constrained": constrained_entries}
+          "constrained": constrained_entries, "transport": transport_entries}
 
 
 def compute() -> dict:
