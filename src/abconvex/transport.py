@@ -102,50 +102,20 @@ def _northwest_start(mu: np.ndarray, nu: np.ndarray):
     return alloc, basis
 
 
-def _build_adj(n: int, m: int, basis) -> dict[int, set]:
-    adj: dict[int, set] = {k: set() for k in range(n + m)}
-    for (i, j) in basis:
-        adj[i].add(n + j)
-        adj[n + j].add(i)
-    return adj
-
-
-def _duals_from_basis(cost: np.ndarray, basis, adj) -> tuple[np.ndarray, np.ndarray]:
-    n, m = cost.shape
-    u = np.zeros(n)
-    v = np.zeros(m)
-    seen = np.zeros(n + m, dtype=bool)
-    seen[0] = True
-    dq = deque([0])
-    while dq:
-        node = dq.popleft()
-        for nb in adj[node]:
-            if seen[nb]:
-                continue
-            if node < n:  # row -> column
-                v[nb - n] = cost[node, nb - n] - u[node]
-            else:         # column -> row
-                u[nb] = cost[nb, node - n] - v[node - n]
-            seen[nb] = True
-            dq.append(nb)
-    if not seen.all():
-        raise AssertionError("basis graph is not a spanning tree")
-    return u, v
-
-
 def _solve_tree_alloc(n: int, m: int, basis, mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
     """Unique allocation on a spanning-tree basis, by leaf elimination."""
     alloc = np.zeros((n, m))
     rem = np.concatenate([mu.astype(float), nu.astype(float)])
-    adj = _build_adj(n, m, basis)
-    degree = {k: len(adj[k]) for k in adj}
-    leaves = deque(k for k in adj if degree[k] == 1)
-    removed = set()
+    adj = [set() for _ in range(n + m)]
+    for (i, j) in basis:
+        adj[i].add(n + j)
+        adj[n + j].add(i)
+    leaves = deque(k for k in range(n + m) if len(adj[k]) == 1)
     while leaves:
         node = leaves.popleft()
-        if node in removed or degree[node] == 0:
+        if not adj[node]:  # the last node of its tree, or already removed
             continue
-        nb = next(iter(adj[node]))
+        nb = adj[node].pop()
         q = rem[node]
         if node < n:
             alloc[node, nb - n] = q
@@ -153,12 +123,8 @@ def _solve_tree_alloc(n: int, m: int, basis, mu: np.ndarray, nu: np.ndarray) -> 
             alloc[nb, node - n] = q
         rem[nb] -= q
         rem[node] = 0.0
-        adj[node].discard(nb)
         adj[nb].discard(node)
-        degree[node] -= 1
-        degree[nb] -= 1
-        removed.add(node)
-        if degree[nb] == 1:
+        if len(adj[nb]) == 1:
             leaves.append(nb)
     return alloc
 
@@ -166,7 +132,8 @@ def _solve_tree_alloc(n: int, m: int, basis, mu: np.ndarray, nu: np.ndarray) -> 
 def _hang(arcs, parent, depth, pot, cell, top: int) -> list[int]:
     """Give every node below ``top`` (reached without going back up through
     ``parent[top]``) its parent, depth, potential and basic cell, top-down,
-    with ``pot[child] = cost(arc) - pot[parent]`` as in ``_duals_from_basis``.
+    with ``pot[child] = cost(arc) - pot[parent]``, the recurrence that fixes
+    the potentials of a spanning-tree basis along the unique path from row 0.
     ``arcs[x]`` maps each tree neighbour of node x to the arc's (cost, flat
     cell index); ``top`` itself must already be set.  Returns the nodes in
     visiting order."""
@@ -182,7 +149,8 @@ def _hang(arcs, parent, depth, pot, cell, top: int) -> list[int]:
 
 
 def _simplex_pivots(cost, mu, nu, bland: bool, max_pivots: int):
-    """Run the pivot loop; returns (basis, alloc) on the given marginals.
+    """Run the pivot loop on the given marginals; returns the final tree's
+    basic cells (i, j) and its potentials (rows first, then columns).
 
     The basis is a spanning tree on nodes 0..n-1 (rows) and n..n+m-1
     (columns), rooted at row 0.  Per node it keeps the parent, the depth, the
@@ -268,7 +236,7 @@ def _simplex_pivots(cost, mu, nu, bland: bool, max_pivots: int):
     else:
         raise SolverLimit(f"transportation simplex: no optimal basis within "
                           f"{max_pivots} pivots")
-    return [divmod(k, m) for k in cell[1:]], alloc
+    return [divmod(k, m) for k in cell[1:]], pot_np
 
 
 def solve_transport(prob: TransportProblem):
@@ -277,9 +245,12 @@ def solve_transport(prob: TransportProblem):
 
     Degeneracy is handled by a deterministic epsilon-perturbation of the
     supplies during pivoting; reported allocations are re-solved on the true
-    marginals so the perturbation never leaks into results.
+    marginals so the perturbation never leaks into results.  One fallback,
+    a Bland-rule run on the unperturbed data, takes over when the perturbed
+    run uses up its pivot budget or when its plan is infeasible for the true
+    marginals.
 
-    Raises ``SolverLimit`` when a Bland-rule rerun also runs out of pivots.
+    Raises ``SolverLimit`` when the Bland-rule run also runs out of pivots.
     """
     cost, mu, nu = prob.cost, prob.mu, prob.nu
     n, m = cost.shape
@@ -289,32 +260,27 @@ def solve_transport(prob: TransportProblem):
     nu_p = nu.copy()
     nu_p[-1] += eps0 * (n * (n + 1) / 2.0)
     max_pivots = 400 * (n + m) + 200
+    tiny = 1e-7 * scale
 
     try:
-        basis, _ = _simplex_pivots(cost, mu_p, nu_p, bland=False,
-                                   max_pivots=max_pivots)
+        basis, pot = _simplex_pivots(cost, mu_p, nu_p, bland=False,
+                                     max_pivots=max_pivots)
+        q = _solve_tree_alloc(n, m, basis, mu, nu)
     except SolverLimit:
-        basis, _ = _simplex_pivots(cost, mu, nu, bland=True,
-                                   max_pivots=20 * max_pivots)
-
-    q = _solve_tree_alloc(n, m, basis, mu, nu)
-    tiny = 1e-7 * scale
-    if q.min() < -tiny:
-        # perturbed-optimal basis infeasible for the true marginals: rare;
-        # rerun with Bland's rule on the unperturbed data
-        basis, _ = _simplex_pivots(cost, mu, nu, bland=True,
-                                   max_pivots=20 * max_pivots)
+        q = None
+    if q is None or q.min() < -tiny:
+        basis, pot = _simplex_pivots(cost, mu, nu, bland=True,
+                                     max_pivots=20 * max_pivots)
         q = _solve_tree_alloc(n, m, basis, mu, nu)
     q[q < 0] = 0.0
 
-    adj = _build_adj(n, m, basis)
-    u, v = _duals_from_basis(cost, basis, adj)
-    red_min = float((cost - u[:, None] - v[None, :]).min())
+    psi, phi = pot[:n].copy(), pot[n:].copy()
+    red_min = float((cost - psi[:, None] - phi[None, :]).min())
     if red_min < -SLACK_TOL:
         raise AssertionError("final basis is not dual feasible")
 
     value = float((q * cost).sum())
-    return Coupling(q=q), Potentials(psi=u, phi=v), value
+    return Coupling(q=q), Potentials(psi=psi, phi=phi), value
 
 
 def c_transform(psi: np.ndarray, cost: np.ndarray) -> np.ndarray:

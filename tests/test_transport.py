@@ -18,17 +18,13 @@ from abconvex import (
 )
 import abconvex.transport as transport
 from abconvex.errors import Unbalanced
-from abconvex.transport import (
-    _build_adj,
-    _duals_from_basis,
-    _northwest_start,
-    dual_objective,
-)
+from abconvex.transport import _northwest_start, dual_objective
 
 from conftest import (
     degenerate_transport,
     generic_transport,
     random_transport,
+    same_bits,
     transport_vertex_oracle,
 )
 
@@ -105,9 +101,43 @@ class TestSolveTransport:
 
 
 # ---------------------------------------------------------------------------
-# the breadth-first pivot loop the rooted-tree kernel replaced, kept verbatim
-# (only its budget exception is now the public SolverLimit) as an oracle
+# the breadth-first pivot loop the rooted-tree kernel replaced, kept as an
+# oracle: verbatim, except that its budget exception is now the public
+# SolverLimit and that it returns its final potentials, not its allocation.
+# _build_adj and _duals_from_basis are the library's former helpers, which
+# recomputed the potentials of the final basis by a breadth-first search
 # ---------------------------------------------------------------------------
+
+def _build_adj(n: int, m: int, basis) -> dict[int, set]:
+    adj: dict[int, set] = {k: set() for k in range(n + m)}
+    for (i, j) in basis:
+        adj[i].add(n + j)
+        adj[n + j].add(i)
+    return adj
+
+
+def _duals_from_basis(cost: np.ndarray, basis, adj) -> tuple[np.ndarray, np.ndarray]:
+    n, m = cost.shape
+    u = np.zeros(n)
+    v = np.zeros(m)
+    seen = np.zeros(n + m, dtype=bool)
+    seen[0] = True
+    dq = deque([0])
+    while dq:
+        node = dq.popleft()
+        for nb in adj[node]:
+            if seen[nb]:
+                continue
+            if node < n:  # row -> column
+                v[nb - n] = cost[node, nb - n] - u[node]
+            else:         # column -> row
+                u[nb] = cost[nb, node - n] - v[node - n]
+            seen[nb] = True
+            dq.append(nb)
+    if not seen.all():
+        raise AssertionError("basis graph is not a spanning tree")
+    return u, v
+
 
 def _tree_path(adj, start: int, goal: int) -> list[int]:
     parent = {start: None}
@@ -128,7 +158,8 @@ def _tree_path(adj, start: int, goal: int) -> list[int]:
 
 
 def _bfs_simplex_pivots(cost, mu, nu, bland: bool, max_pivots: int):
-    """Run the pivot loop; returns (basis, alloc) on the given marginals."""
+    """Run the pivot loop on the given marginals; returns the final basis and
+    its potentials by breadth-first search (rows first, then columns)."""
     n, m = cost.shape
     cscale = max(1.0, float(np.abs(cost).max()))
     enter_tol = 1e-12 * cscale
@@ -144,12 +175,12 @@ def _bfs_simplex_pivots(cost, mu, nu, bland: bool, max_pivots: int):
         if bland:
             cand = np.flatnonzero(red.ravel() < -enter_tol)
             if cand.size == 0:
-                return list(basis_set), alloc
+                return list(basis_set), np.concatenate([u, v])
             flat = int(cand[0])
         else:
             flat = int(red.argmin())
             if red.ravel()[flat] >= -enter_tol:
-                return list(basis_set), alloc
+                return list(basis_set), np.concatenate([u, v])
         ei, ej = divmod(flat, m)
 
         path = _tree_path(adj, ei, n + ej)
@@ -193,7 +224,7 @@ MAKERS = {"generic": generic_transport, "degenerate": degenerate_transport}
 
 class TestRootedTreeKernel:
     """The rooted-tree pivot loop against the breadth-first one it replaced:
-    same pivots, so bit-identical bases, plans, potentials and values."""
+    same pivots, so bit-identical bases, potentials, plans and values."""
 
     @pytest.mark.parametrize("kind", sorted(MAKERS))
     def test_solve_matches_bfs_kernel(self, kind, monkeypatch):
@@ -216,11 +247,11 @@ class TestRootedTreeKernel:
         for n, m in _oracle_shapes(rng):
             prob = MAKERS[kind](rng, n, m)
             args = (prob.cost, prob.mu, prob.nu, bland, 400 * (n + m) + 200)
-            basis, alloc = transport._simplex_pivots(*args)
-            ref_basis, ref_alloc = _bfs_simplex_pivots(*args)
+            basis, pot = transport._simplex_pivots(*args)
+            ref_basis, ref_pot = _bfs_simplex_pivots(*args)
             assert sorted(basis) == sorted(ref_basis)
             assert len(basis) == n + m - 1
-            assert np.array_equal(alloc, ref_alloc)
+            assert same_bits(pot, ref_pot)
 
 
 class TestSolverLimit:
@@ -245,6 +276,46 @@ class TestSolverLimit:
                            real(cost, mu, nu, bland, max_pivots if bland else 0))
                 _, _, bland_value = solve_transport(prob)
             assert abs(bland_value - value) <= 1e-9 * max(1.0, abs(value))
+
+
+class TestBlandFallback:
+    def test_infeasible_plan_runs_bland_once(self, monkeypatch):
+        """A first plan with a negative entry sends the solve to the Bland
+        run, once, and the result is the one of a solve whose Dantzig run
+        had no pivots at all."""
+        real_pivots, real_alloc = transport._simplex_pivots, transport._solve_tree_alloc
+        rng = np.random.default_rng(79)
+        for kind in sorted(MAKERS):
+            for _ in range(10):
+                prob = MAKERS[kind](rng, *(int(v) for v in rng.integers(1, 13, 2)))
+                with monkeypatch.context() as mp:
+                    mp.setattr(transport, "_simplex_pivots",
+                               lambda cost, mu, nu, bland, max_pivots:
+                               real_pivots(cost, mu, nu, bland, max_pivots if bland else 0))
+                    want = solve_transport(prob)
+
+                runs, plans = [], []
+
+                def pivots(cost, mu, nu, bland, max_pivots):
+                    runs.append(bland)
+                    return real_pivots(cost, mu, nu, bland, max_pivots)
+
+                def first_plan_negative(*args):
+                    q = real_alloc(*args)
+                    if not plans:
+                        q[0, 0] = -1.0
+                    plans.append(q)
+                    return q
+
+                with monkeypatch.context() as mp:
+                    mp.setattr(transport, "_simplex_pivots", pivots)
+                    mp.setattr(transport, "_solve_tree_alloc", first_plan_negative)
+                    got = solve_transport(prob)
+                assert runs == [False, True] and len(plans) == 2
+                assert same_bits(got[0].q, want[0].q)
+                assert same_bits(got[1].psi, want[1].psi)
+                assert same_bits(got[1].phi, want[1].phi)
+                assert same_bits(got[2], want[2])
 
 
 def _highs_transport_value(prob):
