@@ -370,6 +370,8 @@ def _slope_ladder(bound: float, count: int) -> np.ndarray:
     count = max(3, int(count))
     if count % 2 == 0:
         count += 1
+    if math.isinf(bound + bound):  # linspace overflows exactly when stop - start does
+        raise ImproperInput(f"the slope ladder over +-{bound!r} overflows the doubles")
     return np.linspace(-bound, bound, count)
 
 
@@ -387,19 +389,41 @@ def _slope_vectors(dim: int, bound: float, count: int) -> np.ndarray:
 
 
 def slope_bound(f: GridFn, domain: FiniteMetricSpace) -> float:
-    """Twice the largest finite difference quotient of f over the grid."""
+    """Twice the largest finite difference quotient of f over the grid.
+    Raises ImproperInput when that bound overflows the doubles."""
     finite = np.isfinite(f.values)
     idx = np.flatnonzero(finite)
     if idx.size < 2:
         return 1.0
     vals = f.values[idx]
-    num = np.abs(vals[:, None] - vals[None, :])
-    den = domain.dist[np.ix_(idx, idx)]
-    mask = den > 0
-    if not mask.any():
-        return 1.0
-    bound = 2.0 * float((num[mask] / den[mask]).max())
+    with np.errstate(over="ignore"):
+        num = np.abs(vals[:, None] - vals[None, :])
+        den = domain.dist[np.ix_(idx, idx)]
+        mask = den > 0
+        if not mask.any():
+            return 1.0
+        bound = 2.0 * float((num[mask] / den[mask]).max())
+    if math.isinf(bound):
+        raise ImproperInput("the slope bound of f overflows the doubles")
     return bound if bound > 0 else 1.0
+
+
+def _curvature_rungs(levels: int) -> list[float]:
+    """1, 2, 4, ... 2**(levels - 1), at least one rung."""
+    if levels > 1024:
+        raise ImproperInput(f"the curvature rungs 2**k, k < {levels}, overflow the doubles")
+    return [2.0 ** k for k in range(max(1, levels))]
+
+
+def _finite_grid(family: ElemFamily, **arrays) -> DualGrid:
+    """DualGrid(family, **arrays), or ImproperInput when a member's values
+    overflow the doubles."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = DualGrid(family, **arrays)
+    # min and max propagate inf and nan, and make no temporary the size of matrix
+    if not (math.isfinite(grid.matrix.min()) and math.isfinite(grid.matrix.max())):
+        raise ImproperInput("the default dual grid's member values overflow the doubles")
+    return grid
 
 
 def default_dual_grid(
@@ -411,28 +435,30 @@ def default_dual_grid(
 ) -> DualGrid:
     """Data-driven default parameter sample: slopes span the difference-quotient
     bound of f, curvatures ride a geometric ladder, metric anchors default to
-    every domain point."""
+    every domain point.  Raises ImproperInput when the slope bound, the
+    slope ladder, the curvature rungs or the members' values overflow the
+    doubles; a grid that is returned has a finite matrix."""
     kind = family.kind
     domain = family.domain
+    if kind == FamilyKind.SIGMA_NU:
+        return _finite_grid(family, a=[0.0] + _curvature_rungs(curvature_levels))
     L = slope_bound(f, domain) if f is not None else 1.0
-    rungs = [2.0 ** k for k in range(max(1, curvature_levels))]
-
     if kind == FamilyKind.AFFINE:
         vecs = _slope_vectors(domain.dim, L, slope_count)
-        return DualGrid(family, a=np.zeros(len(vecs)), ell=vecs)
-    if kind == FamilyKind.SIGMA_NU:
-        return DualGrid(family, a=[0.0] + rungs)
+        return _finite_grid(family, a=np.zeros(len(vecs)), ell=vecs)
+
+    rungs = _curvature_rungs(curvature_levels)
     if kind in PEAKING_KINDS:
         anchors = np.arange(domain.n)
         if max_anchors is not None and anchors.size > max_anchors:
             anchors = anchors[np.linspace(0, anchors.size - 1, max_anchors).round().astype(int)]
         ladder = rungs if f is None else sorted(set(rungs) | {max(L, rungs[0])})
-        return DualGrid(family, a=np.tile(ladder, anchors.size),
-                        anchor=np.repeat(anchors, len(ladder)))
+        return _finite_grid(family, a=np.tile(ladder, anchors.size),
+                            anchor=np.repeat(anchors, len(ladder)))
     vecs = _slope_vectors(domain.dim, L, min(slope_count, 5))
     curvatures = rungs if kind == FamilyKind.GAUGE else [0.0] + rungs
-    return DualGrid(family, a=np.repeat(curvatures, len(vecs)),
-                    ell=np.tile(vecs, (len(curvatures), 1)))
+    return _finite_grid(family, a=np.repeat(curvatures, len(vecs)),
+                        ell=np.tile(vecs, (len(curvatures), 1)))
 
 
 # ---------------------------------------------------------------------------

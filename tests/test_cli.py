@@ -327,6 +327,22 @@ class TestBadInputsExit2:
         assert "Traceback" not in proc.stderr
         assert "out of range" in proc.stderr
 
+    @pytest.mark.parametrize("function, auto", [
+        ([1.0, 0.0, 1.0], {"curvature_levels": 1100}),
+        ([-1e308, 1e308, 0.0], {}),
+    ], ids=["curvature_levels", "slope_bound"])
+    def test_default_grid_overflow(self, function, auto, tmp_path, capsys):
+        from abconvex.cli import main
+
+        sc = _mutated("conjugate_abs.json", lambda sc: sc.update(
+            function=function, family={"kind": "quad_minus", "auto": auto}))
+        path = tmp_path / "sc.json"
+        path.write_text(json.dumps(sc))
+        code = main(["conjugate", "--scenario", str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_BAD_SCENARIO
+        assert err.startswith("error: ") and "overflow" in err
+        assert "Traceback" not in err
 
     def test_failed_invariant_exit_2(self, tmp_path):
         # schema-valid, but the extreme costs break transport strong duality

@@ -434,6 +434,62 @@ class TestConjugationLaws:
                                atol=1e-9)
 
 
+def _family_on_three_points(kind, space):
+    if kind == "sigma_nu":
+        return ElemFamily.sigma_nu(space, GridFn(space, [0.0, 1.0, 2.0]),
+                                   GridFn(space, [0.0, 0.5, -1.0]))
+    if kind == "generalized_metric":
+        return ElemFamily.generalized_metric(space, Sampled1D([0.0, 1.0], [0.0, 1.0]), 2.0)
+    return getattr(ElemFamily, kind)(space)
+
+
+# (values of f on {0, 1, 2}, its slope bound or None when that overflows,
+# whether the default grids of the kinds that use the bound overflow)
+OVERFLOW_CASES = [([-1e308, 1e308, 0.0], None, True),
+                  ([-4e307, 4e307, 0.0], 1.6e308, True),
+                  ([-1e307, 1e307, 0.0], 4e307, False)]
+
+
+class TestDefaultGridOverflow:
+    """Values whose differences near the largest double: the slope bound, the
+    ladders and the members' values hold as finite doubles, or ImproperInput
+    names the overflow; no RuntimeWarning either way."""
+
+    @pytest.mark.parametrize("values, bound, _", OVERFLOW_CASES)
+    def test_slope_bound(self, values, bound, _):
+        space = line_space([0.0, 1.0, 2.0])
+        f = GridFn(space, values)
+        if bound is None:
+            with pytest.raises(ImproperInput, match="slope bound of f overflows"):
+                families.slope_bound(f, space)
+        else:
+            assert families.slope_bound(f, space) == bound
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("values, _, overflows", OVERFLOW_CASES)
+    def test_default_dual_grid(self, kind, values, _, overflows):
+        space = line_space([0.0, 1.0, 2.0])
+        fam, f = _family_on_three_points(kind, space), GridFn(space, values)
+        if overflows and kind != "sigma_nu":  # sigma_nu never uses the bound
+            with pytest.raises(ImproperInput, match="overflow"):
+                default_dual_grid(fam, f)
+        else:
+            assert np.isfinite(default_dual_grid(fam, f).matrix).all()
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_curvature_rungs(self, kind):
+        space = line_space([0.0, 1.0, 2.0])
+        fam = _family_on_three_points(kind, space)
+        if kind == "affine":  # no curvature
+            assert np.isfinite(default_dual_grid(fam, curvature_levels=1025).matrix).all()
+        else:
+            with pytest.raises(ImproperInput, match="curvature rungs"):
+                default_dual_grid(fam, curvature_levels=1025)
+            # the rungs up to 2**1023 hold, but not every member's values do
+            with pytest.raises(ImproperInput, match="member values overflow"):
+                default_dual_grid(fam, curvature_levels=1024)
+
+
 class TestPeakingWitness:
     def setup_method(self):
         self.space = line_space([0.0, 1.0, 2.0])
