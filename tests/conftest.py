@@ -113,6 +113,44 @@ def random_constrained(rng, max_x=20, max_y=20):
     return ConstrainedInstance(f=GridFn(n_x, f), map=cmap, Y=Y, y0=y0)
 
 
+def kernel_perturbation(rng, n_x, n_y, holes=True, empty_rows=False, kind=None):
+    """Random proper table with +inf holes, and optionally rows that are
+    identically +inf (empty dom p(x, .)), with a default multiplier grid."""
+    Y = spaced_line(rng, n_y)
+    p = rng.normal(size=(n_x, n_y)) * float(rng.choice([0.5, 2.0, 10.0]))
+    if holes:
+        p[rng.random(size=p.shape) < 0.3] = np.inf
+    empty = int(rng.integers(n_x)) if empty_rows and n_x > 1 else -1
+    if empty >= 0:
+        p[empty] = np.inf
+    for y in np.flatnonzero(~np.isfinite(p).any(axis=0)):
+        p[(empty + 1) % n_x, y] = rng.normal()
+    y0 = int(rng.integers(n_y))
+    prob = PerturbationProblem(Y=Y, p=p, y0=y0)
+    return prob, random_dual_grid(rng, Y, GridFn(Y, p.min(axis=0)), kind=kind)
+
+
+def table_shapes(rng, count):
+    """Random (n_x, n_y) shapes, always including one-row and one-column tables."""
+    fixed = [(1, 1), (1, 7), (6, 1), (1, 2), (2, 1)]
+    rand = [(int(rng.integers(1, 12)), int(rng.integers(1, 12))) for _ in range(count)]
+    return fixed + rand
+
+
+def kernel_constrained(rng, n_x, n_y, allow_empty):
+    """Constrained instance; with allow_empty some A(y), and so some G(x),
+    may be empty (at least one x stays feasible at y0)."""
+    Y = spaced_line(rng, n_y, min_gap=0.1)
+    f = rng.uniform(-5.0, 5.0, size=n_x)
+    lo = 0 if allow_empty else 1
+    sets = [frozenset(rng.choice(n_x, size=int(rng.integers(lo, n_x + 1)),
+                                 replace=False).tolist()) for _ in range(n_y)]
+    y0 = int(rng.integers(n_y))
+    sets[y0] = sets[y0] | {int(rng.integers(n_x))}
+    cmap = ConstraintMap(feasible=tuple(sets), n_x=n_x, allow_empty=allow_empty)
+    return ConstrainedInstance(f=GridFn(n_x, f), map=cmap, Y=Y, y0=y0)
+
+
 def random_transport(rng, max_n=50, max_m=50):
     n = int(rng.integers(1, max_n + 1))
     m = int(rng.integers(1, max_m + 1))

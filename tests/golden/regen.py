@@ -8,7 +8,11 @@ peaking and Urysohn witnesses (searches that step and searches that fail
 included), the conjugate/biconjugate pair of every family kind on grid
 functions with +inf holes and signed zeros, the duality reports of every
 family kind on perturbation tables with +inf holes (both convexity scopes,
-default and explicit multiplier grids), and the constrained layer: zero-gap
+default and explicit multiplier grids; the corpus of
+`tests/test_lagrangian_kernel.py`: Lagrangian tables and partial conjugates,
+reports with empty rows, concavity probes, cone Lagrangians, finite-ladder
+sups and zero-gap reports; explicit grids whose members reach about +-1e300
+and stay finite), and the constrained layer: zero-gap
 reports, finite-ladder sups and the conic LP, and the transportation simplex:
 plans, potentials, values and strong-duality audits of seeded generic and
 degenerate instances (square, rectangular, 1 x m, n x 1 and 1 x 1), solved as
@@ -52,7 +56,9 @@ from abconvex import (  # noqa: E402
     Sampled1D,
     biconjugate,
     PerturbationProblem,
+    build_lagrangian,
     build_metric_space,
+    concavity_probe,
     conic_lp_dual,
     conjugate_transform,
     default_dual_grid,
@@ -60,7 +66,10 @@ from abconvex import (  # noqa: E402
     intersection_certificate,
     kantorovich_gap_report,
     metric_grid_sup,
+    metric_lagrangian,
+    partial_conjugate,
     peaking_witness,
+    quad_lagrangian,
     solve_transport,
     urysohn_witness,
     verify_zero_gap_metric,
@@ -70,7 +79,13 @@ from abconvex.core import BLOCK_BYTES  # noqa: E402
 from abconvex.constrained import DEFAULT_LADDER  # noqa: E402
 from abconvex.errors import AbconvexError, BadParams, NonMetric, NoWitness  # noqa: E402
 import abconvex.transport as transport  # noqa: E402
-from conftest import degenerate_transport, generic_transport  # noqa: E402
+from conftest import (  # noqa: E402
+    degenerate_transport,
+    generic_transport,
+    kernel_constrained,
+    kernel_perturbation,
+    table_shapes,
+)
 
 
 def f64(x) -> bytes:
@@ -475,7 +490,161 @@ def duality_entries() -> dict:
             for i in range(30):
                 h.update(_duality_case(rng, kind, 1 + i % 2, explicit))
             out[f"duality/{'explicit_' if explicit else ''}{kind}"] = h.hexdigest()
+    out.update(kernel_entries())
     return out
+
+
+# -- the partial-conjugate kernel: tables, probes, cone Lagrangians ----------------
+
+KERNEL_KINDS = ("affine", "quad_minus", "metric", "sigma_nu")
+
+
+def _lag_table(table) -> bytes:
+    """Every LagTable field: L, S, the grid's member matrix and y0."""
+    return b"|".join([table.L.tobytes(), table.S.tobytes(),
+                      table.psi_grid.matrix.tobytes(), np.int64(table.y0).tobytes()])
+
+
+def _kernel_table(rng, kind) -> bytes:
+    """Lagrangian tables with +inf holes, with and without empty rows, and
+    partial_conjugate of three (x, member) pairs of each."""
+    h = b""
+    for n_x, n_y in table_shapes(rng, 25):
+        for empty_rows in (False, True):
+            prob, grid = kernel_perturbation(rng, n_x, n_y, empty_rows=empty_rows, kind=kind)
+            h += _lag_table(build_lagrangian(prob, grid))
+            for _ in range(3):
+                x, j = int(rng.integers(n_x)), int(rng.integers(grid.size))
+                h += _ext(partial_conjugate(prob, x, grid.family, grid.member(j)))
+    return h
+
+
+def _kernel_report(rng, scope) -> bytes:
+    h = b""
+    for n_x, n_y in table_shapes(rng, 40):
+        prob, grid = kernel_perturbation(rng, n_x, n_y, holes=bool(rng.random() < 0.6),
+                                         empty_rows=bool(rng.random() < 0.3))
+        h += _outcome(lambda: _report(duality_report(prob, grid, convexity_scope=scope)))
+    return h
+
+
+def _concavity(rng) -> bytes:
+    """Verdicts on members of affine and quad_minus grids at t = 0, 1 and a draw."""
+    h = b""
+    for kind in ("affine", "quad_minus"):
+        for n_x, n_y in table_shapes(rng, 30):
+            prob, grid = kernel_perturbation(rng, n_x, n_y, kind=kind)
+            pa, pb = (grid.member(int(i)) for i in rng.integers(grid.size, size=2))
+            for t in (0.0, 1.0, float(rng.uniform())):
+                h += bytes([concavity_probe(prob, grid.family, pa, pb, t)])
+    return h
+
+
+def _cone_lagrangians(rng, which) -> bytes:
+    h = b""
+    for allow_empty in (False, True):
+        for n_x, n_y in table_shapes(rng, 30):
+            inst = kernel_constrained(rng, n_x, n_y, allow_empty)
+            for _ in range(3):
+                if which == "metric":
+                    L = metric_lagrangian(inst, int(rng.integers(n_y)),
+                                          float(rng.uniform(0.1, 4.0)))
+                else:
+                    L = quad_lagrangian(inst, [float(rng.uniform(-2, 2))],
+                                        float(rng.uniform(0.0, 3.0)))
+                h += L.values.tobytes()
+    return h
+
+
+def _kernel_grid_sup(rng) -> bytes:
+    """Ladders with repeated rungs, unsorted and empty, on instances with and
+    without empty inverse-feasible sets."""
+    ladders = [(1.0,), (4.0, 0.5, 2.0), (2.0, 2.0, 0.25, 2.0), (0.3, 0.3), ()]
+    h = b""
+    for allow_empty in (False, True):
+        for n_x, n_y in table_shapes(rng, 20):
+            inst = kernel_constrained(rng, n_x, n_y, allow_empty)
+            ladder = ladders[int(rng.integers(len(ladders)))]
+            if rng.random() < 0.5:
+                ladder = tuple(rng.uniform(0.1, 5.0, size=int(rng.integers(1, 6))))
+            h += b"".join(metric_grid_sup(inst, x, ladder).tobytes() for x in range(n_x))
+    return h
+
+
+def _kernel_zero_gap(rng) -> bytes:
+    h = b""
+    for allow_empty in (False, True):
+        for n_x, n_y in table_shapes(rng, 25):
+            inst = kernel_constrained(rng, n_x, n_y, allow_empty)
+            ladder = tuple(np.exp(rng.uniform(-5.0, 2.0, size=int(rng.integers(1, 6)))))
+            rep = verify_zero_gap_metric(inst, ladder, tol=float(rng.choice([1e-9, 1e-3, 0.5])))
+            rung = b"-" if rep.minimal_rung is None else f64(rep.minimal_rung)
+            h += b"|".join([_report(rep.duality), _ext(rep.constrained_value),
+                            np.asarray(rep.ladder).tobytes(), rung, f64(rep.proof_bound),
+                            bytes([rep.anchor_feasible])])
+    return h
+
+
+def _huge_grid(rng, fam):
+    """Explicit members scaled so that their values on the grid reach about
+    +-1e300 and stay finite."""
+    kind, space = fam.kind.value, fam.domain
+    pts = space.points
+    reach = 1e300 / float(rng.uniform(1.0, 10.0))
+    if kind in ("metric", "generalized_metric"):
+        shape = space.dist if kind == "metric" else fam.g_shape(space.dist)
+        top = max(1.0, float(np.abs(shape).max()))
+        return DualGrid(fam, a=reach / top * rng.uniform(0.5, 1.0, space.n),
+                        anchor=np.arange(space.n))
+    if kind == "sigma_nu":
+        top = max(1.0, float(fam.sigma.values.max()))
+        return DualGrid(fam, a=[0.0, reach / top, reach / (2 * top)])
+    ell = rng.choice([-1.0, 1.0], (4, space.dim)) * rng.uniform(0.5, 1.0, (4, space.dim)) \
+        * reach / (space.dim * max(1.0, float(np.abs(pts).max())))
+    if kind == "affine":
+        return DualGrid(fam, a=np.zeros(4), ell=ell)
+    base = fam.gauge_values() if kind == "gauge" else (pts * pts).sum(axis=1)
+    a = reach / max(1.0, float(base.max())) * rng.uniform(0.5, 1.0, 4)
+    return DualGrid(fam, a=a, ell=ell)
+
+
+def _huge(rng) -> bytes:
+    """Duality reports of every kind on explicit grids of huge members, with
+    no certificate and with one (whose level primal - 1e-6 rounds to primal
+    at this scale)."""
+    h = b""
+    for i in range(42):
+        kind = KINDS[i % len(KINDS)]
+        space = _grid(rng, 1 + i // len(KINDS) % 2, origin=True)
+        prob = PerturbationProblem(Y=space, p=_table(rng, int(rng.integers(1, 6)), space.n),
+                                   y0=int(rng.integers(space.n)))
+        grid = _huge_grid(rng, _family(rng, kind, space))
+        scope = str(rng.choice(["anchor", "full"]))
+        h += grid.matrix.tobytes()
+        for attach in (False, True):
+            h += _outcome(lambda: _report(duality_report(prob, grid, convexity_scope=scope,
+                                                         attach_certificate=attach)))
+    return h
+
+
+#: the corpus of tests/test_lagrangian_kernel.py, and huge explicit members
+KERNEL_CASES = {
+    **{f"kernel_table_{kind}": (lambda kind: lambda rng: _kernel_table(rng, kind))(kind)
+       for kind in KERNEL_KINDS},
+    "kernel_report_anchor": lambda rng: _kernel_report(rng, "anchor"),
+    "kernel_report_full": lambda rng: _kernel_report(rng, "full"),
+    "concavity_probe": _concavity,
+    "metric_lagrangian": lambda rng: _cone_lagrangians(rng, "metric"),
+    "quad_lagrangian": lambda rng: _cone_lagrangians(rng, "quad"),
+    "kernel_metric_grid_sup": _kernel_grid_sup,
+    "kernel_verify_zero_gap_metric": _kernel_zero_gap,
+    "explicit_huge_members": _huge,
+}
+
+
+def kernel_entries() -> dict:
+    return {f"duality/{name}": hashlib.sha256(case(np.random.default_rng(7800 + k))).hexdigest()
+            for k, (name, case) in enumerate(KERNEL_CASES.items())}
 
 
 # -- constrained problems --------------------------------------------------------

@@ -7,12 +7,8 @@ import numpy as np
 import pytest
 
 from abconvex import (
-    ConstrainedInstance,
-    ConstraintMap,
     ElemFamily,
     ElemParams,
-    GridFn,
-    PerturbationProblem,
     build_constrained_perturbation,
     build_lagrangian,
     concavity_probe,
@@ -28,6 +24,8 @@ from abconvex.errors import BadParams
 from abconvex.families import eval_on_domain
 from abconvex.lagrangian import DualityReport, _full_convexity_holds
 from conftest import (
+    kernel_constrained,
+    kernel_perturbation,
     old_concavity_probe,
     old_cone_lagrangian,
     old_duality_fields,
@@ -37,49 +35,9 @@ from conftest import (
     old_partial_conjugate,
     old_partial_conjugate_matrix,
     old_rung_and_bound,
-    random_dual_grid,
     same_bits,
-    spaced_line,
+    table_shapes,
 )
-
-
-def perturbation(rng, n_x, n_y, holes=True, empty_rows=False, kind=None):
-    """Random proper table with +inf holes, and optionally rows that are
-    identically +inf (empty dom p(x, .))."""
-    Y = spaced_line(rng, n_y)
-    p = rng.normal(size=(n_x, n_y)) * float(rng.choice([0.5, 2.0, 10.0]))
-    if holes:
-        p[rng.random(size=p.shape) < 0.3] = np.inf
-    empty = int(rng.integers(n_x)) if empty_rows and n_x > 1 else -1
-    if empty >= 0:
-        p[empty] = np.inf
-    for y in np.flatnonzero(~np.isfinite(p).any(axis=0)):
-        p[(empty + 1) % n_x, y] = rng.normal()
-    y0 = int(rng.integers(n_y))
-    prob = PerturbationProblem(Y=Y, p=p, y0=y0)
-    return prob, random_dual_grid(rng, Y, GridFn(Y, p.min(axis=0)), kind=kind)
-
-
-def shapes(rng, count):
-    """Random shapes, always including one-row and one-column tables."""
-    fixed = [(1, 1), (1, 7), (6, 1), (1, 2), (2, 1)]
-    rand = [(int(rng.integers(1, 12)), int(rng.integers(1, 12))) for _ in range(count)]
-    return fixed + rand
-
-
-def constrained(rng, n_x, n_y, allow_empty):
-    """Constrained instance; with allow_empty some A(y), and so some G(x),
-    may be empty (at least one x stays feasible at y0)."""
-    Y = spaced_line(rng, n_y, min_gap=0.1)
-    f = rng.uniform(-5.0, 5.0, size=n_x)
-    lo = 0 if allow_empty else 1
-    sets = [frozenset(rng.choice(n_x, size=int(rng.integers(lo, n_x + 1)),
-                                 replace=False).tolist()) for _ in range(n_y)]
-    y0 = int(rng.integers(n_y))
-    sets[y0] = sets[y0] | {int(rng.integers(n_x))}
-    cmap = ConstraintMap(feasible=tuple(sets), n_x=n_x, allow_empty=allow_empty)
-    return ConstrainedInstance(f=GridFn(n_x, f), map=cmap, Y=Y, y0=y0)
-
 
 KINDS = ["affine", "quad_minus", "metric", "sigma_nu"]
 
@@ -88,9 +46,9 @@ class TestLagrangianTable:
     @pytest.mark.parametrize("kind", KINDS)
     def test_table_and_partial_conjugate(self, kind):
         rng = np.random.default_rng(500 + KINDS.index(kind))
-        for n_x, n_y in shapes(rng, 25):
+        for n_x, n_y in table_shapes(rng, 25):
             for empty_rows in (False, True):
-                prob, grid = perturbation(rng, n_x, n_y, empty_rows=empty_rows,
+                prob, grid = kernel_perturbation(rng, n_x, n_y, empty_rows=empty_rows,
                                           kind=kind)
                 table = build_lagrangian(prob, grid)
                 assert same_bits(table.S, old_partial_conjugate_matrix(prob, grid))
@@ -107,8 +65,8 @@ class TestDualityReport:
     @pytest.mark.parametrize("scope", ["anchor", "full"])
     def test_fields_match_oracle(self, scope):
         rng = np.random.default_rng(510 if scope == "anchor" else 511)
-        for n_x, n_y in shapes(rng, 40):
-            prob, grid = perturbation(rng, n_x, n_y, holes=bool(rng.random() < 0.6))
+        for n_x, n_y in table_shapes(rng, 40):
+            prob, grid = kernel_perturbation(rng, n_x, n_y, holes=bool(rng.random() < 0.6))
             rep = duality_report(prob, grid, convexity_scope=scope)
             want = old_duality_fields(prob, grid, scope)
             assert same_bits(rep.table.L, want["L"])
@@ -128,8 +86,8 @@ class TestDualityReport:
     def test_full_convexity_both_outcomes(self):
         rng = np.random.default_rng(512)
         seen = set()
-        for n_x, n_y in shapes(rng, 60):
-            prob, grid = perturbation(rng, n_x, n_y, holes=bool(rng.random() < 0.5))
+        for n_x, n_y in table_shapes(rng, 60):
+            prob, grid = kernel_perturbation(rng, n_x, n_y, holes=bool(rng.random() < 0.5))
             S = old_partial_conjugate_matrix(prob, grid)
             got = _full_convexity_holds(prob, grid, S)
             assert got == old_full_convexity_holds(prob, grid, S)
@@ -140,7 +98,7 @@ class TestDualityReport:
         fields = {f.name: f for f in dataclasses.fields(DualityReport)}
         assert not fields["table"].compare and not fields["table"].repr
         rng = np.random.default_rng(513)
-        prob, grid = perturbation(rng, 4, 5)
+        prob, grid = kernel_perturbation(rng, 4, 5)
         rep = duality_report(prob, grid)
         assert "table" not in repr(rep)
         assert rep.table.psi_grid is grid and rep.table.y0 == prob.y0
@@ -162,8 +120,8 @@ class TestConcavityProbe:
             return S
 
         monkeypatch.setattr(lag, "_partial_conjugate", spy)
-        for n_x, n_y in shapes(rng, 30):
-            prob, grid = perturbation(rng, n_x, n_y, kind=kind)
+        for n_x, n_y in table_shapes(rng, 30):
+            prob, grid = kernel_perturbation(rng, n_x, n_y, kind=kind)
             fam = grid.family
             pa, pb = (grid.params_list[int(i)] for i in rng.integers(grid.size, size=2))
             for t in (0.0, 1.0, float(rng.uniform())):
@@ -179,8 +137,8 @@ class TestConstrainedKernels:
     @pytest.mark.parametrize("allow_empty", [False, True])
     def test_cone_lagrangians_match_oracle(self, allow_empty):
         rng = np.random.default_rng(530 + allow_empty)
-        for n_x, n_y in shapes(rng, 30):
-            inst = constrained(rng, n_x, n_y, allow_empty)
+        for n_x, n_y in table_shapes(rng, 30):
+            inst = kernel_constrained(rng, n_x, n_y, allow_empty)
             for _ in range(3):
                 anchor, a = int(rng.integers(n_y)), float(rng.uniform(0.1, 4.0))
                 vals = eval_on_domain(ElemFamily.metric(inst.Y),
@@ -198,8 +156,8 @@ class TestConstrainedKernels:
         rng = np.random.default_rng(540 + allow_empty)
         ladders = [(1.0,), (4.0, 0.5, 2.0), (2.0, 2.0, 0.25, 2.0), (0.3, 0.3), ()]
         empty_G = False
-        for n_x, n_y in shapes(rng, 20):
-            inst = constrained(rng, n_x, n_y, allow_empty)
+        for n_x, n_y in table_shapes(rng, 20):
+            inst = kernel_constrained(rng, n_x, n_y, allow_empty)
             ladder = ladders[int(rng.integers(len(ladders)))]
             if rng.random() < 0.5:
                 ladder = tuple(rng.uniform(0.1, 5.0, size=int(rng.integers(1, 6))))
@@ -211,7 +169,7 @@ class TestConstrainedKernels:
 
     @pytest.mark.parametrize("bad", [0.0, -1.0])
     def test_metric_grid_sup_rejects_nonpositive_rung(self, bad):
-        inst = constrained(np.random.default_rng(550), 3, 4, False)
+        inst = kernel_constrained(np.random.default_rng(550), 3, 4, False)
         with pytest.raises(BadParams):
             metric_grid_sup(inst, 0, (1.0, bad))
 
@@ -219,8 +177,8 @@ class TestConstrainedKernels:
     def test_zero_gap_report_matches_oracle(self, allow_empty):
         rng = np.random.default_rng(560 + allow_empty)
         rungs, bounds = set(), set()
-        for n_x, n_y in shapes(rng, 25):
-            inst = constrained(rng, n_x, n_y, allow_empty)
+        for n_x, n_y in table_shapes(rng, 25):
+            inst = kernel_constrained(rng, n_x, n_y, allow_empty)
             ladder = tuple(np.exp(rng.uniform(-5.0, 2.0, size=int(rng.integers(1, 6)))))
             tol = float(rng.choice([1e-9, 1e-3, 0.5]))
             rep = verify_zero_gap_metric(inst, ladder, tol=tol)
