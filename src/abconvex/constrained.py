@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ExtReal, FiniteMetricSpace, GridFn, PLUS_INF
+from .core import ExtReal, FiniteMetricSpace, GridFn, PLUS_INF, _freeze
 from .errors import ImproperObjective, NotSeparable
 from .families import (DualGrid, ElemFamily, ElemParams, eval_on_domain, members_on_domain,
                        validate_members)
@@ -51,8 +51,7 @@ class ConstraintMap:
         for y, s in enumerate(sets):
             for x in s:
                 mask[x, y] = True
-        mask.flags.writeable = False
-        object.__setattr__(self, "_mask", mask)
+        object.__setattr__(self, "_mask", _freeze(mask))
 
     @property
     def n_y(self) -> int:
@@ -104,10 +103,6 @@ def build_constrained_perturbation(inst: ConstrainedInstance) -> PerturbationPro
     return PerturbationProblem(Y=inst.Y, p=p, y0=inst.y0, allow_improper_cols=allow)
 
 
-def _metric_family(inst: ConstrainedInstance) -> ElemFamily:
-    return ElemFamily.metric(inst.Y)
-
-
 def _cone_lagrangian(inst: ConstrainedInstance, member_vals: np.ndarray) -> np.ndarray:
     """L(x) = psi(y0) - sup_{y in G(x)} (psi(y) - f(x)) for one multiplier with
     finite values: the +inf cells of the perturbation drop out of the sup."""
@@ -120,7 +115,7 @@ def metric_lagrangian(inst: ConstrainedInstance, anchor: int, a: float) -> GridF
     -a d(y0, anchor) + f(x) + a min_{y in G(x)} d(y, anchor), with +inf on
     arguments whose inverse-feasible set is empty."""
     params = ElemParams(a=float(a), anchor=int(anchor), c=0.0)
-    vals = eval_on_domain(_metric_family(inst), params)
+    vals = eval_on_domain(ElemFamily.metric(inst.Y), params)
     return GridFn(inst.n_x, _cone_lagrangian(inst, vals))
 
 
@@ -145,7 +140,7 @@ def metric_grid_sup(inst: ConstrainedInstance, x: int,
     """sup over every anchor of the metric Lagrangian at x, one value per rung;
     the finite-ladder companion of metric_primal_sup.  The members come from
     one members_on_domain call; only row x of the perturbation is built."""
-    fam, n = _metric_family(inst), inst.Y.n
+    fam, n = ElemFamily.metric(inst.Y), inst.Y.n
     ladder = np.asarray(a_ladder, dtype=float).reshape(-1)
     a, anchor = np.repeat(ladder, n), np.tile(np.arange(n), ladder.size)
     validate_members(fam, a, anchor=anchor)
@@ -158,7 +153,7 @@ def metric_grid_sup(inst: ConstrainedInstance, x: int,
 def metric_dual_grid(inst: ConstrainedInstance, a_ladder: Sequence[float]) -> DualGrid:
     """All parameter points as anchors crossed with the rung ladder."""
     ladder = np.asarray(a_ladder, dtype=float).reshape(-1)
-    return DualGrid(_metric_family(inst), a=np.tile(ladder, inst.Y.n),
+    return DualGrid(ElemFamily.metric(inst.Y), a=np.tile(ladder, inst.Y.n),
                     anchor=np.repeat(np.arange(inst.Y.n), ladder.size))
 
 

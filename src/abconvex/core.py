@@ -72,12 +72,6 @@ class ExtReal:
         """Underlying double, +-inf included."""
         return self._v
 
-    @property
-    def finite(self) -> float:
-        if not self.is_finite:
-            raise ValueError(f"{self!r} is not finite")
-        return self._v
-
     def __float__(self) -> float:
         return self._v
 
@@ -190,7 +184,7 @@ def ext_sub_real(lhs: float, rhs: ExtReal) -> ExtReal:
 # (+-inf allowed, NaN forbidden) and fall back to ExtReal at API boundaries.
 # ---------------------------------------------------------------------------
 
-def as_ext_array(values, allow_minus_inf: bool = True) -> np.ndarray:
+def as_ext_array(values) -> np.ndarray:
     """Coerce to a float64 array of extended reals, rejecting NaN."""
     arr = np.asarray(
         [v.as_float() if isinstance(v, ExtReal) else v for v in values]
@@ -199,8 +193,6 @@ def as_ext_array(values, allow_minus_inf: bool = True) -> np.ndarray:
     )
     if np.isnan(arr).any():
         raise ValueError("extended-real array cannot contain NaN")
-    if not allow_minus_inf and np.isneginf(arr).any():
-        raise ValueError("-inf not allowed here")
     return arr
 
 
@@ -327,7 +319,7 @@ def build_metric_space(points, metric_kind="euclidean", validate: str = "full") 
         pts = pts[:, None]
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise EmptyDomain("need at least one point")
-    if np.isnan(pts).any() or np.isinf(pts).any():
+    if not np.isfinite(pts).all():
         raise ValueError("point coordinates must be finite")
     n = pts.shape[0]
 
@@ -341,7 +333,7 @@ def build_metric_space(points, metric_kind="euclidean", validate: str = "full") 
         if dist.shape != (n, n):
             raise NonMetric(f"custom matrix shape {dist.shape} does not match {n} points")
 
-    if np.isnan(dist).any() or np.isinf(dist).any():
+    if not np.isfinite(dist).all():
         raise NonMetric("distances must be finite")
     if (dist < 0).any():
         raise NonMetric("negative distance")
@@ -351,8 +343,7 @@ def build_metric_space(points, metric_kind="euclidean", validate: str = "full") 
         dist = 0.5 * (dist + dist.T)
     if np.abs(np.diagonal(dist)).max() > 0:
         raise NonMetric("nonzero diagonal")
-    off = dist + np.eye(n) * (1.0 + dist.max())
-    if (off == 0).any():
+    if np.count_nonzero(dist == 0) > n:  # the n diagonal entries are zero
         raise NonMetric("zero distance between distinct points")
     if validate == "full":
         # dist[i,k] <= dist[i,j] + dist[j,k] within METRIC_TOL.  dist is

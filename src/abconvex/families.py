@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import FiniteMetricSpace, GridFn, by_row_blocks, sub_up
+from .core import FiniteMetricSpace, GridFn, _freeze, by_row_blocks, sub_up
 from .errors import BadParams, ImproperInput, InfiniteAtPoint, NoWitness
 
 _NUDGE = 1.0 + 2.0 ** -46
@@ -92,7 +92,6 @@ class ElemFamily:
     g_shape: Optional[Sampled1D] = None
     quasi_subadd_const: Optional[float] = None
     norm_kind: str = "l2"
-    closed_under_constants: bool = True
 
     def __post_init__(self):
         if self.kind == FamilyKind.SIGMA_NU:
@@ -273,27 +272,32 @@ def members_on_domain(family: ElemFamily, a, ell=None, anchor=None, c=0.0) -> np
     bit-identical to the member's formula evaluated alone: one (P, n) array
     updated in place, one matrix-vector product per slope (a product with
     the stacked slopes rounds differently), and a last + c that turns -0.0
-    into +0.0 as the formula does."""
+    into +0.0 as the formula does.  Every matrix returned is finite: values
+    that overflow the doubles raise ImproperInput."""
     kind, domain, a = family.kind, family.domain, np.asarray(a, dtype=float)
     pts = domain.points
-    if kind in PEAKING_KINDS:
-        out = domain.dist[np.asarray(anchor)]
-        if kind == FamilyKind.GENERALIZED_METRIC:
-            out = family.g_shape(out)
-        out *= (-a)[:, None]
-    elif kind == FamilyKind.SIGMA_NU:
-        out = np.multiply.outer(a, family.sigma.values)
-        out += family.nu.values
-    elif kind == FamilyKind.AFFINE:
-        out = np.empty((a.size, domain.n))
-        for row, slope in zip(out, ell):
-            row[:] = pts @ slope
-    else:
-        base = family.gauge_values() if kind == FamilyKind.GAUGE else (pts * pts).sum(axis=1)
-        out = np.multiply.outer(a if kind == FamilyKind.QUAD_PLUS else -a, base)
-        for row, slope in zip(out, ell):
-            row += pts @ slope
-    out += np.asarray(c, dtype=float)[..., None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind in PEAKING_KINDS:
+            out = domain.dist[np.asarray(anchor)]
+            if kind == FamilyKind.GENERALIZED_METRIC:
+                out = family.g_shape(out)
+            out *= (-a)[:, None]
+        elif kind == FamilyKind.SIGMA_NU:
+            out = np.multiply.outer(a, family.sigma.values)
+            out += family.nu.values
+        elif kind == FamilyKind.AFFINE:
+            out = np.empty((a.size, domain.n))
+            for row, slope in zip(out, ell):
+                row[:] = pts @ slope
+        else:
+            base = family.gauge_values() if kind == FamilyKind.GAUGE else (pts * pts).sum(axis=1)
+            out = np.multiply.outer(a if kind == FamilyKind.QUAD_PLUS else -a, base)
+            for row, slope in zip(out, ell):
+                row += pts @ slope
+        out += np.asarray(c, dtype=float)[..., None]
+    # min and max propagate inf and nan, and make no temporary the size of out
+    if not (math.isfinite(out.min(initial=0.0)) and math.isfinite(out.max(initial=0.0))):
+        raise ImproperInput("member values overflow the doubles")
     return out
 
 
@@ -327,7 +331,9 @@ class DualGrid:
     anchor=...) takes the arrays.  Members are checked as validate_members
     does, and an offset other than zero or a repeated member (0.0 == -0.0)
     is a ValueError; the first failing member decides the error.  matrix
-    comes from one members_on_domain call; params_list is made on first use.
+    comes from one members_on_domain call, after those checks, and is finite
+    (ImproperInput when member values overflow the doubles); params_list is
+    made on first use.
     """
 
     def __init__(self, family: ElemFamily, params_list=None, *, a=None, ell=None,
@@ -345,7 +351,7 @@ class DualGrid:
         self.matrix = members_on_domain(family, m.a, m.ell, m.anchor, m.c)
         for arr in (self.a, self.ell, self.anchor, self.matrix):
             if arr is not None:
-                arr.flags.writeable = False
+                _freeze(arr)
         self._members = dict(enumerate(params))
 
     @property
@@ -415,17 +421,6 @@ def _curvature_rungs(levels: int) -> list[float]:
     return [2.0 ** k for k in range(max(1, levels))]
 
 
-def _finite_grid(family: ElemFamily, **arrays) -> DualGrid:
-    """DualGrid(family, **arrays), or ImproperInput when a member's values
-    overflow the doubles."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        grid = DualGrid(family, **arrays)
-    # min and max propagate inf and nan, and make no temporary the size of matrix
-    if not (math.isfinite(grid.matrix.min()) and math.isfinite(grid.matrix.max())):
-        raise ImproperInput("the default dual grid's member values overflow the doubles")
-    return grid
-
-
 def default_dual_grid(
     family: ElemFamily,
     f: Optional[GridFn] = None,
@@ -437,15 +432,15 @@ def default_dual_grid(
     bound of f, curvatures ride a geometric ladder, metric anchors default to
     every domain point.  Raises ImproperInput when the slope bound, the
     slope ladder, the curvature rungs or the members' values overflow the
-    doubles; a grid that is returned has a finite matrix."""
+    doubles; every member matrix returned is finite."""
     kind = family.kind
     domain = family.domain
     if kind == FamilyKind.SIGMA_NU:
-        return _finite_grid(family, a=[0.0] + _curvature_rungs(curvature_levels))
+        return DualGrid(family, a=[0.0] + _curvature_rungs(curvature_levels))
     L = slope_bound(f, domain) if f is not None else 1.0
     if kind == FamilyKind.AFFINE:
         vecs = _slope_vectors(domain.dim, L, slope_count)
-        return _finite_grid(family, a=np.zeros(len(vecs)), ell=vecs)
+        return DualGrid(family, a=np.zeros(len(vecs)), ell=vecs)
 
     rungs = _curvature_rungs(curvature_levels)
     if kind in PEAKING_KINDS:
@@ -453,11 +448,11 @@ def default_dual_grid(
         if max_anchors is not None and anchors.size > max_anchors:
             anchors = anchors[np.linspace(0, anchors.size - 1, max_anchors).round().astype(int)]
         ladder = rungs if f is None else sorted(set(rungs) | {max(L, rungs[0])})
-        return _finite_grid(family, a=np.tile(ladder, anchors.size),
+        return DualGrid(family, a=np.tile(ladder, anchors.size),
                             anchor=np.repeat(anchors, len(ladder)))
     vecs = _slope_vectors(domain.dim, L, min(slope_count, 5))
     curvatures = rungs if kind == FamilyKind.GAUGE else [0.0] + rungs
-    return _finite_grid(family, a=np.repeat(curvatures, len(vecs)),
+    return DualGrid(family, a=np.repeat(curvatures, len(vecs)),
                         ell=np.tile(vecs, (len(curvatures), 1)))
 
 

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ExtReal, FiniteMetricSpace, GridFn, by_row_blocks
+from .core import ExtReal, FiniteMetricSpace, GridFn, _freeze, by_row_blocks
 from .errors import ImproperProblem, LevelAbovePrimal, NotConvexCombinable
 from .families import CONVEX_KINDS, DualGrid, ElemFamily, ElemParams, eval_on_domain
 from .minimax import TCertificate
@@ -56,9 +56,7 @@ class PerturbationProblem:
                 raise ImproperProblem(
                     f"p(., y={int(y)}) is identically +inf; properness fails"
                 )
-        p = p.copy()
-        p.flags.writeable = False
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "p", _freeze(p.copy()))
         object.__setattr__(self, "allow_improper_cols",
                            frozenset(int(y) for y in self.allow_improper_cols))
 
@@ -81,10 +79,8 @@ class LagTable:
         row_any_inf = np.isposinf(self.L).any(axis=1)
         if not np.array_equal(row_inf, row_any_inf):
             raise ImproperProblem("a Lagrangian row mixes +inf with finite values")
-        L = np.asarray(self.L, dtype=float).copy()
-        L.flags.writeable = False
-        object.__setattr__(self, "L", L)
-        self.S.flags.writeable = False
+        object.__setattr__(self, "L", _freeze(np.asarray(self.L, dtype=float).copy()))
+        _freeze(self.S)
 
 
 @dataclass(frozen=True)
@@ -262,15 +258,15 @@ def gap_certificate(prob: PerturbationProblem, psi_grid: DualGrid, alpha: float,
     )
 
 
-def alpha_sweep(prob: PerturbationProblem, psi_grid: DualGrid,
-                final_offset: float = 1e-6) -> list[tuple[float, Optional[Certificate]]]:
+def alpha_sweep(prob: PerturbationProblem,
+                psi_grid: DualGrid) -> list[tuple[float, Optional[Certificate]]]:
     """Geometric approach of the certificate level to the primal value:
     seven halvings of a unit offset, then the final step at primal - 1e-6."""
     table = build_lagrangian(prob, psi_grid)
     primal = float(table.L.max(axis=1).min())
     if not np.isfinite(primal):
         raise LevelAbovePrimal("alpha sweep needs a finite primal value")
-    offsets = [2.0 ** -k for k in range(7)] + [final_offset]
+    offsets = [2.0 ** -k for k in range(7)] + [1e-6]
     out = []
     for off in offsets:
         alpha = primal - off

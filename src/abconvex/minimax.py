@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ExtReal, GridFn, by_row_blocks
+from .core import ExtReal, GridFn, _freeze, by_row_blocks
 from .errors import EmptyDomain, ImproperInput
 
 
@@ -33,9 +33,7 @@ class SaddleTable:
             raise ValueError("SaddleTable needs a nonempty 2-D table")
         if np.isnan(vals).any():
             raise ValueError("SaddleTable cannot contain NaN")
-        vals = vals.copy()
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _freeze(vals.copy()))
 
 
 @dataclass(frozen=True)

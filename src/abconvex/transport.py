@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ExtReal, MINUS_INF, sub_up
+from .core import ExtReal, MINUS_INF, _freeze, sub_up
 from .errors import SolverLimit, Unbalanced
 
 MARGINAL_TOL = 1e-9
@@ -55,9 +55,7 @@ class TransportProblem:
         if abs(total_mu - total_nu) > 1e-12 * max(1.0, abs(total_mu)):
             raise Unbalanced(f"sum(mu)={total_mu} != sum(nu)={total_nu}")
         for name, arr in (("cost", cost), ("mu", mu), ("nu", nu)):
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _freeze(arr.copy()))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -371,9 +369,7 @@ class ConicLP:
         if not (np.isfinite(pi).all() and np.isfinite(c).all()):
             raise ValueError("conic LP data must be finite")
         for name, arr in (("pi", pi), ("c_vec", c)):
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _freeze(arr.copy()))
 
 
 @dataclass(frozen=True)
