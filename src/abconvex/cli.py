@@ -8,7 +8,8 @@ infinities round-trip losslessly.  Reports are byte-identical for a fixed
 
 Exit codes: 0 success, 2 invalid scenario (also an unreadable input, a file
 that is not a JSON object or holds NaN/Infinity literals, an unwritable --out
-or --csv path, a solver out of iterations, or a failed internal invariant),
+or --csv path, a solver out of iterations, a grid too large to allocate, or
+a failed internal invariant),
 3 negative mathematical outcome where a positive one was demanded (e.g.
 certify found no certificate).
 """
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .core import ExtReal, FiniteMetricSpace, GridFn, build_metric_space
-from .errors import AbconvexError, LevelAbovePrimal, NoWitness, ScenarioError
+from .errors import AbconvexError, NoWitness, ScenarioError
 from .families import (
     DualGrid,
     ElemFamily,
@@ -217,9 +218,13 @@ def run_conjugate(sc: dict, rng, validate: str):
 
 
 def _canonical_instance(shape: str, n_points: int):
+    if n_points % 2 == 0:
+        raise ScenarioError(f"canonical level {n_points} is even; a level must be odd "
+                            "so that y = 0 is a grid point")
     ys = np.linspace(-1.0, 1.0, n_points)
+    y0 = n_points // 2
+    ys[y0] = 0.0  # linspace can miss zero by an ulp (99 points)
     Y = build_metric_space(ys[:, None])
-    y0 = int(np.flatnonzero(ys == 0.0)[0])
     if shape == "vee_down":
         p = np.vstack([ys, -ys])          # V(y) = -|y|
     else:
@@ -465,13 +470,12 @@ def run_scenario(path: str, out=None, seed=None, tol=None, validate="full",
             if not math.isfinite(scenario["tol"]):
                 raise ScenarioError("tol must be finite")
         seed_val = seed if seed is not None else scenario.get("seed")
-        if scenario.get("draws") or "random" in scenario:
-            if seed_val is None:
-                raise ScenarioError("randomized scenarios require a seed")
+        if scenario.get("draws") and seed_val is None:
+            raise ScenarioError("randomized scenarios require a seed")
         rng = np.random.default_rng(seed_val)
         results, curve, code = RUNNERS[kind](scenario, rng, validate)
-    except (ScenarioError, AbconvexError, LevelAbovePrimal, ValueError, KeyError,
-            OSError, AssertionError) as e:
+    except (AbconvexError, ValueError, KeyError, OSError, AssertionError,
+            MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_SCENARIO
 

@@ -297,6 +297,17 @@ class TestSchemaValidator:
             cli.scenario_validator.cache_clear()
 
 
+def _run_main(command, sc, tmp_path, capsys):
+    """(exit code, stderr) of the CLI entry point run in this process on sc,
+    the report written to tmp_path / "o.json"."""
+    from abconvex.cli import main
+
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(sc))
+    code = main([command, "--scenario", str(path), "--out", str(tmp_path / "o.json")])
+    return code, capsys.readouterr().err
+
+
 def _cli_subprocess(command, sc, tmp_path, *flags):
     p = tmp_path / "sc.json"
     p.write_text(json.dumps(sc))
@@ -332,16 +343,50 @@ class TestBadInputsExit2:
         ([-1e308, 1e308, 0.0], {}),
     ], ids=["curvature_levels", "slope_bound"])
     def test_default_grid_overflow(self, function, auto, tmp_path, capsys):
-        from abconvex.cli import main
-
         sc = _mutated("conjugate_abs.json", lambda sc: sc.update(
             function=function, family={"kind": "quad_minus", "auto": auto}))
-        path = tmp_path / "sc.json"
-        path.write_text(json.dumps(sc))
-        code = main(["conjugate", "--scenario", str(path)])
-        err = capsys.readouterr().err
+        code, err = _run_main("conjugate", sc, tmp_path, capsys)
         assert code == EXIT_BAD_SCENARIO
         assert err.startswith("error: ") and "overflow" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["gap_vee_down.json", "conjugate_abs.json"])
+    def test_explicit_member_overflow(self, name, tmp_path, capsys):
+        # the cone -1e308 * d(., y) reaches -2e308 at distance 2
+        sc = _mutated(name, lambda sc: sc.update(
+            family={"kind": "metric", "params": [{"a": 1e308, "anchor": 0}]}))
+        code, err = _run_main(sc["kind"], sc, tmp_path, capsys)
+        assert code == EXIT_BAD_SCENARIO
+        assert err.startswith("error: member values overflow the doubles")
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+
+    def test_even_canonical_level(self, tmp_path, capsys):
+        sc = {"kind": "gap", "canonical": {"shape": "vee_up", "levels": [5, 4]}}
+        code, err = _run_main("gap", sc, tmp_path, capsys)
+        assert code == EXIT_BAD_SCENARIO
+        assert err.startswith("error: canonical level 4 is even; a level must be odd")
+        assert "Traceback" not in err
+
+    def test_odd_canonical_level_where_linspace_misses_zero(self, tmp_path, capsys):
+        assert not (np.linspace(-1.0, 1.0, 99) == 0.0).any()
+        sc = {"kind": "gap", "canonical": {"shape": "vee_up", "levels": [99]}}
+        code, _ = _run_main("gap", sc, tmp_path, capsys)
+        assert code == EXIT_OK
+        (row,) = json.loads((tmp_path / "o.json").read_text())["results"]["refinement"]
+        assert row["points"] == 99 and row["gap"] == 0.0
+
+    # 10**17 doubles exceed any address space, so numpy's request for them is
+    # refused before anything is allocated
+    @pytest.mark.parametrize("sc", [
+        {"kind": "gap", "canonical": {"shape": "vee_up", "levels": [10 ** 17 + 1]}},
+        {"kind": "conjugate", "domain": {"points": [[-1.0], [0.0], [1.0]]},
+         "function": [1.0, 0.0, 1.0],
+         "family": {"kind": "affine", "auto": {"slope_count": 10 ** 17}}},
+    ], ids=["canonical_level", "slope_count"])
+    def test_grid_too_large_to_allocate(self, sc, tmp_path, capsys):
+        code, err = _run_main(sc["kind"], sc, tmp_path, capsys)
+        assert code == EXIT_BAD_SCENARIO
+        assert err.startswith("error: Unable to allocate")
         assert "Traceback" not in err
 
     def test_failed_invariant_exit_2(self, tmp_path):

@@ -1,5 +1,7 @@
 """Indicator perturbations, cone/quadratic Lagrangians, zero-gap ladders."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,12 +17,13 @@ from abconvex import (
     eval_on_domain,
     metric_grid_sup,
     metric_lagrangian,
+    metric_dual_grid,
     metric_primal_sup,
     phi_lsc_set_separation,
     quad_lagrangian,
     verify_zero_gap_metric,
 )
-from abconvex.errors import ImproperObjective
+from abconvex.errors import ImproperInput, ImproperObjective, NotSeparable
 
 from conftest import line_space, old_lagrangian, random_constrained
 
@@ -200,6 +203,28 @@ class TestMetricPrimalSup:
         assert checked > 20
 
 
+class TestRungOverflow:
+    """A rung of 1e308 at distance 2 overflows the doubles: the metric
+    dual grid and the finite-ladder sup name the overflow, with no
+    RuntimeWarning."""
+
+    def setup_method(self):
+        cmap = ConstraintMap(feasible=(frozenset({0}), frozenset({0, 1})), n_x=2)
+        self.inst = ConstrainedInstance(f=GridFn(2, [2.0, 0.0]), map=cmap,
+                                        Y=line_space([0.0, 2.0]), y0=0)
+
+    @pytest.mark.parametrize("make", [
+        lambda inst: metric_dual_grid(inst, (1.0, 1e308)),
+        lambda inst: metric_grid_sup(inst, 1, (1.0, 1e308)),
+        lambda inst: verify_zero_gap_metric(inst, (1.0, 1e308)),
+    ], ids=["metric_dual_grid", "metric_grid_sup", "verify_zero_gap_metric"])
+    def test_names_the_overflow(self, make):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ImproperInput, match="^member values overflow the doubles$"):
+                make(self.inst)
+
+
 class TestVerifyZeroGap:
     def test_worked_instance(self):
         rep = verify_zero_gap_metric(worked_2x2(), (1.0, 2.0, 4.0))
@@ -288,6 +313,14 @@ class TestSeparation:
             vals = eval_on_domain(fam, params)
             assert vals[p_out] > 0.0
             assert (vals[sorted(C)] <= 0.0).all()
+
+    def test_not_separable_inside_the_hull(self):
+        # with no rungs only the affine candidate is tried: through the
+        # centroid 2.5 of C its values are -1.5 x, so p_out = 1 gets -1.5
+        space = line_space([0.0, 1.0, 2.0, 5.0])
+        with pytest.raises(NotSeparable, match=r"best margin -1\.5\)$") as err:
+            phi_lsc_set_separation(space, {0, 3}, 1, ladder=())
+        assert err.value.best_margin == -1.5
 
     def test_validation(self):
         space = line_space([0.0, 1.0])

@@ -1,5 +1,7 @@
 """Elementary families: evaluation, conjugation laws, support tests, witnesses."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -488,6 +490,61 @@ class TestDefaultGridOverflow:
             # the rungs up to 2**1023 hold, but not every member's values do
             with pytest.raises(ImproperInput, match="member values overflow"):
                 default_dual_grid(fam, curvature_levels=1024)
+
+
+# one member of each kind, as arrays, whose values on {0, 1, 2} overflow
+OVERFLOWING_MEMBERS = {
+    "affine": dict(a=[0.0], ell=[[1e308]]),
+    "quad_minus": dict(a=[1e308], ell=[[0.0]]),
+    "quad_plus": dict(a=[1e308], ell=[[0.0]]),
+    "sigma_nu": dict(a=[1e308]),
+    "metric": dict(a=[1e308], anchor=[0]),
+    "generalized_metric": dict(a=[1e308], anchor=[0]),
+    "gauge": dict(a=[1e308], ell=[[0.0]]),
+}
+
+
+def _params(a, ell=None, anchor=None):
+    return ElemParams(a=a[0], ell=None if ell is None else ell[0],
+                      anchor=None if anchor is None else anchor[0])
+
+
+class TestMemberOverflow:
+    """Members whose values overflow the doubles raise ImproperInput naming
+    the overflow wherever members are made, with no RuntimeWarning."""
+
+    @pytest.fixture(autouse=True)
+    def no_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_every_path(self, kind):
+        fam = _family_on_three_points(kind, line_space([0.0, 1.0, 2.0]))
+        arrays = OVERFLOWING_MEMBERS[kind]
+        for make in (lambda: DualGrid(fam, **arrays),
+                     lambda: DualGrid(fam, [_params(**arrays)]),
+                     lambda: eval_on_domain(fam, _params(**arrays))):
+            with pytest.raises(ImproperInput, match="^member values overflow the doubles$"):
+                make()
+
+    def test_infinities_of_both_signs(self):
+        # -1e308 * 4 + 1e308 * 2 is -inf + inf at the point 2
+        fam = ElemFamily.quad_minus(line_space([0.0, 1.0, 2.0]))
+        with pytest.raises(ImproperInput, match="overflow"):
+            DualGrid(fam, a=[1e308], ell=[[1e308]])
+
+    def test_largest_double_is_kept(self):
+        fam = ElemFamily.metric(line_space([0.0, 1.0, 2.0]))
+        top = np.finfo(float).max
+        grid = DualGrid(fam, a=[top / 2], anchor=[0])
+        assert grid.matrix[0, 2] == -top
+
+    def test_default_grid_names_the_overflow(self):
+        fam = _family_on_three_points("metric", line_space([0.0, 1.0, 2.0]))
+        with pytest.raises(ImproperInput, match="^member values overflow the doubles$"):
+            default_dual_grid(fam, curvature_levels=1024)
 
 
 class TestPeakingWitness:
