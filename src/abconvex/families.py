@@ -449,11 +449,11 @@ def default_dual_grid(
             anchors = anchors[np.linspace(0, anchors.size - 1, max_anchors).round().astype(int)]
         ladder = rungs if f is None else sorted(set(rungs) | {max(L, rungs[0])})
         return DualGrid(family, a=np.tile(ladder, anchors.size),
-                            anchor=np.repeat(anchors, len(ladder)))
+                        anchor=np.repeat(anchors, len(ladder)))
     vecs = _slope_vectors(domain.dim, L, min(slope_count, 5))
     curvatures = rungs if kind == FamilyKind.GAUGE else [0.0] + rungs
     return DualGrid(family, a=np.repeat(curvatures, len(vecs)),
-                        ell=np.tile(vecs, (len(curvatures), 1)))
+                    ell=np.tile(vecs, (len(curvatures), 1)))
 
 
 # ---------------------------------------------------------------------------
