@@ -190,6 +190,8 @@ def verify_zero_gap_metric(inst: ConstrainedInstance,
     ladder = tuple(sorted(float(a) for a in a_ladder))
     if not ladder or ladder[0] <= 0:
         raise ValueError("the rung ladder must contain positive values only")
+    if np.isnan(tol):
+        raise ValueError("tol must not be NaN")
     prob = build_constrained_perturbation(inst)
     grid = metric_dual_grid(inst, ladder)
     report = duality_report(prob, grid)

@@ -326,8 +326,9 @@ def build_metric_space(points, metric_kind="euclidean", validate: str = "full") 
     if isinstance(metric_kind, str):
         if metric_kind != "euclidean":
             raise ValueError(f"unknown metric kind {metric_kind!r}")
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt((diff * diff).sum(axis=-1))
+        with np.errstate(over="ignore"):  # an overflow is rejected as non-finite below
+            diff = pts[:, None, :] - pts[None, :, :]
+            dist = np.sqrt((diff * diff).sum(axis=-1))
     else:
         dist = np.asarray(metric_kind, dtype=float)
         if dist.shape != (n, n):

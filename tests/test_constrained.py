@@ -36,6 +36,14 @@ def worked_2x2():
     return ConstrainedInstance(f=GridFn(2, [2.0, 0.0]), map=cmap, Y=Y, y0=0)
 
 
+def empty_anchor():
+    """One argument, feasible at y2 only: the anchor y0 = y1 has none."""
+    Y = line_space([0.0, 1.0])
+    cmap = ConstraintMap(feasible=(frozenset(), frozenset({0})), n_x=1,
+                         allow_empty=True)
+    return ConstrainedInstance(f=GridFn(1, [1.0]), map=cmap, Y=Y, y0=0)
+
+
 class TestConstraintMap:
     def test_bidirectional_consistency(self):
         cmap = ConstraintMap(feasible=(frozenset({0, 2}), frozenset({1})), n_x=3)
@@ -243,11 +251,7 @@ class TestVerifyZeroGap:
         assert rep.duality.gap == 0.0
 
     def test_empty_anchor_flagged_not_rejected(self):
-        Y = line_space([0.0, 1.0])
-        cmap = ConstraintMap(feasible=(frozenset(), frozenset({0})), n_x=1,
-                             allow_empty=True)
-        inst = ConstrainedInstance(f=GridFn(1, [1.0]), map=cmap, Y=Y, y0=0)
-        rep = verify_zero_gap_metric(inst, (1.0, 2.0))
+        rep = verify_zero_gap_metric(empty_anchor(), (1.0, 2.0))
         assert not rep.anchor_feasible
         assert rep.constrained_value.is_plus_inf
         # the grid primal merely truncates the divergent multiplier sup
@@ -265,6 +269,11 @@ class TestVerifyZeroGap:
     def test_rejects_bad_ladder(self):
         with pytest.raises(ValueError):
             verify_zero_gap_metric(worked_2x2(), (0.0, 1.0))
+
+    @pytest.mark.parametrize("make", [worked_2x2, empty_anchor])
+    def test_rejects_nan_tol(self, make):
+        with pytest.raises(ValueError, match="tol"):
+            verify_zero_gap_metric(make(), (1.0, 2.0), tol=float("nan"))
 
 
 class TestSeparation:

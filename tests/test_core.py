@@ -1,6 +1,9 @@
 """Extended reals, metric-space construction, grid functions."""
 
+import copy
 import math
+import operator
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -66,6 +69,46 @@ class TestExtReal:
     @given(finite, finite)
     def test_finite_add_matches_ieee(self, a, b):
         assert (ExtReal(a) + ExtReal(b)).as_float() == a + b
+
+    def test_numpy_scalar_on_the_left_defers(self):
+        out = np.float64(3.0) - ExtReal(1.0)
+        assert type(out) is ExtReal and out == ExtReal(2.0)
+        with pytest.raises(UndefinedSum):
+            np.float64(np.inf) - PLUS_INF
+
+    @pytest.mark.parametrize("expr", [lambda: 1 - PLUS_INF, lambda: 3.0 - PLUS_INF,
+                                      lambda: 2 * PLUS_INF, lambda: -ExtReal(2.0)])
+    def test_mixed_operands_return_extreal(self, expr):
+        assert type(expr()) is ExtReal
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+    @pytest.mark.parametrize("nan", [math.nan, np.float64(np.nan)])
+    def test_nan_operand_rejected(self, op, nan):
+        with pytest.raises(ValueError):
+            op(ExtReal(1.0), nan)
+        with pytest.raises(ValueError):
+            op(nan, ExtReal(1.0))
+
+    def test_infinite_scalar_factor_rejected(self):
+        with pytest.raises(TypeError):
+            ExtReal(2.0) * math.inf
+
+    @given(anyext)
+    def test_hash_matches_float(self, x):
+        assert hash(ExtReal(x)) == hash(x)
+
+    @pytest.mark.parametrize("copier", [lambda x: pickle.loads(pickle.dumps(x)),
+                                        copy.deepcopy])
+    @pytest.mark.parametrize("x", [-0.0, 1.5, math.inf, -math.inf])
+    def test_copies_keep_type_and_sign(self, copier, x):
+        out = copier(ExtReal(x))
+        assert type(out) is ExtReal and out == x
+        assert math.copysign(1.0, out.as_float()) == math.copysign(1.0, x)
+
+    def test_repr_and_rewrap(self):
+        assert repr(PLUS_INF) == "ExtReal(+inf)" and repr(MINUS_INF) == "ExtReal(-inf)"
+        assert repr(ExtReal(1.5)) == "ExtReal(1.5)"
+        assert ExtReal(ExtReal(2.0)) == ExtReal(2.0)
 
 
 class TestExtSubReal:
@@ -133,6 +176,11 @@ class TestMetricSpace:
     def test_empty_rejected(self):
         with pytest.raises(EmptyDomain):
             build_metric_space(np.zeros((0, 1)))
+
+    @pytest.mark.parametrize("big", [1e200, 1e308])
+    def test_overflowing_distances_rejected_without_warning(self, big):
+        with pytest.raises(NonMetric, match="finite"):
+            build_metric_space([[-big], [big]])
 
     def test_euclidean_consistency_random(self):
         rng = np.random.default_rng(0)
