@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import ExtReal, FiniteMetricSpace, GridFn, build_metric_space
+from .core import FiniteMetricSpace, GridFn, build_metric_space
 from .errors import AbconvexError, NoWitness, ScenarioError
 from .families import (
     DualGrid,
@@ -71,7 +71,7 @@ EXIT_NEGATIVE = 3
 # ---------------------------------------------------------------------------
 
 def ext_to_json(x):
-    v = x.as_float() if isinstance(x, ExtReal) else float(x)
+    v = float(x)
     if v == np.inf:
         return "+inf"
     if v == -np.inf:

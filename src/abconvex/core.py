@@ -34,122 +34,75 @@ if hasattr(os, "register_at_fork"):  # a forked child has none of the pool threa
     os.register_at_fork(after_in_child=_pools.clear)
 
 
-class ExtReal:
-    """An extended real: a finite double, +inf, or -inf.  Never NaN.
+class ExtReal(float):
+    """An extended real: a float that is finite, +inf or -inf, never NaN.
 
-    Comparisons are total (-inf < finite < +inf).  Addition of opposite
-    infinities raises :class:`UndefinedSum` instead of producing NaN; every
-    duality formula in this package subtracts a real from an extended real,
-    so reaching that case signals a bug, not a modelling choice.
-    Scalar multiplication uses the convention 0 * (+-inf) = 0, needed only at
-    the t in {0, 1} endpoints of convex combinations.
+    Comparisons and hashing are float's, total once NaN is excluded.
+    Addition of opposite infinities raises :class:`UndefinedSum` instead of
+    producing NaN; every duality formula in this package subtracts a real
+    from an extended real, so reaching that case signals a bug, not a
+    modelling choice.  Scalar multiplication uses the convention
+    0 * (+-inf) = 0, needed only at the t in {0, 1} endpoints of convex
+    combinations.  +, - and * with a real, and unary minus, return ExtReal.
     """
 
-    __slots__ = ("_v",)
+    __slots__ = ()
+    __array_ufunc__ = None  # numpy scalars and arrays defer to the operators below
 
-    def __init__(self, value: Union[float, "ExtReal"]):
-        if isinstance(value, ExtReal):
-            v = value._v
-        else:
-            v = float(value)
-        if math.isnan(v):
+    def __new__(cls, value: float):
+        self = float.__new__(cls, value)
+        if math.isnan(self):
             raise ValueError("ExtReal cannot hold NaN")
-        self._v = v
+        return self
 
     @property
     def is_finite(self) -> bool:
-        return math.isfinite(self._v)
+        return math.isfinite(self)
 
     @property
     def is_plus_inf(self) -> bool:
-        return self._v == math.inf
+        return self == math.inf
 
     @property
     def is_minus_inf(self) -> bool:
-        return self._v == -math.inf
+        return self == -math.inf
 
     def as_float(self) -> float:
         """Underlying double, +-inf included."""
-        return self._v
-
-    def __float__(self) -> float:
-        return self._v
-
-    @staticmethod
-    def _coerce(other) -> float:
-        if isinstance(other, ExtReal):
-            return other._v
-        if isinstance(other, numbers.Real):
-            v = float(other)
-            if math.isnan(v):
-                raise ValueError("cannot compare/combine ExtReal with NaN")
-            return v
-        return NotImplemented
-
-    def __eq__(self, other) -> bool:
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return self._v == v
-
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
-    def __lt__(self, other):
-        v = self._coerce(other)
-        return NotImplemented if v is NotImplemented else self._v < v
-
-    def __le__(self, other):
-        v = self._coerce(other)
-        return NotImplemented if v is NotImplemented else self._v <= v
-
-    def __gt__(self, other):
-        v = self._coerce(other)
-        return NotImplemented if v is NotImplemented else self._v > v
-
-    def __ge__(self, other):
-        v = self._coerce(other)
-        return NotImplemented if v is NotImplemented else self._v >= v
-
-    def __hash__(self):
-        return hash(self._v)
+        return float(self)
 
     def __neg__(self) -> "ExtReal":
-        return ExtReal(-self._v)
-
-    def _add(self, v: float) -> "ExtReal":
-        if math.isinf(self._v) and math.isinf(v) and self._v != v:
-            raise UndefinedSum("(+inf) + (-inf) is rejected")
-        return ExtReal(self._v + v)
+        return ExtReal(float.__neg__(self))
 
     def __add__(self, other):
-        v = self._coerce(other)
-        return NotImplemented if v is NotImplemented else self._add(v)
+        if not isinstance(other, numbers.Real):
+            return NotImplemented
+        other = float(other)  # a NaN operand makes a NaN sum, which ExtReal rejects
+        if math.isinf(self) and self == -other:
+            raise UndefinedSum("(+inf) + (-inf) is rejected")
+        return ExtReal(float(self) + other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
+        if not isinstance(other, numbers.Real):
             return NotImplemented
-        return self._add(-v)
+        return self + -float(other)
 
     def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
+        if not isinstance(other, numbers.Real):
             return NotImplemented
-        return ExtReal(v)._add(-self._v)
+        return -self + other
 
     def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
+        if not isinstance(other, numbers.Real):
             return NotImplemented
-        if math.isinf(v):
+        other = float(other)
+        if math.isinf(other):
             raise TypeError("ExtReal multiplication takes a finite real scalar")
-        if v == 0.0:
+        if other == 0.0:
             return ExtReal(0.0)
-        return ExtReal(v * self._v)
+        return ExtReal(other * float(self))
 
     __rmul__ = __mul__
 
@@ -158,7 +111,7 @@ class ExtReal:
             return "ExtReal(+inf)"
         if self.is_minus_inf:
             return "ExtReal(-inf)"
-        return f"ExtReal({self._v!r})"
+        return f"ExtReal({float.__repr__(self)})"
 
 
 PLUS_INF = ExtReal(math.inf)
@@ -174,9 +127,7 @@ def ext_sub_real(lhs: float, rhs: ExtReal) -> ExtReal:
     lhs = float(lhs)
     if not math.isfinite(lhs):
         raise ValueError("lhs of ext_sub_real must be a finite real")
-    if not isinstance(rhs, ExtReal):
-        rhs = ExtReal(rhs)
-    return ExtReal(lhs - rhs.as_float())
+    return lhs - ExtReal(rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +137,7 @@ def ext_sub_real(lhs: float, rhs: ExtReal) -> ExtReal:
 
 def as_ext_array(values) -> np.ndarray:
     """Coerce to a float64 array of extended reals, rejecting NaN."""
-    arr = np.asarray(
-        [v.as_float() if isinstance(v, ExtReal) else v for v in values]
-        if not isinstance(values, np.ndarray) else values,
-        dtype=float,
-    )
+    arr = np.asarray(values, dtype=float)
     if np.isnan(arr).any():
         raise ValueError("extended-real array cannot contain NaN")
     return arr
