@@ -11,6 +11,7 @@ grid biconjugate at y0, and level certificates built from constant supports.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -222,7 +223,9 @@ def duality_report(prob: PerturbationProblem, psi_grid: DualGrid,
 
     certificate = None
     if attach_certificate and np.isfinite(primal) and float(gap) <= EQ_TOL:
-        certificate = gap_certificate(prob, psi_grid, primal - 1e-6, _table=table)
+        # primal - 1e-6 rounds back to primal once |primal| is above about 1e10
+        alpha = min(primal - 1e-6, math.nextafter(primal, -math.inf))
+        certificate = gap_certificate(prob, psi_grid, alpha, _table=table)
 
     return DualityReport(
         primal=ExtReal(primal), dual=ExtReal(dual), gap=gap,
@@ -261,7 +264,8 @@ def gap_certificate(prob: PerturbationProblem, psi_grid: DualGrid, alpha: float,
 def alpha_sweep(prob: PerturbationProblem,
                 psi_grid: DualGrid) -> list[tuple[float, Optional[Certificate]]]:
     """Geometric approach of the certificate level to the primal value:
-    seven halvings of a unit offset, then the final step at primal - 1e-6."""
+    seven halvings of a unit offset, then the final step at primal - 1e-6,
+    each level at least one double below primal."""
     table = build_lagrangian(prob, psi_grid)
     primal = float(table.L.max(axis=1).min())
     if not np.isfinite(primal):
@@ -269,7 +273,7 @@ def alpha_sweep(prob: PerturbationProblem,
     offsets = [2.0 ** -k for k in range(7)] + [1e-6]
     out = []
     for off in offsets:
-        alpha = primal - off
+        alpha = min(primal - off, math.nextafter(primal, -math.inf))
         out.append((alpha, gap_certificate(prob, psi_grid, alpha, _table=table)))
     return out
 

@@ -610,8 +610,8 @@ def _huge_grid(rng, fam):
 
 def _huge(rng) -> bytes:
     """Duality reports of every kind on explicit grids of huge members, with
-    no certificate and with one (whose level primal - 1e-6 rounds to primal
-    at this scale)."""
+    no certificate and with one (primal - 1e-6 rounds to primal at this
+    scale, so its level is the next double below primal)."""
     h = b""
     for i in range(42):
         kind = KINDS[i % len(KINDS)]

@@ -305,6 +305,15 @@ class TestGapCertificate:
         assert steps[-1][0] == 0.0 - 1e-6
         assert all(cert is not None for _, cert in steps)
 
+    def test_levels_stay_below_a_huge_primal(self):
+        # primal - 1e-6 rounds back to primal at 1e12
+        prob = PerturbationProblem(Y=line_space([0.0, 1.0, 2.0]), p=[[1e12] * 3], y0=0)
+        grid = affine_grid(prob.Y, [0.0])
+        rep = duality_report(prob, grid)
+        assert rep.primal == 1e12 and rep.certificate.t.level < 1e12
+        steps = alpha_sweep(prob, grid)
+        assert all(alpha < 1e12 and cert is not None for alpha, cert in steps)
+
 
 class TestConcavityProbe:
     def test_identical_multipliers(self):
