@@ -17,7 +17,10 @@ reports, finite-ladder sups and the conic LP, and the transportation simplex:
 plans, potentials, values and strong-duality audits of seeded generic and
 degenerate instances (square, rectangular, 1 x m, n x 1 and 1 x 1), solved as
 they come, with the Bland fallback forced by a Dantzig pivot budget of 0, and
-with it forced by a first plan that is infeasible.
+with it forced by a first plan that is infeasible, and the Euclidean distance
+matrices of `build_metric_space` (dimensions 1, 2, 3 and 5, sizes that fit
+one row block and sizes that fill several, on one worker and on two), its
+explicit matrices (symmetric, symmetrized and rejected) and `slope_bound`.
 `tests/test_golden.py` recomputes every entry and compares it with
 `digests.json`.  Run this script to see which entries changed:
 
@@ -78,7 +81,9 @@ from abconvex.cli import run_scenario  # noqa: E402
 from abconvex.core import BLOCK_BYTES  # noqa: E402
 from abconvex.constrained import DEFAULT_LADDER  # noqa: E402
 from abconvex.errors import AbconvexError, BadParams, NonMetric, NoWitness  # noqa: E402
+import abconvex.core as core  # noqa: E402
 import abconvex.transport as transport  # noqa: E402
+from abconvex.families import slope_bound  # noqa: E402
 from conftest import (  # noqa: E402
     degenerate_transport,
     generic_transport,
@@ -168,9 +173,9 @@ def _planted(rng, n, i, k, delta):
 DELTAS = (-1e-3, 0.0, 5e-13, 1e-12, 2e-12, 1e-9, 1e-3)
 
 
-def _verdict(points, metric) -> bytes:
+def _verdict(points, metric, validate="full") -> bytes:
     try:
-        space = build_metric_space(points, metric)
+        space = build_metric_space(points, metric, validate)
     except NonMetric as e:
         return b"X" + e.reason.encode()
     return b"A" + space.dist.tobytes()
@@ -215,6 +220,97 @@ def triangle_entries() -> dict:
             for delta in (-1e-3, 2e-12, 1e-3):
                 h.update(_verdict(np.arange(n, dtype=float), _planted(rng, n, i, k, delta)))
     out["triangle/blocks"] = h.hexdigest()
+    return out
+
+
+# -- Euclidean distances and slope bounds ----------------------------------------
+
+@contextlib.contextmanager
+def _workers(n):
+    real = core.WORKERS
+    core.WORKERS = n
+    try:
+        yield
+    finally:
+        core.WORKERS = real
+
+
+def _points(rng, n, dim, style):
+    """Uniform, integer-valued (exact squared distances), or scaled so that
+    squared differences reach about 1e300, or 1e-300 and below."""
+    if style == "integer":
+        return np.unique(rng.integers(-1000, 1001, (n, dim)).astype(float), axis=0)
+    scale = {"uniform": 1.0, "huge": 1e150, "tiny": 1e-150}[style]
+    return rng.uniform(-1.0, 1.0, (n, dim)) * scale
+
+
+#: point counts: one and two points, sizes whose rows fit one block at the
+#: default budget, and sizes whose rows fill several blocks (a ragged last
+#: block included) on one worker and on two
+METRIC_SIZES = (1, 2, 13, 150, 400, 731)
+POINT_STYLES = ("uniform", "integer", "huge", "tiny")
+
+
+def _euclidean(rng, dim) -> bytes:
+    """The raw bytes of dist, or the reason the points were rejected
+    (coordinates +-1e200 overflow, a repeated point is a zero distance)."""
+    out = []
+    for n in METRIC_SIZES:
+        for style in POINT_STYLES:
+            pts = _points(rng, n, dim, style)
+            for w in (1, 2):
+                with _workers(w):
+                    out.append(_verdict(pts, "euclidean", "fast"))
+    for bad in (np.array([[-1e200] * dim, [1e200] * dim]),
+                np.repeat(rng.uniform(-1.0, 1.0, (1, dim)), 3, axis=0)):
+        out.append(_verdict(bad, "euclidean", "fast"))
+    return b"|".join(out)
+
+
+def _custom(rng) -> bytes:
+    """Explicit matrices: exactly symmetric, nearly symmetric (averaged),
+    and asymmetric beyond METRIC_TOL (rejected)."""
+    out = []
+    for n in (1, 2, 13, 150, 400):
+        D = _planted(rng, n, 0, n - 1, 1e-3) if n > 2 else np.zeros((n, n)) + (n == 2)
+        np.fill_diagonal(D, 0.0)
+        noise = rng.uniform(-1e-13, 1e-13, D.shape)
+        np.fill_diagonal(noise, 0.0)
+        for M in (D, D + noise, D + 1e3 * noise):
+            for w in (1, 2):
+                with _workers(w):
+                    out.append(_verdict(np.arange(n, dtype=float), M, "fast"))
+    return b"|".join(out)
+
+
+def _slope_bounds(rng) -> bytes:
+    """slope_bound on functions with +inf holes and signed zeros, all-equal
+    values, a single finite point and differences that overflow."""
+    out = []
+    for n in (1, 2, 13, 150, 400, 600):
+        for dim in (1, 2):
+            space = build_metric_space(np.unique(np.round(rng.uniform(-3.0, 3.0, (n, dim)), 3),
+                                                 axis=0), validate="fast")
+            m = space.n
+            single = np.full(m, np.inf)
+            single[int(rng.integers(m))] = float(rng.normal())
+            huge = rng.choice([-1e308, 1e308, 0.0], m)
+            for v in (_values(rng, m), rng.normal(size=m), np.full(m, 2.5), single, huge):
+                f = GridFn(space, v)
+                for w in (1, 2):
+                    with _workers(w):
+                        out.append(_outcome(lambda: f64(slope_bound(f, space))))
+    return b"|".join(out)
+
+
+def metric_entries() -> dict:
+    out = {}
+    for k, dim in enumerate((1, 2, 3, 5)):
+        out[f"metric/euclidean_dim{dim}"] = hashlib.sha256(
+            _euclidean(np.random.default_rng(7800 + k), dim)).hexdigest()
+    out["metric/custom"] = hashlib.sha256(_custom(np.random.default_rng(7810))).hexdigest()
+    out["metric/slope_bound"] = hashlib.sha256(
+        _slope_bounds(np.random.default_rng(7820))).hexdigest()
     return out
 
 
@@ -796,7 +892,8 @@ def transport_entries() -> dict:
 GROUPS = {"report": report_entries, "certificate": certificate_entries,
           "triangle": triangle_entries, "witness": witness_entries,
           "conjugation": conjugation_entries, "duality": duality_entries,
-          "constrained": constrained_entries, "transport": transport_entries}
+          "constrained": constrained_entries, "transport": transport_entries,
+          "metric": metric_entries}
 
 
 def compute() -> dict:
