@@ -1,6 +1,7 @@
 """Shared generators and independent brute-force oracles."""
 
 import itertools
+import math
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from abconvex import (
     metric_dual_grid,
 )
 from abconvex.core import METRIC_TOL, sub_up
+from abconvex.errors import ImproperInput
 from abconvex.minimax import envelope_candidates
 
 
@@ -431,9 +433,37 @@ def old_rung_and_bound(inst, a_ladder, tol=1e-9):
 
 # ---------------------------------------------------------------------------
 # the dense kernels as they were before they were reduced in row blocks of
-# core.BLOCK_BYTES: each materializes its whole cubic (or n^2 x n) temporary
-# and reduces it in one call; blocked results must match them bit for bit
+# core.BLOCK_BYTES: each materializes its whole cubic (or n^2 x n, n^2 x dim
+# or n^2) temporary and reduces it in one call; blocked results must match
+# them bit for bit
 # ---------------------------------------------------------------------------
+
+def old_euclidean_dist(pts):
+    """build_metric_space's Euclidean distances from one n x n x dim tensor
+    of coordinate differences."""
+    with np.errstate(over="ignore"):
+        diff = pts[:, None, :] - pts[None, :, :]
+        return np.sqrt((diff * diff).sum(axis=-1))
+
+
+def old_slope_bound(f, domain):
+    """slope_bound from the n x n quotient arrays of the finite values,
+    selected by a boolean mask."""
+    idx = np.flatnonzero(np.isfinite(f.values))
+    if idx.size < 2:
+        return 1.0
+    vals = f.values[idx]
+    with np.errstate(over="ignore"):
+        num = np.abs(vals[:, None] - vals[None, :])
+        den = domain.dist[np.ix_(idx, idx)]
+        mask = den > 0
+        if not mask.any():
+            return 1.0
+        bound = 2.0 * float((num[mask] / den[mask]).max())
+    if math.isinf(bound):
+        raise ImproperInput("the slope bound of f overflows the doubles")
+    return bound if bound > 0 else 1.0
+
 
 def old_triangle_violated(dist):
     """build_metric_space's full sweep: some dist[i,k] > dist[i,j] + dist[j,k]

@@ -182,6 +182,18 @@ class TestMetricSpace:
         with pytest.raises(NonMetric, match="finite"):
             build_metric_space([[-big], [big]])
 
+    @pytest.mark.parametrize("noise", [0.0, 1e-13], ids=["symmetric", "symmetrized"])
+    def test_custom_matrix_stays_the_callers(self, noise):
+        # the space keeps its own read-only copy: changing the caller's array
+        # afterwards changes nothing in it
+        D = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0 + noise, 0.0]])
+        space = build_metric_space([[0.0], [1.0], [2.0]], metric_kind=D)
+        want = space.dist.copy()
+        D[...] = 7.0
+        assert np.array_equal(space.dist, want) and not space.dist.flags.writeable
+        with pytest.raises(ValueError):
+            space.dist[0, 1] = 3.0
+
     def test_euclidean_consistency_random(self):
         rng = np.random.default_rng(0)
         for _ in range(25):

@@ -1,9 +1,10 @@
 """The dense kernels reduced in row blocks of core.BLOCK_BYTES: the triangle
-check, the partial conjugate, the envelope candidates and the conjugation
-pair.  Each is compared bit for bit with its one-tensor form (the oracles in
-conftest) on one, two and three worker threads, under one-row blocks, ragged
-last blocks and the default budget, and each keeps its peak allocation within
-a few budgets plus its O(n^2) inputs and outputs."""
+check, the partial conjugate, the envelope candidates, the conjugation pair,
+the Euclidean distances and the slope bound.  Each is compared bit for bit
+with its one-tensor form (the oracles in conftest) on one, two and three
+worker threads, under one-row blocks, ragged last blocks and the default
+budget, and each keeps its peak allocation within a few budgets plus its
+O(n^2) inputs and outputs."""
 
 import os
 import signal
@@ -17,16 +18,19 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from abconvex import GridFn, biconjugate, build_metric_space, conjugate_transform
-from abconvex import duality_report, intersection_certificate
+from abconvex import ElemFamily, GridFn, biconjugate, build_metric_space, conjugate_transform
+from abconvex import default_dual_grid, duality_report, intersection_certificate
 from abconvex import core, lagrangian, minimax
-from abconvex.errors import NonMetric, UndefinedSum
+from abconvex.errors import ImproperInput, NonMetric, UndefinedSum
+from abconvex.families import slope_bound
 from conftest import (
     old_biconjugate,
     old_conjugate_transform,
     old_duality_fields,
+    old_euclidean_dist,
     old_intersection_certificate,
     old_partial_conjugate_kernel,
+    old_slope_bound,
     old_triangle_violated,
     random_dual_grid,
     random_perturbation,
@@ -113,8 +117,9 @@ class TestByRowBlocks:
         assert np.array_equal(core.by_row_blocks(fn, 7, 8), np.arange(7))
         if want is None:
             assert seen == [slice(None)]
-        else:
-            assert [s.indices(7)[:2] for s in seen] == want
+        else:  # first the empty block that sets the output's dtype and shape
+            assert seen[0] == slice(0, 0)
+            assert [s.indices(7)[:2] for s in seen[1:]] == want
 
     ONE_ROW = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)]
 
@@ -146,6 +151,9 @@ class TestByRowBlocks:
         if want is None:
             assert seen == [(slice(None), threading.main_thread())]
             return
+        # the empty block that sets the output's dtype and shape runs first, here
+        assert seen[0] == (slice(0, 0), threading.main_thread())
+        seen = seen[1:]
         assert sorted(rows.indices(7)[:2] for rows, _ in seen) == want
         threads = {t for _, t in seen}
         if on_pool:
@@ -223,9 +231,10 @@ class TestByRowBlocks:
         finished = []
 
         def fn(rows):
-            if rows.start == 0:
+            if rows == slice(0, 1):
                 time.sleep(0.2)
-            finished.append(rows.start)
+            if rows.stop:  # not the empty block that sets the output's dtype
+                finished.append(rows.start)
             return np.arange(9)[rows] * 2
 
         assert np.array_equal(core.by_row_blocks(fn, 9, 8), np.arange(9) * 2)
@@ -250,6 +259,43 @@ class TestByRowBlocks:
         with pytest.raises(NonMetric, match="triangle"):
             core.by_row_blocks(fn, 9, 8)
 
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    def test_the_first_failing_block_in_row_order_decides(self, n_workers, monkeypatch):
+        # row 2 fails last in time, row 6 first: row 2's error is raised
+        monkeypatch.setattr(core, "WORKERS", n_workers)
+        monkeypatch.setattr(core, "BLOCK_BYTES", n_workers * 8)
+
+        def fn(rows):
+            if rows.start == 2:
+                time.sleep(0.1)
+                raise NonMetric("row 2")
+            if rows.start == 6:
+                raise UndefinedSum("row 6")
+            return np.zeros(1)
+
+        with pytest.raises(NonMetric, match="row 2"):
+            core.by_row_blocks(fn, 9, 8)
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    def test_no_block_starts_after_a_failure(self, n_workers, monkeypatch):
+        monkeypatch.setattr(core, "WORKERS", n_workers)
+        monkeypatch.setattr(core, "BLOCK_BYTES", n_workers * 8)
+        started = []
+
+        def fn(rows):
+            if not rows.stop:  # the empty block that sets the output's dtype
+                return np.zeros(0)
+            started.append(rows.start)
+            if rows.start == 0:
+                raise NonMetric("row 0")
+            time.sleep(0.01)
+            return np.zeros(1)
+
+        with pytest.raises(NonMetric, match="row 0"):
+            core.by_row_blocks(fn, 200, 8)
+        time.sleep(0.05)  # blocks already taken finish; no other starts
+        assert len(started) <= 2 * n_workers
+
     def test_errstate_of_the_caller_holds_in_the_workers(self, monkeypatch):
         # a pool thread starts from numpy's default errstate, which warns
         monkeypatch.setattr(core, "WORKERS", 2)
@@ -260,6 +306,44 @@ class TestByRowBlocks:
             with np.errstate(invalid="ignore"):
                 got = core.by_row_blocks(lambda rows: inf[rows] - inf[rows], 6, 8)
         assert np.isnan(got).all() and got.shape == (6,)
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("bad", ["dtype", "trailing", "rows"])
+    def test_every_block_is_shaped_like_the_first(self, bad, n_workers, monkeypatch):
+        # np.concatenate upcast a float32 block and joined a narrower one;
+        # assigned into one output, either would pass silently
+        monkeypatch.setattr(core, "WORKERS", n_workers)
+        monkeypatch.setattr(core, "BLOCK_BYTES", n_workers * 8)
+
+        def fn(rows):
+            block = np.zeros((1, 2))
+            if rows.start == 4:
+                return {"dtype": block.astype(np.float32), "trailing": block[:, :1],
+                        "rows": block[:0]}[bad]
+            return block
+
+        with pytest.raises(ValueError, match="rows 4: a block of"):
+            core.by_row_blocks(fn, 9, 8)
+
+    def test_peak_memory_is_output_plus_budget(self, monkeypatch):
+        rng = np.random.default_rng(705)
+        src = rng.normal(size=(400, 1000))
+
+        def fn(rows):  # two temporaries the size of the block
+            return np.sqrt(np.abs(src[rows]) * 2.0)
+
+        def concatenated():
+            return np.concatenate([fn(slice(i, i + 8)) for i in range(0, 400, 8)])
+
+        for ran in worker_counts(monkeypatch, (1, 2)):
+            monkeypatch.setattr(core, "BLOCK_BYTES", 1 << 17)
+            bound = src.nbytes + 4 * core.BLOCK_BYTES
+            assert traced_peak(concatenated) > bound
+            # untraced first: the pool and its threads are made outside the trace
+            assert same_bits(core.by_row_blocks(fn, 400, 2 * 1000 * 8), fn(slice(None)))
+            peak = traced_peak(lambda: core.by_row_blocks(fn, 400, 2 * 1000 * 8))
+            assert peak <= bound
+            check_pool_ran(ran)
 
 
 def metric_with_violation(rng, n, i, k, delta):
@@ -370,6 +454,110 @@ class TestTriangleCheck:
             assert peak <= 2 * core.BLOCK_BYTES + 8 * D.nbytes
             # on four workers a share is below one row: serial budget blocks
             check_pool_ran(ran, core.WORKERS == 2)
+
+
+def point_sets(rng):
+    """Points of dimension 1 to 9: uniform, integer-valued (exact squared
+    distances) and scaled so that squared differences reach about 1e300 or
+    1e-300, one and two points among them."""
+    for dim in range(1, 10):
+        for n in (1, 2, 3, 7, int(rng.integers(8, 40))):
+            style = rng.integers(4)
+            if style == 0:
+                pts = np.unique(rng.integers(-1000, 1001, (n, dim)), axis=0).astype(float)
+            else:
+                pts = rng.uniform(-1.0, 1.0, (n, dim)) * (1.0, 1e150, 1e-150)[style - 1]
+            yield pts
+
+
+class TestEuclideanDistances:
+    @pytest.mark.parametrize("budget", ["one_row", "ragged", "default"])
+    def test_matches_one_tensor_form(self, budget, monkeypatch):
+        for ran in worker_counts(monkeypatch):
+            rng = np.random.default_rng(710)
+            for pts in point_sets(rng):
+                n, dim = pts.shape
+                monkeypatch.setattr(core, "BLOCK_BYTES", budgets((2 * dim + 2) * 8 * n)[budget])
+                space = build_metric_space(pts, validate="fast")
+                assert same_bits(space.dist, old_euclidean_dist(pts))
+            check_pool_ran(ran, budget != "default")
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_overflow_rejected_on_the_pool_without_warning(self, dim, monkeypatch):
+        # the kernel's errstate must reach the workers
+        pts = np.repeat([[-1e200], [0.0], [1.0], [2.0], [1e200]], dim, axis=1)
+        for ran in worker_counts(monkeypatch):
+            monkeypatch.setattr(core, "BLOCK_BYTES", budgets((2 * dim + 2) * 8 * 5)["one_row"])
+            with pytest.raises(NonMetric, match="finite"):
+                build_metric_space(pts, validate="fast")
+            check_pool_ran(ran)
+
+    def test_peak_memory_is_budget_plus_distances(self, monkeypatch):
+        pts = np.random.default_rng(720).uniform(-1.0, 1.0, (600, 3))
+        for ran in worker_counts(monkeypatch, (1, 2, 4)):
+            monkeypatch.setattr(core, "BLOCK_BYTES", 1 << 18)
+            bound = 600 * 600 * 8 + 4 * core.BLOCK_BYTES
+            assert traced_peak(lambda: old_euclidean_dist(pts)) > bound
+            peak = traced_peak(lambda: build_metric_space(pts, validate="fast"))
+            assert peak <= bound
+            check_pool_ran(ran)
+
+
+def slope_cases(rng):
+    """Functions on 1-D and 2-D grids: +inf holes and signed zeros, real
+    values, all values equal, one finite value, and values whose differences
+    or quotients overflow."""
+    for k in range(30):
+        n = int(rng.integers(1, 40))
+        pts = np.unique(np.round(rng.uniform(-3.0, 3.0, (n, 1 + k % 2)), 2), axis=0)
+        space = build_metric_space(pts, validate="fast")
+        m = space.n
+        holes = rng.choice([0.0, -0.0, 1.0, -2.5, np.inf], m)
+        single = np.full(m, np.inf)
+        single[int(rng.integers(m))] = -1.0
+        huge = rng.choice([-1e308, 1e308, 1e306, 0.0], m)
+        for v in (holes, rng.normal(size=m), np.full(m, 2.5), single, huge):
+            yield space, GridFn(space, v)
+
+
+class TestSlopeBound:
+    @pytest.mark.parametrize("budget", ["one_row", "ragged", "default"])
+    def test_matches_mask_form(self, budget, monkeypatch):
+        for ran in worker_counts(monkeypatch):
+            rng = np.random.default_rng(730)
+            outcomes = set()
+            for space, f in slope_cases(rng):
+                m = int(np.isfinite(f.values).sum())
+                monkeypatch.setattr(core, "BLOCK_BYTES", budgets(32 * m)[budget])
+                try:
+                    want = old_slope_bound(f, space)
+                except ImproperInput:
+                    with pytest.raises(ImproperInput, match="slope bound of f overflows"):
+                        slope_bound(f, space)
+                    outcomes.add("overflow")
+                    continue
+                assert same_bits(slope_bound(f, space), want)
+                outcomes.add("one" if want == 1.0 else "bound")
+            assert outcomes == {"overflow", "one", "bound"}
+            check_pool_ran(ran, budget != "default")
+
+    def test_peak_memory_is_budget_plus_members(self, monkeypatch):
+        rng = np.random.default_rng(740)
+        space = spaced_line(rng, 600)
+        f = GridFn(space, rng.normal(size=600))
+        fam = ElemFamily.metric(space)
+
+        def grid():
+            return default_dual_grid(fam, f, curvature_levels=3, max_anchors=50)
+
+        members = grid().matrix.nbytes
+        for ran in worker_counts(monkeypatch, (1, 2, 4)):
+            monkeypatch.setattr(core, "BLOCK_BYTES", 1 << 18)
+            bound = 4 * core.BLOCK_BYTES
+            assert traced_peak(lambda: old_slope_bound(f, space)) > bound + members
+            assert traced_peak(lambda: slope_bound(f, space)) <= bound
+            assert traced_peak(grid) <= bound + members
+            check_pool_ran(ran)
 
 
 def random_table(rng, n_x, P, n_y):
