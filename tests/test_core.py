@@ -169,6 +169,25 @@ class TestMetricSpace:
         with pytest.raises(NonMetric):
             build_metric_space([[0.0], [0.0]])
 
+    def test_distances_whose_squares_underflow(self):
+        # (1e-170) ** 2 is 0 in doubles; such entries are redone by scaling
+        space = build_metric_space([0.0, 1e-170, 3e-170])
+        assert space.dist[0, 1] == 1e-170 and space.dist[0, 2] == 3e-170
+        # the rounded difference of the points, the double just above 2e-170
+        assert space.dist[1, 2] == 3e-170 - 1e-170 == 2.0000000000000003e-170
+        assert np.array_equal(space.dist, space.dist.T)
+        with pytest.raises(NonMetric, match="zero distance between distinct points"):
+            build_metric_space([0.0, 1e-170, 1e-170])
+
+    def test_underflowing_distances_match_the_scaled_points(self):
+        # scaling by a power of two is exact, and at 2**600 nothing underflows
+        pts = np.random.default_rng(3).uniform(-1.0, 1.0, (12, 3)) * 1e-165
+        tiny = build_metric_space(pts).dist
+        assert (tiny * 2.0 ** 600 > 0).sum() == 12 * 11
+        np.testing.assert_allclose(tiny * 2.0 ** 600,
+                                   build_metric_space(pts * 2.0 ** 600).dist,
+                                   rtol=4e-16, atol=0.0)
+
     def test_nonzero_diagonal_rejected(self):
         with pytest.raises(NonMetric):
             build_metric_space([[0.0], [1.0]], metric_kind=[[0.5, 1.0], [1.0, 0.0]])

@@ -492,6 +492,37 @@ class TestDefaultGridOverflow:
                 default_dual_grid(fam, curvature_levels=1024)
 
 
+# (values of f on {0, 1e-170, 3e-170}, whether its slope bound overflows)
+TINY_SPACE_CASES = [([0.0, 1.0, 2.0], False), ([0.0, 1e-300, 2e-300], False),
+                    ([0.0, 1e137, 0.0], False), ([0.0, 1e300, -1e300], True)]
+
+
+class TestTinyDistances:
+    """Points whose distances square to 0 in doubles, reaching the slope
+    bound and the default grids: a finite grid, or ImproperInput naming the
+    overflow; no warning either way."""
+
+    def test_slope_bound(self):
+        space = line_space([0.0, 1e-170, 3e-170])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bound = families.slope_bound(GridFn(space, [0.0, 1.0, 2.0]), space)
+        assert bound == 2.0 * (1.0 / 1e-170)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("values, overflows", TINY_SPACE_CASES)
+    def test_default_dual_grid(self, kind, values, overflows):
+        space = line_space([0.0, 1e-170, 3e-170])
+        fam, f = _family_on_three_points(kind, space), GridFn(space, values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if overflows and kind != "sigma_nu":  # sigma_nu never uses the bound
+                with pytest.raises(ImproperInput, match="slope bound of f overflows"):
+                    default_dual_grid(fam, f)
+            else:
+                assert np.isfinite(default_dual_grid(fam, f).matrix).all()
+
+
 # one member of each kind, as arrays, whose values on {0, 1, 2} overflow
 OVERFLOWING_MEMBERS = {
     "affine": dict(a=[0.0], ell=[[1e308]]),
