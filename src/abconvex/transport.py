@@ -4,13 +4,14 @@ The coupling problem (minimize total cost over nonnegative matrices with
 prescribed marginals) is solved by a transportation simplex on the bipartite
 flow network: north-west-corner start, row/column potentials read off the
 spanning-tree basis, epsilon-perturbed marginals against degeneracy with
-Bland's rule as the anti-cycling backstop.  The basis is kept as a spanning
-tree rooted at row 0 (parent and depth per node, network-simplex style): each
-pivot takes its cycle from the two tree paths up to the lowest common
-ancestor and recomputes potentials only on the subtree that the leaving arc
-cuts off and the entering arc re-hangs.  The optimal basis certifies the
-feasible-potentials maximum simultaneously, which is the discrete strong
-duality statement.
+Bland's rule as the anti-cycling backstop.  The basis is a spanning tree
+rooted at row 0 in flat per-node lists (parent, depth, potential, children,
+and the cost and flow of the basic cell to the parent), network-simplex
+style: each pivot takes its cycle from the two tree paths up to the lowest
+common ancestor, reverses the path from the entering to the leaving arc, and
+recomputes potentials top-down on the subtree that this re-hangs.  The
+optimal basis certifies the feasible-potentials maximum simultaneously, which
+is the discrete strong duality statement.
 """
 
 from __future__ import annotations
@@ -127,59 +128,49 @@ def _solve_tree_alloc(n: int, m: int, basis, mu: np.ndarray, nu: np.ndarray) -> 
     return alloc
 
 
-def _hang(arcs, parent, depth, pot, cell, top: int) -> list[int]:
-    """Give every node below ``top`` (reached without going back up through
-    ``parent[top]``) its parent, depth, potential and basic cell, top-down,
-    with ``pot[child] = cost(arc) - pot[parent]``, the recurrence that fixes
-    the potentials of a spanning-tree basis along the unique path from row 0.
-    ``arcs[x]`` maps each tree neighbour of node x to the arc's (cost, flat
-    cell index); ``top`` itself must already be set.  Returns the nodes in
-    visiting order."""
-    order = [top]
-    for x in order:
-        up, d, px = parent[x], depth[x] + 1, pot[x]
-        for y, (c, k) in arcs[x].items():
-            if y != up:
-                parent[y], depth[y], pot[y] = x, d, c - px
-                cell[y] = k
-                order.append(y)
-    return order
-
-
 def _simplex_pivots(cost, mu, nu, bland: bool, max_pivots: int):
     """Run the pivot loop on the given marginals; returns the final tree's
     basic cells (i, j) and its potentials (rows first, then columns).
 
     The basis is a spanning tree on nodes 0..n-1 (rows) and n..n+m-1
     (columns), rooted at row 0.  Per node it keeps the parent, the depth, the
-    potential (row potentials first, then columns), the flat index i*m + j
-    of the basic cell joining it to its parent, and a dict from its tree
-    neighbours to the arc's cost and cell.  A pivot finds the cycle by walking
-    both ends of the entering arc up to their lowest common ancestor, cuts
-    the leaving arc and re-hangs the cut-off subtree from the entering arc,
-    recomputing only that subtree's potentials."""
+    potential, the flat index i*m + j of the basic cell joining it to its
+    parent with that cell's cost and flow, and a list of its children, so
+    flows exist only on the n + m - 1 basic cells.  A pivot finds the cycle
+    by walking both ends of the entering arc up to their lowest common
+    ancestor and cuts the leaving arc.  Reversing the tree path from the
+    entering end on the cut-off side up to the leaving arc moves each arc on
+    it down one node and hangs the cut-off subtree from the entering arc;
+    that subtree's depths and potentials are then recomputed top-down as
+    ``pot[child] = cost - pot[parent]``."""
     n, m = cost.shape
     cscale = max(1.0, float(np.abs(cost).max()))
     enter_tol = 1e-12 * cscale
     alloc, basis = _northwest_start(mu, nu)
     size = n + m
-    arcs = [{} for _ in range(size)]
-    for (i, j) in basis:
-        arcs[i][n + j] = arcs[n + j][i] = (cost.item(i, j), i * m + j)
     parent, depth, pot, cell = [-1] * size, [0] * size, [0.0] * size, [-1] * size
-    if len(_hang(arcs, parent, depth, pot, cell, 0)) != size:
-        raise AssertionError("basis graph is not a spanning tree")
-    # numpy mirrors of the potentials and basic cells for the reduced costs
-    pot_np, cell_np = np.array(pot), np.array(cell)
+    pc, flow, children = [0.0] * size, [0.0] * size, [[] for _ in range(size)]
+    # the north-west basis is a staircase from row 0: each cell adds the row
+    # or the column that the corner has just moved to, below the other end
+    prev = 0
+    for (i, j) in basis:
+        x, up = (n + j, i) if i == prev else (i, n + j)
+        prev, parent[x], depth[x], cell[x] = i, up, depth[up] + 1, i * m + j
+        pc[x], flow[x] = cost.item(i, j), alloc.item(i, j)
+        pot[x] = pc[x] - pot[up]
+        children[up].append(x)
+    # numpy mirrors of the potentials and of the basic cells for the reduced
+    # costs; a pivot swaps one basic cell, in its slot
+    pot_np, basic = np.array(pot), cell[1:]
+    basic_np = np.array(basic)
     u, v = pot_np[:n, None], pot_np[None, n:]
-    flat_alloc = alloc.ravel()
     red = np.empty((n, m))
     flat_red = red.ravel()
 
     for _ in range(max_pivots):
         np.subtract(cost, u, out=red)
         red -= v
-        flat_red[cell_np[1:]] = 0.0
+        flat_red[basic_np] = 0.0
         if bland:
             cand = np.flatnonzero(flat_red < -enter_tol)
             if cand.size == 0:
@@ -191,50 +182,56 @@ def _simplex_pivots(cost, mu, nu, bland: bool, max_pivots: int):
                 break
         ei, ej = divmod(flat, m)
 
-        # basic cells on the tree path from row ei to column ej, in path
-        # order: up from ei to the common ancestor, then down to ej
-        a, b = ei, n + ej
-        up_a, up_b = [], []
-        while depth[a] > depth[b]:
-            up_a.append(cell[a])
-            a = parent[a]
-        while depth[b] > depth[a]:
-            up_b.append(cell[b])
-            b = parent[b]
+        # the nodes below the common ancestor on each side, bottom-up; their
+        # parent arcs make the tree path from row ei to column ej
+        a, b, side_a, side_b = ei, n + ej, [], []
         while a != b:
-            up_a.append(cell[a])
-            up_b.append(cell[b])
-            a, b = parent[a], parent[b]
-        path = np.array(up_a + up_b[::-1])
-        # the closed cycle: entering gets +theta, then the path cells
-        # alternate -theta, +theta, ...
-        minus, plus = path[0::2], path[1::2]
-        minus_alloc = flat_alloc[minus]
-        theta = minus_alloc.min()
-        # ties go to the smallest (i, j), which is the smallest flat index
-        leaving = int(minus[minus_alloc == theta].min())
+            if depth[a] > depth[b]:
+                side_a.append(a)
+                a = parent[a]
+            else:
+                side_b.append(b)
+                b = parent[b]
+        path = side_a + side_b[::-1]
+        # the closed cycle: entering gets +theta, then the path arcs
+        # alternate -theta, +theta, ...; theta is the least flow on a minus
+        # arc, ties to the smallest (i, j), which is the smallest flat index
+        minus = path[0::2]
+        theta, leaving, s = min([(flow[x], cell[x], x) for x in minus])
+        for x in path[1::2]:
+            flow[x] += theta
+        for x in minus:
+            flow[x] -= theta  # >= 0: theta is their minimum
+        slot = basic.index(leaving)
+        basic[slot] = basic_np[slot] = flat
 
-        flat_alloc[flat] += theta
-        flat_alloc[plus] += theta
-        flat_alloc[minus] = minus_alloc - theta  # >= 0: theta is their minimum
-        flat_alloc[leaving] = 0.0
-
-        # cut the leaving arc; the entering end inside the cut-off subtree
-        # becomes that subtree's top, hung from the other end
-        li, lj = divmod(leaving, m)
-        top, up = (ei, n + ej) if leaving in up_a else (n + ej, ei)
-        del arcs[li][n + lj], arcs[n + lj][li]
-        c = cost.item(ei, ej)
-        arcs[ei][n + ej] = arcs[n + ej][ei] = (c, flat)
-        parent[top], depth[top], pot[top] = up, depth[up] + 1, c - pot[up]
-        cell[top] = flat
-        moved = _hang(arcs, parent, depth, pot, cell, top)
-        pot_np[moved] = [pot[x] for x in moved]
-        cell_np[moved] = [cell[x] for x in moved]
+        # s is the lower end of the leaving arc; the entering end on its
+        # side becomes the top of the cut-off subtree, hung from the other
+        if s in side_a:
+            chain, up = side_a[:side_a.index(s) + 1], n + ej
+        else:
+            chain, up = side_b[:side_b.index(s) + 1], ei
+        p, k, c, f = up, flat, cost.item(ei, ej), 0.0 + theta
+        for x in chain:
+            children[parent[x]].remove(x)
+            children[p].append(x)
+            parent[x], p = p, x
+            cell[x], k = k, cell[x]
+            pc[x], c = c, pc[x]
+            flow[x], f = f, flow[x]
+        top = chain[0]
+        depth[top], pot[top] = depth[up] + 1, pc[top] - pot[up]
+        order = [top]
+        for x in order:
+            d, px = depth[x] + 1, pot[x]
+            for y in children[x]:
+                depth[y], pot[y] = d, pc[y] - px
+            order += children[x]
+        pot_np[:] = pot
     else:
         raise SolverLimit(f"transportation simplex: no optimal basis within "
                           f"{max_pivots} pivots")
-    return [divmod(k, m) for k in cell[1:]], pot_np
+    return [divmod(k, m) for k in basic], pot_np
 
 
 def solve_transport(prob: TransportProblem):

@@ -254,6 +254,35 @@ class TestRootedTreeKernel:
             assert same_bits(pot, ref_pot)
 
 
+    @pytest.mark.parametrize("kind", sorted(MAKERS))
+    @pytest.mark.parametrize("bland", [False, True], ids=["dantzig", "bland"])
+    def test_pivot_count_matches_bfs_kernel(self, kind, bland, monkeypatch):
+        """The budget counts pricing rounds: one per pivot, and the one that
+        finds the basis optimal.  Take the oracle's count k from its
+        potential recomputations, one per round; both loops then run out of
+        pivots at a budget of k - 1 and finish at k.  The instances are
+        those of the test above, and for the Dantzig rule one more of the
+        benchmark's sizes."""
+        rng = np.random.default_rng(73 if kind == "generic" else 74)
+        shapes = _oracle_shapes(rng)
+        if not bland:
+            shapes.append((150, 60) if kind == "generic" else (60, 150))
+        for n, m in shapes:
+            prob = MAKERS[kind](rng, n, m)
+            args = (prob.cost, prob.mu, prob.nu, bland)
+            calls = []
+            with monkeypatch.context() as mp:
+                mp.setitem(_bfs_simplex_pivots.__globals__, "_duals_from_basis",
+                           lambda *a, real=_duals_from_basis: calls.append(a) or real(*a))
+                _bfs_simplex_pivots(*args, 400 * (n + m) + 200)
+            k = len(calls)
+            for kernel in (transport._simplex_pivots, _bfs_simplex_pivots):
+                with pytest.raises(SolverLimit):
+                    kernel(*args, k - 1)
+                basis, _ = kernel(*args, k)
+                assert len(basis) == n + m - 1
+
+
 class TestSolverLimit:
     def test_bland_rerun_out_of_pivots_raises(self, monkeypatch):
         real = transport._simplex_pivots
