@@ -325,13 +325,15 @@ def build_metric_space(points, metric_kind="euclidean", validate: str = "full") 
             diff = pts[rows, None, :] - pts[None, :, :]
             d = np.sqrt((diff * diff).sum(axis=-1))
             # diff * diff underflows to 0 for differences below about 1e-162:
-            # redo the zero entries as mx * sqrt(sum((diff / mx) ** 2)), with
-            # mx the largest |diff| (0 on the diagonal and for equal points)
+            # when a zero lies off the diagonal, redo the zero entries as
+            # mx * sqrt(sum((diff / mx) ** 2)), with mx the largest |diff|
+            # (0 on the diagonal and for equal points)
             zero = d == 0
-            dz = diff[zero]
-            mx = np.abs(dz).max(axis=-1, initial=0.0)[:, None]
-            dz = np.divide(dz, mx, out=np.zeros_like(dz), where=mx > 0)
-            d[zero] = mx[:, 0] * np.sqrt((dz * dz).sum(axis=-1))
+            if np.count_nonzero(zero) > d.shape[0]:
+                dz = diff[zero]
+                mx = np.abs(dz).max(axis=-1, initial=0.0)[:, None]
+                dz = np.divide(dz, mx, out=np.zeros_like(dz), where=mx > 0)
+                d[zero] = mx[:, 0] * np.sqrt((dz * dz).sum(axis=-1))
             return d
 
         with np.errstate(over="ignore"):  # an overflow is rejected as non-finite below

@@ -272,8 +272,8 @@ class TestRootedTreeKernel:
             args = (prob.cost, prob.mu, prob.nu, bland)
             calls = []
             with monkeypatch.context() as mp:
-                mp.setitem(_bfs_simplex_pivots.__globals__, "_duals_from_basis",
-                           lambda *a, real=_duals_from_basis: calls.append(a) or real(*a))
+                mp.setitem(globals(), "_duals_from_basis",
+                           lambda *a, real=_duals_from_basis: calls.append(1) or real(*a))
                 _bfs_simplex_pivots(*args, 400 * (n + m) + 200)
             k = len(calls)
             for kernel in (transport._simplex_pivots, _bfs_simplex_pivots):
