@@ -300,7 +300,10 @@ def build_metric_space(points, metric_kind="euclidean", validate: str = "full") 
     keeps its own copy).  Euclidean distances are computed in row blocks of
     BLOCK_BYTES, written into one output in row order; each entry is
     sqrt(sum(diff * diff)) over its own coordinate differences, so the
-    blocking changes no bit of it.
+    blocking changes no bit of it.  When distinct points come out at distance
+    0 because their squared differences underflow (below about 1e-162), the
+    distances are built again with each zero redone as
+    mx * sqrt(sum((diff / mx) ** 2)), mx the largest |diff|.
     validate="full" sweeps the triangle inequality over every triple in row
     blocks of BLOCK_BYTES, so O(n^2) memory.  The test for (i, k) is the test
     for (k, i), so a block starting at row k0 checks columns k >= k0 only:
@@ -321,23 +324,20 @@ def build_metric_space(points, metric_kind="euclidean", validate: str = "full") 
         if metric_kind != "euclidean":
             raise ValueError(f"unknown metric kind {metric_kind!r}")
 
-        def distances(rows):
+        def distances(rows, rescale=False):
             diff = pts[rows, None, :] - pts[None, :, :]
             d = np.sqrt((diff * diff).sum(axis=-1))
-            # diff * diff underflows to 0 for differences below about 1e-162:
-            # when a zero lies off the diagonal, redo the zero entries as
-            # mx * sqrt(sum((diff / mx) ** 2)), with mx the largest |diff|
-            # (0 on the diagonal and for equal points)
-            zero = d == 0
-            if np.count_nonzero(zero) > d.shape[0]:
+            if rescale:
+                zero = d == 0
                 dz = diff[zero]
                 mx = np.abs(dz).max(axis=-1, initial=0.0)[:, None]
                 dz = np.divide(dz, mx, out=np.zeros_like(dz), where=mx > 0)
                 d[zero] = mx[:, 0] * np.sqrt((dz * dz).sum(axis=-1))
             return d
 
+        row_bytes = (2 * pts.shape[1] + 2) * 8 * n
         with np.errstate(over="ignore"):  # an overflow is rejected as non-finite below
-            dist = by_row_blocks(distances, n, (2 * pts.shape[1] + 2) * 8 * n)
+            dist = by_row_blocks(distances, n, row_bytes)
     else:
         dist = np.array(metric_kind, dtype=float)  # a copy the caller cannot change
         if dist.shape != (n, n):
@@ -353,7 +353,13 @@ def build_metric_space(points, metric_kind="euclidean", validate: str = "full") 
         dist = 0.5 * (dist + dist.T)
     if np.abs(np.diagonal(dist)).max() > 0:
         raise NonMetric("nonzero diagonal")
-    if np.count_nonzero(dist == 0) > n:  # the n diagonal entries are zero
+    zeros = np.count_nonzero(dist == 0)
+    if zeros > n and isinstance(metric_kind, str):
+        # squares that underflowed; mx is 0 only on the diagonal and for
+        # equal points, which stay at 0
+        dist = by_row_blocks(lambda rows: distances(rows, rescale=True), n, row_bytes)
+        zeros = np.count_nonzero(dist == 0)
+    if zeros > n:  # the n diagonal entries are zero
         raise NonMetric("zero distance between distinct points")
     if validate == "full":
         # dist[i,k] <= dist[i,j] + dist[j,k] within METRIC_TOL.  dist is

@@ -18,8 +18,11 @@ from abconvex import (
     build_metric_space,
     ext_sub_real,
 )
+from abconvex import core
 from abconvex.core import as_ext_array, is_proper, sub_up
 from abconvex.errors import EmptyDomain, NonMetric, UndefinedSum
+
+from conftest import same_bits
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 anyext = st.floats(allow_nan=False, allow_infinity=True, width=64)
@@ -179,7 +182,7 @@ class TestMetricSpace:
         with pytest.raises(NonMetric, match="zero distance between distinct points"):
             build_metric_space([0.0, 1e-170, 1e-170])
 
-    def test_underflowing_distances_match_the_scaled_points(self):
+    def test_underflowing_distances_match_the_scaled_points(self, monkeypatch):
         # scaling by a power of two is exact, and at 2**600 nothing underflows
         pts = np.random.default_rng(3).uniform(-1.0, 1.0, (12, 3)) * 1e-165
         tiny = build_metric_space(pts).dist
@@ -187,6 +190,10 @@ class TestMetricSpace:
         np.testing.assert_allclose(tiny * 2.0 ** 600,
                                    build_metric_space(pts * 2.0 ** 600).dist,
                                    rtol=4e-16, atol=0.0)
+        # two-row blocks on two workers give the same bits
+        monkeypatch.setattr(core, "WORKERS", 2)
+        monkeypatch.setattr(core, "BLOCK_BYTES", 2 * 2 * (2 * 3 + 2) * 8 * 12)
+        assert same_bits(build_metric_space(pts).dist, tiny)
 
     def test_nonzero_diagonal_rejected(self):
         with pytest.raises(NonMetric):
