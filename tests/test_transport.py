@@ -253,7 +253,6 @@ class TestRootedTreeKernel:
             assert len(basis) == n + m - 1
             assert same_bits(pot, ref_pot)
 
-
     @pytest.mark.parametrize("kind", sorted(MAKERS))
     @pytest.mark.parametrize("bland", [False, True], ids=["dantzig", "bland"])
     def test_pivot_count_matches_bfs_kernel(self, kind, bland, monkeypatch):
