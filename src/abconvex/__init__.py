@@ -12,7 +12,6 @@ from .core import (
     MINUS_INF,
     PLUS_INF,
     build_metric_space,
-    ext_sub_real,
 )
 from .errors import SolverLimit
 from .families import (
@@ -25,7 +24,6 @@ from .families import (
     conjugate_transform,
     convexity_defect,
     default_dual_grid,
-    eval_elementary,
     eval_on_domain,
     is_support,
     members_on_domain,

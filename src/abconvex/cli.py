@@ -44,12 +44,14 @@ from .families import (
 )
 from .lagrangian import (
     DualityReport,
+    EQ_TOL,
     PerturbationProblem,
     duality_report,
     gap_certificate,
     lsc_defect,
 )
-from .constrained import ConstrainedInstance, ConstraintMap, verify_zero_gap_metric
+from .constrained import (DEFAULT_LADDER, ConstrainedInstance, ConstraintMap,
+                          verify_zero_gap_metric)
 from .transport import (
     ConicLP,
     TransportProblem,
@@ -138,13 +140,7 @@ def parse_dual_grid(spec: dict, domain: FiniteMetricSpace, f=None) -> DualGrid:
     if "params" in spec:
         params = tuple(params_from_json(d) for d in spec["params"])
         return DualGrid(family, params)
-    auto = spec.get("auto", {})
-    return default_dual_grid(
-        family, f,
-        slope_count=int(auto.get("slope_count", 9)),
-        curvature_levels=int(auto.get("curvature_levels", 5)),
-        max_anchors=auto.get("max_anchors"),
-    )
+    return default_dual_grid(family, f, **{k: int(v) for k, v in spec.get("auto", {}).items()})
 
 
 def parse_ext_matrix(rows) -> np.ndarray:
@@ -152,7 +148,7 @@ def parse_ext_matrix(rows) -> np.ndarray:
 
 
 def report_duality(rep: DualityReport) -> dict:
-    out = {
+    return {
         "primal": ext_to_json(rep.primal),
         "dual": ext_to_json(rep.dual),
         "gap": ext_to_json(rep.gap),
@@ -169,7 +165,6 @@ def report_duality(rep: DualityReport) -> dict:
             "size": rep.psi_grid.size,
         },
     }
-    return out
 
 
 def report_certificate(cert) -> dict | None:
@@ -235,6 +230,15 @@ def _canonical_instance(shape: str, n_points: int):
     return prob, grid
 
 
+def _perturbation(sc: dict, validate: str):
+    """The problem of a gap or certify scenario, and its multiplier grid
+    (defaults drawn from the optimal value function V)."""
+    domain = parse_domain(sc["domain"], validate)
+    p = parse_ext_matrix(sc["p"])
+    prob = PerturbationProblem(Y=domain, p=p, y0=int(sc["y0"]))
+    return prob, parse_dual_grid(sc["family"], domain, GridFn(domain, p.min(axis=0)))
+
+
 def run_gap(sc: dict, rng, validate: str):
     if "canonical" in sc:
         shape = sc["canonical"]["shape"]
@@ -253,11 +257,7 @@ def run_gap(sc: dict, rng, validate: str):
         results = {"refinement": rows, "shape": shape, "base_radius": base_r}
         return results, rows, EXIT_OK
 
-    domain = parse_domain(sc["domain"], validate)
-    p = parse_ext_matrix(sc["p"])
-    prob = PerturbationProblem(Y=domain, p=p, y0=int(sc["y0"]))
-    V = GridFn(domain, p.min(axis=0))
-    grid = parse_dual_grid(sc["family"], domain, V)
+    prob, grid = _perturbation(sc, validate)
     rep = duality_report(prob, grid, convexity_scope=sc.get("convexity_scope", "anchor"))
     results = report_duality(rep)
     curve = lsc_curve(rep)
@@ -266,11 +266,7 @@ def run_gap(sc: dict, rng, validate: str):
 
 
 def run_certify(sc: dict, rng, validate: str):
-    domain = parse_domain(sc["domain"], validate)
-    p = parse_ext_matrix(sc["p"])
-    prob = PerturbationProblem(Y=domain, p=p, y0=int(sc["y0"]))
-    V = GridFn(domain, p.min(axis=0))
-    grid = parse_dual_grid(sc["family"], domain, V)
+    prob, grid = _perturbation(sc, validate)
     cert = gap_certificate(prob, grid, float(sc["alpha"]))
     results = {
         "alpha": float(sc["alpha"]),
@@ -288,8 +284,8 @@ def run_constrained(sc: dict, rng, validate: str):
         allow_empty=bool(sc.get("allow_empty", False)),
     )
     inst = ConstrainedInstance(f=f, map=cmap, Y=domain, y0=int(sc["y0"]))
-    ladder = tuple(float(a) for a in sc.get("ladder", [2.0 ** k for k in range(7)]))
-    rep = verify_zero_gap_metric(inst, ladder, tol=float(sc.get("tol", 1e-9)))
+    ladder = tuple(float(a) for a in sc.get("ladder", DEFAULT_LADDER))
+    rep = verify_zero_gap_metric(inst, ladder, tol=float(sc.get("tol", EQ_TOL)))
     curve = [{"rung": a} for a in rep.ladder]
     results = {
         "duality": report_duality(rep.duality),
@@ -470,6 +466,7 @@ def run_scenario(path: str, out=None, seed=None, tol=None, validate="full",
             if not math.isfinite(scenario["tol"]):
                 raise ScenarioError("tol must be finite")
         seed_val = seed if seed is not None else scenario.get("seed")
+        seed_val = None if seed_val is None else int(seed_val)  # the schema admits 7.0
         if scenario.get("draws") and seed_val is None:
             raise ScenarioError("randomized scenarios require a seed")
         rng = np.random.default_rng(seed_val)

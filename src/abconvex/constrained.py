@@ -4,8 +4,8 @@ A feasibility map A sends each parameter point to the set of admissible
 arguments; perturbing the constraint set embeds the problem in the generic
 Lagrangian machinery.  Metric-cone multipliers admit a closed-form Lagrangian
 through the distance to the inverse-feasible set, quadratic multipliers
-through a parabola envelope; both are evaluated by the generic partial
-conjugate on the constrained perturbation.
+through a parabola envelope; both are columns of the generic Lagrangian
+table of the constrained perturbation.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .lagrangian import (
     EQ_TOL,
     PerturbationProblem,
     _partial_conjugate,
+    build_lagrangian,
     duality_report,
 )
 
@@ -103,28 +104,22 @@ def build_constrained_perturbation(inst: ConstrainedInstance) -> PerturbationPro
     return PerturbationProblem(Y=inst.Y, p=p, y0=inst.y0, allow_improper_cols=allow)
 
 
-def _cone_lagrangian(inst: ConstrainedInstance, member_vals: np.ndarray) -> np.ndarray:
-    """L(x) = psi(y0) - sup_{y in G(x)} (psi(y) - f(x)) for one multiplier with
-    finite values: the +inf cells of the perturbation drop out of the sup."""
-    p = build_constrained_perturbation(inst).p
-    return member_vals[inst.y0] - _partial_conjugate(member_vals[None, :], p)[:, 0]
-
-
 def metric_lagrangian(inst: ConstrainedInstance, anchor: int, a: float) -> GridFn:
     """Closed-form metric-cone Lagrangian
     -a d(y0, anchor) + f(x) + a min_{y in G(x)} d(y, anchor), with +inf on
-    arguments whose inverse-feasible set is empty."""
-    params = ElemParams(a=float(a), anchor=int(anchor), c=0.0)
-    vals = eval_on_domain(ElemFamily.metric(inst.Y), params)
-    return GridFn(inst.n_x, _cone_lagrangian(inst, vals))
+    arguments whose inverse-feasible set is empty: the one column of the
+    Lagrangian table of the constrained perturbation."""
+    grid = DualGrid(ElemFamily.metric(inst.Y), [ElemParams(a=float(a), anchor=int(anchor))])
+    return GridFn(inst.n_x, build_lagrangian(build_constrained_perturbation(inst), grid).L[:, 0])
 
 
 def quad_lagrangian(inst: ConstrainedInstance, u, a: float) -> GridFn:
     """Quadratic-multiplier Lagrangian
-    -a||y0||^2 + <u, y0> - sup_{y in G(x)} (-a||y||^2 + <u, y> - f(x))."""
-    params = ElemParams(a=float(a), ell=np.asarray(u, dtype=float), c=0.0)
-    vals = eval_on_domain(ElemFamily.quad_minus(inst.Y), params)
-    return GridFn(inst.n_x, _cone_lagrangian(inst, vals))
+    -a||y0||^2 + <u, y0> - sup_{y in G(x)} (-a||y||^2 + <u, y> - f(x)), the
+    one column of the Lagrangian table of the constrained perturbation."""
+    params = ElemParams(a=float(a), ell=np.asarray(u, dtype=float))
+    grid = DualGrid(ElemFamily.quad_minus(inst.Y), [params])
+    return GridFn(inst.n_x, build_lagrangian(build_constrained_perturbation(inst), grid).L[:, 0])
 
 
 def metric_primal_sup(inst: ConstrainedInstance, x: int) -> ExtReal:

@@ -119,18 +119,6 @@ PLUS_INF = ExtReal(math.inf)
 MINUS_INF = ExtReal(-math.inf)
 
 
-def ext_sub_real(lhs: float, rhs: ExtReal) -> ExtReal:
-    """lhs - rhs for a finite real lhs; total on this signature.
-
-    Follows the arithmetic contract: real - (+inf) = -inf and
-    real - (-inf) = +inf.
-    """
-    lhs = float(lhs)
-    if not math.isfinite(lhs):
-        raise ValueError("lhs of ext_sub_real must be a finite real")
-    return lhs - ExtReal(rhs)
-
-
 # ---------------------------------------------------------------------------
 # Array helpers.  Dense computations keep extended reals as float64 arrays
 # (+-inf allowed, NaN forbidden) and fall back to ExtReal at API boundaries.
@@ -384,10 +372,6 @@ def build_metric_space(points, metric_kind="euclidean", validate: str = "full") 
 Domain = Union[FiniteMetricSpace, int]
 
 
-def domain_size(domain: Domain) -> int:
-    return domain if isinstance(domain, int) else domain.n
-
-
 @dataclass(frozen=True)
 class GridFn:
     """An extended-real-valued function sampled on a finite domain.
@@ -403,7 +387,7 @@ class GridFn:
         vals = as_ext_array(self.values)
         if vals.ndim != 1:
             raise ValueError("GridFn values must be one-dimensional")
-        if vals.shape[0] != domain_size(self.domain):
+        if vals.shape[0] != (self.domain if isinstance(self.domain, int) else self.domain.n):
             raise ValueError("GridFn length does not match its domain")
         object.__setattr__(self, "values", _freeze(vals.copy()))
 

@@ -260,12 +260,6 @@ def validate_members(family: ElemFamily, a, ell=None, anchor=None) -> None:
     _raise_first(_member_rules(family, _arrays(a, ell, anchor)))
 
 
-def validate_params(family: ElemFamily, params: ElemParams) -> None:
-    """Raise BadParams unless params are admissible for the family: the
-    rules of validate_members on one member."""
-    _raise_first(_member_rules(family, _one(params)))
-
-
 def members_on_domain(family: ElemFamily, a, ell=None, anchor=None, c=0.0) -> np.ndarray:
     """(P, n) values at every domain point of the members (a[j], ell[j],
     anchor[j]) plus c (a scalar or shape (P,)), not validated.  Each row is
@@ -303,14 +297,10 @@ def members_on_domain(family: ElemFamily, a, ell=None, anchor=None, c=0.0) -> np
 
 def eval_on_domain(family: ElemFamily, params: ElemParams) -> np.ndarray:
     """Values of one family member at every domain point: the one-member
-    call of members_on_domain, after validate_params."""
-    validate_params(family, params)
+    call of members_on_domain, after the rules of validate_members (BadParams
+    when the member is not admissible for the family)."""
+    _raise_first(_member_rules(family, _one(params)))
     return members_on_domain(family, [params.a], [params.ell], [params.anchor], params.c)[0]
-
-
-def eval_elementary(family: ElemFamily, params: ElemParams, x: int) -> float:
-    """The defining formula's value at one grid point."""
-    return float(eval_on_domain(family, params)[x])
 
 
 def _repeats(m: _Members) -> np.ndarray:
@@ -463,11 +453,6 @@ def default_dual_grid(
 # Conjugation
 # ---------------------------------------------------------------------------
 
-def _check_aligned(f: GridFn, dual: DualGrid) -> None:
-    if f.size != dual.family.domain.n:
-        raise ValueError("grid function and dual grid live on different domains")
-
-
 def conjugate_transform(f: GridFn, dual: DualGrid) -> np.ndarray:
     """Conjugate values sup_x (phi(x) - f(x)), one entry per parameter tuple.
 
@@ -475,7 +460,8 @@ def conjugate_transform(f: GridFn, dual: DualGrid) -> np.ndarray:
     upward (see core.sub_up) so the conjugation pair is an exact Galois
     connection on floats.  Reduced in row blocks of the parameter grid.
     """
-    _check_aligned(f, dual)
+    if f.size != dual.family.domain.n:
+        raise ValueError("grid function and dual grid live on different domains")
     if np.isneginf(f.values).any():
         raise ImproperInput("conjugate of a function taking -inf is +inf everywhere")
     M, v = dual.matrix, f.values
@@ -530,10 +516,6 @@ def convexity_defect(f: GridFn, x0: int, dual: DualGrid) -> float:
 def _check_y0(family: ElemFamily, y0: int) -> None:
     if not 0 <= y0 < family.domain.n:
         raise BadParams(f"y0 must index a point of the {family.domain.n}-point domain")
-
-
-def _nudge(a: float) -> float:
-    return a * _NUDGE
 
 
 def _first_verified(family: ElemFamily, member, scale: float, step, holds,
@@ -591,7 +573,7 @@ def peaking_witness(
     # where the shape is negative, eps - a * shape only grows with a: once it
     # exceeds eps there, every later scale fails too
     return _first_verified(
-        family, lambda a: ElemParams(a=a, anchor=y0, c=eps), a, _nudge,
+        family, lambda a: ElemParams(a=a, anchor=y0, c=eps), a, lambda a: a * _NUDGE,
         lambda vals: (vals <= eps).all() and not (vals[far] > g_vals[far] - K).any(),
         "grid verification failed for every candidate scale",
         doomed=lambda vals: (vals[shape < 0] > eps).any())
@@ -643,7 +625,7 @@ def urysohn_witness(family: ElemFamily, y0: int, eps: float, delta: float) -> El
             lambda c: np.nextafter(c, -np.inf),  # shave solver slack off the upper bounds
             peaks, "gauge urysohn LP solution failed exact grid verification")
     return _first_verified(
-        family, lambda a: ElemParams(a=a, ell=ell, anchor=anchor, c=1.0), a, _nudge,
+        family, lambda a: ElemParams(a=a, ell=ell, anchor=anchor, c=1.0), a, lambda a: a * _NUDGE,
         peaks, f"{family.kind.value} urysohn construction failed grid verification")
 
 

@@ -91,10 +91,6 @@ class SupportFn:
     kind: str
     level: float = 0.0
 
-    @classmethod
-    def constant(cls, level: float) -> "SupportFn":
-        return cls(kind="constant", level=float(level))
-
 
 @dataclass(frozen=True)
 class Certificate:
@@ -254,7 +250,7 @@ def gap_certificate(prob: PerturbationProblem, psi_grid: DualGrid, alpha: float,
     if hits.size == 0:
         return None
     psi_bar = psi_grid.member(int(hits[0]))
-    const = SupportFn.constant(alpha)
+    const = SupportFn(kind="constant", level=float(alpha))
     return Certificate(
         psi1=psi_bar, psi2=psi_bar, phi1=const, phi2=const,
         t=TCertificate(t0=0.0, level=float(alpha), lower_envelope_value=float(alpha)),

@@ -177,6 +177,14 @@ def degenerate_transport(rng, n, m):
                             mu=mu, nu=nu)
 
 
+def large_cost_transport(rng, n, m, scale):
+    """Integer costs times scale / 7 (up to about 14 * scale) and integer
+    marginals with positive rows."""
+    mu = rng.integers(1, 10, n).astype(float)
+    nu = rng.multinomial(int(mu.sum()), np.full(m, 1.0 / m)).astype(float)
+    return TransportProblem(cost=rng.integers(0, 100, (n, m)) * scale / 7, mu=mu, nu=nu)
+
+
 # ---------------------------------------------------------------------------
 # independent oracles (plain loops, no shared code paths with the library)
 # ---------------------------------------------------------------------------

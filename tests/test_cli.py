@@ -15,8 +15,14 @@ from abconvex import (
     ElemFamily,
     ElemParams,
     GridFn,
+    PerturbationProblem,
+    Sampled1D,
+    biconjugate,
     build_metric_space,
+    conjugate_transform,
     convexity_defect,
+    default_dual_grid,
+    duality_report,
 )
 from abconvex.cli import (
     EXIT_BAD_SCENARIO,
@@ -33,7 +39,7 @@ from abconvex.cli import (
 )
 from abconvex.errors import ScenarioError
 from abconvex.transport import kantorovich_gap_report, solve_transport
-from conftest import degenerate_transport, random_transport
+from conftest import degenerate_transport, large_cost_transport, random_transport
 
 REPO = Path(__file__).resolve().parents[1]
 SCENARIOS = REPO / "scenarios"
@@ -529,3 +535,168 @@ class TestMalformedJsonExit2:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith(f"error: cannot read scenario: {message}")
         assert run_scenario(str(p)) == EXIT_BAD_SCENARIO
+
+
+class TestLargeCostTransport:
+    def test_exits_0(self, tmp_path):
+        # 18 x 11 with costs up to 2.8e9: the audit's tolerances scale with
+        # the costs
+        prob = large_cost_transport(np.random.default_rng(0), 18, 11, 2e8)
+        sc = {"kind": "transport", "cost": prob.cost.tolist(), "mu": prob.mu.tolist(),
+              "nu": prob.nu.tolist()}
+        path = tmp_path / "sc.json"
+        path.write_text(json.dumps(sc))
+        code, report, _ = run_file(path, tmp_path)
+        assert code == EXIT_OK and report["results"]["slack_violations"] == 0
+        assert report["results"]["value"] == solve_transport(prob)[2]
+
+
+def _convert(*keys):
+    """A function (sc, convert) that applies convert to the value at
+    sc[keys[0]][keys[1]]...; "*" stands for every item of a list."""
+    def apply(node, keys, convert):
+        key, rest = keys[0], keys[1:]
+        for k in (range(len(node)) if key == "*" else [key]):
+            if rest:
+                apply(node[k], rest, convert)
+            else:
+                node[k] = convert(node[k])
+    return lambda sc, convert: apply(sc, keys, convert)
+
+
+#: one case per use of an integer field of the scenario schema: (schema
+#: pointer of the field, shipped scenario, update that puts the field in
+#: use, converter of the field)
+INTEGER_FIELDS = {
+    "seed": ("/properties/seed", "peaking_demo.json", None, _convert("seed")),
+    "family.params.anchor": ("/$defs/params/properties/anchor", "gap_vee_down.json",
+                             lambda sc: sc.update(family={"kind": "metric", "params": [
+                                 {"a": 1.0, "anchor": 0}, {"a": 2.0, "anchor": 2}]}),
+                             _convert("family", "params", "*", "anchor")),
+    "g.anchor": ("/$defs/params/properties/anchor", "peaking_demo.json", None,
+                 _convert("g", "anchor")),
+    "auto.slope_count": ("/$defs/family/properties/auto/properties/slope_count",
+                         "conjugate_abs.json",
+                         lambda sc: sc.update(family={"kind": "quad_minus",
+                                                      "auto": {"slope_count": 5}}),
+                         _convert("family", "auto", "slope_count")),
+    "auto.curvature_levels": ("/$defs/family/properties/auto/properties/curvature_levels",
+                              "conjugate_abs.json",
+                              lambda sc: sc.update(family={"kind": "quad_minus",
+                                                           "auto": {"curvature_levels": 3}}),
+                              _convert("family", "auto", "curvature_levels")),
+    "auto.max_anchors": ("/$defs/family/properties/auto/properties/max_anchors",
+                         "conjugate_abs.json",
+                         lambda sc: sc.update(family={"kind": "metric",
+                                                      "auto": {"max_anchors": 2}}),
+                         _convert("family", "auto", "max_anchors")),
+    "gap.y0": ("/allOf/1/then/anyOf/0/properties/y0", "gap_vee_down.json", None, _convert("y0")),
+    "gap.canonical.levels": ("/allOf/1/then/anyOf/1/properties/canonical/properties/levels/items",
+                             "gap_refinement.json", None, _convert("canonical", "levels", "*")),
+    "certify.y0": ("/allOf/2/then/properties/y0", "certify_vee_up.json", None, _convert("y0")),
+    "constrained.A": ("/allOf/3/then/properties/A/items/items", "constrained_2x2.json", None,
+                      _convert("A", "*", "*")),
+    "constrained.y0": ("/allOf/3/then/properties/y0", "constrained_2x2.json", None,
+                       _convert("y0")),
+    "peaking.y0": ("/allOf/6/then/properties/y0", "peaking_demo.json", None, _convert("y0")),
+    "peaking.draws": ("/allOf/6/then/properties/draws", "peaking_demo.json", None,
+                      _convert("draws")),
+}
+
+
+def _integer_pointers(node, pointer=""):
+    if isinstance(node, dict):
+        if node.get("type") == "integer":
+            yield pointer
+        for k, v in node.items():
+            yield from _integer_pointers(v, f"{pointer}/{k}")
+    elif isinstance(node, list):
+        for k, v in enumerate(node):
+            yield from _integer_pointers(v, f"{pointer}/{k}")
+
+
+class TestIntegralFloats:
+    """JSON Schema counts 7.0 as an integer, so each integer field may come
+    as an integral float; it must act as the integer does."""
+
+    def test_every_integer_field_has_a_case(self):
+        assert set(_integer_pointers(load_schema(SCHEMA_PATH))) == {
+            pointer for pointer, _, _, _ in INTEGER_FIELDS.values()}
+
+    @pytest.mark.parametrize("case", sorted(INTEGER_FIELDS))
+    def test_acts_as_the_integer(self, case, tmp_path, capsys):
+        _, name, use, convert_field = INTEGER_FIELDS[case]
+        runs = []
+        for convert in (int, float):
+            sc = _mutated(name, use or (lambda sc: None))
+            convert_field(sc, convert)
+            validate_scenario(sc)
+            code, err = _run_main(sc["kind"], sc, tmp_path, capsys)
+            assert code in (EXIT_OK, EXIT_BAD_SCENARIO, EXIT_NEGATIVE)
+            assert "Traceback" not in err
+            runs.append((json.dumps(sc), code,
+                         json.loads((tmp_path / "o.json").read_text())["results"]))
+        assert runs[0][0] != runs[1][0]  # the float form differs in the file
+        assert runs[0][1:] == runs[1][1:]
+
+
+_LINE = [-1.0, -0.5, 0.0, 0.5, 1.0]
+_G_SHAPE = {"ts": [0.0, 1.0, 2.0], "vs": [0.0, 1.0, 1.5]}
+
+#: the three family kinds parse_family builds with extra data, each as its
+#: scenario spec and the family built directly
+FAMILY_KINDS = {
+    "sigma_nu": ({"kind": "sigma_nu", "sigma": [1.0, 0.5, 0.0, 0.5, 1.0],
+                  "nu": _LINE, "auto": {"curvature_levels": 3}},
+                 lambda Y: ElemFamily.sigma_nu(Y, GridFn(Y, [1.0, 0.5, 0.0, 0.5, 1.0]),
+                                               GridFn(Y, _LINE))),
+    "generalized_metric": ({"kind": "generalized_metric", "g_shape": _G_SHAPE,
+                            "quasi_subadd_const": 2.0, "auto": {"max_anchors": 3}},
+                           lambda Y: ElemFamily.generalized_metric(
+                               Y, Sampled1D(_G_SHAPE["ts"], _G_SHAPE["vs"]), 2.0)),
+    "gauge": ({"kind": "gauge", "norm": "l1", "auto": {"slope_count": 3}},
+              lambda Y: ElemFamily.gauge(Y, "l1")),
+}
+
+
+class TestFamilyKinds:
+    """conjugate and gap scenarios of each family kind that carries data of
+    its own, against the library called directly."""
+
+    @staticmethod
+    def _run(sc, tmp_path):
+        path = tmp_path / "sc.json"
+        path.write_text(json.dumps(sc))
+        code, report, _ = run_file(path, tmp_path)
+        assert code == EXIT_OK
+        jsonschema.validate(report, load_schema(REPORT_SCHEMA_PATH))
+        return report["results"]
+
+    @pytest.mark.parametrize("kind", sorted(FAMILY_KINDS))
+    def test_conjugate(self, kind, tmp_path):
+        spec, family = FAMILY_KINDS[kind]
+        f_vals = [1.0, 0.25, 0.0, 0.25, 1.0]
+        results = self._run({"kind": "conjugate", "domain": {"points": [[x] for x in _LINE]},
+                             "function": f_vals, "family": spec}, tmp_path)
+        Y = build_metric_space(np.asarray(_LINE)[:, None])
+        f = GridFn(Y, f_vals)
+        grid = default_dual_grid(family(Y), f, **spec["auto"])
+        assert results["conjugate"] == [ext_to_json(v) for v in conjugate_transform(f, grid)]
+        assert results["biconjugate"] == [ext_to_json(v) for v in biconjugate(f, grid).values]
+        assert results["grid_size"] == grid.size
+
+    @pytest.mark.parametrize("kind", sorted(FAMILY_KINDS))
+    def test_gap(self, kind, tmp_path):
+        spec, family = FAMILY_KINDS[kind]
+        p = [[1.0, 0.5, 0.0, 0.5, 1.0], [0.5, 0.0, 1.0, 0.0, 0.5]]
+        results = self._run({"kind": "gap", "domain": {"points": [[x] for x in _LINE]},
+                             "p": p, "y0": 2, "family": spec}, tmp_path)
+        Y = build_metric_space(np.asarray(_LINE)[:, None])
+        prob = PerturbationProblem(Y=Y, p=p, y0=2)
+        V = GridFn(Y, np.min(p, axis=0))
+        rep = duality_report(prob, default_dual_grid(family(Y), V, **spec["auto"]))
+        for key in ("primal", "dual", "gap", "V_bidual_at_y0"):
+            assert results[key] == ext_to_json(getattr(rep, key))
+        assert results["V_star"] == [ext_to_json(v) for v in rep.V_star]
+        assert results["multiplier_grid"] == {"kind": kind, "size": rep.psi_grid.size}
+        assert (results["certificate"] is None) == (rep.certificate is None)

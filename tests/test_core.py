@@ -16,7 +16,6 @@ from abconvex import (
     MINUS_INF,
     PLUS_INF,
     build_metric_space,
-    ext_sub_real,
 )
 from abconvex import core
 from abconvex.core import as_ext_array, is_proper, sub_up
@@ -115,14 +114,11 @@ class TestExtReal:
 
 
 class TestExtSubReal:
-    def test_examples(self):
-        assert ext_sub_real(3.0, ExtReal(1.0)) == ExtReal(2.0)
-        assert ext_sub_real(3.0, PLUS_INF) == MINUS_INF
-        assert ext_sub_real(3.0, MINUS_INF) == PLUS_INF
-
-    def test_requires_finite_lhs(self):
-        with pytest.raises(ValueError):
-            ext_sub_real(math.inf, ExtReal(0.0))
+    def test_examples(self):  # a real minus an extended real is an ExtReal
+        for lhs, rhs, want in [(3.0, ExtReal(1.0), ExtReal(2.0)), (3.0, PLUS_INF, MINUS_INF),
+                               (3.0, MINUS_INF, PLUS_INF)]:
+            out = lhs - rhs
+            assert type(out) is ExtReal and out == want
 
 
 class TestSubUp:

@@ -16,7 +16,6 @@ from abconvex import (
     conjugate_transform,
     convexity_defect,
     default_dual_grid,
-    eval_elementary,
     eval_on_domain,
     is_support,
     peaking_witness,
@@ -47,28 +46,28 @@ class TestEval:
     def test_affine_example(self):
         space = line_space([3.0])
         fam = ElemFamily.affine(space)
-        assert eval_elementary(fam, ElemParams(ell=[2.0], c=1.0), 0) == 7.0
+        assert float(eval_on_domain(fam, ElemParams(ell=[2.0], c=1.0))[0]) == 7.0
 
     def test_quad_minus_example(self):
         space = line_space([2.0])
         fam = ElemFamily.quad_minus(space)
-        assert eval_elementary(fam, ElemParams(a=1.0, ell=[0.0]), 0) == -4.0
+        assert float(eval_on_domain(fam, ElemParams(a=1.0, ell=[0.0]))[0]) == -4.0
 
     def test_metric_example(self):
         space = line_space([0.0, 1.0, 2.0])
         fam = ElemFamily.metric(space)
-        assert eval_elementary(fam, ElemParams(a=3.0, anchor=0, c=1.0), 2) == -5.0
+        assert float(eval_on_domain(fam, ElemParams(a=3.0, anchor=0, c=1.0))[2]) == -5.0
 
     def test_bad_params(self):
         space = line_space([0.0, 1.0])
         with pytest.raises(BadParams):
-            eval_elementary(ElemFamily.metric(space), ElemParams(a=0.0, anchor=0), 0)
+            float(eval_on_domain(ElemFamily.metric(space), ElemParams(a=0.0, anchor=0))[0])
         with pytest.raises(BadParams):
-            eval_elementary(ElemFamily.metric(space), ElemParams(a=1.0, anchor=5), 0)
+            float(eval_on_domain(ElemFamily.metric(space), ElemParams(a=1.0, anchor=5))[0])
         with pytest.raises(BadParams):
-            eval_elementary(ElemFamily.quad_minus(space), ElemParams(a=-1.0, ell=[0.0]), 0)
+            float(eval_on_domain(ElemFamily.quad_minus(space), ElemParams(a=-1.0, ell=[0.0]))[0])
         with pytest.raises(BadParams):
-            eval_elementary(ElemFamily.affine(space), ElemParams(a=1.0, ell=[0.0]), 0)
+            float(eval_on_domain(ElemFamily.affine(space), ElemParams(a=1.0, ell=[0.0]))[0])
 
     def test_gauge_and_quad_plus(self):
         space = line_space([-2.0, 2.0])
@@ -76,7 +75,7 @@ class TestEval:
         vals = eval_on_domain(gauge, ElemParams(a=1.0, ell=[0.5], c=0.0))
         assert np.allclose(vals, [-2.0 - 1.0, -2.0 + 1.0])
         qp = ElemFamily.quad_plus(space)
-        assert eval_elementary(qp, ElemParams(a=1.0, ell=[0.0], c=0.0), 1) == 4.0
+        assert float(eval_on_domain(qp, ElemParams(a=1.0, ell=[0.0], c=0.0))[1]) == 4.0
 
     def test_generalized_metric(self):
         space = line_space([0.0, 1.0, 3.0])
@@ -91,7 +90,7 @@ class TestEval:
         ok_sigma = GridFn(space, [0.0, 1.0])
         ok_nu = GridFn(space, [0.0, -1.0])
         fam = ElemFamily.sigma_nu(space, ok_sigma, ok_nu)
-        assert eval_elementary(fam, ElemParams(a=2.0, c=0.5), 1) == 2.0 - 1.0 + 0.5
+        assert float(eval_on_domain(fam, ElemParams(a=2.0, c=0.5))[1]) == 2.0 - 1.0 + 0.5
         with pytest.raises(ValueError):
             ElemFamily.sigma_nu(space, GridFn(space, [0.5, 1.0]), ok_nu)
 

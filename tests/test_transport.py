@@ -23,6 +23,7 @@ from abconvex.transport import _northwest_start, dual_objective
 from conftest import (
     degenerate_transport,
     generic_transport,
+    large_cost_transport,
     random_transport,
     same_bits,
     transport_vertex_oracle,
@@ -474,6 +475,22 @@ class TestKantorovichReport:
         rep = kantorovich_gap_report(
             TransportProblem(cost=[[7.0]], mu=[2.0], nu=[2.0]))
         assert rep.gap == 0.0 and rep.dual == 14.0  # mu_1 * c_11
+
+    @pytest.mark.parametrize("scale", [1e9, 1e12])
+    @pytest.mark.parametrize("zero_value", [False, True], ids=["generic", "zero-value"])
+    def test_large_costs(self, scale, zero_value):
+        """The audit's tolerances scale with the costs, as the pivot loop's
+        stopping test does."""
+        rng = np.random.default_rng(3)
+        for _ in range(40):
+            prob = large_cost_transport(rng, *rng.integers(2, 30, 2), scale)
+            if zero_value:  # zero cost on the north-west corner plan's cells
+                cost = prob.cost.copy()
+                cost[_northwest_start(prob.mu, prob.nu)[0] > 0] = 0.0
+                prob = TransportProblem(cost=cost, mu=prob.mu, nu=prob.nu)
+            rep = kantorovich_gap_report(prob)
+            assert rep.slack_violations == 0
+            assert rep.dual == 0.0 if zero_value else rep.dual > 0.0
 
 
 class TestCouplingCheck:
