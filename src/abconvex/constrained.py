@@ -24,7 +24,7 @@ from .lagrangian import (
     DualityReport,
     EQ_TOL,
     PerturbationProblem,
-    _partial_conjugate,
+    _lagrangian,
     build_lagrangian,
     duality_report,
 )
@@ -141,8 +141,7 @@ def metric_grid_sup(inst: ConstrainedInstance, x: int,
     validate_members(fam, a, anchor=anchor)
     E = members_on_domain(fam, a, anchor=anchor)
     p = np.where(inst.map.mask[x], inst.f.values[x], np.inf)[None, :]
-    L = E[:, inst.y0] - _partial_conjugate(E, p)[0]
-    return L.reshape(ladder.size, n).max(axis=1)
+    return _lagrangian(E, p, inst.y0)[0].reshape(ladder.size, n).max(axis=1)
 
 
 def metric_dual_grid(inst: ConstrainedInstance, a_ladder: Sequence[float]) -> DualGrid:
@@ -208,9 +207,8 @@ def verify_zero_gap_metric(inst: ConstrainedInstance,
 
     minimal_rung = None
     if np.isfinite(primal):
-        col_min = report.table.L.min(axis=0)
         for a in ladder:
-            best = col_min[grid.a <= a].max()
+            best = report.table.col_inf[grid.a <= a].max()
             if primal - best <= tol:
                 minimal_rung = a
                 break

@@ -387,7 +387,8 @@ class GridFn:
         vals = as_ext_array(self.values)
         if vals.ndim != 1:
             raise ValueError("GridFn values must be one-dimensional")
-        if vals.shape[0] != (self.domain if isinstance(self.domain, int) else self.domain.n):
+        n = self.domain if isinstance(self.domain, numbers.Integral) else self.domain.n
+        if vals.shape[0] != n:
             raise ValueError("GridFn length does not match its domain")
         object.__setattr__(self, "values", _freeze(vals.copy()))
 

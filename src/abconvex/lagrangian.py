@@ -3,8 +3,8 @@
 A problem instance is a table p(x, y) with a distinguished parameter y0.
 Multipliers are drawn from a finite sample of an elementary family over the
 parameter grid; the Lagrangian is L(x, psi) = psi(y0) - sup_y (psi(y) - p(x, y)).
-The sup, the partial conjugate, is computed by one kernel for every caller,
-the constrained module included.
+The sup, the partial conjugate, and its composition into L each have one
+kernel for every caller, the constrained module included.
 Reports expose the primal/dual values, the optimal value function V and its
 grid biconjugate at y0, and level certificates built from constant supports.
 """
@@ -68,19 +68,24 @@ class PerturbationProblem:
 
 @dataclass(frozen=True)
 class LagTable:
-    """L(x, psi) over the multiplier grid; rows of +inf mark empty dom p(x, .)."""
+    """L(x, psi) over the multiplier grid; rows of +inf mark empty dom p(x, .).
+    row_sup = sup_psi L(x, .) = p_x**(y0) and col_inf = inf_x L(., psi)."""
 
     L: np.ndarray
     S: np.ndarray  # the partial conjugate p*_x(psi) that L is composed from
     psi_grid: DualGrid
     y0: int
+    row_sup: np.ndarray = field(init=False, repr=False, compare=False)
+    col_inf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        row_inf = np.isposinf(self.L).all(axis=1)
-        row_any_inf = np.isposinf(self.L).any(axis=1)
-        if not np.array_equal(row_inf, row_any_inf):
+        L = _freeze(np.asarray(self.L, dtype=float))
+        row_sup = L.max(axis=1)
+        if (np.isposinf(row_sup) & (L.min(axis=1) < np.inf)).any():
             raise ImproperProblem("a Lagrangian row mixes +inf with finite values")
-        object.__setattr__(self, "L", _freeze(np.asarray(self.L, dtype=float).copy()))
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "row_sup", _freeze(row_sup))
+        object.__setattr__(self, "col_inf", _freeze(L.min(axis=0)))
         _freeze(self.S)
 
 
@@ -151,27 +156,27 @@ def partial_conjugate(prob: PerturbationProblem, x: int,
     return ExtReal(float(_partial_conjugate(vals[None, :], prob.p[x][None, :])[0, 0]))
 
 
+def _lagrangian(E: np.ndarray, p: np.ndarray, y0: int) -> tuple[np.ndarray, np.ndarray]:
+    """(L, S) with S = _partial_conjugate(E, p) and L[x, j] = E[j, y0] - S[x, j]:
+    the one composition of the Lagrangian (E finite, S finite or -inf, no NaN)."""
+    S = _partial_conjugate(E, p)
+    return E[:, y0][None, :] - S, S
+
+
+def _reproduces(bidual: np.ndarray, p: np.ndarray) -> bool:
+    """Whether a grid biconjugate reproduces p: within EQ_TOL where p is
+    finite and +inf where p is +inf."""
+    with np.errstate(invalid="ignore"):
+        return bool(np.where(np.isfinite(p), np.abs(bidual - p) <= EQ_TOL,
+                             np.isposinf(bidual)).all())
+
+
 def build_lagrangian(prob: PerturbationProblem, psi_grid: DualGrid) -> LagTable:
     """L(x, psi) = psi(y0) - p*_x(psi) for every multiplier on the grid."""
     if psi_grid.family.domain.n != prob.Y.n:
         raise ImproperProblem("multiplier grid must live on the parameter domain")
-    E = psi_grid.matrix
-    S = _partial_conjugate(E, prob.p)
-    with np.errstate(invalid="ignore"):
-        L = E[:, prob.y0][None, :] - S
+    L, S = _lagrangian(psi_grid.matrix, prob.p, prob.y0)
     return LagTable(L=L, S=S, psi_grid=psi_grid, y0=prob.y0)
-
-
-def _full_convexity_holds(prob: PerturbationProblem, psi_grid: DualGrid,
-                          S: np.ndarray) -> bool:
-    """Whether every p(x, .) equals its grid biconjugate on all of Y (1e-9)."""
-    bidual = _partial_conjugate(psi_grid.matrix.T, S)
-    p = prob.p
-    finite = np.isfinite(p)
-    ok_fin = np.abs(bidual[finite] - p[finite]).max(initial=0.0) <= EQ_TOL
-    inf_cells = ~finite
-    ok_inf = np.isposinf(bidual[inf_cells]).all() if inf_cells.any() else True
-    return bool(ok_fin and ok_inf)
 
 
 def duality_report(prob: PerturbationProblem, psi_grid: DualGrid,
@@ -187,12 +192,9 @@ def duality_report(prob: PerturbationProblem, psi_grid: DualGrid,
     if convexity_scope not in ("anchor", "full"):
         raise ValueError("convexity_scope must be 'anchor' or 'full'")
     table = build_lagrangian(prob, psi_grid)
-    E, S, L = psi_grid.matrix, table.S, table.L
-
-    row_sup = L.max(axis=1)            # sup_psi L(x, .) = p_x**(y0)
-    primal = float(row_sup.min())
-    col_inf = L.min(axis=0)            # inf_x L(., psi)
-    dual = float(col_inf.max())
+    E, S = psi_grid.matrix, table.S
+    primal = float(table.row_sup.min())
+    dual = float(table.col_inf.max())
 
     V = GridFn(prob.Y, prob.p.min(axis=0))
     V_star = S.max(axis=0)
@@ -200,17 +202,11 @@ def duality_report(prob: PerturbationProblem, psi_grid: DualGrid,
     if V_bidual != dual:
         raise AssertionError("dual != V**(y0); internal reduction mismatch")
 
-    p0 = prob.p[:, prob.y0]
-    both_inf = np.isposinf(row_sup) & np.isposinf(p0)
-    with np.errstate(invalid="ignore"):
-        finite_ok = (np.isfinite(row_sup) & np.isfinite(p0)
-                     & (np.abs(row_sup - p0) <= EQ_TOL))
-    reconstruction_ok = bool((both_inf | finite_ok).all())
-
+    reconstruction_ok = _reproduces(table.row_sup, prob.p[:, prob.y0])
     if convexity_scope == "anchor":
         convexity_holds = reconstruction_ok
     else:
-        convexity_holds = _full_convexity_holds(prob, psi_grid, S)
+        convexity_holds = _reproduces(_partial_conjugate(E.T, S), prob.p)
 
     if primal == dual:
         gap = ExtReal(0.0)
@@ -241,12 +237,10 @@ def gap_certificate(prob: PerturbationProblem, psi_grid: DualGrid, alpha: float,
     no grid multiplier reaches alpha (the dual value bounds all row minima).
     """
     table = _table if _table is not None else build_lagrangian(prob, psi_grid)
-    L = table.L
-    primal = float(L.max(axis=1).min())
+    primal = float(table.row_sup.min())
     if not alpha < primal:
         raise LevelAbovePrimal(f"alpha={alpha} is not strictly below primal={primal}")
-    col_inf = L.min(axis=0)
-    hits = np.flatnonzero(col_inf >= alpha)
+    hits = np.flatnonzero(table.col_inf >= alpha)
     if hits.size == 0:
         return None
     psi_bar = psi_grid.member(int(hits[0]))
@@ -263,7 +257,7 @@ def alpha_sweep(prob: PerturbationProblem,
     seven halvings of a unit offset, then the final step at primal - 1e-6,
     each level at least one double below primal."""
     table = build_lagrangian(prob, psi_grid)
-    primal = float(table.L.max(axis=1).min())
+    primal = float(table.row_sup.min())
     if not np.isfinite(primal):
         raise LevelAbovePrimal("alpha sweep needs a finite primal value")
     offsets = [2.0 ** -k for k in range(7)] + [1e-6]
@@ -287,8 +281,7 @@ def concavity_probe(prob: PerturbationProblem, family: ElemFamily,
     Ea = eval_on_domain(family, psi_a)
     Eb = eval_on_domain(family, psi_b)
     E = np.vstack([Ea, Eb, t * Ea + (1.0 - t) * Eb])
-    with np.errstate(invalid="ignore"):
-        La, Lb, Lc = (E[:, prob.y0][None, :] - _partial_conjugate(E, prob.p)).T
+    La, Lb, Lc = _lagrangian(E, prob.p, prob.y0)[0].T
     if t == 0.0:
         rhs = Lb
     elif t == 1.0:

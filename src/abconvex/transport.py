@@ -72,7 +72,8 @@ class Coupling:
 
 @dataclass(frozen=True)
 class Potentials:
-    """A dual-feasible pair: psi_i + phi_j <= cost_ij (within 1e-9)."""
+    """A dual-feasible pair: psi_i + phi_j <= cost_ij, within
+    SLACK_TOL * max(1, max|cost|)."""
 
     psi: np.ndarray
     phi: np.ndarray
@@ -331,7 +332,8 @@ def kantorovich_gap_report(prob: TransportProblem, solved=None) -> KantorovichRe
 
 
 def coupling_check(q, mu, nu, pairing_tests: Sequence[tuple] = ()) -> bool:
-    """Nonnegativity, marginal, and pairing-identity audit of a proposed plan."""
+    """Nonnegativity, marginal, and pairing-identity audit of a proposed plan,
+    to MARGINAL_TOL relative to the mass and to (max|psi| + max|phi|) * mass."""
     q = np.asarray(q, dtype=float)
     mu = np.asarray(mu, dtype=float)
     nu = np.asarray(nu, dtype=float)
@@ -339,16 +341,17 @@ def coupling_check(q, mu, nu, pairing_tests: Sequence[tuple] = ()) -> bool:
         raise ValueError("coupling shape must match the marginals")
     if (q < 0).any():
         return False
-    if np.abs(q.sum(axis=1) - mu).max() > MARGINAL_TOL:
-        return False
-    if np.abs(q.sum(axis=0) - nu).max() > MARGINAL_TOL:
+    mass = float(mu.sum())
+    tol = MARGINAL_TOL * max(1.0, mass)
+    if np.abs(q.sum(axis=1) - mu).max() > tol or np.abs(q.sum(axis=0) - nu).max() > tol:
         return False
     for psi, phi in pairing_tests:
         psi = np.asarray(psi, dtype=float)
         phi = np.asarray(phi, dtype=float)
         lhs = float(psi @ mu + phi @ nu)
         rhs = float((q * (psi[:, None] + phi[None, :])).sum())
-        if abs(lhs - rhs) > MARGINAL_TOL:
+        size = (float(np.abs(psi).max()) + float(np.abs(phi).max())) * mass
+        if abs(lhs - rhs) > MARGINAL_TOL * max(1.0, size):
             return False
     return True
 

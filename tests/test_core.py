@@ -11,11 +11,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from abconvex import (
+    ConstrainedInstance,
+    ConstraintMap,
     ExtReal,
     GridFn,
     MINUS_INF,
     PLUS_INF,
     build_metric_space,
+    verify_zero_gap_metric,
 )
 from abconvex import core
 from abconvex.core import as_ext_array, is_proper, sub_up
@@ -239,6 +242,21 @@ class TestGridFn:
         assert GridFn(2, [1.0, np.inf]).proper
         assert not GridFn(2, [np.inf, np.inf]).proper
         assert not GridFn(2, [1.0, -np.inf]).proper
+
+    def test_numpy_integer_point_count(self):
+        # a seeded draw is a numpy integer, not an int: it is still a point count
+        rng = np.random.default_rng(7)
+        Y = build_metric_space([[0.0], [1.0]])
+        for _ in range(10):
+            n_x = rng.integers(1, 8)
+            f = GridFn(n_x, rng.uniform(-1.0, 1.0, size=n_x))
+            assert f.size == n_x
+            with pytest.raises(ValueError, match="length"):
+                GridFn(n_x, np.zeros(n_x + 1))
+            cmap = ConstraintMap(feasible=(frozenset(range(n_x)), frozenset({0})), n_x=n_x)
+            inst = ConstrainedInstance(f=f, map=cmap, Y=Y, y0=0)
+            assert inst.n_x == n_x
+            assert verify_zero_gap_metric(inst).constrained_value == f.values.min()
 
     def test_values_frozen(self):
         f = GridFn(2, [1.0, 2.0])

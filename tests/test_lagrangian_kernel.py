@@ -20,9 +20,9 @@ from abconvex import (
     quad_lagrangian,
     verify_zero_gap_metric,
 )
-from abconvex.errors import BadParams
+from abconvex.errors import BadParams, ImproperProblem
 from abconvex.families import eval_on_domain
-from abconvex.lagrangian import DualityReport, _full_convexity_holds
+from abconvex.lagrangian import DualityReport, LagTable
 from conftest import (
     kernel_constrained,
     kernel_perturbation,
@@ -53,12 +53,28 @@ class TestLagrangianTable:
                 table = build_lagrangian(prob, grid)
                 assert same_bits(table.S, old_partial_conjugate_matrix(prob, grid))
                 assert same_bits(table.L, old_lagrangian(prob, grid))
+                assert same_bits(table.row_sup, table.L.max(axis=1))
+                assert same_bits(table.col_inf, table.L.min(axis=0))
+                assert not (table.row_sup.flags.writeable or table.col_inf.flags.writeable)
                 for _ in range(3):
                     x = int(rng.integers(n_x))
                     params = grid.params_list[int(rng.integers(grid.size))]
                     got = partial_conjugate(prob, x, grid.family, params)
                     want = old_partial_conjugate(prob, x, grid.family, params)
                     assert same_bits(got.as_float(), want.as_float())
+
+    def test_row_mixing_inf_with_finite_rejected(self):
+        prob, grid = kernel_perturbation(np.random.default_rng(501), 3, 4)
+        S = np.zeros((3, grid.size))
+        L = np.ones((3, grid.size))
+        L[1] = np.inf                       # an all-+inf row: an empty dom p(x, .)
+        table = LagTable(L=L, S=S, psi_grid=grid, y0=prob.y0)
+        assert same_bits(table.row_sup, np.array([1.0, np.inf, 1.0]))
+        assert same_bits(table.col_inf, np.ones(grid.size))
+        L = np.ones((3, grid.size))
+        L[2, -1] = np.inf
+        with pytest.raises(ImproperProblem, match="mixes"):
+            LagTable(L=L, S=S, psi_grid=grid, y0=prob.y0)
 
 
 class TestDualityReport:
@@ -89,7 +105,7 @@ class TestDualityReport:
         for n_x, n_y in table_shapes(rng, 60):
             prob, grid = kernel_perturbation(rng, n_x, n_y, holes=bool(rng.random() < 0.5))
             S = old_partial_conjugate_matrix(prob, grid)
-            got = _full_convexity_holds(prob, grid, S)
+            got = duality_report(prob, grid, convexity_scope="full").convexity_holds
             assert got == old_full_convexity_holds(prob, grid, S)
             seen.add(got)
         assert seen == {True, False}

@@ -512,6 +512,19 @@ class TestCouplingCheck:
         q = np.array([[0.25, 0.5], [0.25, 0.0]])
         assert not coupling_check(q, self.mu, self.nu)
 
+    @pytest.mark.parametrize("scale", [1e6, 1e9, 1e12])
+    def test_accepts_solver_plans_at_large_mass(self, scale):
+        # marginals and pairings are audited relative to the mass, like the
+        # balance check of TransportProblem, so a plan off by 1e-6 of it fails
+        rng = np.random.default_rng(0)
+        for _ in range(30):
+            base = generic_transport(rng, int(rng.integers(2, 40)), int(rng.integers(2, 40)))
+            prob = TransportProblem(cost=base.cost, mu=base.mu * scale, nu=base.nu * scale)
+            coupling, pots, _ = solve_transport(prob)
+            assert coupling_check(coupling.q, prob.mu, prob.nu, [(pots.psi, pots.phi)])
+            off = coupling.q + 1e-6 * scale * np.eye(*coupling.q.shape)
+            assert not coupling_check(off, prob.mu, prob.nu)
+
     def test_submarginal_inequality(self):
         # nonnegative q with sub-marginals pairs below the marginal pairing
         # for nonnegative test functions
