@@ -22,7 +22,7 @@ from abconvex import (
     metric_dual_grid,
 )
 from abconvex.core import METRIC_TOL, sub_up
-from abconvex.errors import ImproperInput
+from abconvex.errors import ImproperInput, UndefinedSum
 from abconvex.minimax import envelope_candidates
 
 
@@ -183,6 +183,45 @@ def large_cost_transport(rng, n, m, scale):
     mu = rng.integers(1, 10, n).astype(float)
     nu = rng.multinomial(int(mu.sum()), np.full(m, 1.0 / m)).astype(float)
     return TransportProblem(cost=rng.integers(0, 100, (n, m)) * scale / 7, mu=mu, nu=nu)
+
+
+#: the special values of the sub_up grid: signed zeros and subnormals, the
+#: smallest normal, 1 and its neighbour, the top binade, the infinities and NaN
+SUB_UP_SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1022, -(2.0 ** -1022), 1.0, -1.0,
+                   1.0 + 2.0 ** -52, -(1.0 + 2.0 ** -52), 2.0 ** 1023, -(2.0 ** 1023),
+                   np.finfo(float).max, -np.finfo(float).max, np.inf, -np.inf, np.nan, 0.1)
+
+SUB_UP_STYLES = ("exponents", "near_equal", "powers_of_two", "huge", "mixed")
+
+
+def sub_up_pairs(rng, style, n):
+    """n finite pairs (a, b) for sub_up: random exponents over the whole range
+    (subnormals included), b within a few ulps of a times 2**j for |j| <= 2
+    (exact differences by Sterbenz's lemma when |j| < 2), powers of two against
+    their neighbours, both operands at the 2**1023 scale (where a - b
+    overflows), or magnitudes of about 1e300 and 1e-300 mixed."""
+    sign = lambda: rng.choice([-1.0, 1.0], n)
+    if style == "exponents":
+        a, b = (sign() * np.ldexp(rng.uniform(1.0, 2.0, n), rng.integers(-1074, 1024, n))
+                for _ in range(2))
+    elif style == "near_equal":
+        a = sign() * np.ldexp(rng.uniform(1.0, 2.0, n), rng.integers(-1074, 1024, n))
+        with np.errstate(over="ignore"):  # an overflowed b is replaced by a
+            b = np.ldexp(a, rng.integers(-2, 3, n))
+            b = b + rng.integers(-4, 5, n) * np.spacing(np.abs(b))
+        b = np.where(np.isfinite(b), b, a)
+    elif style == "powers_of_two":
+        k = rng.integers(-1074, 1024, n)
+        a = sign() * np.ldexp(1.0, k)
+        b = sign() * np.ldexp(1.0, np.clip(k + rng.integers(-60, 61, n), -1074, 1023))
+        b = np.nextafter(b, rng.choice([-np.inf, np.inf], n))
+        b = np.where(np.isfinite(b), b, a)
+    elif style == "huge":
+        a, b = (np.ldexp(rng.uniform(-2.0, 2.0, n), 1023) for _ in range(2))
+    else:
+        a, b = (sign() * rng.uniform(1.0, 10.0, n) * rng.choice([1e300, 1e-300, 1.0], n)
+                for _ in range(2))
+    return a, b
 
 
 # ---------------------------------------------------------------------------
@@ -508,3 +547,28 @@ def old_intersection_certificate(phi1, phi2, alpha):
         return None
     t0 = float(ts[np.flatnonzero(env == best)[0]])
     return TCertificate(t0=t0, level=float(alpha), lower_envelope_value=float(best))
+
+
+def old_sub_up(a, b):
+    """sub_up in four passes: twoSum's error, a step down when the error is the
+    gap to the double below s, a clamp of -inf at the most negative double,
+    and s again wherever b is infinite."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    nb = -b
+    with np.errstate(invalid="ignore", over="ignore"):
+        s = a + nb
+        bv = s - a
+        av = s - bv
+        br = nb - bv
+        ar = a - av
+        err = ar + br
+        up = np.nextafter(s, np.inf)
+        down = np.nextafter(s, -np.inf)
+        out = np.where(err > 0, up, s)
+        out = np.where(err == down - s, down, out)
+        out = np.where(np.isneginf(s) & np.isfinite(b), np.finfo(float).min, out)
+        out = np.where(np.isinf(b), s, out)
+    if np.isnan(out).any():
+        raise UndefinedSum("(+inf) + (-inf) arose in an array subtraction")
+    return out

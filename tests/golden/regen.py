@@ -20,7 +20,11 @@ they come, with the Bland fallback forced by a Dantzig pivot budget of 0, and
 with it forced by a first plan that is infeasible, and the Euclidean distance
 matrices of `build_metric_space` (dimensions 1, 2, 3 and 5, sizes that fit
 one row block and sizes that fill several, on one worker and on two), its
-explicit matrices (symmetric, symmetrized and rejected) and `slope_bound`.
+explicit matrices (symmetric, symmetrized and rejected) and `slope_bound`,
+and `core.sub_up` on seeded pairs of five styles (random exponents,
+near-equal operands, powers of two against their neighbours, the 2**1023
+scale, and 1e300 and 1e-300 mixed), elementwise and broadcast, and on every
+pair of 18 special values (signed zeros, subnormals, +-max, +-inf and NaN).
 `tests/test_golden.py` recomputes every entry and compares it with
 `digests.json`.  Run this script to see which entries changed:
 
@@ -80,7 +84,8 @@ from abconvex import (  # noqa: E402
 from abconvex.cli import run_scenario  # noqa: E402
 from abconvex.core import BLOCK_BYTES  # noqa: E402
 from abconvex.constrained import DEFAULT_LADDER  # noqa: E402
-from abconvex.errors import AbconvexError, BadParams, NonMetric, NoWitness  # noqa: E402
+from abconvex.errors import (  # noqa: E402
+    AbconvexError, BadParams, NonMetric, NoWitness, UndefinedSum)
 import abconvex.core as core  # noqa: E402
 import abconvex.transport as transport  # noqa: E402
 from abconvex.families import slope_bound  # noqa: E402
@@ -89,6 +94,9 @@ from conftest import (  # noqa: E402
     generic_transport,
     kernel_constrained,
     kernel_perturbation,
+    sub_up_pairs,
+    SUB_UP_SPECIALS,
+    SUB_UP_STYLES,
     table_shapes,
 )
 
@@ -887,13 +895,35 @@ def transport_entries() -> dict:
     return out
 
 
+# -- upward-rounded subtraction --------------------------------------------------
+
+def sub_up_entries() -> dict:
+    out = {}
+    for k, style in enumerate(SUB_UP_STYLES):
+        rng = np.random.default_rng(7800 + k)
+        a, b = sub_up_pairs(rng, style, 20000)
+        # elementwise, and broadcast as a column against a row (as conjugation calls it)
+        out[f"sub_up/{style}"] = hashlib.sha256(
+            core.sub_up(a, b).tobytes() + core.sub_up(a[:150, None], b[None, :150]).tobytes()
+        ).hexdigest()
+    h = hashlib.sha256()
+    for x in SUB_UP_SPECIALS:
+        for y in SUB_UP_SPECIALS:
+            try:
+                h.update(core.sub_up(np.asarray([x]), np.asarray([y])).tobytes())
+            except UndefinedSum:
+                h.update(b"U")
+    out["sub_up/specials"] = h.hexdigest()
+    return out
+
+
 #: every group of entries, by the prefix of its names; `tests/test_golden.py`
 #: checks each group as its own test
 GROUPS = {"report": report_entries, "certificate": certificate_entries,
           "triangle": triangle_entries, "witness": witness_entries,
           "conjugation": conjugation_entries, "duality": duality_entries,
           "constrained": constrained_entries, "transport": transport_entries,
-          "metric": metric_entries}
+          "metric": metric_entries, "sub_up": sub_up_entries}
 
 
 def compute() -> dict:
