@@ -163,7 +163,7 @@ class MetricZeroGapReport:
 
     duality: DualityReport
     constrained_value: ExtReal
-    ladder: tuple[float, ...]
+    ladder: tuple[float, ...]  # the rungs sorted, each once
     minimal_rung: Optional[float]
     proof_bound: float
     anchor_feasible: bool
@@ -181,7 +181,7 @@ def verify_zero_gap_metric(inst: ConstrainedInstance,
     An instance with no feasible argument at y0 is reported with primal +inf
     and flagged instead of rejected.
     """
-    ladder = tuple(sorted(float(a) for a in a_ladder))
+    ladder = tuple(sorted({float(a) for a in a_ladder}))
     if not ladder or ladder[0] <= 0:
         raise ValueError("the rung ladder must contain positive values only")
     if np.isnan(tol):

@@ -142,28 +142,20 @@ def sub_up(a, b) -> np.ndarray:
 
     Upward rounding makes the conjugate/biconjugate pair an exact Galois
     connection on the float lattice, so dominance and idempotence of the
-    biconjugate hold bit-exactly rather than up to an ulp.
+    biconjugate hold bit-exactly rather than up to an ulp.  For finite
+    s = fl(a - b), twoSum's error is exact (a - b = s + err) and s is nearest,
+    so err > 0 alone decides; where s or b is infinite err is NaN and s stands,
+    except that a finite difference overflowing to -inf rounds up to -max.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     nb = -b
     with np.errstate(invalid="ignore", over="ignore"):
         s = a + nb
-        # Knuth twoSum: a + nb = s + err exactly when both are finite.
         bv = s - a
-        av = s - bv
-        br = nb - bv
-        ar = a - av
-        err = ar + br
-        up = np.nextafter(s, np.inf)
-        down = np.nextafter(s, -np.inf)
-        out = np.where(err > 0, up, s)
-        out = np.where(err == down - s, down, out)
-        # negative overflow of a finite difference: rounding toward +inf
-        # clamps at the most negative double instead of -inf
-        out = np.where(np.isneginf(s) & np.isfinite(b),
-                       np.finfo(float).min, out)
-        out = np.where(np.isinf(b), s, out)
+        err = (a - (s - bv)) + (nb - bv)
+        up = (err > 0) | (np.isneginf(s) & np.isfinite(b))
+        out = np.where(up, np.nextafter(s, np.inf), s)
     if np.isnan(out).any():
         raise UndefinedSum("(+inf) + (-inf) arose in an array subtraction")
     return out

@@ -23,7 +23,9 @@ from .errors import BadParams, ImproperInput, InfiniteAtPoint, NoWitness
 
 _NUDGE = 1.0 + 2.0 ** -46
 _MAX_NUDGES = 64
-_SUB_UP_BYTES = 80  # temporaries core.sub_up makes per output cell: ten doubles
+# an upper bound on the temporaries core.sub_up makes per output cell (they
+# measure 41 B, five doubles); the block size it sets is ROADMAP item 6
+_SUB_UP_BYTES = 80
 
 
 class FamilyKind(str, Enum):

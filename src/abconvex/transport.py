@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import ExtReal, MINUS_INF, _freeze, sub_up
-from .errors import SolverLimit, Unbalanced
+from .errors import ImproperInput, SolverLimit, Unbalanced
 
 MARGINAL_TOL = 1e-9
 GAP_TOL = 1e-6
@@ -390,10 +390,14 @@ def conic_lp_dual(lp: ConicLP) -> ConicReport:
 
     With pi >= 0 the optimum sits at f = c with multiplier q* = pi; any
     negative component of pi gives an unbounded descent direction, so both
-    values are -inf and no multiplier exists.
+    values are -inf and no multiplier exists.  An optimum <pi, c> that
+    overflows the doubles raises ImproperInput.
     """
     pi, c = lp.pi, lp.c_vec
     if (pi >= 0).all():
-        val = ExtReal(float(pi @ c))
-        return ConicReport(primal=val, dual=val, q_star=pi.copy())
+        with np.errstate(over="ignore", invalid="ignore"):  # rejected as non-finite below
+            val = float(pi @ c)
+        if not np.isfinite(val):
+            raise ImproperInput("the optimum <pi, c> overflows the doubles")
+        return ConicReport(primal=ExtReal(val), dual=ExtReal(val), q_star=pi.copy())
     return ConicReport(primal=MINUS_INF, dual=MINUS_INF, q_star=None)

@@ -177,6 +177,11 @@ def degenerate_transport(rng, n, m):
                             mu=mu, nu=nu)
 
 
+#: conic LPs with pi >= 0 whose optimum <pi, c> overflows the doubles
+CONIC_OVERFLOWS = [([1e308, 1e308], [-1e308, -1e308]), ([1e308, 1e308], [1e308, -1e308]),
+                   ([1e308, 2.0], [3.0, 4.0])]
+
+
 def large_cost_transport(rng, n, m, scale):
     """Integer costs times scale / 7 (up to about 14 * scale) and integer
     marginals with positive rows."""
@@ -186,7 +191,8 @@ def large_cost_transport(rng, n, m, scale):
 
 
 #: the special values of the sub_up grid: signed zeros and subnormals, the
-#: smallest normal, 1 and its neighbour, the top binade, the infinities and NaN
+#: smallest normal, +-1 and their neighbours, the top binade, the infinities,
+#: NaN and 0.1
 SUB_UP_SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1022, -(2.0 ** -1022), 1.0, -1.0,
                    1.0 + 2.0 ** -52, -(1.0 + 2.0 ** -52), 2.0 ** 1023, -(2.0 ** 1023),
                    np.finfo(float).max, -np.finfo(float).max, np.inf, -np.inf, np.nan, 0.1)
@@ -197,7 +203,7 @@ SUB_UP_STYLES = ("exponents", "near_equal", "powers_of_two", "huge", "mixed")
 def sub_up_pairs(rng, style, n):
     """n finite pairs (a, b) for sub_up: random exponents over the whole range
     (subnormals included), b within a few ulps of a times 2**j for |j| <= 2
-    (exact differences by Sterbenz's lemma when |j| < 2), powers of two against
+    (mostly exact differences, by Sterbenz's lemma, when |j| <= 1), powers of two against
     their neighbours, both operands at the 2**1023 scale (where a - b
     overflows), or magnitudes of about 1e300 and 1e-300 mixed."""
     sign = lambda: rng.choice([-1.0, 1.0], n)

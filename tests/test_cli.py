@@ -39,7 +39,8 @@ from abconvex.cli import (
 )
 from abconvex.errors import ScenarioError
 from abconvex.transport import kantorovich_gap_report, solve_transport
-from conftest import degenerate_transport, large_cost_transport, random_transport
+from conftest import (CONIC_OVERFLOWS, degenerate_transport, large_cost_transport,
+                      random_transport)
 
 REPO = Path(__file__).resolve().parents[1]
 SCENARIOS = REPO / "scenarios"
@@ -100,6 +101,18 @@ class TestScenarios:
         _, report, _ = run_file(SCENARIOS / "constrained_2x2.json", tmp_path)
         assert report["results"]["minimal_rung"] == 2.0
         assert report["results"]["duality"]["gap"] == {"finite": 0.0}
+
+    def test_constrained_repeated_rungs(self, tmp_path):
+        # the report of a ladder with repeated rungs is that of its sorted set
+        reports = []
+        for k, ladder in enumerate(([4.0, 1.0, 2.0, 2.0, 1.0], [1.0, 2.0, 4.0])):
+            p = tmp_path / f"sc{k}.json"
+            p.write_text(json.dumps(_mutated("constrained_2x2.json",
+                                             lambda sc: sc.update(ladder=ladder))))
+            code, report, _ = run_file(p, tmp_path, name=f"o{k}.json")
+            assert code == EXIT_OK
+            reports.append(report["results"])
+        assert reports[0] == reports[1] and reports[0]["ladder"] == [1.0, 2.0, 4.0]
 
     def test_conjugate_values(self, tmp_path):
         _, report, _ = run_file(SCENARIOS / "conjugate_abs.json", tmp_path)
@@ -364,6 +377,13 @@ class TestBadInputsExit2:
         code, err = _run_main(sc["kind"], sc, tmp_path, capsys)
         assert code == EXIT_BAD_SCENARIO
         assert err.startswith("error: member values overflow the doubles")
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+
+    @pytest.mark.parametrize("pi, c", CONIC_OVERFLOWS, ids=["minus_inf", "zero", "plus_inf"])
+    def test_conic_optimum_overflow(self, pi, c, tmp_path, capsys):
+        code, err = _run_main("conic", {"kind": "conic", "pi": pi, "c": c}, tmp_path, capsys)
+        assert code == EXIT_BAD_SCENARIO
+        assert err.startswith("error: the optimum <pi, c> overflows the doubles")
         assert "Traceback" not in err and "RuntimeWarning" not in err
 
     def test_even_canonical_level(self, tmp_path, capsys):

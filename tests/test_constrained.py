@@ -25,7 +25,7 @@ from abconvex import (
 )
 from abconvex.errors import ImproperInput, ImproperObjective, NotSeparable
 
-from conftest import line_space, old_lagrangian, random_constrained
+from conftest import line_space, old_lagrangian, random_constrained, same_bits
 
 
 def worked_2x2():
@@ -265,6 +265,21 @@ class TestVerifyZeroGap:
             assert rep.ladder[-1] >= rep.proof_bound
             assert rep.duality.gap <= 1e-9
             assert rep.minimal_rung is not None
+
+    def test_repeated_rungs_listed_once(self):
+        # a ladder with repeated, unsorted rungs reports as its sorted set
+        rng = np.random.default_rng(46)
+        for inst in [worked_2x2()] + [random_constrained(rng, max_x=8, max_y=8) for _ in range(20)]:
+            rep = verify_zero_gap_metric(inst, (4.0, 1.0, 2.0, 2.0, 1.0))
+            want = verify_zero_gap_metric(inst, (1.0, 2.0, 4.0))
+            assert rep.ladder == want.ladder == (1.0, 2.0, 4.0)
+            for name in ("constrained_value", "minimal_rung", "proof_bound", "anchor_feasible"):
+                assert getattr(rep, name) == getattr(want, name)
+            got, exp = rep.duality, want.duality
+            for name in ("primal", "dual", "gap", "V_bidual_at_y0", "reconstruction_ok",
+                         "convexity_holds"):
+                assert getattr(got, name) == getattr(exp, name)
+            assert same_bits(got.V_star, exp.V_star) and same_bits(got.table.L, exp.table.L)
 
     def test_rejects_bad_ladder(self):
         with pytest.raises(ValueError):

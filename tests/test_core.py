@@ -4,6 +4,7 @@ import copy
 import math
 import operator
 import pickle
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +25,7 @@ from abconvex import core
 from abconvex.core import as_ext_array, is_proper, sub_up
 from abconvex.errors import EmptyDomain, NonMetric, UndefinedSum
 
-from conftest import same_bits
+from conftest import SUB_UP_SPECIALS, SUB_UP_STYLES, old_sub_up, same_bits, sub_up_pairs
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 anyext = st.floats(allow_nan=False, allow_infinity=True, width=64)
@@ -124,25 +125,85 @@ class TestExtSubReal:
             assert type(out) is ExtReal and out == want
 
 
+MAX = sys.float_info.max
+
+
+def rounds_up(a, b):
+    """sub_up(a, b) for finite a and b, checked through rationals to be the
+    smallest double >= the exact difference (+inf above the largest double)."""
+    out = float(sub_up(np.asarray([a]), np.asarray([b]))[0])
+    exact = Fraction(a) - Fraction(b)
+    if out == math.inf:
+        assert exact > Fraction(MAX)
+        return out
+    assert Fraction(out) >= exact
+    below = math.nextafter(out, -math.inf)
+    assert below == -math.inf or Fraction(below) < exact
+    return out
+
+
+def _edges():
+    """Powers of two (subnormal, smallest normal, 1, top binade) and their
+    neighbours, +-max, 3 and 0.1, with both signs."""
+    powers = [math.ldexp(1.0, k) for k in (-1074, -1073, -1023, -1022, -1, 0, 1, 52, 53, 1023)]
+    mags = {x for p in powers for x in (p, math.nextafter(p, 0.0), math.nextafter(p, math.inf))}
+    mags |= {MAX, 3.0, 0.1}
+    return sorted(m * sign for m in mags for sign in (1.0, -1.0))
+
+
 class TestSubUp:
     @given(finite, finite)
     def test_exact_upward_rounding(self, a, b):
-        # smallest double >= the exact difference, verified through rationals
-        import sys
+        rounds_up(a, b)
 
-        out = float(sub_up(np.asarray([a]), np.asarray([b]))[0])
-        exact = Fraction(a) - Fraction(b)
-        if not math.isfinite(out):
-            assert out == math.inf and exact > Fraction(sys.float_info.max)
-            return
-        assert Fraction(out) >= exact
-        if Fraction(out) > exact and out > -sys.float_info.max:
-            below = np.nextafter(out, -np.inf)
-            assert Fraction(float(below)) < exact
+    def test_edges_against_rationals(self):
+        edges = _edges()
+        for a in edges:
+            for b in edges:
+                rounds_up(a, b)
+
+    def test_overflow(self):
+        # above the largest double rounds up to +inf, below the most
+        # negative one up to exactly -max
+        for a, b in [(MAX, -MAX), (2.0 ** 1023, -(2.0 ** 1023)), (MAX, -5e-324), (MAX, -1.0)]:
+            assert rounds_up(a, b) == math.inf
+        for a, b in [(-MAX, MAX), (-(2.0 ** 1023), 2.0 ** 1023), (-MAX, 5e-324), (-MAX, 1.0)]:
+            assert rounds_up(a, b) == -MAX
+
+    def test_signed_zeros(self):
+        # an exact zero difference is -0.0 only for -0.0 - (+0.0), as in IEEE
+        for a, b, sign in [(0.0, 0.0, 1.0), (0.0, -0.0, 1.0), (-0.0, 0.0, -1.0),
+                           (-0.0, -0.0, 1.0), (1.5, 1.5, 1.0), (-MAX, -MAX, 1.0),
+                           (5e-324, 5e-324, 1.0)]:
+            out = rounds_up(a, b)
+            assert out == 0.0 and math.copysign(1.0, out) == sign
+        assert rounds_up(0.0, 5e-324) == -5e-324 and rounds_up(-0.0, -5e-324) == 5e-324
 
     def test_infinite_rhs(self):
-        out = sub_up(np.asarray([1.0, 1.0]), np.asarray([np.inf, -np.inf]))
-        assert out[0] == -np.inf and out[1] == np.inf
+        a = np.asarray(_edges() + [0.0, -0.0])
+        assert (sub_up(a, np.full(a.size, np.inf)) == -np.inf).all()
+        assert (sub_up(a, np.full(a.size, -np.inf)) == np.inf).all()
+        assert (sub_up(a[:, None], np.asarray([[np.inf, -np.inf]])) == [-np.inf, np.inf]).all()
+
+    def test_bit_identical_to_old_kernel(self):
+        # the four-pass kernel that sub_up replaced, on the golden pair styles
+        for k, style in enumerate(SUB_UP_STYLES):
+            rng = np.random.default_rng(100 + k)
+            a, b = sub_up_pairs(rng, style, 200_000)
+            assert same_bits(sub_up(a, b), old_sub_up(a, b))
+            assert same_bits(sub_up(a[:300, None], b[None, :300]),
+                             old_sub_up(a[:300, None], b[None, :300]))
+
+    def test_special_values_match_old_kernel(self):
+        for a in SUB_UP_SPECIALS:
+            for b in SUB_UP_SPECIALS:
+                outs = []
+                for kernel in (sub_up, old_sub_up):
+                    try:
+                        outs.append(kernel(np.asarray([a]), np.asarray([b])).tobytes())
+                    except UndefinedSum:
+                        outs.append(b"U")
+                assert outs[0] == outs[1], (a, b)
 
 
 class TestMetricSpace:

@@ -17,10 +17,11 @@ from abconvex import (
     solve_transport,
 )
 import abconvex.transport as transport
-from abconvex.errors import Unbalanced
+from abconvex.errors import ImproperInput, Unbalanced
 from abconvex.transport import _northwest_start, dual_objective
 
 from conftest import (
+    CONIC_OVERFLOWS,
     degenerate_transport,
     generic_transport,
     large_cost_transport,
@@ -557,6 +558,13 @@ class TestConicLP:
     def test_zero_pi(self):
         rep = conic_lp_dual(ConicLP(pi=[0.0, 0.0], c_vec=[5.0, -5.0]))
         assert rep.primal == 0.0 and np.array_equal(rep.q_star, [0.0, 0.0])
+
+    @pytest.mark.parametrize("pi, c", CONIC_OVERFLOWS, ids=["minus_inf", "zero", "plus_inf"])
+    def test_optimum_overflow_rejected(self, pi, c):
+        # the optima are -2e616, 0 and 3e308 + 8: pi @ c overflows in each,
+        # also where the optimum (0) is a double
+        with pytest.raises(ImproperInput, match="overflows the doubles"):
+            conic_lp_dual(ConicLP(pi=pi, c_vec=c))
 
     def test_against_lp_oracle(self):
         rng = np.random.default_rng(60)
