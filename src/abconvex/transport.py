@@ -1,15 +1,15 @@
 """Discrete Kantorovich duality and finite conic LP duality.
 
 The coupling problem (minimize total cost over nonnegative matrices with
-prescribed marginals) is solved by a transportation simplex on the bipartite
-flow network: north-west-corner start, row/column potentials read off the
-spanning-tree basis, epsilon-perturbed marginals against degeneracy with
-Bland's rule as the anti-cycling backstop.  The basis is a spanning tree
-rooted at row 0 in flat per-node lists (parent, depth, potential, children,
-and the cost and flow of the basic cell to the parent), network-simplex
-style: each pivot takes its cycle from the two tree paths up to the lowest
-common ancestor, reverses the path from the entering to the leaving arc, and
-recomputes potentials top-down on the subtree that this re-hangs.  The
+prescribed marginals) is solved by a transportation simplex on the rows and
+columns with positive mass: north-west-corner start, row/column potentials
+read off the spanning-tree basis, and one pivot loop on the true marginals
+that Cunningham's leaving rule keeps strongly feasible, so degenerate pivots
+cannot cycle.  The basis is a spanning tree rooted at row 0 in flat per-node
+lists (parent, depth, potential, children, and the cost and flow of the basic
+cell to the parent); each pivot takes its cycle from the tree paths up to the
+lowest common ancestor, reverses the path from the entering to the leaving
+arc, and recomputes potentials top-down on the subtree this re-hangs.  The
 optimal basis certifies the feasible-potentials maximum simultaneously, which
 is the discrete strong duality statement.
 """
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -129,25 +130,26 @@ def _solve_tree_alloc(n: int, m: int, basis, mu: np.ndarray, nu: np.ndarray) -> 
     return alloc
 
 
-def _simplex_pivots(cost, mu, nu, bland: bool, max_pivots: int):
-    """Run the pivot loop on the given marginals; returns the final tree's
-    basic cells (i, j) and its potentials (rows first, then columns).  The
-    budget max_pivots counts pricing rounds, one more than the pivots.
+def _simplex_pivots(cost, mu, nu, max_pivots: int):
+    """Pivot loop on positive marginals; returns the final tree's basic cells
+    (i, j) and its potentials (rows first, then columns).  max_pivots counts
+    pricing rounds, one more than the pivots.
 
-    The basis is a spanning tree on nodes 0..n-1 (rows) and n..n+m-1
-    (columns), rooted at row 0.  Per node it keeps the parent, the depth, the
-    potential, the flat index i*m + j of the basic cell joining it to its
-    parent with that cell's cost and flow, and a list of its children, so
-    flows exist only on the n + m - 1 basic cells.  A pivot finds the cycle
-    by walking both ends of the entering arc up to their lowest common
-    ancestor and cuts the leaving arc.  Reversing the tree path from the
-    entering end on the cut-off side up to the leaving arc moves each arc on
-    it down one node and hangs the cut-off subtree from the entering arc;
-    that subtree's depths and potentials are then recomputed top-down as
-    ``pot[child] = cost - pot[parent]``."""
+    The basis is a spanning tree on rows 0..n-1 and columns n..n+m-1, rooted
+    at row 0; per node it keeps the parent, the depth, the potential, a
+    children list, and the flat index i*m + j, cost and flow of the basic
+    cell to its parent.  A pivot walks both ends of the entering arc up to
+    their lowest common ancestor, the apex, cuts the leaving arc and reverses
+    the tree path from the entering end on the cut-off side up to it, which
+    hangs the cut-off subtree from the entering arc; that subtree's depths
+    and potentials are recomputed top-down as ``pot[child] = cost -
+    pot[parent]``.  The last blocking arc on the cycle walked from the apex in
+    the entering arc's direction leaves (Cunningham's rule), so the tree
+    stays strongly feasible, each zero-flow cell's row below its column, as
+    the north-west start on positive marginals is, and the loop cannot cycle
+    (Ahuja, Magnanti & Orlin 1993, Network Flows, section 11.5)."""
     n, m = cost.shape
-    cscale = max(1.0, float(np.abs(cost).max()))
-    enter_tol = 1e-12 * cscale
+    enter_tol = 1e-12 * max(1.0, float(np.abs(cost).max()))
     alloc, basis = _northwest_start(mu, nu)
     size = n + m
     parent, depth, pot, cell = [-1] * size, [0] * size, [0.0] * size, [-1] * size
@@ -173,19 +175,13 @@ def _simplex_pivots(cost, mu, nu, bland: bool, max_pivots: int):
         np.subtract(cost, u, out=red)
         red -= v
         flat_red[basic_np] = 0.0
-        if bland:
-            cand = np.flatnonzero(flat_red < -enter_tol)
-            if cand.size == 0:
-                break
-            flat = int(cand[0])
-        else:
-            flat = int(red.argmin())
-            if flat_red[flat] >= -enter_tol:
-                break
+        flat = int(red.argmin())
+        if flat_red[flat] >= -enter_tol:
+            break
         ei, ej = divmod(flat, m)
 
-        # the nodes below the common ancestor on each side, bottom-up; their
-        # parent arcs make the tree path from row ei to column ej
+        # the nodes below the apex on each side, bottom-up; their parent arcs
+        # make the tree path from row ei to column ej
         a, b, side_a, side_b = ei, n + ej, [], []
         while a != b:
             if depth[a] > depth[b]:
@@ -194,17 +190,18 @@ def _simplex_pivots(cost, mu, nu, bland: bool, max_pivots: int):
             else:
                 side_b.append(b)
                 b = parent[b]
-        path = side_a + side_b[::-1]
-        # the closed cycle: entering gets +theta, then the path arcs
-        # alternate -theta, +theta, ...; theta is the least flow on a minus
-        # arc, ties to the smallest (i, j), which is the smallest flat index
-        minus = path[0::2]
-        theta, leaving, s = min([(flow[x], cell[x], x) for x in minus])
-        for x in path[1::2]:
+        # the cycle from the apex down side_a, over the entering arc (+theta)
+        # and up side_b: the arcs next to either end of the entering arc lose
+        # theta, and the signs alternate from there.  Theta is the least flow
+        # on a minus arc; the last such arc in walk order leaves
+        minus = side_a[0::2][::-1] + side_b[0::2]
+        s = min(minus[::-1], key=flow.__getitem__)
+        theta = flow[s]
+        for x in side_a[1::2] + side_b[1::2]:
             flow[x] += theta
         for x in minus:
             flow[x] -= theta  # >= 0: theta is their minimum
-        slot = basic.index(leaving)
+        slot = basic.index(cell[s])
         basic[slot] = basic_np[slot] = flat
 
         # s is the lower end of the leaving arc; the entering end on its
@@ -240,45 +237,39 @@ def solve_transport(prob: TransportProblem):
     """Optimal coupling, dual-feasible potentials from the final basis, and the
     shared optimal value.
 
-    Degeneracy is handled by a deterministic epsilon-perturbation of the
-    supplies during pivoting; reported allocations are re-solved on the true
-    marginals so the perturbation never leaks into results.  One fallback,
-    a Bland-rule run on the unperturbed data, takes over when the perturbed
-    run uses up its pivot budget or when its plan is infeasible for the true
-    marginals.
-
-    Raises ``SolverLimit`` when the Bland-rule run also spends its budget of
-    pricing rounds (one more than its pivots).  Potentials are dual feasible
-    within SLACK_TOL * max(1, max|cost|), the pivot loop's scale.
+    One pivot loop runs on the true marginals of the rows and columns with
+    positive mass (row or column 0 when a side has none), as a zero-mass
+    column never sits in a strongly feasible tree; its final basis is
+    re-solved on them for the plan, and the value is summed over their cells.
+    The rows and then the columns left out get zero mass and their
+    c-transforms, which are exactly feasible.  Raises ``SolverLimit`` after
+    400(n + m) + 200 pricing rounds (one more than the pivots).  Potentials
+    are dual feasible within SLACK_TOL * max(1, max|cost|), the loop's scale.
     """
     cost, mu, nu = prob.cost, prob.mu, prob.nu
     n, m = cost.shape
-    scale = max(1.0, float(mu.sum()))
-    eps0 = scale * 1e-10 / (n + m)
-    mu_p = mu + eps0 * (np.arange(n) + 1.0)
-    nu_p = nu.copy()
-    nu_p[-1] += eps0 * (n * (n + 1) / 2.0)
-    max_pivots = 400 * (n + m) + 200
-    tiny = 1e-7 * scale
-
-    try:
-        basis, pot = _simplex_pivots(cost, mu_p, nu_p, bland=False,
-                                     max_pivots=max_pivots)
-        q = _solve_tree_alloc(n, m, basis, mu, nu)
-    except SolverLimit:
-        q = None
-    if q is None or q.min() < -tiny:
-        basis, pot = _simplex_pivots(cost, mu, nu, bland=True,
-                                     max_pivots=20 * max_pivots)
-        q = _solve_tree_alloc(n, m, basis, mu, nu)
+    rows, cols = (np.flatnonzero(w) if w.any() else np.zeros(1, dtype=np.intp) for w in (mu, nu))
+    k = rows.size
+    basis, pot = _simplex_pivots(cost[rows[:, None], cols], mu[rows], nu[cols],
+                                 400 * (n + m) + 200)
+    r, c = rows.tolist(), cols.tolist()
+    q = _solve_tree_alloc(n, m, [(r[i], c[j]) for i, j in basis], mu, nu)
+    if q.min() < -1e-7 * max(1.0, float(mu.sum())):
+        raise AssertionError("final plan is infeasible")
     q[q < 0] = 0.0
 
-    psi, phi = pot[:n].copy(), pot[n:].copy()
+    psi, phi = np.zeros(n), np.zeros(m)
+    psi[rows], phi[cols] = pot[:k], pot[k:]
+    if k < n:
+        out = np.delete(np.arange(n), rows)
+        psi[out] = c_transform(phi[cols], cost[out[:, None], cols].T) + 0.0
+    if cols.size < m:
+        out = np.delete(np.arange(m), cols)
+        phi[out] = c_transform(psi, cost[:, out]) + 0.0
     red_min = float((cost - psi[:, None] - phi[None, :]).min())
     if red_min < -SLACK_TOL * max(1.0, float(np.abs(cost).max())):
         raise AssertionError("final basis is not dual feasible")
-
-    value = float((q * cost).sum())
+    value = float((q * cost)[rows[:, None], cols].sum())
     return Coupling(q=q), Potentials(psi=psi, phi=phi), value
 
 
@@ -385,19 +376,25 @@ class ConicReport:
     q_star: Optional[np.ndarray]
 
 
+def _exact_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """<a, b> summed exactly in rationals and rounded once to the nearest
+    double; OverflowError when that lies outside the doubles."""
+    return float(sum(Fraction(x) * Fraction(y) for x, y in zip(a.tolist(), b.tolist())))
+
+
 def conic_lp_dual(lp: ConicLP) -> ConicReport:
     """Closed-form primal and dual of the orthant-cone LP.
 
     With pi >= 0 the optimum sits at f = c with multiplier q* = pi; any
     negative component of pi gives an unbounded descent direction, so both
-    values are -inf and no multiplier exists.  An optimum <pi, c> that
-    overflows the doubles raises ImproperInput.
+    values are -inf and no multiplier exists.  The optimum <pi, c> is the
+    exact sum rounded once; one outside the doubles raises ImproperInput.
     """
     pi, c = lp.pi, lp.c_vec
     if (pi >= 0).all():
-        with np.errstate(over="ignore", invalid="ignore"):  # rejected as non-finite below
-            val = float(pi @ c)
-        if not np.isfinite(val):
-            raise ImproperInput("the optimum <pi, c> overflows the doubles")
+        try:
+            val = _exact_dot(pi, c)
+        except OverflowError:
+            raise ImproperInput("the optimum <pi, c> overflows the doubles") from None
         return ConicReport(primal=ExtReal(val), dual=ExtReal(val), q_star=pi.copy())
     return ConicReport(primal=MINUS_INF, dual=MINUS_INF, q_star=None)

@@ -12,19 +12,17 @@ default and explicit multiplier grids; the corpus of
 `tests/test_lagrangian_kernel.py`: Lagrangian tables and partial conjugates,
 reports with empty rows, concavity probes, cone Lagrangians, finite-ladder
 sups and zero-gap reports; explicit grids whose members reach about +-1e300
-and stay finite), and the constrained layer: zero-gap
-reports, finite-ladder sups and the conic LP, and the transportation simplex:
-plans, potentials, values and strong-duality audits of seeded generic and
-degenerate instances (square, rectangular, 1 x m, n x 1 and 1 x 1), solved as
-they come, with the Bland fallback forced by a Dantzig pivot budget of 0, and
-with it forced by a first plan that is infeasible, and the Euclidean distance
-matrices of `build_metric_space` (dimensions 1, 2, 3 and 5, sizes that fit
-one row block and sizes that fill several, on one worker and on two), its
-explicit matrices (symmetric, symmetrized and rejected) and `slope_bound`,
-and `core.sub_up` on seeded pairs of five styles (random exponents,
-near-equal operands, powers of two against their neighbours, the 2**1023
-scale, and 1e300 and 1e-300 mixed), elementwise and broadcast, and on every
-pair of 18 special values (signed zeros, subnormals, +-max, +-inf and NaN).
+and stay finite), and the constrained layer: zero-gap reports, finite-ladder
+sups and the conic LP, and the transportation simplex: plans, potentials,
+values and strong-duality audits of seeded generic and degenerate instances
+(square, rectangular, 1 x m, n x 1 and 1 x 1), and the Euclidean distance
+matrices of `build_metric_space` (dimensions 1, 2, 3 and 5, sizes that fit one
+row block and sizes that fill several, on one worker and on two), its explicit
+matrices (symmetric, symmetrized and rejected) and `slope_bound`, and
+`core.sub_up` on seeded pairs of five styles (random exponents, near-equal
+operands, powers of two against their neighbours, the 2**1023 scale, and 1e300
+and 1e-300 mixed), elementwise and broadcast, and on every pair of 18 special
+values (signed zeros, subnormals, +-max, +-inf and NaN).
 `tests/test_golden.py` recomputes every entry and compares it with
 `digests.json`.  Run this script to see which entries changed:
 
@@ -87,7 +85,6 @@ from abconvex.constrained import DEFAULT_LADDER  # noqa: E402
 from abconvex.errors import (  # noqa: E402
     AbconvexError, BadParams, NonMetric, NoWitness, UndefinedSum)
 import abconvex.core as core  # noqa: E402
-import abconvex.transport as transport  # noqa: E402
 from abconvex.families import slope_bound  # noqa: E402
 from conftest import (  # noqa: E402
     degenerate_transport,
@@ -840,58 +837,23 @@ def _transport(prob) -> bytes:
         np.int64(rep.slack_violations).tobytes(), rep.orientation.encode()])
 
 
-def _no_dantzig_pivots(real):
-    """The Dantzig run gets a budget of 0 pivots, so the Bland fallback runs."""
-    return lambda cost, mu, nu, bland, max_pivots: real(cost, mu, nu, bland,
-                                                        max_pivots if bland else 0)
+#: the makers of the transport/<kind> entries, in the order of their seeds
+TRANSPORT_KINDS = {"generic": generic_transport, "degenerate": degenerate_transport}
 
 
-def _first_plan_infeasible(real):
-    """The first plan gets a -inf entry, so the Bland fallback runs for an
-    infeasible plan; later plans are the real ones."""
-    plans = []
-
-    def alloc(n, m, basis, mu, nu):
-        q = real(n, m, basis, mu, nu)
-        if not plans:
-            q[0, 0] = -np.inf
-        plans.append(q)
-        return q
-    return alloc
-
-
-#: how each instance is solved: as it comes, or with one private step of
-#: abconvex.transport replaced (its name, and a maker of the replacement)
-TRANSPORT_RUNS = {"": None, "_bland": ("_simplex_pivots", _no_dantzig_pivots),
-                  "_infeasible_plan": ("_solve_tree_alloc", _first_plan_infeasible)}
-
-
-@contextlib.contextmanager
-def _patched(patch):
-    if patch is None:
-        yield
-        return
-    name, fake = patch
-    real = getattr(transport, name)
-    setattr(transport, name, fake(real))
-    try:
-        yield
-    finally:
-        setattr(transport, name, real)
+def transport_corpus(kind) -> list:
+    """The 40 seeded instances of the transport/<kind> entry."""
+    rng = np.random.default_rng(7700 + list(TRANSPORT_KINDS).index(kind))
+    return [TRANSPORT_KINDS[kind](rng, *_transport_shape(rng, i)) for i in range(40)]
 
 
 def transport_entries() -> dict:
     out = {}
-    for k, (kind, make) in enumerate({"generic": generic_transport,
-                                      "degenerate": degenerate_transport}.items()):
-        for r, (suffix, patch) in enumerate(TRANSPORT_RUNS.items()):
-            rng = np.random.default_rng(7700 + 10 * r + k)
-            h = hashlib.sha256()
-            for i in range(40):
-                prob = make(rng, *_transport_shape(rng, i))
-                with _patched(patch):
-                    h.update(_outcome(lambda: _transport(prob)))
-            out[f"transport/{kind}{suffix}"] = h.hexdigest()
+    for kind in TRANSPORT_KINDS:
+        h = hashlib.sha256()
+        for prob in transport_corpus(kind):
+            h.update(_outcome(lambda: _transport(prob)))
+        out[f"transport/{kind}"] = h.hexdigest()
     return out
 
 

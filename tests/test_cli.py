@@ -37,6 +37,7 @@ from abconvex.cli import (
     scenario_validator,
     validate_scenario,
 )
+import abconvex.transport as transport
 from abconvex.errors import ScenarioError
 from abconvex.transport import kantorovich_gap_report, solve_transport
 from conftest import (CONIC_OVERFLOWS, degenerate_transport, large_cost_transport,
@@ -96,6 +97,14 @@ class TestScenarios:
     def test_conic_value(self, tmp_path):
         _, report, _ = run_file(SCENARIOS / "conic_small.json", tmp_path)
         assert report["results"]["primal"] == {"finite": 11.0}
+
+    def test_conic_exact_zero_optimum(self, tmp_path, capsys):
+        # pi @ c overflows the doubles, but the optimum 1e616 - 1e616 is 0
+        sc = {"kind": "conic", "pi": [1e308, 1e308], "c": [1e308, -1e308]}
+        code, err = _run_main("conic", sc, tmp_path, capsys)
+        assert code == EXIT_OK and "Traceback" not in err
+        results = json.loads((tmp_path / "o.json").read_text())["results"]
+        assert results["primal"] == results["dual"] == {"finite": 0.0}
 
     def test_constrained_minimal_rung(self, tmp_path):
         _, report, _ = run_file(SCENARIOS / "constrained_2x2.json", tmp_path)
@@ -379,7 +388,7 @@ class TestBadInputsExit2:
         assert err.startswith("error: member values overflow the doubles")
         assert "Traceback" not in err and "RuntimeWarning" not in err
 
-    @pytest.mark.parametrize("pi, c", CONIC_OVERFLOWS, ids=["minus_inf", "zero", "plus_inf"])
+    @pytest.mark.parametrize("pi, c", CONIC_OVERFLOWS, ids=["minus_inf", "plus_inf"])
     def test_conic_optimum_overflow(self, pi, c, tmp_path, capsys):
         code, err = _run_main("conic", {"kind": "conic", "pi": pi, "c": c}, tmp_path, capsys)
         assert code == EXIT_BAD_SCENARIO
@@ -423,6 +432,13 @@ class TestBadInputsExit2:
         assert proc.returncode == EXIT_BAD_SCENARIO
         assert "Traceback" not in proc.stderr
         assert "error: strong duality failed" in proc.stderr
+
+    def test_infeasible_plan_exit_2(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(transport, "_solve_tree_alloc", lambda n, m, *_: np.full((n, m), -1.0))
+        sc = _mutated("transport_2x2.json", lambda sc: None)
+        code, err = _run_main("transport", sc, tmp_path, capsys)
+        assert code == EXIT_BAD_SCENARIO and "Traceback" not in err
+        assert err.startswith("error: final plan is infeasible")
 
 
 class TestTol:
@@ -481,13 +497,11 @@ class TestUnwritableOutputExit2:
 
 class TestSolverLimitExit2:
     def test_cli_exits_2_without_traceback(self, monkeypatch, capsys):
-        import abconvex.transport as transport
         from abconvex.cli import main
 
         real = transport._simplex_pivots
-        monkeypatch.setattr(
-            transport, "_simplex_pivots",
-            lambda cost, mu, nu, bland, max_pivots: real(cost, mu, nu, bland, 0))
+        monkeypatch.setattr(transport, "_simplex_pivots",
+                            lambda cost, mu, nu, max_pivots: real(cost, mu, nu, 0))
         code = main(["transport", "--scenario", str(SCENARIOS / "transport_2x2.json")])
         err = capsys.readouterr().err
         assert code == EXIT_BAD_SCENARIO
@@ -509,7 +523,6 @@ class TestTransportSolvedOnce:
 
     def test_cli_solves_once(self, monkeypatch, tmp_path):
         import abconvex.cli as cli
-        import abconvex.transport as transport
 
         calls = []
 

@@ -20,6 +20,7 @@ import abconvex.transport as transport
 from abconvex.errors import ImproperInput, Unbalanced
 from abconvex.transport import _northwest_start, dual_objective
 
+from golden import regen
 from conftest import (
     CONIC_OVERFLOWS,
     degenerate_transport,
@@ -104,10 +105,10 @@ class TestSolveTransport:
 
 # ---------------------------------------------------------------------------
 # the breadth-first pivot loop the rooted-tree kernel replaced, kept as an
-# oracle: verbatim, except that its budget exception is now the public
-# SolverLimit and that it returns its final potentials, not its allocation.
-# _build_adj and _duals_from_basis are the library's former helpers, which
-# recomputed the potentials of the final basis by a breadth-first search
+# oracle.  Its leaving rule is the kernel's in its own terms (the apex is the
+# path node nearest row 0 by breadth-first depth), and it asserts strong
+# feasibility in every round.  _build_adj and _duals_from_basis (which also
+# returns the breadth-first depths) are the library's former helpers
 # ---------------------------------------------------------------------------
 
 def _build_adj(n: int, m: int, basis) -> dict[int, set]:
@@ -118,27 +119,27 @@ def _build_adj(n: int, m: int, basis) -> dict[int, set]:
     return adj
 
 
-def _duals_from_basis(cost: np.ndarray, basis, adj) -> tuple[np.ndarray, np.ndarray]:
+def _duals_from_basis(cost: np.ndarray, basis, adj):
     n, m = cost.shape
     u = np.zeros(n)
     v = np.zeros(m)
-    seen = np.zeros(n + m, dtype=bool)
-    seen[0] = True
+    depth = np.full(n + m, -1)
+    depth[0] = 0
     dq = deque([0])
     while dq:
         node = dq.popleft()
         for nb in adj[node]:
-            if seen[nb]:
+            if depth[nb] >= 0:
                 continue
             if node < n:  # row -> column
                 v[nb - n] = cost[node, nb - n] - u[node]
             else:         # column -> row
                 u[nb] = cost[nb, node - n] - v[node - n]
-            seen[nb] = True
+            depth[nb] = depth[node] + 1
             dq.append(nb)
-    if not seen.all():
+    if (depth < 0).any():
         raise AssertionError("basis graph is not a spanning tree")
-    return u, v
+    return u, v, depth
 
 
 def _tree_path(adj, start: int, goal: int) -> list[int]:
@@ -159,7 +160,7 @@ def _tree_path(adj, start: int, goal: int) -> list[int]:
     return path
 
 
-def _bfs_simplex_pivots(cost, mu, nu, bland: bool, max_pivots: int):
+def _bfs_simplex_pivots(cost, mu, nu, max_pivots: int):
     """Run the pivot loop on the given marginals; returns the final basis and
     its potentials by breadth-first search (rows first, then columns)."""
     n, m = cost.shape
@@ -170,38 +171,33 @@ def _bfs_simplex_pivots(cost, mu, nu, bland: bool, max_pivots: int):
     adj = _build_adj(n, m, basis)
 
     for _ in range(max_pivots):
-        u, v = _duals_from_basis(cost, basis, adj)
+        u, v, depth = _duals_from_basis(cost, basis, adj)
+        # strongly feasible: each zero-flow cell's row lies below its column
+        assert all(depth[i] > depth[n + j] for (i, j) in basis_set
+                   if alloc[i, j] == 0.0), "not strongly feasible"
         red = cost - u[:, None] - v[None, :]
         for (i, j) in basis_set:
             red[i, j] = 0.0
-        if bland:
-            cand = np.flatnonzero(red.ravel() < -enter_tol)
-            if cand.size == 0:
-                return list(basis_set), np.concatenate([u, v])
-            flat = int(cand[0])
-        else:
-            flat = int(red.argmin())
-            if red.ravel()[flat] >= -enter_tol:
-                return list(basis_set), np.concatenate([u, v])
+        flat = int(red.argmin())
+        if red.ravel()[flat] >= -enter_tol:
+            return list(basis_set), np.concatenate([u, v])
         ei, ej = divmod(flat, m)
 
+        # cells[k] joins path[k] and path[k + 1]; the even ones lose theta.
+        # Walked from the apex in the entering cell's direction, the cycle
+        # runs down the path to row ei, over the entering cell, and back up
+        # from column ej: the path cells in reverse order, from the apex
         path = _tree_path(adj, ei, n + ej)
-        # cells along the closed cycle: entering gets +theta, then alternate
-        minus_cells = []
-        plus_cells = [(ei, ej)]
-        for k in range(len(path) - 1):
-            a, b = path[k], path[k + 1]
-            cell = (a, b - n) if a < n else (b, a - n)
-            (minus_cells if k % 2 == 0 else plus_cells).append(cell)
-        theta = min(alloc[c] for c in minus_cells)
-        leaving = min(c for c in minus_cells if alloc[c] == theta)
+        cells = [(a, b - n) if a < n else (b, a - n) for a, b in zip(path, path[1:])]
+        apex = min(range(len(path)), key=lambda k: depth[path[k]])
+        walk = [*range(apex - 1, -1, -1), *range(len(cells) - 1, apex - 1, -1)]
+        theta = min(alloc[c] for c in cells[0::2])
+        leaving = [cells[k] for k in walk if k % 2 == 0 and alloc[cells[k]] == theta][-1]
 
-        for c in plus_cells:
+        for c in [(ei, ej)] + cells[1::2]:
             alloc[c] += theta
-        for c in minus_cells:
+        for c in cells[0::2]:
             alloc[c] -= theta
-        alloc[alloc < 0] = 0.0
-        alloc[leaving] = 0.0
 
         basis_set.discard(leaving)
         basis_set.add((ei, ej))
@@ -221,7 +217,22 @@ def _oracle_shapes(rng):
     return shapes
 
 
-MAKERS = {"generic": generic_transport, "degenerate": degenerate_transport}
+def sparse_transport(rng, n, m):
+    """degenerate_transport with its row masses rotated, so that any row,
+    row 0 too, can have none."""
+    prob = degenerate_transport(rng, n, m)
+    return TransportProblem(cost=prob.cost, mu=np.roll(prob.mu, rng.integers(n)), nu=prob.nu)
+
+
+def _positive_part(prob):
+    """The cost and marginals of the rows and columns with positive mass,
+    which is what solve_transport pivots on."""
+    rows, cols = prob.mu > 0, prob.nu > 0
+    return prob.cost[np.ix_(rows, cols)], prob.mu[rows], prob.nu[cols]
+
+
+MAKERS = {"generic": generic_transport, "degenerate": degenerate_transport,
+          "sparse": sparse_transport}
 
 
 class TestRootedTreeKernel:
@@ -230,7 +241,7 @@ class TestRootedTreeKernel:
 
     @pytest.mark.parametrize("kind", sorted(MAKERS))
     def test_solve_matches_bfs_kernel(self, kind, monkeypatch):
-        rng = np.random.default_rng(71 if kind == "generic" else 72)
+        rng = np.random.default_rng({"generic": 71, "degenerate": 72, "sparse": 81}[kind])
         for n, m in _oracle_shapes(rng):
             prob = MAKERS[kind](rng, n, m)
             coupling, pots, value = solve_transport(prob)
@@ -243,34 +254,27 @@ class TestRootedTreeKernel:
             assert value == ref_value
 
     @pytest.mark.parametrize("kind", sorted(MAKERS))
-    @pytest.mark.parametrize("bland", [False, True], ids=["dantzig", "bland"])
-    def test_pivot_loop_matches_bfs_kernel(self, kind, bland):
-        rng = np.random.default_rng(73 if kind == "generic" else 74)
+    def test_pivot_loop_matches_bfs_kernel(self, kind):
+        rng = np.random.default_rng({"generic": 73, "degenerate": 74, "sparse": 82}[kind])
         for n, m in _oracle_shapes(rng):
-            prob = MAKERS[kind](rng, n, m)
-            args = (prob.cost, prob.mu, prob.nu, bland, 400 * (n + m) + 200)
+            args = (*_positive_part(MAKERS[kind](rng, n, m)), 400 * (n + m) + 200)
             basis, pot = transport._simplex_pivots(*args)
             ref_basis, ref_pot = _bfs_simplex_pivots(*args)
             assert sorted(basis) == sorted(ref_basis)
-            assert len(basis) == n + m - 1
+            assert len(basis) == sum(args[0].shape) - 1
             assert same_bits(pot, ref_pot)
 
     @pytest.mark.parametrize("kind", sorted(MAKERS))
-    @pytest.mark.parametrize("bland", [False, True], ids=["dantzig", "bland"])
-    def test_pivot_count_matches_bfs_kernel(self, kind, bland, monkeypatch):
+    def test_pivot_count_matches_bfs_kernel(self, kind, monkeypatch):
         """The budget counts pricing rounds: one per pivot, and the one that
         finds the basis optimal.  Take the oracle's count k from its
         potential recomputations, one per round; both loops then run out of
         pivots at a budget of k - 1 and finish at k.  The instances are
-        those of the test above, and for the Dantzig rule one more of the
-        benchmark's sizes."""
-        rng = np.random.default_rng(73 if kind == "generic" else 74)
-        shapes = _oracle_shapes(rng)
-        if not bland:
-            shapes.append((150, 60) if kind == "generic" else (60, 150))
+        those of the test above, and one more of the benchmark's sizes."""
+        rng = np.random.default_rng({"generic": 73, "degenerate": 74, "sparse": 82}[kind])
+        shapes = _oracle_shapes(rng) + [(150, 60) if kind == "generic" else (60, 150)]
         for n, m in shapes:
-            prob = MAKERS[kind](rng, n, m)
-            args = (prob.cost, prob.mu, prob.nu, bland)
+            args = _positive_part(MAKERS[kind](rng, n, m))
             calls = []
             with monkeypatch.context() as mp:
                 mp.setitem(globals(), "_duals_from_basis",
@@ -281,71 +285,74 @@ class TestRootedTreeKernel:
                 with pytest.raises(SolverLimit):
                     kernel(*args, k - 1)
                 basis, _ = kernel(*args, k)
-                assert len(basis) == n + m - 1
+                assert len(basis) == sum(args[0].shape) - 1
 
 
 class TestSolverLimit:
-    def test_bland_rerun_out_of_pivots_raises(self, monkeypatch):
+    def test_out_of_pivots_raises(self, monkeypatch):
         real = transport._simplex_pivots
-        monkeypatch.setattr(
-            transport, "_simplex_pivots",
-            lambda cost, mu, nu, bland, max_pivots: real(cost, mu, nu, bland, 0))
+        monkeypatch.setattr(transport, "_simplex_pivots",
+                            lambda cost, mu, nu, max_pivots: real(cost, mu, nu, 0))
         prob = random_transport(np.random.default_rng(75), max_n=6, max_m=6)
         with pytest.raises(SolverLimit, match="pivots"):
             solve_transport(prob)
 
-    def test_first_run_out_of_pivots_falls_back_to_bland(self, monkeypatch):
-        real = transport._simplex_pivots
-        rng = np.random.default_rng(76)
-        for _ in range(20):
-            prob = random_transport(rng, max_n=12, max_m=12)
-            _, _, value = solve_transport(prob)
-            with monkeypatch.context() as mp:
-                mp.setattr(transport, "_simplex_pivots",
-                           lambda cost, mu, nu, bland, max_pivots:
-                           real(cost, mu, nu, bland, max_pivots if bland else 0))
-                _, _, bland_value = solve_transport(prob)
-            assert abs(bland_value - value) <= 1e-9 * max(1.0, abs(value))
+    def test_infeasible_plan_fails_the_invariant(self, monkeypatch):
+        monkeypatch.setattr(transport, "_solve_tree_alloc",
+                            lambda n, m, *_: np.full((n, m), -1.0))
+        prob = random_transport(np.random.default_rng(76), max_n=6, max_m=6)
+        with pytest.raises(AssertionError, match="final plan is infeasible"):
+            solve_transport(prob)
 
 
-class TestBlandFallback:
-    def test_infeasible_plan_runs_bland_once(self, monkeypatch):
-        """A first plan with a negative entry sends the solve to the Bland
-        run, once, and the result is the one of a solve whose Dantzig run
-        had no pivots at all."""
-        real_pivots, real_alloc = transport._simplex_pivots, transport._solve_tree_alloc
-        rng = np.random.default_rng(79)
-        for kind in sorted(MAKERS):
-            for _ in range(10):
-                prob = MAKERS[kind](rng, *(int(v) for v in rng.integers(1, 13, 2)))
-                with monkeypatch.context() as mp:
-                    mp.setattr(transport, "_simplex_pivots",
-                               lambda cost, mu, nu, bland, max_pivots:
-                               real_pivots(cost, mu, nu, bland, max_pivots if bland else 0))
-                    want = solve_transport(prob)
+def _insert_zeros(rng, prob, at_row_0):
+    """prob with zero-mass rows and columns of new costs inserted at random
+    places (row 0 among them when at_row_0), and the old rows and columns."""
+    (n, m), (k, l) = prob.shape, rng.integers(1, 4, 2)
+    rows = np.sort(rng.choice(np.arange(int(at_row_0), n + k), n, replace=False))
+    cols = np.sort(rng.choice(m + l, m, replace=False))
+    cost = rng.integers(0, 10, (n + k, m + l)).astype(float)
+    cost[np.ix_(rows, cols)] = prob.cost
+    mu, nu = np.zeros(n + k), np.zeros(m + l)
+    mu[rows], nu[cols] = prob.mu, prob.nu
+    return TransportProblem(cost=cost, mu=mu, nu=nu), rows, cols
 
-                runs, plans = [], []
 
-                def pivots(cost, mu, nu, bland, max_pivots):
-                    runs.append(bland)
-                    return real_pivots(cost, mu, nu, bland, max_pivots)
+def _exactly_feasible(prob, pots, rows, cols):
+    """psi_i + phi_j <= cost_ij as doubles on the given rows and columns, and
+    none of their potentials is -0.0."""
+    pair, new = pots.psi[:, None] + pots.phi, np.r_[pots.psi[rows], pots.phi[cols]]
+    return ((pair[rows] <= prob.cost[rows]).all() and (pair[:, cols] <= prob.cost[:, cols]).all()
+            and not np.signbit(new[new == 0.0]).any())
 
-                def first_plan_negative(*args):
-                    q = real_alloc(*args)
-                    if not plans:
-                        q[0, 0] = -1.0
-                    plans.append(q)
-                    return q
 
-                with monkeypatch.context() as mp:
-                    mp.setattr(transport, "_simplex_pivots", pivots)
-                    mp.setattr(transport, "_solve_tree_alloc", first_plan_negative)
-                    got = solve_transport(prob)
-                assert runs == [False, True] and len(plans) == 2
-                assert same_bits(got[0].q, want[0].q)
-                assert same_bits(got[1].psi, want[1].psi)
-                assert same_bits(got[1].phi, want[1].phi)
-                assert same_bits(got[2], want[2])
+class TestZeroMass:
+    """Rows and columns of zero mass take no part in the pivots: inserting
+    them leaves every old output bit-identical, and their potentials are
+    c-transforms, feasible without tolerance."""
+
+    @pytest.mark.parametrize("kind", ["generic", "degenerate"])
+    def test_inserted_zero_mass_changes_nothing(self, kind):
+        rng = np.random.default_rng(83 if kind == "generic" else 84)
+        for t in range(60):
+            base = TransportProblem(*_positive_part(MAKERS[kind](rng, *rng.integers(1, 16, 2))))
+            prob, rows, cols = _insert_zeros(rng, base, at_row_0=t % 2 == 0)
+            (coupling, pots, value), want = solve_transport(prob), solve_transport(base)
+            assert same_bits(value, want[2]) and same_bits(coupling.q[np.ix_(rows, cols)], want[0].q)
+            assert same_bits(pots.psi[rows], want[1].psi)
+            assert same_bits(pots.phi[cols], want[1].phi)
+            new_rows = np.setdiff1d(np.arange(prob.shape[0]), rows)
+            new_cols = np.setdiff1d(np.arange(prob.shape[1]), cols)
+            assert not coupling.q[new_rows].any() and not coupling.q[:, new_cols].any()
+            assert _exactly_feasible(prob, pots, new_rows, new_cols)
+
+    @pytest.mark.parametrize("nu", [[0.0, 0.0, 0.0], [0.0, 1e-13, 0.0]], ids=["zero", "tiny"])
+    def test_no_mass(self, nu):
+        prob = TransportProblem(cost=np.random.default_rng(85).uniform(-5.0, 5.0, (4, 3)),
+                                mu=np.zeros(4), nu=nu)
+        coupling, pots, value = solve_transport(prob)
+        assert value == 0.0 and not coupling.q.any()
+        assert _exactly_feasible(prob, pots, np.arange(1, 4), np.arange(3))
 
 
 def _highs_transport_value(prob):
@@ -366,11 +373,17 @@ def _highs_transport_value(prob):
 
 
 class TestHighsOracle:
-    @pytest.mark.parametrize("kind", sorted(MAKERS))
+    @pytest.mark.parametrize("kind", ["generic", "degenerate"])
     def test_value_matches_highs_50x50(self, kind):
         rng = np.random.default_rng(77 if kind == "generic" else 78)
         for _ in range(6):
             prob = MAKERS[kind](rng, 50, 50)
+            _, _, value = solve_transport(prob)
+            assert abs(value - _highs_transport_value(prob)) <= 1e-9 * max(1.0, abs(value))
+
+    @pytest.mark.parametrize("kind", sorted(regen.TRANSPORT_KINDS))
+    def test_golden_corpus_matches_highs(self, kind):
+        for prob in regen.transport_corpus(kind):
             _, _, value = solve_transport(prob)
             assert abs(value - _highs_transport_value(prob)) <= 1e-9 * max(1.0, abs(value))
 
@@ -559,12 +572,22 @@ class TestConicLP:
         rep = conic_lp_dual(ConicLP(pi=[0.0, 0.0], c_vec=[5.0, -5.0]))
         assert rep.primal == 0.0 and np.array_equal(rep.q_star, [0.0, 0.0])
 
-    @pytest.mark.parametrize("pi, c", CONIC_OVERFLOWS, ids=["minus_inf", "zero", "plus_inf"])
+    @pytest.mark.parametrize("pi, c", CONIC_OVERFLOWS, ids=["minus_inf", "plus_inf"])
     def test_optimum_overflow_rejected(self, pi, c):
-        # the optima are -2e616, 0 and 3e308 + 8: pi @ c overflows in each,
-        # also where the optimum (0) is a double
+        # the optima are -2e616 and 3e308 + 8, outside the doubles
         with pytest.raises(ImproperInput, match="overflows the doubles"):
             conic_lp_dual(ConicLP(pi=pi, c_vec=c))
+
+    def test_exact_zero_optimum(self):
+        # pi @ c overflows to inf, but the exact optimum 1e616 - 1e616 is 0
+        rep = conic_lp_dual(ConicLP(pi=[1e308, 1e308], c_vec=[1e308, -1e308]))
+        assert same_bits(rep.primal, 0.0) and same_bits(rep.dual, 0.0)
+
+    def test_optimum_rounded_once(self):
+        # the doubles 0.1 * 3 - 0.3 make about 2.78e-17 exactly; rounding
+        # the product first, as pi @ c does, gives 5.55e-17
+        rep = conic_lp_dual(ConicLP(pi=[0.1, 1.0], c_vec=[3.0, -0.3]))
+        assert rep.primal == 2.7755575615628914e-17
 
     def test_against_lp_oracle(self):
         rng = np.random.default_rng(60)
