@@ -441,6 +441,71 @@ class TestBadInputsExit2:
         assert err.startswith("error: final plan is infeasible")
 
 
+def _nonmetric(sc):
+    sc["domain"]["metric"] = {"custom": [[0, 1, 1, 1, 1]] * 5}
+
+
+#: every error exit of run_scenario and main, each exit code 2: (command, the
+#: scenario file as raw bytes, as a shipped scenario's name and an update of
+#: it, or None for no file, run_scenario's keywords or None where only main
+#: fails, and the first stderr line); {tmp} is the test's directory
+CLI_EXITS = {
+    "unreadable": ("transport", None, {},
+                   "error: cannot read scenario: [Errno 2] No such file or directory: "
+                   "'{tmp}/sc.json'"),
+    "nan_literal": ("transport", b'{"kind": "transport", "cost": [[NaN]], "mu": [1], "nu": [1]}',
+                    {}, "error: cannot read scenario: non-standard JSON literal NaN; "
+                        'extended reals are written "+inf" or "-inf"'),
+    "not_an_object": ("transport", b"[1, 2]", {},
+                      "error: cannot read scenario: top-level value is a list, not an object"),
+    "schema_violation": ("transport", ("transport_2x2.json", lambda sc: sc.pop("nu")), {},
+                         "error: scenario failed schema validation: "
+                         "'nu' is a required property"),
+    "tol_other_kind": ("gap", ("gap_vee_up.json", None), {"tol": 0.5},
+                       "error: tol applies to constrained scenarios, not gap"),
+    "runner_error": ("gap", ("gap_vee_down.json", _nonmetric), {}, "error: asymmetry"),
+    "unwritable_out": ("transport", ("transport_2x2.json", None),
+                       {"out": "{tmp}/missing/r.json"},
+                       "error: cannot write report: [Errno 2] No such file or directory: "
+                       "'{tmp}/missing/r.json'"),
+    "csv_without_curve": ("transport", ("transport_2x2.json", None),
+                          {"csv_path": "{tmp}/c.csv"},
+                          "error: this scenario produces no curve table"),
+    "unwritable_csv": ("gap", ("gap_refinement.json", None),
+                       {"csv_path": "{tmp}/missing/c.csv"},
+                       "error: cannot write csv: [Errno 2] No such file or directory: "
+                       "'{tmp}/missing/c.csv'"),
+    "kind_mismatch": ("conic", ("transport_2x2.json", None), None,
+                      "error: scenario kind 'transport' does not match command 'conic'"),
+}
+
+
+class TestErrorExits:
+    @pytest.mark.parametrize("case", sorted(CLI_EXITS))
+    def test_exit_code_and_first_line(self, case, tmp_path, capsys):
+        from abconvex.cli import main
+
+        command, contents, kw, line = CLI_EXITS[case]
+        path = tmp_path / "sc.json"
+        if isinstance(contents, bytes):
+            path.write_bytes(contents)
+        elif contents is not None:
+            name, mutate = contents
+            path.write_text(json.dumps(_mutated(name, mutate or (lambda sc: None))))
+        kwargs = {"out": "{tmp}/o.json", **(kw or {})}
+        kwargs = {k: v.format(tmp=tmp_path) if isinstance(v, str) else v
+                  for k, v in kwargs.items()}
+        argv = [command, "--scenario", str(path)]
+        for key, flag in (("out", "--out"), ("csv_path", "--csv"), ("tol", "--tol")):
+            if key in kwargs:
+                argv += [flag, str(kwargs[key])]
+        want = (EXIT_BAD_SCENARIO, line.format(tmp=tmp_path))
+        assert (main(argv), capsys.readouterr().err.splitlines()[0]) == want
+        if kw is not None:
+            code = run_scenario(str(path), **kwargs)
+            assert (code, capsys.readouterr().err.splitlines()[0]) == want
+
+
 class TestTol:
     @pytest.mark.parametrize("name, tol", [
         ("constrained_2x2.json", "-1"),
