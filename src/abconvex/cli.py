@@ -17,6 +17,7 @@ certify found no certificate).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -94,21 +95,15 @@ def ext_from_json(v) -> float:
 def ext_list(values) -> list:
     return [ext_to_json(v) for v in values]
 
-def params_to_json(p: ElemParams) -> dict:
-    return {
-        "a": p.a,
-        "ell": None if p.ell is None else [float(v) for v in p.ell],
-        "anchor": p.anchor,
-        "c": p.c,
-    }
+def ext_array(values) -> np.ndarray:
+    """A vector or a matrix (a list of rows) of encoded extended reals."""
+    def decode(v):
+        return [decode(x) for x in v] if isinstance(v, list) else ext_from_json(v)
+    return np.asarray(decode(values), dtype=float)
 
-def params_from_json(d: dict) -> ElemParams:
-    return ElemParams(
-        a=float(d.get("a", 0.0)),
-        ell=d.get("ell"),
-        anchor=d.get("anchor"),
-        c=float(d.get("c", 0.0)),
-    )
+def params_to_json(p: ElemParams) -> dict:
+    return {"a": p.a, "ell": None if p.ell is None else p.ell.tolist(),
+            "anchor": p.anchor, "c": p.c}
 
 
 def parse_domain(spec: dict, validate: str) -> FiniteMetricSpace:
@@ -138,13 +133,8 @@ def parse_family(spec: dict, domain: FiniteMetricSpace) -> ElemFamily:
 def parse_dual_grid(spec: dict, domain: FiniteMetricSpace, f=None) -> DualGrid:
     family = parse_family(spec, domain)
     if "params" in spec:
-        params = tuple(params_from_json(d) for d in spec["params"])
-        return DualGrid(family, params)
+        return DualGrid(family, tuple(ElemParams(**d) for d in spec["params"]))
     return default_dual_grid(family, f, **{k: int(v) for k, v in spec.get("auto", {}).items()})
-
-
-def parse_ext_matrix(rows) -> np.ndarray:
-    return np.asarray([[ext_from_json(v) for v in row] for row in rows], dtype=float)
 
 
 def report_duality(rep: DualityReport) -> dict:
@@ -197,7 +187,7 @@ def lsc_curve(rep: DualityReport) -> list[dict]:
 
 def run_conjugate(sc: dict, rng, validate: str):
     domain = parse_domain(sc["domain"], validate)
-    f = GridFn(domain, np.asarray([ext_from_json(v) for v in sc["function"]]))
+    f = GridFn(domain, ext_array(sc["function"]))
     grid = parse_dual_grid(sc["family"], domain, f)
     star = conjugate_transform(f, grid)
     second = biconjugate(f, grid)
@@ -234,7 +224,7 @@ def _perturbation(sc: dict, validate: str):
     """The problem of a gap or certify scenario, and its multiplier grid
     (defaults drawn from the optimal value function V)."""
     domain = parse_domain(sc["domain"], validate)
-    p = parse_ext_matrix(sc["p"])
+    p = ext_array(sc["p"])
     prob = PerturbationProblem(Y=domain, p=p, y0=int(sc["y0"]))
     return prob, parse_dual_grid(sc["family"], domain, GridFn(domain, p.min(axis=0)))
 
@@ -277,7 +267,7 @@ def run_certify(sc: dict, rng, validate: str):
 
 def run_constrained(sc: dict, rng, validate: str):
     domain = parse_domain(sc["domain"], validate)
-    f = GridFn(len(sc["f"]), np.asarray([ext_from_json(v) for v in sc["f"]]))
+    f = GridFn(len(sc["f"]), ext_array(sc["f"]))
     cmap = ConstraintMap(
         feasible=tuple(frozenset(s) for s in sc["A"]),
         n_x=f.size,
@@ -309,9 +299,8 @@ def run_transport(sc: dict, rng, validate: str):
     audit = kantorovich_gap_report(prob, (coupling, pots, value))
     results = {
         "value": value,
-        "coupling": [[float(v) for v in row] for row in coupling.q],
-        "potentials": {"psi": [float(v) for v in pots.psi],
-                       "phi": [float(v) for v in pots.phi]},
+        "coupling": coupling.q.tolist(),
+        "potentials": {"psi": pots.psi.tolist(), "phi": pots.phi.tolist()},
         "primal": audit.primal,
         "dual": audit.dual,
         "gap": audit.gap,
@@ -326,7 +315,7 @@ def run_conic(sc: dict, rng, validate: str):
     results = {
         "primal": ext_to_json(rep.primal),
         "dual": ext_to_json(rep.dual),
-        "q_star": None if rep.q_star is None else [float(v) for v in rep.q_star],
+        "q_star": None if rep.q_star is None else rep.q_star.tolist(),
     }
     return results, None, EXIT_OK
 
@@ -340,24 +329,20 @@ def run_peaking(sc: dict, rng, validate: str):
     anchor = sc.get("g", {}).get("anchor")
     if anchor is not None and not 0 <= anchor < domain.n:
         raise ScenarioError("g.anchor out of range")
+    eps, delta = float(sc["eps"]), float(sc["delta"])
+    witnesses = {}
+    if "g" in sc:
+        witnesses["peaking"] = lambda: peaking_witness(family, y0, eps, delta, float(sc["K"]),
+                                                       ElemParams(**sc["g"]))
+    if sc.get("urysohn"):
+        witnesses["urysohn"] = lambda: urysohn_witness(family, y0, eps, delta)
     results: dict = {}
     code = EXIT_OK
-    if "g" in sc:
+    for name, witness in witnesses.items():
         try:
-            w = peaking_witness(family, y0, float(sc["eps"]), float(sc["delta"]),
-                                float(sc["K"]), params_from_json(sc["g"]))
-            results["peaking_witness"] = params_to_json(w)
+            results[f"{name}_witness"] = params_to_json(witness())
         except NoWitness as e:
-            results["peaking_witness"] = None
-            results["peaking_failure"] = str(e)
-            code = EXIT_NEGATIVE
-    if sc.get("urysohn"):
-        try:
-            w = urysohn_witness(family, y0, float(sc["eps"]), float(sc["delta"]))
-            results["urysohn_witness"] = params_to_json(w)
-        except NoWitness as e:
-            results["urysohn_witness"] = None
-            results["urysohn_failure"] = str(e)
+            results[f"{name}_witness"], results[f"{name}_failure"] = None, str(e)
             code = EXIT_NEGATIVE
     draws = int(sc.get("draws", 0))
     if draws:
@@ -424,24 +409,32 @@ def validate_scenario(scenario: dict) -> None:
         raise ScenarioError(f"scenario failed schema validation: {error.message}")
 
 
-READ_ERRORS = (OSError, UnicodeDecodeError, json.JSONDecodeError, ScenarioError)
-
-
 def _reject_constant(name: str):
     raise ScenarioError(f"non-standard JSON literal {name}; extended reals are "
                         'written "+inf" or "-inf"')
 
 
 def load_scenario(path) -> dict:
-    """Parse a scenario file.  The non-standard literals NaN, Infinity and
-    -Infinity are rejected, and so is a top-level value that is not an object;
-    every failure raises one of READ_ERRORS."""
-    with open(path, "r", encoding="utf-8") as fh:
-        scenario = json.load(fh, parse_constant=_reject_constant)
-    if not isinstance(scenario, dict):
-        raise ScenarioError(f"top-level value is a {type(scenario).__name__}, "
-                            "not an object")
+    """Parse a scenario file.  An unreadable file, the non-standard literals
+    NaN, Infinity and -Infinity, and a top-level value that is not an object
+    raise ScenarioError("cannot read scenario: ...")."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            scenario = json.load(fh, parse_constant=_reject_constant)
+        if not isinstance(scenario, dict):
+            raise ScenarioError(f"top-level value is a {type(scenario).__name__}, "
+                                "not an object")
+    except (OSError, ValueError, ScenarioError) as e:
+        raise ScenarioError(f"cannot read scenario: {e}") from None
     return scenario
+
+
+@contextlib.contextmanager
+def _writing(what: str):
+    try:
+        yield
+    except OSError as e:
+        raise ScenarioError(f"cannot write {what}: {e}") from None
 
 
 def run_scenario(path: str, out=None, seed=None, tol=None, validate="full",
@@ -451,11 +444,6 @@ def run_scenario(path: str, out=None, seed=None, tol=None, validate="full",
     t0 = time.monotonic()
     try:
         scenario = load_scenario(path)
-    except READ_ERRORS as e:
-        print(f"error: cannot read scenario: {e}", file=sys.stderr)
-        return EXIT_BAD_SCENARIO
-
-    try:
         if tol is not None:
             scenario = {**scenario, "tol": tol}
         validate_scenario(scenario)
@@ -471,41 +459,32 @@ def run_scenario(path: str, out=None, seed=None, tol=None, validate="full",
             raise ScenarioError("randomized scenarios require a seed")
         rng = np.random.default_rng(seed_val)
         results, curve, code = RUNNERS[kind](scenario, rng, validate)
-    except (AbconvexError, ValueError, KeyError, OSError, AssertionError,
+
+        report = {
+            "tool": {"name": "abconvex", "version": __version__},
+            "kind": kind,
+            "seed": seed_val,
+            "scenario": scenario,
+            "results": results,
+            "exit_code": code,
+        }
+        payload = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        if out in (None, "-"):
+            sys.stdout.write(payload)
+        else:
+            with _writing("report"):
+                Path(out).write_text(payload, encoding="utf-8")
+        if csv_path is not None:
+            if not curve:
+                raise ScenarioError("this scenario produces no curve table")
+            with _writing("csv"), open(csv_path, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.DictWriter(fh, fieldnames=list(curve[0]))
+                writer.writeheader()
+                writer.writerows(curve)
+    except (AbconvexError, ValueError, KeyError, OSError, OverflowError, AssertionError,
             MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_SCENARIO
-
-    report = {
-        "tool": {"name": "abconvex", "version": __version__},
-        "kind": kind,
-        "seed": seed_val,
-        "scenario": scenario,
-        "results": results,
-        "exit_code": code,
-    }
-    payload = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    if out in (None, "-"):
-        sys.stdout.write(payload)
-    else:
-        try:
-            Path(out).write_text(payload, encoding="utf-8")
-        except OSError as e:
-            print(f"error: cannot write report: {e}", file=sys.stderr)
-            return EXIT_BAD_SCENARIO
-
-    if csv_path is not None:
-        if not curve:
-            print("error: this scenario produces no curve table", file=sys.stderr)
-            return EXIT_BAD_SCENARIO
-        try:
-            with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.DictWriter(fh, fieldnames=list(curve[0].keys()))
-                writer.writeheader()
-                writer.writerows(curve)
-        except OSError as e:
-            print(f"error: cannot write csv: {e}", file=sys.stderr)
-            return EXIT_BAD_SCENARIO
 
     print(f"elapsed_s={time.monotonic() - t0:.3f}", file=sys.stderr)
     return code
@@ -528,12 +507,11 @@ def main(argv=None) -> int:
 
     try:
         kind = load_scenario(args.scenario).get("kind")
-    except READ_ERRORS as e:
-        print(f"error: cannot read scenario: {e}", file=sys.stderr)
-        return EXIT_BAD_SCENARIO
-    if kind != args.command:
-        print(f"error: scenario kind {kind!r} does not match command "
-              f"{args.command!r}", file=sys.stderr)
+        if kind != args.command:
+            raise ScenarioError(f"scenario kind {kind!r} does not match command "
+                                f"{args.command!r}")
+    except ScenarioError as e:
+        print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_SCENARIO
 
     return run_scenario(args.scenario, out=args.out, seed=args.seed, tol=args.tol,
