@@ -16,6 +16,7 @@ is the discrete strong duality statement.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -176,8 +177,8 @@ def _simplex_pivots(cost, mu, nu, max_pivots: int):
         red -= v
         flat_red[basic_np] = 0.0
         flat = int(red.argmin())
-        if flat_red[flat] >= -enter_tol:
-            break
+        if not -np.inf < flat_red[flat] < -enter_tol:
+            break  # optimal, or a reduced cost outside the doubles (NaN or -inf)
         ei, ej = divmod(flat, m)
 
         # the nodes below the apex on each side, bottom-up; their parent arcs
@@ -243,33 +244,44 @@ def solve_transport(prob: TransportProblem):
     re-solved on them for the plan, and the value is summed over their cells.
     The rows and then the columns left out get zero mass and their
     c-transforms, which are exactly feasible.  Raises ``SolverLimit`` after
-    400(n + m) + 200 pricing rounds (one more than the pivots).  Potentials
-    are dual feasible within SLACK_TOL * max(1, max|cost|), the loop's scale.
+    400(n + m) + 200 pricing rounds (one more than the pivots), and
+    ``ImproperInput`` when the value, a potential or a reduced cost below zero
+    leaves the doubles.  Potentials are dual feasible within SLACK_TOL *
+    max(1, max|cost|), the loop's scale.
     """
     cost, mu, nu = prob.cost, prob.mu, prob.nu
     n, m = cost.shape
     rows, cols = (np.flatnonzero(w) if w.any() else np.zeros(1, dtype=np.intp) for w in (mu, nu))
     k = rows.size
-    basis, pot = _simplex_pivots(cost[rows[:, None], cols], mu[rows], nu[cols],
-                                 400 * (n + m) + 200)
-    r, c = rows.tolist(), cols.tolist()
-    q = _solve_tree_alloc(n, m, [(r[i], c[j]) for i, j in basis], mu, nu)
-    if q.min() < -1e-7 * max(1.0, float(mu.sum())):
-        raise AssertionError("final plan is infeasible")
-    q[q < 0] = 0.0
+    # potentials are alternating sums of costs along tree paths and the value
+    # sums mass times cost, so either may leave the doubles; a NaN or -inf
+    # reduced cost stops the pivot loop, and the instance is rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        basis, pot = _simplex_pivots(cost[rows[:, None], cols], mu[rows], nu[cols],
+                                     400 * (n + m) + 200)
+        r, c = rows.tolist(), cols.tolist()
+        q = _solve_tree_alloc(n, m, [(r[i], c[j]) for i, j in basis], mu, nu)
+        if q.min() < -1e-7 * max(1.0, float(mu.sum())):
+            raise AssertionError("final plan is infeasible")
+        q[q < 0] = 0.0
 
-    psi, phi = np.zeros(n), np.zeros(m)
-    psi[rows], phi[cols] = pot[:k], pot[k:]
-    if k < n:
-        out = np.delete(np.arange(n), rows)
-        psi[out] = c_transform(phi[cols], cost[out[:, None], cols].T) + 0.0
-    if cols.size < m:
-        out = np.delete(np.arange(m), cols)
-        phi[out] = c_transform(psi, cost[:, out]) + 0.0
-    red_min = float((cost - psi[:, None] - phi[None, :]).min())
-    if red_min < -SLACK_TOL * max(1.0, float(np.abs(cost).max())):
+        psi, phi = np.zeros(n), np.zeros(m)
+        psi[rows], phi[cols] = pot[:k], pot[k:]
+        if k < n:
+            out = np.delete(np.arange(n), rows)
+            psi[out] = c_transform(phi[cols], cost[out[:, None], cols].T) + 0.0
+        if cols.size < m:
+            out = np.delete(np.arange(m), cols)
+            phi[out] = c_transform(psi, cost[:, out]) + 0.0
+        red_min = float((cost - psi[:, None] - phi[None, :]).min())
+        value = float((q * cost)[rows[:, None], cols].sum())
+    # a reduced cost of +inf is positive beyond the doubles, and harmless
+    if not (math.isfinite(value) and np.isfinite(psi).all() and np.isfinite(phi).all()
+            and red_min > -np.inf):
+        raise ImproperInput("the transport value, potentials or reduced costs overflow "
+                            "the doubles")
+    if not red_min >= -SLACK_TOL * max(1.0, float(np.abs(cost).max())):
         raise AssertionError("final basis is not dual feasible")
-    value = float((q * cost)[rows[:, None], cols].sum())
     return Coupling(q=q), Potentials(psi=psi, phi=phi), value
 
 
@@ -303,20 +315,24 @@ class KantorovichReport:
 def kantorovich_gap_report(prob: TransportProblem, solved=None) -> KantorovichReport:
     """Solve the instance and assert the two optima agree to GAP_TOL *
     max(1, max|cost| * sum(mu)), counting complementary-slackness breaches
-    beyond SLACK_TOL * max(1, max|cost|) (there must be none).
+    beyond SLACK_TOL * max(1, max|cost|) (there must be none).  A dual
+    objective psi . mu + phi . nu outside the doubles raises ImproperInput.
 
     ``solved`` is the ``(coupling, potentials, value)`` triple that
     ``solve_transport(prob)`` returned, for callers that already have it; the
     solver is deterministic, so the audit is the same either way."""
     coupling, pots, value = solve_transport(prob) if solved is None else solved
-    primal = dual_objective(pots.psi, pots.phi, prob.mu, prob.nu)
+    with np.errstate(over="ignore", invalid="ignore"):
+        primal = dual_objective(pots.psi, pots.phi, prob.mu, prob.nu)
+        slack = prob.cost - pots.psi[:, None] - pots.phi[None, :]
+    if not math.isfinite(primal):
+        raise ImproperInput("the transport dual objective overflows the doubles")
     gap = abs(primal - value)
     cmax = float(np.abs(prob.cost).max())
     gap_tol = GAP_TOL * max(1.0, cmax * float(prob.mu.sum()))
     if not gap <= gap_tol:
         raise AssertionError(f"strong duality failed: |{primal} - {value}| > {gap_tol}")
     support = coupling.q > 1e-12 * max(1.0, float(prob.mu.sum()))
-    slack = prob.cost - pots.psi[:, None] - pots.phi[None, :]
     violations = int((np.abs(slack[support]) > SLACK_TOL * max(1.0, cmax)).sum())
     return KantorovichReport(primal=primal, dual=value, gap=gap,
                              slack_violations=violations)

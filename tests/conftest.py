@@ -180,6 +180,26 @@ def degenerate_transport(rng, n, m):
 #: conic LPs with pi >= 0 whose optimum <pi, c> overflows the doubles
 CONIC_OVERFLOWS = [([1e308, 1e308], [-1e308, -1e308]), ([1e308, 2.0], [3.0, 4.0])]
 
+#: transport problems (cost, mu, nu) that leave the doubles: a value of 8e308,
+#: potentials 0 and 2e308 at two masses, a 3 x 3 whose first pricing round
+#: meets inf - inf, and the dual objective 2e308 - 1e308 of potentials
+#: (0, -1e308) and 1e308, whose exact value 1e308 is a double
+TRANSPORT_OVERFLOWS = {
+    "value": ([[1e308, 1e308], [1e308, 1e308]], [4.0, 4.0], [4.0, 4.0]),
+    "potentials": ([[1e308, -1e308], [-1e308, 1e308]], [1.0, 1.0], [1.0, 1.0]),
+    "potentials_half_mass": ([[1e308, -1e308], [-1e308, 1e308]], [0.5, 0.5], [0.5, 0.5]),
+    "nan_pricing": ([[1e308, -1e308, 0.0], [-1e308, 1e308, 0.0], [0.0, 0.0, 1e308]],
+                    [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]),
+    "dual_objective": ([[1e308], [0.0]], [1.0, 1.0], [2.0]),
+}
+
+
+def transport_overflow_message(case):
+    """The ImproperInput message of a TRANSPORT_OVERFLOWS case."""
+    if case == "dual_objective":
+        return "the transport dual objective overflows the doubles"
+    return "the transport value, potentials or reduced costs overflow the doubles"
+
 
 def large_cost_transport(rng, n, m, scale):
     """Integer costs times scale / 7 (up to about 14 * scale) and integer

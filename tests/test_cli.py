@@ -40,8 +40,8 @@ from abconvex.cli import (
 import abconvex.transport as transport
 from abconvex.errors import ScenarioError
 from abconvex.transport import kantorovich_gap_report, solve_transport
-from conftest import (CONIC_OVERFLOWS, degenerate_transport, large_cost_transport,
-                      random_transport)
+from conftest import (CONIC_OVERFLOWS, TRANSPORT_OVERFLOWS, degenerate_transport,
+                      large_cost_transport, random_transport, transport_overflow_message)
 
 REPO = Path(__file__).resolve().parents[1]
 SCENARIOS = REPO / "scenarios"
@@ -424,14 +424,15 @@ class TestBadInputsExit2:
         assert err.startswith("error: Unable to allocate")
         assert "Traceback" not in err
 
-    def test_failed_invariant_exit_2(self, tmp_path):
-        # schema-valid, but the extreme costs break transport strong duality
-        sc = {"kind": "transport", "cost": [[1e308, -1e308], [-1e308, 1e308]],
-              "mu": [0.5, 0.5], "nu": [0.5, 0.5]}
-        proc = _cli_subprocess("transport", sc, tmp_path)
-        assert proc.returncode == EXIT_BAD_SCENARIO
-        assert "Traceback" not in proc.stderr
-        assert "error: strong duality failed" in proc.stderr
+    @pytest.mark.parametrize("case", sorted(TRANSPORT_OVERFLOWS))
+    def test_transport_overflow(self, case, tmp_path, capsys):
+        # schema-valid, but the value, the potentials or the audit's dual
+        # objective leave the doubles
+        cost, mu, nu = TRANSPORT_OVERFLOWS[case]
+        sc = {"kind": "transport", "cost": cost, "mu": mu, "nu": nu}
+        code, err = _run_main("transport", sc, tmp_path, capsys)
+        assert code == EXIT_BAD_SCENARIO
+        assert err == f"error: {transport_overflow_message(case)}\n"
 
     def test_infeasible_plan_exit_2(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(transport, "_solve_tree_alloc", lambda n, m, *_: np.full((n, m), -1.0))
@@ -633,6 +634,26 @@ class TestMalformedJsonExit2:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith(f"error: cannot read scenario: {message}")
         assert run_scenario(str(p)) == EXIT_BAD_SCENARIO
+
+    @pytest.mark.parametrize("command, text, line", [
+        ("conic", '{"kind": "conic", "pi": [1%s], "c": [1.0]}' % ("0" * 5000),
+         "error: cannot read scenario: Exceeds the limit (4300 digits) for integer string "
+         "conversion"),
+        ("conic", '{"kind": "conic", "pi": [1%s], "c": [1.0]}' % ("0" * 400),
+         "error: int too large to convert to float"),
+        ("peaking", json.dumps(_mutated("peaking_demo.json",
+                                        lambda sc: sc["g"].update(a=10 ** 400))),
+         "error: int too large to convert to float"),
+    ], ids=["too_many_digits", "conic", "member"])
+    def test_integer_beyond_the_doubles(self, command, text, line, tmp_path, capsys):
+        from abconvex.cli import main
+
+        p = tmp_path / "sc.json"
+        p.write_text(text)
+        code = main([command, "--scenario", str(p)])
+        err = capsys.readouterr().err
+        assert code == EXIT_BAD_SCENARIO and "Traceback" not in err
+        assert err.startswith(line)
 
 
 class TestLargeCostTransport:

@@ -23,11 +23,13 @@ from abconvex.transport import _northwest_start, dual_objective
 from golden import regen
 from conftest import (
     CONIC_OVERFLOWS,
+    TRANSPORT_OVERFLOWS,
     degenerate_transport,
     generic_transport,
     large_cost_transport,
     random_transport,
     same_bits,
+    transport_overflow_message,
     transport_vertex_oracle,
 )
 
@@ -304,6 +306,14 @@ class TestSolverLimit:
         with pytest.raises(AssertionError, match="final plan is infeasible"):
             solve_transport(prob)
 
+    def test_infeasible_potentials_fail_the_invariant(self, monkeypatch):
+        # the zero-mass column's potential is raised above its c-transform
+        real = transport.c_transform
+        monkeypatch.setattr(transport, "c_transform", lambda psi, cost: real(psi, cost) + 1.0)
+        prob = TransportProblem(cost=[[0.0, 1.0]], mu=[1.0], nu=[1.0, 0.0])
+        with pytest.raises(AssertionError, match="final basis is not dual feasible"):
+            solve_transport(prob)
+
 
 def _insert_zeros(rng, prob, at_row_0):
     """prob with zero-mass rows and columns of new costs inserted at random
@@ -324,6 +334,24 @@ def _exactly_feasible(prob, pots, rows, cols):
     pair, new = pots.psi[:, None] + pots.phi, np.r_[pots.psi[rows], pots.phi[cols]]
     return ((pair[rows] <= prob.cost[rows]).all() and (pair[:, cols] <= prob.cost[:, cols]).all()
             and not np.signbit(new[new == 0.0]).any())
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("case", sorted(TRANSPORT_OVERFLOWS))
+    def test_rejected_without_warning(self, case):
+        # a RuntimeWarning is an error under pytest; before the pricing test
+        # was NaN-aware, nan_pricing pivoted on NaN until it ran out of pivots
+        cost, mu, nu = TRANSPORT_OVERFLOWS[case]
+        prob = TransportProblem(cost=cost, mu=mu, nu=nu)
+        if case == "dual_objective":
+            assert solve_transport(prob)[2] == 1e308
+        else:
+            with pytest.raises(ImproperInput) as solve_error:
+                solve_transport(prob)
+            assert str(solve_error.value) == transport_overflow_message(case)
+        with pytest.raises(ImproperInput) as audit_error:
+            kantorovich_gap_report(prob)
+        assert str(audit_error.value) == transport_overflow_message(case)
 
 
 class TestZeroMass:
