@@ -293,6 +293,24 @@ class TestSchemaValidator:
         p.write_text(json.dumps(sc))
         assert run_scenario(str(p), out=str(tmp_path / "o.json")) == EXIT_BAD_SCENARIO
 
+    @pytest.mark.parametrize("case, message", [
+        ("sigma", "'sigma' is a required property"),
+        ("nu", "'nu' is a required property"),
+        ("g_shape", "'g_shape' is a required property"),
+        ("quasi_subadd_const", "'quasi_subadd_const' is a required property"),
+        ("K", "'K' is a dependency of 'g'"),
+    ])
+    def test_missing_field_a_runner_reads(self, case, message, tmp_path, capsys):
+        if case == "K":
+            sc = _mutated("peaking_demo.json", lambda sc: sc.pop("K"))
+        else:
+            kind = "sigma_nu" if case in ("sigma", "nu") else "generalized_metric"
+            family = {k: v for k, v in FAMILY_KINDS[kind][0].items() if k != case}
+            sc = _mutated("gap_vee_down.json", lambda sc: sc.update(family=family))
+        code, err = _run_main(sc["kind"], sc, tmp_path, capsys)
+        assert code == EXIT_BAD_SCENARIO
+        assert err == f"error: scenario failed schema validation: {message}\n"
+
     def test_metaschema_checked_once(self, monkeypatch, tmp_path):
         from jsonschema.validators import validator_for
 
