@@ -8,8 +8,8 @@ infinities round-trip losslessly.  Reports are byte-identical for a fixed
 
 Exit codes: 0 success, 2 invalid scenario (also an unreadable input, a file
 that is not a JSON object or holds NaN/Infinity literals, an unwritable --out
-or --csv path, a solver out of iterations, a grid too large to allocate, or
-a failed internal invariant),
+or --csv path, a solver out of iterations, a grid too large to allocate, a
+number outside the doubles, or a failed internal invariant),
 3 negative mathematical outcome where a positive one was demanded (e.g.
 certify found no certificate).
 """
