@@ -102,8 +102,12 @@ def ext_array(values) -> np.ndarray:
     return np.asarray(decode(values), dtype=float)
 
 def params_to_json(p: ElemParams) -> dict:
-    return {"a": p.a, "ell": None if p.ell is None else p.ell.tolist(),
-            "anchor": p.anchor, "c": p.c}
+    return {
+        "a": p.a,
+        "ell": None if p.ell is None else p.ell.tolist(),
+        "anchor": p.anchor,
+        "c": p.c,
+    }
 
 
 def parse_domain(spec: dict, validate: str) -> FiniteMetricSpace:
@@ -342,7 +346,8 @@ def run_peaking(sc: dict, rng, validate: str):
         try:
             results[f"{name}_witness"] = params_to_json(witness())
         except NoWitness as e:
-            results[f"{name}_witness"], results[f"{name}_failure"] = None, str(e)
+            results[f"{name}_witness"] = None
+            results[f"{name}_failure"] = str(e)
             code = EXIT_NEGATIVE
     draws = int(sc.get("draws", 0))
     if draws:
