@@ -394,16 +394,48 @@ def load_schema(path: Path) -> dict:
         return json.load(fh)
 
 
+def _resolve_refs(schema: dict) -> dict:
+    """schema without $defs, each {"$ref": "#/$defs/<name>"} replaced by the
+    definition it names.  A $ref with sibling keywords, one of another form,
+    one to a missing definition and a cycle raise SchemaError."""
+    from jsonschema.exceptions import SchemaError
+
+    defs = schema.get("$defs", {})
+
+    def resolve(node, names):
+        if isinstance(node, list):
+            return [resolve(v, names) for v in node]
+        if not isinstance(node, dict):
+            return node
+        if "$ref" not in node:
+            return {k: resolve(v, names) for k, v in node.items()}
+        ref = node["$ref"]
+        name = ref.removeprefix("#/$defs/")
+        if len(node) > 1:
+            raise SchemaError(f"$ref {ref!r} has sibling keywords")
+        if name == ref:
+            raise SchemaError(f"$ref {ref!r} is not of the form '#/$defs/<name>'")
+        if name not in defs:
+            raise SchemaError(f"$ref {ref!r} names no definition")
+        if name in names:
+            raise SchemaError(f"$ref {ref!r} is cyclic")
+        return resolve(defs[name], names | {name})
+
+    return resolve({k: v for k, v in schema.items() if k != "$defs"}, frozenset())
+
+
 @functools.cache
 def scenario_validator():
-    """Validator for the scenario schema, built once per process.  The schema
-    is checked against its metaschema here, on first use, not per scenario."""
+    """Validator for the scenario schema, built once per process.  On first
+    use the shipped schema is checked against its metaschema, then its local
+    $refs are resolved (_resolve_refs), so that no scenario cell pays for a
+    reference lookup."""
     from jsonschema.validators import validator_for
 
     schema = load_schema(SCHEMA_PATH)
     cls = validator_for(schema)
     cls.check_schema(schema)
-    return cls(schema)
+    return cls(_resolve_refs(schema))
 
 
 def validate_scenario(scenario: dict) -> None:

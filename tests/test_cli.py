@@ -327,20 +327,142 @@ class TestSchemaValidator:
         for name in ("gap_vee_down.json", "transport_2x2.json"):
             code, _, _ = run_file(SCENARIOS / name, tmp_path, name=f"o_{name}")
             assert code == EXIT_OK
-        assert len(checks) == 1
+        assert checks == [load_schema(SCHEMA_PATH)]  # as shipped, $refs unresolved
 
     def test_invalid_schema_raises_on_first_use(self, monkeypatch, tmp_path):
-        import abconvex.cli as cli
+        _assert_schema_error_on_first_use({"type": 12}, monkeypatch, tmp_path)
 
-        bad = tmp_path / "schema.json"
-        bad.write_text(json.dumps({"type": 12}))
-        monkeypatch.setattr(cli, "SCHEMA_PATH", bad)
+    @pytest.mark.parametrize("kind_schema, defs", [
+        ({"$ref": "https://example.com/kind.json"}, {}),
+        ({"$ref": "#/$defs/missing"}, {"kind": {"type": "string"}}),
+        ({"$ref": "#/$defs/kind", "minLength": 1}, {"kind": {"type": "string"}}),
+        ({"$ref": "#/$defs/node"}, {"node": {"type": "array", "items": {"$ref": "#/$defs/node"}}}),
+    ], ids=["non_local", "missing_definition", "sibling_keywords", "cycle"])
+    def test_unresolvable_ref_raises_on_first_use(self, kind_schema, defs, monkeypatch,
+                                                  tmp_path):
+        schema = {"$schema": "https://json-schema.org/draft/2020-12/schema",
+                  "properties": {"kind": kind_schema}, "$defs": defs}
+        _assert_schema_error_on_first_use(schema, monkeypatch, tmp_path)
+
+    def test_validator_schema_has_no_refs(self):
+        text = json.dumps(scenario_validator().schema)
+        assert "$ref" not in text and "$defs" not in text
+
+
+def _assert_schema_error_on_first_use(schema, monkeypatch, tmp_path):
+    import abconvex.cli as cli
+
+    bad = tmp_path / "schema.json"
+    bad.write_text(json.dumps(schema))
+    monkeypatch.setattr(cli, "SCHEMA_PATH", bad)
+    cli.scenario_validator.cache_clear()
+    try:
+        with pytest.raises(jsonschema.SchemaError):
+            cli.validate_scenario({"kind": "conic"})
+    finally:
         cli.scenario_validator.cache_clear()
+
+
+def _oracle_validator():
+    """The scenario validator without $ref resolution: the shipped schema,
+    $refs in place, with extreal and domain.metric back to oneOf."""
+    from jsonschema.validators import validator_for
+
+    schema = load_schema(SCHEMA_PATH)
+    for node in (schema["$defs"]["extreal"], schema["$defs"]["domain"]["properties"]["metric"]):
+        node["oneOf"] = node.pop("anyOf")
+    return validator_for(schema)(schema)
+
+
+#: values that replace leaves, fill extra keys and extend arrays
+_WRONG_VALUES = ("x", "inf", "+inf", "-inf", {"finite": "a"}, {"finite": 1.5},
+                 {"finite": 1.5, "extra": 0}, {}, [], [1.0], [["a"]], None, True, -1, 0,
+                 2.5, 7.0, "euclidean", {"custom": [[0.0]]}, {"custom": "a"})
+_EXTRA_KEYS = ("extra", "metric", "finite", "custom", "seed")
+MUTATIONS_PER_SCENARIO = 240
+
+
+def _nodes(node, path=()):
+    yield path, node
+    if isinstance(node, (dict, list)):
+        for k, v in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _nodes(v, (*path, k))
+
+
+def _random_mutation(sc, rnd):
+    """sc after one to three random edits: a value replaced by a wrong one,
+    a key deleted, an extra key, an item appended, or domain.metric set."""
+    import copy
+
+    sc = copy.deepcopy(sc)
+    for _ in range(rnd.randint(1, 3)):
+        nodes = list(_nodes(sc))
+        op = rnd.choice(("replace", "delete", "extra", "append", "metric"))
+        value = copy.deepcopy(rnd.choice(_WRONG_VALUES))
+        dicts = [node for _, node in nodes if isinstance(node, dict) and node]
+        lists = [node for _, node in nodes if isinstance(node, list)]
+        if op == "delete" and dicts:
+            node = rnd.choice(dicts)
+            del node[rnd.choice(sorted(node))]
+        elif op == "extra" and dicts:
+            rnd.choice(dicts)[rnd.choice(_EXTRA_KEYS)] = value
+        elif op == "append" and lists:
+            node = rnd.choice(lists)
+            node.append(copy.deepcopy(rnd.choice(node)) if node and rnd.random() < 0.5
+                        else value)
+        elif op == "metric" and isinstance(sc.get("domain"), dict):
+            sc["domain"]["metric"] = value
+        else:
+            path, _ = rnd.choice(nodes[1:])
+            parent = sc
+            for k in path[:-1]:
+                parent = parent[k]
+            parent[path[-1]] = value
+    return sc
+
+
+def _verdicts(scenarios):
+    """(oracle message, validate_scenario message) of each scenario, None
+    for a valid one."""
+    from jsonschema.exceptions import best_match
+
+    oracle = _oracle_validator()
+    for sc in scenarios:
+        error = best_match(oracle.iter_errors(sc))
         try:
-            with pytest.raises(jsonschema.SchemaError):
-                cli.validate_scenario({"kind": "conic"})
-        finally:
-            cli.scenario_validator.cache_clear()
+            validate_scenario(sc)
+            got = None
+        except ScenarioError as e:
+            got = str(e)
+        yield (None if error is None else
+               f"scenario failed schema validation: {error.message}"), got
+
+
+class TestResolvedSchemaOracle:
+    """validate_scenario against the validator built from the unresolved
+    oneOf schema: the same verdict and the same best_match message."""
+
+    def test_shipped_scenarios(self):
+        scenarios = [json.loads(p.read_text()) for p in ALL_SCENARIOS]
+        assert list(_verdicts(scenarios)) == [(None, None)] * len(scenarios)
+
+    @pytest.mark.parametrize("case", sorted(SCHEMA_MUTATIONS))
+    def test_schema_mutation(self, case):
+        [(want, got)] = _verdicts([_mutated(*SCHEMA_MUTATIONS[case])])
+        assert want is not None
+        assert got == want
+
+    @pytest.mark.parametrize("path", ALL_SCENARIOS, ids=lambda p: p.stem)
+    def test_random_mutations(self, path):
+        import random
+
+        rnd = random.Random(path.name)
+        sc = json.loads(path.read_text())
+        mutants = [_random_mutation(sc, rnd) for _ in range(MUTATIONS_PER_SCENARIO)]
+        pairs = list(_verdicts(mutants))
+        assert [k for k, (want, got) in enumerate(pairs) if want != got] == []
+        invalid = sum(want is not None for want, _ in pairs)
+        assert 0 < invalid < len(pairs)
 
 
 def _run_main(command, sc, tmp_path, capsys):
