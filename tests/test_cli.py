@@ -1,7 +1,9 @@
 """Scenario runner: exit codes, schema validation, determinism, CSV output."""
 
+import copy
 import json
 import math
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -392,8 +394,6 @@ def _nodes(node, path=()):
 def _random_mutation(sc, rnd):
     """sc after one to three random edits: a value replaced by a wrong one,
     a key deleted, an extra key, an item appended, or domain.metric set."""
-    import copy
-
     sc = copy.deepcopy(sc)
     for _ in range(rnd.randint(1, 3)):
         nodes = list(_nodes(sc))
@@ -454,8 +454,6 @@ class TestResolvedSchemaOracle:
 
     @pytest.mark.parametrize("path", ALL_SCENARIOS, ids=lambda p: p.stem)
     def test_random_mutations(self, path):
-        import random
-
         rnd = random.Random(path.name)
         sc = json.loads(path.read_text())
         mutants = [_random_mutation(sc, rnd) for _ in range(MUTATIONS_PER_SCENARIO)]
