@@ -249,6 +249,43 @@ def sub_up_pairs(rng, style, n):
     return a, b
 
 
+def rounding_scale(dim):
+    """The largest distance at which rounding provably cannot make the
+    triangle sweep flag Euclidean distances in dim dimensions, with a factor
+    2 to spare: METRIC_TOL / (2 (dim + 10) 2**-53), about 409 in 1-D and 237
+    in 9-D (see build_metric_space).  Restated here, not imported, so that a
+    change of the library's rule shows."""
+    return METRIC_TOL / (2 * (dim + 10) * 2.0 ** -53)
+
+
+#: multiples of rounding_scale(dim) for the largest distance of a point set
+SCALE_MULTIPLES = (0.5, 1.0, 10.0, 100.0, 1000.0)
+
+
+def scaled_point_sets(rng, dim, multiples=SCALE_MULTIPLES):
+    """(multiple, points): a near-collinear and a random set of 2 to 12 points
+    in dim dimensions for each multiple of rounding_scale(dim), whose largest
+    distance is about that multiple of it, offset by 0, 1e3 or 1e6; then both
+    kinds with a largest distance of about 1e-165 (multiple None), offset by 0
+    or 1e-160, where squared differences underflow.  Near-collinear points lie
+    on a line up to a relative offset of 0, 1e-9 or 1e-6 off it."""
+    for mult in tuple(multiples) + (None,):
+        for collinear in (True, False):
+            n = int(rng.integers(2, 13))
+            if collinear:
+                v = rng.normal(size=dim)
+                q = (np.sort(rng.uniform(0.0, 1.0, n))[:, None] * (v / np.linalg.norm(v))
+                     + rng.normal(size=(n, dim)) * float(rng.choice([0.0, 1e-9, 1e-6])))
+            else:
+                q = rng.uniform(-1.0, 1.0, (n, dim))
+            q = q / np.sqrt(((q[:, None, :] - q[None, :, :]) ** 2).sum(axis=-1)).max()
+            if mult is None:
+                scale, offset = 1e-165, float(rng.choice([0.0, 1e-160]))
+            else:
+                scale, offset = mult * rounding_scale(dim), float(rng.choice([0.0, 1e3, 1e6]))
+            yield mult, rng.uniform(-1.0, 1.0, dim) * offset + q * scale
+
+
 # ---------------------------------------------------------------------------
 # independent oracles (plain loops, no shared code paths with the library)
 # ---------------------------------------------------------------------------

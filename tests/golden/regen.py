@@ -3,7 +3,9 @@
 Entries cover the reports of the shipped scenarios, `intersection_certificate`
 on a fixed seeded corpus (integer, one-decimal, flat-top, near-tied-slope and
 scaled inputs, levels of +-inf included), the triangle verdicts of
-`build_metric_space(validate="full")` on spaces with planted violations, the
+`build_metric_space(validate="full")` on spaces with planted violations and on
+Euclidean points whose largest distance lies on either side of the scale below
+which rounding cannot trip the sweep (see `conftest.rounding_scale`), the
 peaking and Urysohn witnesses (searches that step and searches that fail
 included), the conjugate/biconjugate pair of every family kind on grid
 functions with +inf holes and signed zeros, the duality reports of every
@@ -91,6 +93,7 @@ from conftest import (  # noqa: E402
     generic_transport,
     kernel_constrained,
     kernel_perturbation,
+    scaled_point_sets,
     sub_up_pairs,
     SUB_UP_SPECIALS,
     SUB_UP_STYLES,
@@ -225,6 +228,17 @@ def triangle_entries() -> dict:
             for delta in (-1e-3, 2e-12, 1e-3):
                 h.update(_verdict(np.arange(n, dtype=float), _planted(rng, n, i, k, delta)))
     out["triangle/blocks"] = h.hexdigest()
+
+    # Euclidean points in dimensions 1 to 9 whose largest distance lies on
+    # either side of rounding_scale(dim), with large offsets, and in the
+    # range where squared differences underflow
+    rng = np.random.default_rng(7204)
+    h = hashlib.sha256()
+    for _ in range(3):
+        for dim in range(1, 10):
+            for _, pts in scaled_point_sets(rng, dim):
+                h.update(_verdict(pts, "euclidean"))
+    out["triangle/euclidean_scale"] = h.hexdigest()
     return out
 
 
