@@ -35,6 +35,7 @@ from conftest import (
     random_dual_grid,
     random_perturbation,
     same_bits,
+    scaled_point_sets,
     same_certificate,
     spaced_line,
 )
@@ -76,6 +77,21 @@ def check_pool_ran(ran, blocked=True):
         assert ran and all(name.startswith("abconvex-rows") for name in ran)
     else:
         assert ran == []
+
+
+def row_block_calls(monkeypatch):
+    """The list of the names of the functions handed to core.by_row_blocks
+    from now on: "distances" for Euclidean distances, "violated" for the
+    triangle sweep."""
+    names = []
+    real = core.by_row_blocks
+
+    def spy(fn, n_rows, row_bytes):
+        names.append(fn.__name__)
+        return real(fn, n_rows, row_bytes)
+
+    monkeypatch.setattr(core, "by_row_blocks", spy)
+    return names
 
 
 def traced_peak(fn):
@@ -454,6 +470,85 @@ class TestTriangleCheck:
             assert peak <= 2 * core.BLOCK_BYTES + 8 * D.nbytes
             # on four workers a share is below one row: serial budget blocks
             check_pool_ran(ran, core.WORKERS == 2)
+
+
+    def test_rounding_bound_settles_only_what_the_sweep_passes(self, monkeypatch):
+        # Euclidean points skip the sweep exactly when their largest distance
+        # is below rounding_scale(dim), and there the one-tensor sweep passes
+        calls = row_block_calls(monkeypatch)
+        rng = np.random.default_rng(630)
+        seen = {}
+        for _ in range(16):
+            for dim in range(1, 10):
+                for mult, pts in scaled_point_sets(rng, dim, (0.5, 0.99, 1.01, 10.0, 100.0, 1e3)):
+                    dist = build_metric_space(pts, validate="fast").dist
+                    want = old_triangle_violated(dist)
+                    calls.clear()
+                    try:
+                        space = build_metric_space(pts)
+                        assert same_bits(space.dist, dist)
+                        got = False
+                    except NonMetric as e:
+                        assert e.reason == "triangle inequality violated"
+                        got = True
+                    swept = "violated" in calls
+                    assert swept == (mult is not None and mult > 1), (dim, mult)
+                    assert swept or not want, (dim, mult)
+                    assert got == want, (dim, mult)
+                    seen[swept, got] = seen.get((swept, got), 0) + 1
+        assert sum(seen.values()) >= 2000
+        assert seen[False, False] and seen[True, False] and seen[True, True]
+
+    def test_rounding_above_the_bound_is_flagged(self, monkeypatch):
+        # 8 near-collinear points in the plane about 1e5 apart: rounding alone
+        # breaks the triangle inequality by more than METRIC_TOL; shrunk by
+        # 1e5 they fall under the bound
+        calls = row_block_calls(monkeypatch)
+        rng = np.random.default_rng(640)
+        for _ in range(40):
+            v = rng.normal(size=2)
+            pts = 1e5 + np.sort(rng.uniform(0.0, 1.0, 8))[:, None] * (v / np.linalg.norm(v)) * 1e5
+            assert old_triangle_violated(build_metric_space(pts, validate="fast").dist)
+            calls.clear()
+            with pytest.raises(NonMetric, match="^triangle inequality violated$"):
+                build_metric_space(pts)
+            assert calls == ["distances", "violated"]
+            calls.clear()
+            build_metric_space(pts / 1e5)
+            assert calls == ["distances"]
+
+    @pytest.mark.parametrize("scale", [1e-165, 1e-3, 1.0])
+    def test_custom_matrices_are_always_swept(self, scale, monkeypatch):
+        # even entries as small as Euclidean distances the bound settles
+        calls = row_block_calls(monkeypatch)
+        pts = np.random.default_rng(650).uniform(-1.0, 1.0, (12, 2)) * scale
+        D = build_metric_space(pts, validate="fast").dist
+        calls.clear()
+        space = build_metric_space(pts)
+        assert calls == ["distances"] + ["<lambda>"] * (scale < 1e-160)
+        calls.clear()
+        assert same_bits(build_metric_space(pts, D).dist, space.dist)
+        assert calls == ["violated"]
+
+    def test_validate_values(self, monkeypatch):
+        # the bound settles only validate="full": any other value but "fast"
+        # is still rejected, and "fast" still skips the sweep above the bound
+        calls = row_block_calls(monkeypatch)
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        for bad in ("bogus", "FULL", None):
+            with pytest.raises(ValueError, match="validate must be 'full' or 'fast'"):
+                build_metric_space(pts, validate=bad)
+        calls.clear()
+        assert same_bits(build_metric_space(pts, validate="fast").dist,
+                         build_metric_space(pts).dist)
+        assert calls == ["distances", "distances"]
+        far = 1e5 + np.arange(8.0)[:, None] * np.array([0.6, 0.8]) * (1e5 / 7)
+        with pytest.raises(NonMetric, match="triangle"):
+            build_metric_space(far)
+        calls.clear()
+        space = build_metric_space(far, validate="fast")
+        assert same_bits(space.dist, old_euclidean_dist(far))
+        assert calls == ["distances"]
 
 
 def point_sets(rng):
