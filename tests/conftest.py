@@ -265,9 +265,10 @@ SCALE_MULTIPLES = (0.5, 1.0, 10.0, 100.0, 1000.0)
 def scaled_point_sets(rng, dim, multiples=SCALE_MULTIPLES):
     """(multiple, points): a near-collinear and a random set of 2 to 12 points
     in dim dimensions for each multiple of rounding_scale(dim), whose largest
-    distance is about that multiple of it, offset by 0, 1e3 or 1e6; then both
-    kinds with a largest distance of about 1e-165 (multiple None), offset by 0
-    or 1e-160, where squared differences underflow.  Near-collinear points lie
+    distance is about that multiple of it, moved by a random offset whose
+    coordinates are at most 0, 1e3 or 1e6; then both kinds with a largest
+    distance of about 1e-165 (multiple None), offsets at most 0 or 1e-160,
+    where squared differences underflow.  Near-collinear points lie
     on a line up to a relative offset of 0, 1e-9 or 1e-6 off it."""
     for mult in tuple(multiples) + (None,):
         for collinear in (True, False):

@@ -35,8 +35,8 @@ from conftest import (
     random_dual_grid,
     random_perturbation,
     same_bits,
-    scaled_point_sets,
     same_certificate,
+    scaled_point_sets,
     spaced_line,
 )
 
@@ -470,7 +470,6 @@ class TestTriangleCheck:
             assert peak <= 2 * core.BLOCK_BYTES + 8 * D.nbytes
             # on four workers a share is below one row: serial budget blocks
             check_pool_ran(ran, core.WORKERS == 2)
-
 
     def test_rounding_bound_settles_only_what_the_sweep_passes(self, monkeypatch):
         # Euclidean points skip the sweep exactly when their largest distance
