@@ -177,8 +177,6 @@ def report_certificate(cert) -> dict | None:
 def lsc_curve(rep: DualityReport) -> list[dict]:
     """Defect of the optimal value function per punctured-ball radius."""
     V, y0 = rep.V, rep.y0
-    if not np.isfinite(V.values[y0]):
-        return []
     radii = np.unique(V.domain.dist[y0])
     radii = radii[radii > 0]
     return [{"radius": float(r), "defect": lsc_defect(V, y0, float(r))}
@@ -475,12 +473,16 @@ def _writing(what: str):
 
 
 def run_scenario(path: str, out=None, seed=None, tol=None, validate="full",
-                 csv_path=None) -> int:
+                 csv_path=None, command=None) -> int:
     """Execute one scenario file and write its JSON report.  Returns the exit
-    code; raises nothing scenario-related (errors map to exit codes)."""
+    code; raises nothing scenario-related (errors map to exit codes).  A
+    command other than None is the kind the file must declare."""
     t0 = time.monotonic()
     try:
         scenario = load_scenario(path)
+        if command is not None and scenario.get("kind") != command:
+            raise ScenarioError(f"scenario kind {scenario.get('kind')!r} does not match "
+                                f"command {command!r}")
         if tol is not None:
             scenario = {**scenario, "tol": tol}
         validate_scenario(scenario)
@@ -541,18 +543,8 @@ def main(argv=None) -> int:
     parser.add_argument("--csv", dest="csv_path", default=None,
                         help="also write the scenario's curve table as CSV")
     args = parser.parse_args(argv)
-
-    try:
-        kind = load_scenario(args.scenario).get("kind")
-        if kind != args.command:
-            raise ScenarioError(f"scenario kind {kind!r} does not match command "
-                                f"{args.command!r}")
-    except ScenarioError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BAD_SCENARIO
-
     return run_scenario(args.scenario, out=args.out, seed=args.seed, tol=args.tol,
-                        validate=args.validate, csv_path=args.csv_path)
+                        validate=args.validate, csv_path=args.csv_path, command=args.command)
 
 
 if __name__ == "__main__":

@@ -259,9 +259,6 @@ class FiniteMetricSpace:
     def n(self) -> int:
         return self.points.shape[0]
 
-    def __len__(self) -> int:
-        return self.n
-
     @property
     def dim(self) -> int:
         return self.points.shape[1]

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .core import ExtReal, FiniteMetricSpace, GridFn, _freeze, by_row_blocks
-from .errors import ImproperProblem, LevelAbovePrimal, NotConvexCombinable
+from .errors import ImproperInput, ImproperProblem, LevelAbovePrimal, NotConvexCombinable
 from .families import CONVEX_KINDS, DualGrid, ElemFamily, ElemParams, eval_on_domain
 from .minimax import TCertificate
 
@@ -141,26 +141,37 @@ def _partial_conjugate(E: np.ndarray, p: np.ndarray) -> np.ndarray:
 
     The one reduction behind every Lagrangian in the package; reduced in row
     blocks of x, so the n_x x P x n_y differences are never held at once.
+    A difference of finite operands that overflows raises ImproperInput, even
+    where a larger term of its row would mask it.
     """
     def block(rows):
         return (E[None, :, :] - p[rows, None, :]).max(axis=2)
 
-    with np.errstate(invalid="ignore"):
-        return by_row_blocks(block, p.shape[0], E.nbytes)
+    with np.errstate(over="raise", invalid="ignore"):
+        try:
+            return by_row_blocks(block, p.shape[0], E.nbytes)
+        except FloatingPointError:
+            raise ImproperInput("the partial conjugate overflows the doubles") from None
 
 
 def partial_conjugate(prob: PerturbationProblem, x: int,
                       family: ElemFamily, params: ElemParams) -> ExtReal:
-    """sup over the parameter grid of psi(y) - p(x, y) for one multiplier."""
+    """sup over the parameter grid of psi(y) - p(x, y) for one multiplier;
+    ImproperInput when a difference overflows the doubles."""
     vals = eval_on_domain(family, params)
     return ExtReal(float(_partial_conjugate(vals[None, :], prob.p[x][None, :])[0, 0]))
 
 
 def _lagrangian(E: np.ndarray, p: np.ndarray, y0: int) -> tuple[np.ndarray, np.ndarray]:
     """(L, S) with S = _partial_conjugate(E, p) and L[x, j] = E[j, y0] - S[x, j]:
-    the one composition of the Lagrangian (E finite, S finite or -inf, no NaN)."""
+    the one composition of the Lagrangian (E finite, S finite or -inf, no NaN).
+    An L that overflows the doubles raises ImproperInput."""
     S = _partial_conjugate(E, p)
-    return E[:, y0][None, :] - S, S
+    with np.errstate(over="raise"):
+        try:
+            return E[:, y0][None, :] - S, S
+        except FloatingPointError:
+            raise ImproperInput("the Lagrangian overflows the doubles") from None
 
 
 def _reproduces(bidual: np.ndarray, p: np.ndarray) -> bool:

@@ -81,18 +81,17 @@ class Potentials:
     phi: np.ndarray
 
 
-def _northwest_start(mu: np.ndarray, nu: np.ndarray):
-    """Initial spanning-tree basis: exactly n + m - 1 cells."""
+def _northwest_start(mu: np.ndarray, nu: np.ndarray) -> list[tuple[int, int, float]]:
+    """Initial spanning-tree basis: exactly n + m - 1 cells (i, j, flow), in
+    staircase order from (0, 0)."""
     n, m = mu.shape[0], nu.shape[0]
-    alloc = np.zeros((n, m))
     basis = []
-    supply = mu.copy()
-    demand = nu.copy()
+    supply = mu.tolist()
+    demand = nu.tolist()
     i = j = 0
     while True:
         q = min(supply[i], demand[j])
-        alloc[i, j] = q
-        basis.append((i, j))
+        basis.append((i, j, q))
         supply[i] -= q
         demand[j] -= q
         if i == n - 1 and j == m - 1:
@@ -101,7 +100,7 @@ def _northwest_start(mu: np.ndarray, nu: np.ndarray):
             i += 1
         else:
             j += 1
-    return alloc, basis
+    return basis
 
 
 def _solve_tree_alloc(n: int, m: int, basis, mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
@@ -151,17 +150,16 @@ def _simplex_pivots(cost, mu, nu, max_pivots: int):
     (Ahuja, Magnanti & Orlin 1993, Network Flows, section 11.5)."""
     n, m = cost.shape
     enter_tol = 1e-12 * max(1.0, float(np.abs(cost).max()))
-    alloc, basis = _northwest_start(mu, nu)
     size = n + m
     parent, depth, pot, cell = [-1] * size, [0] * size, [0.0] * size, [-1] * size
     pc, flow, children = [0.0] * size, [0.0] * size, [[] for _ in range(size)]
     # the north-west basis is a staircase from row 0: each cell adds the row
     # or the column that the corner has just moved to, below the other end
     prev = 0
-    for (i, j) in basis:
+    for (i, j, q) in _northwest_start(mu, nu):
         x, up = (n + j, i) if i == prev else (i, n + j)
         prev, parent[x], depth[x], cell[x] = i, up, depth[up] + 1, i * m + j
-        pc[x], flow[x] = cost.item(i, j), alloc.item(i, j)
+        pc[x], flow[x] = cost.item(i, j), q
         pot[x] = pc[x] - pot[up]
         children[up].append(x)
     # numpy mirrors of the potentials and of the basic cells for the reduced

@@ -8,6 +8,7 @@ import numpy as np
 from abconvex import (
     ConstrainedInstance,
     ConstraintMap,
+    DualGrid,
     ElemFamily,
     ElemParams,
     ExtReal,
@@ -192,6 +193,38 @@ TRANSPORT_OVERFLOWS = {
                     [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]),
     "dual_objective": ([[1e308], [0.0]], [1.0, 1.0], [2.0]),
 }
+
+
+#: gap problems on the points 0 and 1 with two affine members whose partial
+#: conjugate or Lagrangian leaves the doubles, though every input is a double:
+#: case -> (y0, p, the members' slopes, the ImproperInput message)
+LAGRANGIAN_OVERFLOWS = {
+    "conjugate_plus": (0, [[0.0, -1e308]], (1e308, -1e308),
+                       "the partial conjugate overflows the doubles"),
+    "conjugate_minus": (0, [[math.inf, 1e308], [0.0, 0.0]], (-1e308, 1.0),
+                        "the partial conjugate overflows the doubles"),
+    "lagrangian_minus": (1, [[-1e308, 0.0]], (-1e308, 1.0),
+                         "the Lagrangian overflows the doubles"),
+    "lagrangian_plus": (1, [[1e308, math.inf], [0.0, 0.0]], (1e308, 1.0),
+                        "the Lagrangian overflows the doubles"),
+}
+
+
+def lagrangian_overflow(case, pad_rows=0):
+    """The problem and multiplier grid of a LAGRANGIAN_OVERFLOWS case, after
+    pad_rows rows of zeros."""
+    y0, p, slopes, _ = LAGRANGIAN_OVERFLOWS[case]
+    Y = build_metric_space([[0.0], [1.0]])
+    grid = DualGrid(ElemFamily.affine(Y), tuple(ElemParams(ell=[s]) for s in slopes))
+    return PerturbationProblem(Y=Y, p=[[0.0, 0.0]] * pad_rows + p, y0=y0), grid
+
+
+def lagrangian_overflow_scenario(case):
+    """The gap scenario of a LAGRANGIAN_OVERFLOWS case."""
+    y0, p, slopes, _ = LAGRANGIAN_OVERFLOWS[case]
+    return {"kind": "gap", "domain": {"points": [[0.0], [1.0]]}, "y0": y0,
+            "p": [[v if math.isfinite(v) else "+inf" for v in row] for row in p],
+            "family": {"kind": "affine", "params": [{"ell": [s]} for s in slopes]}}
 
 
 def transport_overflow_message(case):

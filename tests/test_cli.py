@@ -34,6 +34,7 @@ from abconvex.cli import (
     SCHEMA_PATH,
     ext_from_json,
     ext_to_json,
+    load_scenario,
     load_schema,
     run_scenario,
     scenario_validator,
@@ -42,7 +43,8 @@ from abconvex.cli import (
 import abconvex.transport as transport
 from abconvex.errors import ScenarioError
 from abconvex.transport import kantorovich_gap_report, solve_transport
-from conftest import (CONIC_OVERFLOWS, TRANSPORT_OVERFLOWS, degenerate_transport,
+from conftest import (CONIC_OVERFLOWS, LAGRANGIAN_OVERFLOWS, TRANSPORT_OVERFLOWS,
+                      degenerate_transport, lagrangian_overflow_scenario,
                       large_cost_transport, random_transport, transport_overflow_message)
 
 REPO = Path(__file__).resolve().parents[1]
@@ -161,6 +163,28 @@ class TestScenarios:
         assert report["results"]["draws_verified"] == 5
 
 
+def _no_peak(sc):
+    """A cone shape that turns negative on the far set, where no witness
+    exists, and no Urysohn search."""
+    del sc["urysohn"]
+    sc["family"] = {"kind": "generalized_metric", "quasi_subadd_const": 2.0,
+                    "g_shape": {"ts": [0, 1, 2], "vs": [0, 1, -1]}}
+
+
+class TestNegativeOutcomes:
+    def test_peaking_without_witness_exits_3(self, tmp_path, capsys):
+        sc = _mutated("peaking_demo.json", _no_peak)
+        code, err = _run_main("peaking", sc, tmp_path, capsys)
+        assert code == EXIT_NEGATIVE and "Traceback" not in err
+        report = json.loads((tmp_path / "o.json").read_text())
+        results = report["results"]
+        assert report["exit_code"] == EXIT_NEGATIVE
+        assert results["peaking_witness"] is None
+        assert results["peaking_failure"] == ("cone shape vanishes on the far set; "
+                                              "no decay possible")
+        assert (len(results["draws"]), results["draws_verified"]) == (5, 0)
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("name", ["peaking_demo.json", "gap_vee_down.json",
                                       "transport_2x2.json"])
@@ -200,6 +224,12 @@ class TestErrorPaths:
         p = tmp_path / "sc.json"
         p.write_text(json.dumps(sc))
         assert run_scenario(str(p), out=str(tmp_path / "o.json")) == EXIT_BAD_SCENARIO
+
+    def test_draws_without_seed_exit_2(self, tmp_path, capsys):
+        sc = _mutated("peaking_demo.json", lambda sc: sc.pop("seed"))
+        code, err = _run_main("peaking", sc, tmp_path, capsys)
+        assert code == EXIT_BAD_SCENARIO
+        assert err == "error: randomized scenarios require a seed\n"
 
     def test_nonmetric_domain_exit_2(self, tmp_path):
         sc = json.loads((SCENARIOS / "gap_vee_down.json").read_text())
@@ -533,6 +563,12 @@ class TestBadInputsExit2:
         assert err.startswith("error: the optimum <pi, c> overflows the doubles")
         assert "Traceback" not in err and "RuntimeWarning" not in err
 
+    @pytest.mark.parametrize("case", sorted(LAGRANGIAN_OVERFLOWS))
+    def test_lagrangian_overflow(self, case, tmp_path, capsys):
+        code, err = _run_main("gap", lagrangian_overflow_scenario(case), tmp_path, capsys)
+        assert code == EXIT_BAD_SCENARIO
+        assert err == f"error: {LAGRANGIAN_OVERFLOWS[case][3]}\n"
+
     def test_even_canonical_level(self, tmp_path, capsys):
         sc = {"kind": "gap", "canonical": {"shape": "vee_up", "levels": [5, 4]}}
         code, err = _run_main("gap", sc, tmp_path, capsys)
@@ -586,8 +622,8 @@ def _nonmetric(sc):
 
 #: every error exit of run_scenario and main, each exit code 2: (command, the
 #: scenario file as raw bytes, as a shipped scenario's name and an update of
-#: it, or None for no file, run_scenario's keywords or None where only main
-#: fails, and the first stderr line); {tmp} is the test's directory
+#: it, or None for no file, run_scenario's keywords, and the first stderr
+#: line); {tmp} is the test's directory
 CLI_EXITS = {
     "unreadable": ("transport", None, {},
                    "error: cannot read scenario: [Errno 2] No such file or directory: "
@@ -614,7 +650,7 @@ CLI_EXITS = {
                        {"csv_path": "{tmp}/missing/c.csv"},
                        "error: cannot write csv: [Errno 2] No such file or directory: "
                        "'{tmp}/missing/c.csv'"),
-    "kind_mismatch": ("conic", ("transport_2x2.json", None), None,
+    "kind_mismatch": ("conic", ("transport_2x2.json", None), {},
                       "error: scenario kind 'transport' does not match command 'conic'"),
 }
 
@@ -631,7 +667,7 @@ class TestErrorExits:
         elif contents is not None:
             name, mutate = contents
             path.write_text(json.dumps(_mutated(name, mutate or (lambda sc: None))))
-        kwargs = {"out": "{tmp}/o.json", **(kw or {})}
+        kwargs = {"out": "{tmp}/o.json", **kw}
         kwargs = {k: v.format(tmp=tmp_path) if isinstance(v, str) else v
                   for k, v in kwargs.items()}
         argv = [command, "--scenario", str(path)]
@@ -640,9 +676,24 @@ class TestErrorExits:
                 argv += [flag, str(kwargs[key])]
         want = (EXIT_BAD_SCENARIO, line.format(tmp=tmp_path))
         assert (main(argv), capsys.readouterr().err.splitlines()[0]) == want
-        if kw is not None:
-            code = run_scenario(str(path), **kwargs)
-            assert (code, capsys.readouterr().err.splitlines()[0]) == want
+        code = run_scenario(str(path), command=command, **kwargs)
+        assert (code, capsys.readouterr().err.splitlines()[0]) == want
+
+    @pytest.mark.parametrize("command, code", [("transport", EXIT_OK),
+                                               ("conic", EXIT_BAD_SCENARIO)])
+    def test_main_reads_the_file_once(self, command, code, monkeypatch, capsys):
+        import abconvex.cli as cli
+
+        calls = []
+
+        def counting_load(path):
+            calls.append(path)
+            return load_scenario(path)
+
+        monkeypatch.setattr(cli, "load_scenario", counting_load)
+        path = str(SCENARIOS / "transport_2x2.json")
+        assert cli.main([command, "--scenario", path]) == code
+        assert calls == [path]
 
 
 class TestTol:

@@ -1,5 +1,7 @@
 """Perturbation problems, Lagrangian tables, duality reports, certificates."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,13 +21,16 @@ from abconvex import (
     partial_conjugate,
 )
 from abconvex.errors import (
+    ImproperInput,
     ImproperProblem,
     LevelAbovePrimal,
     NotConvexCombinable,
 )
 
 from conftest import (
+    LAGRANGIAN_OVERFLOWS,
     brute_duality_values,
+    lagrangian_overflow,
     line_space,
     random_perturbation,
     spaced_line,
@@ -112,6 +117,42 @@ class TestBuildLagrangian:
         prob = PerturbationProblem(Y=Y, p=-np.abs(Y.points[:, 0])[None, :], y0=2)
         table = build_lagrangian(prob, affine_grid(Y, [0.0]))
         assert table.L[0, 0] == -1.0
+
+
+class TestOverflow:
+    """A partial conjugate or Lagrangian value beyond the doubles, from
+    operands that are doubles, raises ImproperInput and warns nowhere."""
+
+    @pytest.mark.parametrize("scope", ["anchor", "full"])
+    @pytest.mark.parametrize("case", sorted(LAGRANGIAN_OVERFLOWS))
+    def test_report_rejects(self, case, scope):
+        prob, grid = lagrangian_overflow(case)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ImproperInput) as err:
+                duality_report(prob, grid, convexity_scope=scope)
+        assert str(err.value) == LAGRANGIAN_OVERFLOWS[case][3]
+
+    def test_one_multiplier(self):
+        prob, grid = lagrangian_overflow("conjugate_plus")
+        with pytest.raises(ImproperInput) as err:
+            partial_conjugate(prob, 0, grid.family, grid.member(0))
+        assert str(err.value) == "the partial conjugate overflows the doubles"
+
+    def test_masked_overflow_rejected(self):
+        # -1e308 - 1e308 overflows below the row's other difference, 0
+        Y = line_space([0.0, 1.0])
+        prob = PerturbationProblem(Y=Y, p=[[0.0, 1e308]], y0=0)
+        with pytest.raises(ImproperInput) as err:
+            build_lagrangian(prob, affine_grid(Y, [-1e308]))
+        assert str(err.value) == "the partial conjugate overflows the doubles"
+
+    def test_infinite_operands_raise_nothing(self):
+        # an empty row meets -inf in S, also in the full-scope biconjugate
+        Y = line_space([0.0, 1.0])
+        prob = PerturbationProblem(Y=Y, p=[[np.inf, np.inf], [0.0, 1e308]], y0=0)
+        rep = duality_report(prob, affine_grid(Y, [-1.0, 1e308]), convexity_scope="full")
+        assert np.isposinf(rep.table.L[0]).all() and rep.convexity_holds
 
 
 class TestDualityReport:

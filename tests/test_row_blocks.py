@@ -24,6 +24,8 @@ from abconvex import core, lagrangian, minimax
 from abconvex.errors import ImproperInput, NonMetric, UndefinedSum
 from abconvex.families import slope_bound
 from conftest import (
+    LAGRANGIAN_OVERFLOWS,
+    lagrangian_overflow,
     old_biconjugate,
     old_conjugate_transform,
     old_duality_fields,
@@ -700,6 +702,19 @@ class TestPartialConjugate:
                 again = lagrangian._partial_conjugate(E.T, got)
             assert same_bits(got, old_partial_conjugate_kernel(E, p))
             assert same_bits(again, old_partial_conjugate_kernel(E.T, got))
+            check_pool_ran(ran)
+
+    @pytest.mark.parametrize("case", sorted(LAGRANGIAN_OVERFLOWS))
+    def test_overflow_raises_on_the_pool(self, case, monkeypatch):
+        # the overflowing row is the last of five, in a worker's block
+        prob, grid = lagrangian_overflow(case, pad_rows=4)
+        for ran in worker_counts(monkeypatch, (2,)):
+            monkeypatch.setattr(core, "BLOCK_BYTES", budgets(grid.matrix.nbytes)["one_row"])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ImproperInput) as err:
+                    lagrangian.build_lagrangian(prob, grid)
+            assert str(err.value) == LAGRANGIAN_OVERFLOWS[case][3]
             check_pool_ran(ran)
 
     def test_duality_report_in_one_row_blocks(self, monkeypatch):

@@ -168,7 +168,11 @@ def _bfs_simplex_pivots(cost, mu, nu, max_pivots: int):
     n, m = cost.shape
     cscale = max(1.0, float(np.abs(cost).max()))
     enter_tol = 1e-12 * cscale
-    alloc, basis = _northwest_start(mu, nu)
+    start = _northwest_start(mu, nu)
+    alloc = np.zeros((n, m))
+    basis = [(i, j) for i, j, _ in start]
+    for i, j, q in start:
+        alloc[i, j] = q
     basis_set = set(basis)
     adj = _build_adj(n, m, basis)
 
@@ -528,7 +532,9 @@ class TestKantorovichReport:
             prob = large_cost_transport(rng, *rng.integers(2, 30, 2), scale)
             if zero_value:  # zero cost on the north-west corner plan's cells
                 cost = prob.cost.copy()
-                cost[_northwest_start(prob.mu, prob.nu)[0] > 0] = 0.0
+                for i, j, q in _northwest_start(prob.mu, prob.nu):
+                    if q > 0:
+                        cost[i, j] = 0.0
                 prob = TransportProblem(cost=cost, mu=prob.mu, nu=prob.nu)
             rep = kantorovich_gap_report(prob)
             assert rep.slack_violations == 0
