@@ -81,16 +81,24 @@ def ext_to_json(x):
         return "-inf"
     return {"finite": v}
 
+_NUMBER_TYPES = frozenset((int, float))
+
+def _is_ext(v) -> bool:
+    """v encodes an extended real: a number, "+inf", "-inf" or {"finite":
+    number}.  A number has the exact type int or float, so a bool is none, as
+    in JSON Schema; of these types json.load makes no subclass but bool."""
+    t = type(v)
+    return (t in _NUMBER_TYPES or (t is str and v in ("+inf", "-inf"))
+            or (t is dict and len(v) == 1 and type(v.get("finite")) in _NUMBER_TYPES))
+
 def ext_from_json(v) -> float:
-    if isinstance(v, (int, float)):
-        return float(v)
-    if v == "+inf":
-        return np.inf
-    if v == "-inf":
-        return -np.inf
-    if isinstance(v, dict) and set(v) == {"finite"}:
+    if not _is_ext(v):
+        raise ScenarioError(f"bad extended-real encoding: {v!r}")
+    if type(v) is dict:
         return float(v["finite"])
-    raise ScenarioError(f"bad extended-real encoding: {v!r}")
+    if type(v) is str:
+        return np.inf if v == "+inf" else -np.inf
+    return float(v)
 
 def ext_list(values) -> list:
     return [ext_to_json(v) for v in values]
@@ -422,24 +430,70 @@ def _resolve_refs(schema: dict) -> dict:
     return resolve({k: v for k, v in schema.items() if k != "$defs"}, frozenset())
 
 
+#: The numeric-table definitions of the schema, as (rows nested, extended
+#: reals allowed).  The fast validator checks each with the "table" keyword.
+_TABLES = {
+    "extvector": (False, True),
+    "extmatrix": (True, True),
+    "numvector": (False, False),
+    "nummatrix": (True, False),
+}
+
+
+def _vector_ok(row, ext: bool) -> bool:
+    """row is a non-empty list of numbers, or of extended reals if ext."""
+    if type(row) is not list or not row:
+        return False
+    if set(map(type, row)) <= _NUMBER_TYPES:
+        return True
+    return ext and all(map(_is_ext, row))
+
+
+def _table(validator, name, instance, schema):
+    """The "table" keyword of the fast validator: one error, without detail,
+    unless instance is the table $defs/<name> describes."""
+    nested, ext = _TABLES[name]
+    if nested:
+        ok = (type(instance) is list and bool(instance)
+              and all(_vector_ok(row, ext) for row in instance))
+    else:
+        ok = _vector_ok(instance, ext)
+    if not ok:
+        from jsonschema.exceptions import ValidationError
+
+        yield ValidationError(f"not a valid {name}")
+
+
 @functools.cache
-def scenario_validator():
-    """Validator for the scenario schema, built once per process.  On first
-    use the shipped schema is checked against its metaschema, then its local
-    $refs are resolved (_resolve_refs), so that no scenario cell pays for a
-    reference lookup."""
-    from jsonschema.validators import validator_for
+def scenario_validators():
+    """(fast, full) validators for the scenario schema, both built once per
+    process.  On first use the shipped schema is checked against its
+    metaschema, then its local $refs are resolved (_resolve_refs), so that no
+    scenario cell pays for a reference lookup.  full is that schema.  fast is
+    the schema with each numeric-table definition replaced by the "table"
+    keyword (_table), whose check is never looser than the definition: fast
+    accepts only valid scenarios, and its rejections carry no message."""
+    from jsonschema.validators import extend, validator_for
 
     schema = load_schema(SCHEMA_PATH)
     cls = validator_for(schema)
     cls.check_schema(schema)
-    return cls(_resolve_refs(schema))
+    tables = {name: {"table": name} for name in _TABLES}
+    fast = {**schema, "$defs": {**schema.get("$defs", {}), **tables}}
+    return (extend(cls, {"table": _table})(_resolve_refs(fast)),
+            cls(_resolve_refs(schema)))
 
 
 def validate_scenario(scenario: dict) -> None:
+    """Fast accept, full reject: a scenario the fast validator accepts is
+    valid; any other is checked by the full validator, whose best_match
+    message a violation raises."""
     from jsonschema.exceptions import best_match
 
-    error = best_match(scenario_validator().iter_errors(scenario))
+    fast, full = scenario_validators()
+    if fast.is_valid(scenario):
+        return
+    error = best_match(full.iter_errors(scenario))
     if error is not None:
         raise ScenarioError(f"scenario failed schema validation: {error.message}")
 

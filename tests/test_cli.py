@@ -11,6 +11,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from abconvex import (
     DualGrid,
@@ -37,7 +38,7 @@ from abconvex.cli import (
     load_scenario,
     load_schema,
     run_scenario,
-    scenario_validator,
+    scenario_validators,
     validate_scenario,
 )
 import abconvex.transport as transport
@@ -75,8 +76,10 @@ class TestExtRealEncoding:
     def test_rejects_junk(self):
         from abconvex.errors import ScenarioError
 
-        with pytest.raises(ScenarioError):
-            ext_from_json("inf")
+        for junk in ("inf", True, False, {"finite": True}, {"finite": "1"},
+                     {"finite": None}, {"finite": 1, "x": 0}, {}, [1.0]):
+            with pytest.raises(ScenarioError, match="bad extended-real encoding"):
+                ext_from_json(junk)
 
 
 class TestScenarios:
@@ -355,7 +358,7 @@ class TestSchemaValidator:
             return original(schema, *args, **kwargs)
 
         monkeypatch.setattr(cls, "check_schema", staticmethod(counting_check))
-        scenario_validator.cache_clear()
+        scenario_validators.cache_clear()
         for name in ("gap_vee_down.json", "transport_2x2.json"):
             code, _, _ = run_file(SCENARIOS / name, tmp_path, name=f"o_{name}")
             assert code == EXIT_OK
@@ -377,8 +380,9 @@ class TestSchemaValidator:
         _assert_schema_error_on_first_use(schema, monkeypatch, tmp_path)
 
     def test_validator_schema_has_no_refs(self):
-        text = json.dumps(scenario_validator().schema)
-        assert "$ref" not in text and "$defs" not in text
+        for validator in scenario_validators():  # fast and full
+            text = json.dumps(validator.schema)
+            assert "$ref" not in text and "$defs" not in text
 
 
 def _assert_schema_error_on_first_use(schema, monkeypatch, tmp_path):
@@ -387,12 +391,12 @@ def _assert_schema_error_on_first_use(schema, monkeypatch, tmp_path):
     bad = tmp_path / "schema.json"
     bad.write_text(json.dumps(schema))
     monkeypatch.setattr(cli, "SCHEMA_PATH", bad)
-    cli.scenario_validator.cache_clear()
+    cli.scenario_validators.cache_clear()
     try:
         with pytest.raises(jsonschema.SchemaError):
             cli.validate_scenario({"kind": "conic"})
     finally:
-        cli.scenario_validator.cache_clear()
+        cli.scenario_validators.cache_clear()
 
 
 def _oracle_validator():
@@ -457,8 +461,10 @@ def _verdicts(scenarios):
     from jsonschema.exceptions import best_match
 
     oracle = _oracle_validator()
+    fast, _ = scenario_validators()
     for sc in scenarios:
         error = best_match(oracle.iter_errors(sc))
+        assert error is None or not fast.is_valid(sc)  # no fast accept of a violation
         try:
             validate_scenario(sc)
             got = None
@@ -491,6 +497,119 @@ class TestResolvedSchemaOracle:
         assert [k for k, (want, got) in enumerate(pairs) if want != got] == []
         invalid = sum(want is not None for want, _ in pairs)
         assert 0 < invalid < len(pairs)
+
+
+#: the numeric tables a cell mutation targets, as (scenario, its change, path
+#: to the table): ext-tables first, then num-tables
+CELL_TABLES = {
+    "p": ("gap_vee_down.json", None, ("p",)),
+    "function": ("conjugate_abs.json", None, ("function",)),
+    "mu": ("transport_2x2.json", None, ("mu",)),
+    "points": ("gap_vee_down.json", None, ("domain", "points")),
+    "cost": ("transport_2x2.json", None, ("cost",)),
+    "sigma": ("gap_vee_down.json",
+              lambda sc: sc.update(family=copy.deepcopy(FAMILY_KINDS["sigma_nu"][0])),
+              ("family", "sigma")),
+}
+#: values dropped into one cell of a table; "empty_row" empties the cell's row
+CELL_VALUES = {
+    "true": True, "false": False, "nested_list": [1.0], "empty_row": [],
+    "finite_true": {"finite": True}, "finite_extra_key": {"finite": 1, "x": 0},
+    "empty_object": {}, "plus_inf": "+inf", "int_beyond_doubles": 10**400,
+    "float_inf": json.loads("1e400"),
+}
+
+
+def _table_scenario(table):
+    """(scenario holding the table, paths of the table's cells)."""
+    name, change, path = CELL_TABLES[table]
+    sc = _mutated(name, change or (lambda sc: None))
+    node = sc
+    for k in path:
+        node = node[k]
+    cells = [(*path, i) if not isinstance(v, list) else (*path, i, j)
+             for i, v in enumerate(node) for j in range(len(v) if isinstance(v, list) else 1)]
+    return sc, cells
+
+
+def _set(sc, path, value):
+    node = sc
+    for k in path[:-1]:
+        node = node[k]
+    node[path[-1]] = value
+
+
+def _cell_mutants(table, value):
+    """The table's scenario with value in its first cell, and with it in its
+    last; "empty_row" puts [] in place of the row of that cell."""
+    for pick in (0, -1):
+        sc, cells = _table_scenario(table)
+        path = cells[pick]
+        if value == "empty_row":
+            path = path[:-1]
+        _set(sc, path, copy.deepcopy(CELL_VALUES[value]))
+        yield sc
+
+
+def _schema_cells(node):
+    """Candidate cells read from a schema node: every enum and const value and
+    each with its first character dropped, one value of each JSON type, and an
+    object of each property named, holding each of these, alone or beside an
+    unknown key."""
+    values = [0, -1.5, 10**400, json.loads("1e400"), True, False, None, "", "x",
+              [], [1.0], {}]
+    props = set()
+    for _, sub in _nodes(node):
+        if isinstance(sub, dict):
+            for word in sub.get("enum", []) + ([sub["const"]] if "const" in sub else []):
+                values += [word, word[1:]] if isinstance(word, str) else [word]
+            props |= set(sub.get("properties", {}))
+    values += [{p: v} for p in sorted(props) for v in list(values)]
+    values += [{p: 1.0, "x": 0} for p in sorted(props)]
+    return values
+
+
+class TestFastCellCheck:
+    """The fast validator's table keyword against the full validator: a cell
+    the fast check accepts is one the schema accepts."""
+
+    @pytest.mark.parametrize("value", sorted(CELL_VALUES))
+    @pytest.mark.parametrize("table", sorted(CELL_TABLES))
+    def test_cell_mutation(self, table, value):
+        pairs = list(_verdicts(_cell_mutants(table, value)))
+        assert [got for _, got in pairs] == [want for want, _ in pairs]
+
+    @pytest.mark.parametrize("table, definition", [("function", "extreal"),
+                                                   ("mu", "numvector")])
+    def test_grammar_read_from_schema(self, table, definition):
+        """Cells derived from the shipped definition get the same verdict
+        from both validators, so the fast check cannot drift from it."""
+        fast, full = scenario_validators()
+        cells = _schema_cells(load_schema(SCHEMA_PATH)["$defs"][definition])
+        verdicts = []
+        for cell in cells:
+            sc, paths = _table_scenario(table)
+            _set(sc, paths[0], cell)
+            verdicts.append((fast.is_valid(sc), full.is_valid(sc)))
+        assert [f for f, _ in verdicts] == [g for _, g in verdicts]
+        accepted = {type(c) for c, (_, g) in zip(cells, verdicts) if g}
+        assert accepted == ({int, float, str, dict} if definition == "extreal"
+                            else {int, float})
+        assert not all(g for _, g in verdicts)
+
+    @settings(max_examples=300, deadline=None)
+    @given(table=st.sampled_from(sorted(CELL_TABLES)), where=st.integers(0, 99),
+           cell=st.recursive(
+               st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+               | st.sampled_from(["+inf", "-inf", "inf", ""]),
+               lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+                   st.sampled_from(["finite", "x"]), inner, max_size=2),
+               max_leaves=4))
+    def test_no_fast_accept_of_a_violation(self, table, where, cell):
+        fast, full = scenario_validators()
+        sc, paths = _table_scenario(table)
+        _set(sc, paths[where % len(paths)], cell)
+        assert full.is_valid(sc) or not fast.is_valid(sc)
 
 
 def _run_main(command, sc, tmp_path, capsys):
