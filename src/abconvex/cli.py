@@ -431,7 +431,7 @@ def _resolve_refs(schema: dict) -> dict:
 
 
 #: The numeric-table definitions of the schema, as (rows nested, extended
-#: reals allowed).  The fast validator checks each with the "table" keyword.
+#: reals allowed).  The validator checks each with the "table" keyword.
 _TABLES = {
     "extvector": (False, True),
     "extmatrix": (True, True),
@@ -449,9 +449,12 @@ def _vector_ok(row, ext: bool) -> bool:
     return ext and all(map(_is_ext, row))
 
 
-def _table(validator, name, instance, schema):
-    """The "table" keyword of the fast validator: one error, without detail,
-    unless instance is the table $defs/<name> describes."""
+def _table(validator, table, instance, schema):
+    """The "table" keyword, whose value is [name, definition]: instance is
+    valid if one pass of a Python loop finds it the table $defs/<name>
+    describes, never looser than the definition; any other instance gets the
+    errors of the definition itself."""
+    name, definition = table
     nested, ext = _TABLES[name]
     if nested:
         ok = (type(instance) is list and bool(instance)
@@ -459,41 +462,31 @@ def _table(validator, name, instance, schema):
     else:
         ok = _vector_ok(instance, ext)
     if not ok:
-        from jsonschema.exceptions import ValidationError
-
-        yield ValidationError(f"not a valid {name}")
+        yield from validator.descend(instance, definition)
 
 
 @functools.cache
-def scenario_validators():
-    """(fast, full) validators for the scenario schema, both built once per
-    process.  On first use the shipped schema is checked against its
-    metaschema, then its local $refs are resolved (_resolve_refs), so that no
-    scenario cell pays for a reference lookup.  full is that schema.  fast is
-    the schema with each numeric-table definition replaced by the "table"
-    keyword (_table), whose check is never looser than the definition: fast
-    accepts only valid scenarios, and its rejections carry no message."""
+def scenario_validator():
+    """The validator for the scenario schema, built once per process.  On
+    first use the shipped schema is checked against its metaschema; each of
+    its numeric-table definitions is then wrapped in the "table" keyword
+    (_table), and its local $refs are resolved (_resolve_refs), so that no
+    scenario cell pays for a reference lookup."""
     from jsonschema.validators import extend, validator_for
 
     schema = load_schema(SCHEMA_PATH)
     cls = validator_for(schema)
     cls.check_schema(schema)
-    tables = {name: {"table": name} for name in _TABLES}
-    fast = {**schema, "$defs": {**schema.get("$defs", {}), **tables}}
-    return (extend(cls, {"table": _table})(_resolve_refs(fast)),
-            cls(_resolve_refs(schema)))
+    defs = schema.get("$defs", {})
+    tables = {name: {"table": [name, defs[name]]} for name in _TABLES if name in defs}
+    return extend(cls, {"table": _table})(_resolve_refs({**schema, "$defs": {**defs, **tables}}))
 
 
 def validate_scenario(scenario: dict) -> None:
-    """Fast accept, full reject: a scenario the fast validator accepts is
-    valid; any other is checked by the full validator, whose best_match
-    message a violation raises."""
+    """Raise the best_match message of the scenario's schema violations."""
     from jsonschema.exceptions import best_match
 
-    fast, full = scenario_validators()
-    if fast.is_valid(scenario):
-        return
-    error = best_match(full.iter_errors(scenario))
+    error = best_match(scenario_validator().iter_errors(scenario))
     if error is not None:
         raise ScenarioError(f"scenario failed schema validation: {error.message}")
 
@@ -503,13 +496,28 @@ def _reject_constant(name: str):
                         'written "+inf" or "-inf"')
 
 
+def _within_doubles(parse):
+    """A json number hook: parse(text), unless its magnitude exceeds the
+    largest double (a float literal that overflows to inf, a huge int)."""
+    def read(text):
+        value = parse(text)
+        if abs(value) <= sys.float_info.max:
+            return value
+        raise ScenarioError(f"number {text} lies outside the doubles")
+    return read
+
+
+_NUMBER_HOOKS = {"parse_float": _within_doubles(float), "parse_int": _within_doubles(int)}
+
+
 def load_scenario(path) -> dict:
     """Parse a scenario file.  An unreadable file, the non-standard literals
-    NaN, Infinity and -Infinity, and a top-level value that is not an object
-    raise ScenarioError("cannot read scenario: ...")."""
+    NaN, Infinity and -Infinity, a number outside the doubles and a top-level
+    value that is not an object raise ScenarioError("cannot read scenario:
+    ...")."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            scenario = json.load(fh, parse_constant=_reject_constant)
+            scenario = json.load(fh, parse_constant=_reject_constant, **_NUMBER_HOOKS)
         if not isinstance(scenario, dict):
             raise ScenarioError(f"top-level value is a {type(scenario).__name__}, "
                                 "not an object")

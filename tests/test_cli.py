@@ -1,6 +1,7 @@
 """Scenario runner: exit codes, schema validation, determinism, CSV output."""
 
 import copy
+import functools
 import json
 import math
 import random
@@ -38,7 +39,7 @@ from abconvex.cli import (
     load_scenario,
     load_schema,
     run_scenario,
-    scenario_validators,
+    scenario_validator,
     validate_scenario,
 )
 import abconvex.transport as transport
@@ -358,7 +359,7 @@ class TestSchemaValidator:
             return original(schema, *args, **kwargs)
 
         monkeypatch.setattr(cls, "check_schema", staticmethod(counting_check))
-        scenario_validators.cache_clear()
+        scenario_validator.cache_clear()
         for name in ("gap_vee_down.json", "transport_2x2.json"):
             code, _, _ = run_file(SCENARIOS / name, tmp_path, name=f"o_{name}")
             assert code == EXIT_OK
@@ -380,9 +381,8 @@ class TestSchemaValidator:
         _assert_schema_error_on_first_use(schema, monkeypatch, tmp_path)
 
     def test_validator_schema_has_no_refs(self):
-        for validator in scenario_validators():  # fast and full
-            text = json.dumps(validator.schema)
-            assert "$ref" not in text and "$defs" not in text
+        text = json.dumps(scenario_validator().schema)
+        assert "$ref" not in text and "$defs" not in text
 
 
 def _assert_schema_error_on_first_use(schema, monkeypatch, tmp_path):
@@ -391,14 +391,15 @@ def _assert_schema_error_on_first_use(schema, monkeypatch, tmp_path):
     bad = tmp_path / "schema.json"
     bad.write_text(json.dumps(schema))
     monkeypatch.setattr(cli, "SCHEMA_PATH", bad)
-    cli.scenario_validators.cache_clear()
+    cli.scenario_validator.cache_clear()
     try:
         with pytest.raises(jsonschema.SchemaError):
             cli.validate_scenario({"kind": "conic"})
     finally:
-        cli.scenario_validators.cache_clear()
+        cli.scenario_validator.cache_clear()
 
 
+@functools.cache
 def _oracle_validator():
     """The scenario validator without $ref resolution: the shipped schema,
     $refs in place, with extreal and domain.metric back to oneOf."""
@@ -457,14 +458,13 @@ def _random_mutation(sc, rnd):
 
 def _verdicts(scenarios):
     """(oracle message, validate_scenario message) of each scenario, None
-    for a valid one."""
+    for a valid one; the validator's is_valid must agree with the oracle."""
     from jsonschema.exceptions import best_match
 
-    oracle = _oracle_validator()
-    fast, _ = scenario_validators()
+    oracle, validator = _oracle_validator(), scenario_validator()
     for sc in scenarios:
         error = best_match(oracle.iter_errors(sc))
-        assert error is None or not fast.is_valid(sc)  # no fast accept of a violation
+        assert validator.is_valid(sc) == (error is None)
         try:
             validate_scenario(sc)
             got = None
@@ -570,8 +570,9 @@ def _schema_cells(node):
 
 
 class TestFastCellCheck:
-    """The fast validator's table keyword against the full validator: a cell
-    the fast check accepts is one the schema accepts."""
+    """The validator's table keyword against the oneOf oracle: a cell gets the
+    oracle's verdict, whether the one-pass check accepts it or the table falls
+    back to the schema's definition."""
 
     @pytest.mark.parametrize("value", sorted(CELL_VALUES))
     @pytest.mark.parametrize("table", sorted(CELL_TABLES))
@@ -583,14 +584,15 @@ class TestFastCellCheck:
                                                    ("mu", "numvector")])
     def test_grammar_read_from_schema(self, table, definition):
         """Cells derived from the shipped definition get the same verdict
-        from both validators, so the fast check cannot drift from it."""
-        fast, full = scenario_validators()
+        from the validator and the oracle, so the table check cannot drift
+        from the definition."""
+        validator, oracle = scenario_validator(), _oracle_validator()
         cells = _schema_cells(load_schema(SCHEMA_PATH)["$defs"][definition])
         verdicts = []
         for cell in cells:
             sc, paths = _table_scenario(table)
             _set(sc, paths[0], cell)
-            verdicts.append((fast.is_valid(sc), full.is_valid(sc)))
+            verdicts.append((validator.is_valid(sc), oracle.is_valid(sc)))
         assert [f for f, _ in verdicts] == [g for _, g in verdicts]
         accepted = {type(c) for c, (_, g) in zip(cells, verdicts) if g}
         assert accepted == ({int, float, str, dict} if definition == "extreal"
@@ -606,10 +608,20 @@ class TestFastCellCheck:
                    st.sampled_from(["finite", "x"]), inner, max_size=2),
                max_leaves=4))
     def test_no_fast_accept_of_a_violation(self, table, where, cell):
-        fast, full = scenario_validators()
         sc, paths = _table_scenario(table)
         _set(sc, paths[where % len(paths)], cell)
-        assert full.is_valid(sc) or not fast.is_valid(sc)
+        assert scenario_validator().is_valid(sc) == _oracle_validator().is_valid(sc)
+
+    def test_fallback_accepts_numpy_floats(self):
+        """A cell of a subclass of float fails the one-pass check, whose types
+        are exact, and is accepted by the definition it falls back to."""
+        sc = _mutated("transport_2x2.json",
+                      lambda sc: sc.update(mu=[np.float64(v) for v in sc["mu"]]))
+        validate_scenario(sc)
+        sc["mu"][0] = True
+        with pytest.raises(ScenarioError, match="^scenario failed schema validation: "
+                                                "True is not of type 'number'$"):
+            validate_scenario(sc)
 
 
 def _run_main(command, sc, tmp_path, capsys):
@@ -739,6 +751,12 @@ def _nonmetric(sc):
     sc["domain"]["metric"] = {"custom": [[0, 1, 1, 1, 1]] * 5}
 
 
+def _conjugate_abs_bytes(number):
+    """conjugate_abs.json with its first function value written as number."""
+    text = (SCENARIOS / "conjugate_abs.json").read_text()
+    return text.replace('"function": [1.0,', f'"function": [{number},', 1).encode()
+
+
 #: every error exit of run_scenario and main, each exit code 2: (command, the
 #: scenario file as raw bytes, as a shipped scenario's name and an update of
 #: it, or None for no file, run_scenario's keywords, and the first stderr
@@ -771,6 +789,12 @@ CLI_EXITS = {
                        "'{tmp}/missing/c.csv'"),
     "kind_mismatch": ("conic", ("transport_2x2.json", None), {},
                       "error: scenario kind 'transport' does not match command 'conic'"),
+    "float_beyond_doubles": ("conjugate", _conjugate_abs_bytes("1e400"), {},
+                             "error: cannot read scenario: number 1e400 lies outside "
+                             "the doubles"),
+    "int_beyond_doubles": ("conjugate", _conjugate_abs_bytes("1" + "0" * 400), {},
+                           "error: cannot read scenario: number 1%s lies outside the "
+                           "doubles" % ("0" * 400)),
 }
 
 
@@ -813,6 +837,23 @@ class TestErrorExits:
         path = str(SCENARIOS / "transport_2x2.json")
         assert cli.main([command, "--scenario", path]) == code
         assert calls == [path]
+
+
+class TestValidateFlag:
+    def test_fast_skips_the_triangle_check(self, tmp_path, capsys):
+        """A custom metric that breaks the triangle inequality (0 to 2 is 5,
+        via 1 it is 2) exits 2 under the default --validate full and runs
+        under --validate fast."""
+        from abconvex.cli import main
+
+        sc = _mutated("conjugate_abs.json", lambda sc: sc["domain"].update(
+            metric={"custom": [[0, 1, 5], [1, 0, 1], [5, 1, 0]]}))
+        path = tmp_path / "sc.json"
+        path.write_text(json.dumps(sc))
+        argv = ["conjugate", "--scenario", str(path), "--out", str(tmp_path / "o.json")]
+        assert main(argv) == EXIT_BAD_SCENARIO
+        assert capsys.readouterr().err.splitlines()[0] == "error: triangle inequality violated"
+        assert main([*argv, "--validate", "fast"]) == EXIT_OK
 
 
 class TestTol:
@@ -948,10 +989,10 @@ class TestMalformedJsonExit2:
          "error: cannot read scenario: Exceeds the limit (4300 digits) for integer string "
          "conversion"),
         ("conic", '{"kind": "conic", "pi": [1%s], "c": [1.0]}' % ("0" * 400),
-         "error: int too large to convert to float"),
+         "error: cannot read scenario: number 1%s lies outside the doubles" % ("0" * 400)),
         ("peaking", json.dumps(_mutated("peaking_demo.json",
                                         lambda sc: sc["g"].update(a=10 ** 400))),
-         "error: int too large to convert to float"),
+         "error: cannot read scenario: number 1%s lies outside the doubles" % ("0" * 400)),
     ], ids=["too_many_digits", "conic", "member"])
     def test_integer_beyond_the_doubles(self, command, text, line, tmp_path, capsys):
         from abconvex.cli import main
