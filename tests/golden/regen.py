@@ -24,7 +24,10 @@ matrices (symmetric, symmetrized and rejected) and `slope_bound`, and
 `core.sub_up` on seeded pairs of five styles (random exponents, near-equal
 operands, powers of two against their neighbours, the 2**1023 scale, and 1e300
 and 1e-300 mixed), elementwise and broadcast, and on every pair of 18 special
-values (signed zeros, subnormals, +-max, +-inf and NaN).
+values (signed zeros, subnormals, +-max, +-inf and NaN), and `c_transform` on
+integer and real potentials and costs with zeros of both signs and ties
+(n x 1, 1 x m and columns of 20 to 40 rows), each cost passed both as a C
+array and as a transposed view, as `solve_transport` passes it.
 `tests/test_golden.py` recomputes every entry and compares it with
 `digests.json`.  Run this script to see which entries changed:
 
@@ -65,6 +68,7 @@ from abconvex import (  # noqa: E402
     PerturbationProblem,
     build_lagrangian,
     build_metric_space,
+    c_transform,
     concavity_probe,
     conic_lp_dual,
     conjugate_transform,
@@ -893,13 +897,52 @@ def sub_up_entries() -> dict:
     return out
 
 
+# -- c-transforms ----------------------------------------------------------------
+
+def _c_transform_pair(rng, style, n, m):
+    """psi and an n x m cost with cost >= psi along each row in nine cells of
+    ten: integers in 1..3 or reals of one decimal, half of psi and 30% of the
+    increments exact zeros, every value of random sign.  Many columns have
+    their maximum psi - cost at zeros of both signs, whose sign the order of
+    the reduction sets."""
+    def draw(shape, zeros):
+        if style == "integer":
+            v = rng.integers(1, 4, shape).astype(float)
+        else:
+            v = np.abs(np.round(rng.normal(size=shape), 1))
+        v[rng.random(shape) < zeros] = 0.0
+        return np.where(rng.random(shape) < 0.5, -v, v)
+
+    psi = draw(n, 0.5)
+    inc = draw((n, m), 0.3)
+    return psi, psi[:, None] + np.where(rng.random((n, m)) < 0.9, np.abs(inc), inc)
+
+
+def c_transform_entries() -> dict:
+    out = {}
+    for k, style in enumerate(("integer", "real")):
+        rng = np.random.default_rng(7900 + k)
+        h = hashlib.sha256()
+        for i in range(60):
+            # 1 x m, a few rows, and columns of 20 to 39 rows; n x 1 in half
+            n = (1, int(rng.integers(2, 8)), 20 + i // 3)[i % 3]
+            m = 1 if n > 1 and i % 2 else int(rng.integers(2, 9))
+            psi, cost = _c_transform_pair(rng, style, n, m)
+            # the C array, and a transposed view of the same values
+            for c in (cost, np.ascontiguousarray(cost.T).T):
+                h.update(np.int64(c.shape).tobytes() + c_transform(psi, c).tobytes())
+        out[f"c_transform/{style}"] = h.hexdigest()
+    return out
+
+
 #: every group of entries, by the prefix of its names; `tests/test_golden.py`
 #: checks each group as its own test
 GROUPS = {"report": report_entries, "certificate": certificate_entries,
           "triangle": triangle_entries, "witness": witness_entries,
           "conjugation": conjugation_entries, "duality": duality_entries,
           "constrained": constrained_entries, "transport": transport_entries,
-          "metric": metric_entries, "sub_up": sub_up_entries}
+          "metric": metric_entries, "sub_up": sub_up_entries,
+          "c_transform": c_transform_entries}
 
 
 def compute() -> dict:
