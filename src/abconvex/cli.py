@@ -200,7 +200,7 @@ def run_conjugate(sc: dict, rng, validate: str):
     f = GridFn(domain, ext_array(sc["function"]))
     grid = parse_dual_grid(sc["family"], domain, f)
     star = conjugate_transform(f, grid)
-    second = biconjugate(f, grid)
+    second = biconjugate(f, grid, star)
     defects = [float(v - w) if np.isfinite(v) else None
                for v, w in zip(f.values, second.values)]
     results = {

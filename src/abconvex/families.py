@@ -18,15 +18,16 @@ from typing import Optional
 
 import numpy as np
 
-from .core import FiniteMetricSpace, GridFn, _freeze, by_row_blocks, sub_up
+from .core import FiniteMetricSpace, GridFn, _freeze, by_row_blocks, max_sub_up
 from .errors import BadParams, ImproperInput, InfiniteAtPoint, NoWitness
 
 _NUDGE = 1.0 + 2.0 ** -46
 _MAX_NUDGES = 64
-# an upper bound on the temporaries core.sub_up makes per output cell (they
-# measure 41 B, five doubles); it stays 80 because 40 timed mixed, and a
-# recorded sweep of block sizes should settle it
-_SUB_UP_BYTES = 80
+# the temporaries core.max_sub_up makes per cell of a block, which sizes the
+# row blocks of the conjugation pair: measured at 9.2 B with one tie a line
+# and at 20.3 B (21.3 B from an F-ordered block) when every cell ties, so 24
+# keeps any block inside its share of BLOCK_BYTES while blocks stay large
+_SUB_UP_BYTES = 24
 
 
 class FamilyKind(str, Enum):
@@ -468,27 +469,29 @@ def conjugate_transform(f: GridFn, dual: DualGrid) -> np.ndarray:
     if np.isneginf(f.values).any():
         raise ImproperInput("conjugate of a function taking -inf is +inf everywhere")
     M, v = dual.matrix, f.values
-    return by_row_blocks(lambda rows: sub_up(M[rows], v[None, :]).max(axis=1),
+    return by_row_blocks(lambda rows: max_sub_up(M[rows], v[None, :], 1),
                          M.shape[0], _SUB_UP_BYTES * M.shape[1])
 
 
-def biconjugate(f: GridFn, dual: DualGrid) -> GridFn:
+def biconjugate(f: GridFn, dual: DualGrid, star: Optional[np.ndarray] = None) -> GridFn:
     """Largest minorant of f built from the dual grid's members.
 
     Dominates exactly: biconjugate(f) <= f at every point, and applying the
     map twice reproduces its output bit-for-bit.  Reduced in blocks of grid
-    points (columns of the member matrix).
+    points (columns of the member matrix).  star, when given, is
+    conjugate_transform(f, dual), computed once by the caller.
     """
-    star = conjugate_transform(f, dual)
+    if star is None:
+        star = conjugate_transform(f, dual)
     M = dual.matrix
 
     def column_max(cols):
         # max(axis=0) folds the rows in order, which sets the sign of a zero
         # maximum; numpy would reduce a lone column as a vector, in another order
-        d = sub_up(M[:, cols], star[:, None])
+        d = M[:, cols]
         if d.shape[1] == 1 < M.shape[1]:
-            return np.repeat(d, 2, axis=1).max(axis=0)[:1]
-        return d.max(axis=0)
+            return max_sub_up(np.repeat(d, 2, axis=1), star[:, None], 0)[:1]
+        return max_sub_up(d, star[:, None], 0)
 
     vals = by_row_blocks(column_max, M.shape[1], _SUB_UP_BYTES * M.shape[0])
     return GridFn(f.domain, vals)
@@ -498,7 +501,7 @@ def is_support(family: ElemFamily, params: ElemParams, f: GridFn, tol: float = 0
     """Whether the member minorizes f up to tol: max(phi - f) <= tol."""
     if np.isneginf(f.values).any():
         return False
-    gap = sub_up(eval_on_domain(family, params), f.values).max()
+    gap = max_sub_up(eval_on_domain(family, params), f.values, 0)
     return bool(gap <= tol)
 
 

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ExtReal, MINUS_INF, _freeze, sub_up
+from .core import ExtReal, MINUS_INF, _freeze, max_sub_up
 from .errors import ImproperInput, SolverLimit, Unbalanced
 
 MARGINAL_TOL = 1e-9
@@ -289,10 +289,17 @@ def c_transform(psi: np.ndarray, cost: np.ndarray) -> np.ndarray:
 
     The subtraction rounds downward (fl_down(x) = -fl_up(-x)), which keeps
     feasibility exact and makes two alternating sweeps a bit-exact fixed point.
+    A row with psi_i = -inf bounds no column (cost_ij - psi_i = +inf), so a
+    psi of -inf alone gives +inf everywhere.
     """
     psi = np.asarray(psi, dtype=float)
     cost = np.asarray(cost, dtype=float)
-    return -(sub_up(psi[:, None], cost).max(axis=0))
+    live = ~np.isneginf(psi)
+    if not live.all():
+        if not live.any():
+            return np.full(cost.shape[1], np.inf)
+        psi, cost = psi[live], cost[live]
+    return -max_sub_up(psi[:, None], cost, 0)
 
 
 def dual_objective(psi, phi, mu, nu) -> float:

@@ -621,6 +621,11 @@ def old_partial_conjugate_kernel(E, p):
         return (E[None, :, :] - p[:, None, :]).max(axis=2)
 
 
+def old_max_sub_up(a, b, axis):
+    """core.max_sub_up's reference: every difference rounded up, then reduced."""
+    return sub_up(a, b).max(axis)
+
+
 def old_conjugate_transform(f, dual):
     """conjugate_transform with the differences of every member held at once."""
     return sub_up(dual.matrix, f.values[None, :]).max(axis=1)

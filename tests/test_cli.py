@@ -138,6 +138,20 @@ class TestScenarios:
             {"finite": 0.0}, {"finite": 1.0},
         ]
 
+    def test_conjugate_computed_once(self, tmp_path, monkeypatch):
+        import abconvex.cli as cli
+        import abconvex.families as families
+        calls = []
+
+        def counted(f, dual, real=families.conjugate_transform):
+            calls.append(dual.size)
+            return real(f, dual)
+
+        monkeypatch.setattr(cli, "conjugate_transform", counted)
+        monkeypatch.setattr(families, "conjugate_transform", counted)
+        code, _, _ = run_file(SCENARIOS / "conjugate_abs.json", tmp_path)
+        assert code == EXIT_OK and len(calls) == 1
+
     def test_conjugate_defects_are_convexity_defects(self, tmp_path):
         # a non-convex function with a +inf hole and a -0.0: the defect at each
         # finite point is convexity_defect there, bit for bit

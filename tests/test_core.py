@@ -5,6 +5,7 @@ import math
 import operator
 import pickle
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -22,10 +23,11 @@ from abconvex import (
     verify_zero_gap_metric,
 )
 from abconvex import core
-from abconvex.core import as_ext_array, is_proper, sub_up
+from abconvex.core import as_ext_array, is_proper, max_sub_up, sub_up
 from abconvex.errors import EmptyDomain, NonMetric, UndefinedSum
 
-from conftest import SUB_UP_SPECIALS, SUB_UP_STYLES, old_sub_up, same_bits, sub_up_pairs
+from conftest import (SUB_UP_SPECIALS, SUB_UP_STYLES, old_max_sub_up, old_sub_up, same_bits,
+                      sub_up_pairs)
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 anyext = st.floats(allow_nan=False, allow_infinity=True, width=64)
@@ -204,6 +206,149 @@ class TestSubUp:
                     except UndefinedSum:
                         outs.append(b"U")
                 assert outs[0] == outs[1], (a, b)
+
+
+def layouts(A, B):
+    """(a, b) pairs that broadcast to A's shape with A's and B's values: C
+    arrays, F-ordered arrays, transposed views, reversed strides, and a lone
+    row or column of either side broadcast against the other."""
+    T = lambda X: np.ascontiguousarray(X.T).T
+    yield from [(A, B), (np.asfortranarray(A), B), (A, np.asfortranarray(B)), (T(A), T(B)),
+                (A[::-1, ::-1], B[::-1, ::-1]), (A, B[:1]), (A, B[:, :1]), (A[:1], B),
+                (A[:, :1], B), (T(A), B[:1]), (A[:, :1], T(B))]
+
+
+def matches_reference(a, b, axis):
+    """max_sub_up(a, b, axis) and sub_up(a, b).max(axis) agree bit for bit, or
+    both raise UndefinedSum."""
+    outs = []
+    for kernel in (max_sub_up, old_max_sub_up):
+        try:
+            outs.append(np.asarray(kernel(a, b, axis)))
+        except UndefinedSum:
+            outs.append(None)
+    if outs[0] is None or outs[1] is None:
+        return outs[0] is outs[1]
+    return same_bits(*outs)
+
+
+def round_up(exact):
+    """The smallest double >= the rational exact, +inf above the largest
+    double and -max below the most negative one."""
+    if exact > Fraction(MAX):
+        return math.inf
+    if exact < -Fraction(MAX):
+        return -MAX
+    x = float(exact)
+    return math.nextafter(x, math.inf) if Fraction(x) < exact else x
+
+
+class TestMaxSubUp:
+    SHAPES = [(1, 40), (40, 1), (33, 17), (17, 33), (64, 65), (150, 200)]
+
+    def test_pair_styles(self):
+        for k, style in enumerate(SUB_UP_STYLES):
+            rng = np.random.default_rng(110 + k)
+            for shape in self.SHAPES:
+                a, b = sub_up_pairs(rng, style, shape[0] * shape[1])
+                for x, y in layouts(a.reshape(shape), b.reshape(shape)):
+                    for axis in (0, 1):
+                        assert matches_reference(x, y, axis), (style, shape, axis)
+
+    def test_special_pairs(self):
+        specials = np.asarray(SUB_UP_SPECIALS)
+        for x in specials:
+            for y in specials:
+                assert matches_reference(np.asarray([x]), np.asarray([y]), 0), (x, y)
+        finite_b = specials[np.isfinite(specials)]
+        for A, B in [np.meshgrid(specials, specials), np.meshgrid(specials, finite_b),
+                     np.meshgrid(finite_b, specials[~np.isnan(specials)])]:
+            for x, y in layouts(A, B):
+                for axis in (0, 1):
+                    assert matches_reference(x, y, axis)
+
+    def test_few_values_tie_and_round_up(self):
+        # differences from few values tie often, and many ties round up
+        rng = np.random.default_rng(120)
+        vals = [1.0, 1.0 + 2.0 ** -52, 3.0, 0.1, -0.2, 0.3, 2.0 ** 60]
+        hits = 0
+        for _ in range(40):
+            shape = tuple(int(v) for v in rng.integers(1, 70, 2))
+            A, B = (rng.choice(vals, shape) for _ in range(2))
+            for x, y in layouts(A, B):
+                for axis in (0, 1):
+                    assert matches_reference(x, y, axis)
+            hits += int((old_max_sub_up(A, B, 1) > (A - B).max(1)).sum())
+        assert hits > 100
+
+    def test_zero_maxima_of_long_lines(self):
+        # lines of 32 and more whose maximum is a zero of either sign, which
+        # the order of numpy's reduction picks
+        rng = np.random.default_rng(130)
+        signs = set()
+        for _ in range(60):
+            shape = tuple(int(v) for v in rng.choice([1, 2, 17, 32, 33, 40, 64, 65, 129], 2))
+            A = rng.choice([0.0, -0.0, -1.0, -0.5], shape, p=[0.35, 0.35, 0.2, 0.1])
+            B = rng.choice([0.0, -0.0, 0.5], shape, p=[0.45, 0.45, 0.1])
+            for x, y in layouts(A, B):
+                for axis in (0, 1):
+                    assert matches_reference(x, y, axis)
+                    got = max_sub_up(x, y, axis)
+                    signs.update(np.signbit(got[got == 0.0]).tolist())
+        assert signs == {True, False}
+
+    def test_many_ties_in_chunks(self):
+        # every cell of a line ties at 1.0 or at a zero; a tie rounds up where
+        # b is -2**-60, in some lines only; past an eighth of the cells the
+        # ties are rounded in chunks
+        rng = np.random.default_rng(150)
+        A = np.ones((300, 400))
+        B = rng.choice([2.0 ** -60, -(2.0 ** -60)], A.shape, p=[0.999, 0.001])
+        for zeros in (np.s_[::7], np.s_[:, ::13]):  # rows and columns of zeros
+            A[zeros], B[zeros] = (rng.choice([0.0, -0.0], A[zeros].shape) for _ in range(2))
+        for axis in (0, 1):
+            assert set(max_sub_up(A, B, axis).tolist()) == {0.0, 1.0, 1.0 + 2.0 ** -52}
+        for x, y in layouts(A, B):
+            for axis in (0, 1):
+                assert same_bits(max_sub_up(x, y, axis), old_max_sub_up(x, y, axis))
+
+    def test_largest_double_steps_up_without_warning(self):
+        a = np.asarray([[MAX, 1.0, MAX], [0.0, MAX, 2.0]])
+        b = np.asarray([[-5e-324, 0.0, 0.0], [1.0, -1.0, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert same_bits(max_sub_up(a, b, 1), [math.inf, math.inf])
+            assert same_bits(max_sub_up(a, b, 0), [math.inf, math.inf, MAX])
+
+    def test_overflow_to_minus_inf(self):
+        # every difference of a line is -inf, and a finite one rounds up to -max
+        a = np.asarray([[-MAX, -(2.0 ** 1023), -MAX], [-MAX, 1.0, -np.inf]])
+        b = np.asarray([[MAX, 2.0 ** 1023, 1e308], [np.inf, np.inf, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert same_bits(max_sub_up(a, b, 1), [-MAX, -MAX])
+            assert same_bits(max_sub_up(a[1:, :2], b[1:, :2], 1), [-np.inf])
+        for x, y in layouts(a, b):
+            for axis in (0, 1):
+                assert matches_reference(x, y, axis)
+
+    def test_undefined_sum(self):
+        with pytest.raises(UndefinedSum):
+            max_sub_up(np.asarray([[0.0, np.inf]]), np.asarray([[1.0, np.inf]]), 0)
+
+    def test_exact_maximum_rounded_up(self):
+        # an oracle of its own: the exact maximum of each line in rationals
+        rng = np.random.default_rng(140)
+        edges = np.asarray(_edges())
+        for _ in range(300):
+            shape = tuple(int(v) for v in rng.integers(1, 8, 2))
+            pool = rng.choice(edges, 6)
+            A, B = (rng.choice(pool, shape) for _ in range(2))
+            for axis in (0, 1):
+                exact = (np.vectorize(Fraction, otypes=[object])(A)
+                         - np.vectorize(Fraction, otypes=[object])(B)).max(axis)
+                got = max_sub_up(A, B, axis)
+                assert got.tolist() == [round_up(e) for e in exact]
 
 
 class TestMetricSpace:

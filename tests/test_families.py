@@ -398,6 +398,8 @@ class TestConjugationLaws:
             f, grid = _random_family_and_grid(rng, kind)
             star = conjugate_transform(f, grid)
             second = biconjugate(f, grid)
+            # the conjugate passed in is the one it would compute
+            assert biconjugate(f, grid, star).values.tobytes() == second.values.tobytes()
             # pointwise dominance, exact
             assert (second.values <= f.values).all()
             # idempotence, exact

@@ -20,7 +20,7 @@ import pytest
 
 from abconvex import ElemFamily, GridFn, biconjugate, build_metric_space, conjugate_transform
 from abconvex import default_dual_grid, duality_report, intersection_certificate
-from abconvex import core, lagrangian, minimax
+from abconvex import core, families, lagrangian, minimax
 from abconvex.errors import ImproperInput, NonMetric, UndefinedSum
 from abconvex.families import slope_bound
 from conftest import (
@@ -31,6 +31,7 @@ from conftest import (
     old_duality_fields,
     old_euclidean_dist,
     old_intersection_certificate,
+    old_max_sub_up,
     old_partial_conjugate_kernel,
     old_slope_bound,
     old_triangle_violated,
@@ -637,6 +638,32 @@ class TestSlopeBound:
             assert outcomes == {"overflow", "one", "bound"}
             check_pool_ran(ran, budget != "default")
 
+    def test_undefined_sum_from_a_kernel_worker(self, monkeypatch):
+        # +inf - +inf only in the last row and column, in blocks of rows
+        # reduced along rows and in blocks of columns reduced along columns
+        a, b = np.zeros((9, 9)), np.ones((9, 9))
+        a[8, 8] = b[8, 8] = np.inf
+        for ran in worker_counts(monkeypatch):
+            monkeypatch.setattr(core, "BLOCK_BYTES", budgets(families._SUB_UP_BYTES * 9)["one_row"])
+            for fn in (lambda rows: core.max_sub_up(a[rows], b[rows], 1),
+                       lambda cols: core.max_sub_up(a[:, cols], b[:, cols], 0)):
+                with pytest.raises(UndefinedSum):
+                    core.by_row_blocks(fn, 9, families._SUB_UP_BYTES * 9)
+            check_pool_ran(ran)
+
+    def test_kernel_peak_memory_when_every_cell_ties(self):
+        # every difference ties at its line's maximum; a few round up, and
+        # the lines of zeros are reduced again for the sign of their maximum
+        rng = np.random.default_rng(710)
+        A = np.ones((400, 1000))
+        B = rng.choice([2.0 ** -60, -(2.0 ** -60)], A.shape, p=[0.999, 0.001])
+        A[::3], B[::3] = 0.0, rng.choice([0.0, -0.0], B[::3].shape)
+        budget = families._SUB_UP_BYTES * A.size
+        for x, y, axis in [(A, B, 1), (A, B, 0), (np.asfortranarray(A), B, 1),
+                           (A[:, :1], B, 0), (A, np.ones(A.shape[1]), 1)]:
+            assert traced_peak(lambda: old_max_sub_up(x, y, axis)) > 1.5 * budget
+            assert traced_peak(lambda: core.max_sub_up(x, y, axis)) <= budget
+
     def test_peak_memory_is_budget_plus_members(self, monkeypatch):
         rng = np.random.default_rng(740)
         space = spaced_line(rng, 600)
@@ -832,9 +859,9 @@ class TestConjugation:
                                       for _ in range(60)]:
                 M, f = random_conjugation(rng, P, n)
                 dual = stub_dual(M)
-                monkeypatch.setattr(core, "BLOCK_BYTES", budgets(10 * n * 8)[budget])
+                monkeypatch.setattr(core, "BLOCK_BYTES", budgets(families._SUB_UP_BYTES * n)[budget])
                 assert same_bits(conjugate_transform(f, dual), old_conjugate_transform(f, dual))
-                monkeypatch.setattr(core, "BLOCK_BYTES", budgets(10 * P * 8)[budget])
+                monkeypatch.setattr(core, "BLOCK_BYTES", budgets(families._SUB_UP_BYTES * P)[budget])
                 got = biconjugate(f, dual).values
                 assert same_bits(got, old_biconjugate(f, dual))
                 zero_signs.update(np.signbit(got[got == 0.0]).tolist())
@@ -849,8 +876,11 @@ class TestConjugation:
                 space = spaced_line(rng, int(rng.integers(2, 30)))
                 dual = random_dual_grid(rng, space)
                 f = GridFn(space, np.round(rng.normal(size=space.n), 1))
-                monkeypatch.setattr(core, "BLOCK_BYTES", budgets(10 * dual.size * 8)[budget])
+                monkeypatch.setattr(core, "BLOCK_BYTES",
+                                    budgets(families._SUB_UP_BYTES * space.n)[budget])
                 assert same_bits(conjugate_transform(f, dual), old_conjugate_transform(f, dual))
+                monkeypatch.setattr(core, "BLOCK_BYTES",
+                                    budgets(families._SUB_UP_BYTES * dual.size)[budget])
                 assert same_bits(biconjugate(f, dual).values, old_biconjugate(f, dual))
             check_pool_ran(ran, budget != "default")
 
@@ -860,21 +890,49 @@ class TestConjugation:
         M[8, 2] = np.inf
         f = GridFn(4, [0.0, 1.0, np.inf, 2.0])
         for ran in worker_counts(monkeypatch):
-            monkeypatch.setattr(core, "BLOCK_BYTES", budgets(10 * 4 * 8)["one_row"])
+            monkeypatch.setattr(core, "BLOCK_BYTES", budgets(families._SUB_UP_BYTES * 4)["one_row"])
             with pytest.raises(UndefinedSum):
                 conjugate_transform(f, stub_dual(M))
             check_pool_ran(ran)
+
+    def test_undefined_sum_from_a_kernel_worker(self, monkeypatch):
+        # +inf - +inf only in the last row and column, in blocks of rows
+        # reduced along rows and in blocks of columns reduced along columns
+        a, b = np.zeros((9, 9)), np.ones((9, 9))
+        a[8, 8] = b[8, 8] = np.inf
+        for ran in worker_counts(monkeypatch):
+            monkeypatch.setattr(core, "BLOCK_BYTES", budgets(families._SUB_UP_BYTES * 9)["one_row"])
+            for fn in (lambda rows: core.max_sub_up(a[rows], b[rows], 1),
+                       lambda cols: core.max_sub_up(a[:, cols], b[:, cols], 0)):
+                with pytest.raises(UndefinedSum):
+                    core.by_row_blocks(fn, 9, families._SUB_UP_BYTES * 9)
+            check_pool_ran(ran)
+
+    def test_kernel_peak_memory_when_every_cell_ties(self):
+        # every difference ties at its line's maximum; a few round up, and
+        # the lines of zeros are reduced again for the sign of their maximum
+        rng = np.random.default_rng(710)
+        A = np.ones((400, 1000))
+        B = rng.choice([2.0 ** -60, -(2.0 ** -60)], A.shape, p=[0.999, 0.001])
+        A[::3], B[::3] = 0.0, rng.choice([0.0, -0.0], B[::3].shape)
+        budget = families._SUB_UP_BYTES * A.size
+        for x, y, axis in [(A, B, 1), (A, B, 0), (np.asfortranarray(A), B, 1),
+                           (A[:, :1], B, 0), (A, np.ones(A.shape[1]), 1)]:
+            assert traced_peak(lambda: old_max_sub_up(x, y, axis)) > 1.5 * budget
+            assert traced_peak(lambda: core.max_sub_up(x, y, axis)) <= budget
 
     def test_peak_memory_is_budget_plus_members(self, monkeypatch):
         rng = np.random.default_rng(700)
         M = rng.normal(size=(400, 1000))
         f = GridFn(1000, rng.normal(size=1000))
-        dual = stub_dual(M)
+        # every cell ties: constant members and f, whose biconjugate is all zeros
+        ties = (stub_dual(np.ones(M.shape)), GridFn(1000, np.zeros(1000)))
         for ran in worker_counts(monkeypatch, (2, 4)):
             monkeypatch.setattr(core, "BLOCK_BYTES", 1 << 18)
-            for new, old in [(conjugate_transform, old_conjugate_transform),
-                             (biconjugate, old_biconjugate)]:
-                assert traced_peak(lambda: old(f, dual)) > 50 * core.BLOCK_BYTES
-                peak = traced_peak(lambda: new(f, dual))
-                assert peak <= 2 * core.BLOCK_BYTES + M.nbytes
+            for dual, f in [(stub_dual(M), f), ties]:
+                for new, old in [(conjugate_transform, old_conjugate_transform),
+                                 (biconjugate, old_biconjugate)]:
+                    assert traced_peak(lambda: old(f, dual)) > 50 * core.BLOCK_BYTES
+                    peak = traced_peak(lambda: new(f, dual))
+                    assert peak <= 2 * core.BLOCK_BYTES + M.nbytes
             check_pool_ran(ran)

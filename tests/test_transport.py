@@ -430,6 +430,18 @@ class TestCTransform:
         assert np.array_equal(c_transform(np.array([1.0, 0.0]), cost),
                               np.array([-1.0, 0.0]))
 
+    def test_minus_inf_rows_bound_nothing(self):
+        # cost - (-inf) = +inf: such a row drops out of the minimum
+        assert np.array_equal(c_transform(np.array([-np.inf]), np.array([[1.0, 2.0]])),
+                              [np.inf, np.inf])
+        cost = np.array([[1.0, 2.0], [3.0, -1.0], [0.0, 5.0]])
+        got = c_transform(np.array([-np.inf, 1.0, -np.inf]), cost)
+        assert np.array_equal(got, c_transform(np.array([1.0]), cost[1:2]))
+        assert np.array_equal(got, [2.0, -2.0])
+        # as solve_transport passes it: a transposed view
+        got = c_transform(np.array([0.5, -np.inf]), np.ascontiguousarray(cost[:, :2]).T)
+        assert np.array_equal(got, [0.5, 2.5, -0.5])
+
     def test_never_decreases_dual_objective(self):
         rng = np.random.default_rng(53)
         for _ in range(100):
