@@ -23,10 +23,14 @@ from .errors import BadParams, ImproperInput, InfiniteAtPoint, NoWitness
 
 _NUDGE = 1.0 + 2.0 ** -46
 _MAX_NUDGES = 64
-# the temporaries core.max_sub_up makes per cell of a block, which sizes the
-# row blocks of the conjugation pair: measured at 9.2 B with one tie a line
-# and at 20.3 B (21.3 B from an F-ordered block) when every cell ties, so 24
-# keeps any block inside its share of BLOCK_BYTES while blocks stay large
+# an upper bound on the temporaries core.max_sub_up makes per cell of a
+# block, which sizes the row blocks of the conjugation pair: they measure
+# 9.2 B with one tie a line and 12.3 B when every cell ties (C- or F-ordered),
+# but a block of a few thousand cells that all tie holds a chunk of 1024
+# rounded ties beside them (24.5 B a cell at 4096 cells).  24 keeps blocks
+# near their share of BLOCK_BYTES, and fewer blocks are faster: conjugate plus
+# biconjugate of 400 members on 1000 points took 1.0-1.2 + 1.2-1.4 ms at 24,
+# 1.3-1.4 + 1.5-1.6 at 40 and 2.5-3.4 + 2.6-3.7 at 80 (2-core box)
 _SUB_UP_BYTES = 24
 
 

@@ -210,12 +210,13 @@ class TestSubUp:
 
 def layouts(A, B):
     """(a, b) pairs that broadcast to A's shape with A's and B's values: C
-    arrays, F-ordered arrays, transposed views, reversed strides, and a lone
-    row or column of either side broadcast against the other."""
+    arrays, F-ordered arrays, transposed views, reversed strides on both
+    sides or on b's alone, and a lone row or column of either side broadcast
+    against the other."""
     T = lambda X: np.ascontiguousarray(X.T).T
     yield from [(A, B), (np.asfortranarray(A), B), (A, np.asfortranarray(B)), (T(A), T(B)),
-                (A[::-1, ::-1], B[::-1, ::-1]), (A, B[:1]), (A, B[:, :1]), (A[:1], B),
-                (A[:, :1], B), (T(A), B[:1]), (A[:, :1], T(B))]
+                (A[::-1, ::-1], B[::-1, ::-1]), (A, B[::-1, ::-1]), (A, B[:1]), (A, B[:, :1]),
+                (A[:1], B), (A[:, :1], B), (T(A), B[:1]), (A[:, :1], T(B))]
 
 
 def matches_reference(a, b, axis):
@@ -245,6 +246,27 @@ def round_up(exact):
 
 class TestMaxSubUp:
     SHAPES = [(1, 40), (40, 1), (33, 17), (17, 33), (64, 65), (150, 200)]
+
+    @pytest.fixture(autouse=True)
+    def tie_form(self, monkeypatch):
+        """Blocks of every size take the form that rounds only the ties (the
+        other form is the reference)."""
+        monkeypatch.setattr(core, "_DENSE_BELOW", 0)
+
+    def test_form_chosen_by_cell_count(self, monkeypatch):
+        # below core._DENSE_BELOW cells every cell is rounded, from there on
+        # only the ties: one a line for distinct differences
+        monkeypatch.undo()
+        cells = []
+        real = core.sub_up
+        monkeypatch.setattr(core, "sub_up", lambda a, b: cells.append(np.size(a)) or real(a, b))
+        rng = np.random.default_rng(160)
+        for shape, want in [((1, core._DENSE_BELOW - 1), core._DENSE_BELOW - 1),
+                            ((1, core._DENSE_BELOW), 1), ((50, 100), 50)]:
+            a, b = rng.normal(size=(2,) + shape)
+            cells.clear()
+            assert same_bits(max_sub_up(a, b, 1), old_max_sub_up(a, b, 1))
+            assert cells == [want]
 
     def test_pair_styles(self):
         for k, style in enumerate(SUB_UP_STYLES):

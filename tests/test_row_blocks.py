@@ -638,32 +638,6 @@ class TestSlopeBound:
             assert outcomes == {"overflow", "one", "bound"}
             check_pool_ran(ran, budget != "default")
 
-    def test_undefined_sum_from_a_kernel_worker(self, monkeypatch):
-        # +inf - +inf only in the last row and column, in blocks of rows
-        # reduced along rows and in blocks of columns reduced along columns
-        a, b = np.zeros((9, 9)), np.ones((9, 9))
-        a[8, 8] = b[8, 8] = np.inf
-        for ran in worker_counts(monkeypatch):
-            monkeypatch.setattr(core, "BLOCK_BYTES", budgets(families._SUB_UP_BYTES * 9)["one_row"])
-            for fn in (lambda rows: core.max_sub_up(a[rows], b[rows], 1),
-                       lambda cols: core.max_sub_up(a[:, cols], b[:, cols], 0)):
-                with pytest.raises(UndefinedSum):
-                    core.by_row_blocks(fn, 9, families._SUB_UP_BYTES * 9)
-            check_pool_ran(ran)
-
-    def test_kernel_peak_memory_when_every_cell_ties(self):
-        # every difference ties at its line's maximum; a few round up, and
-        # the lines of zeros are reduced again for the sign of their maximum
-        rng = np.random.default_rng(710)
-        A = np.ones((400, 1000))
-        B = rng.choice([2.0 ** -60, -(2.0 ** -60)], A.shape, p=[0.999, 0.001])
-        A[::3], B[::3] = 0.0, rng.choice([0.0, -0.0], B[::3].shape)
-        budget = families._SUB_UP_BYTES * A.size
-        for x, y, axis in [(A, B, 1), (A, B, 0), (np.asfortranarray(A), B, 1),
-                           (A[:, :1], B, 0), (A, np.ones(A.shape[1]), 1)]:
-            assert traced_peak(lambda: old_max_sub_up(x, y, axis)) > 1.5 * budget
-            assert traced_peak(lambda: core.max_sub_up(x, y, axis)) <= budget
-
     def test_peak_memory_is_budget_plus_members(self, monkeypatch):
         rng = np.random.default_rng(740)
         space = spaced_line(rng, 600)
@@ -847,70 +821,87 @@ def random_conjugation(rng, P, n):
     return M, GridFn(n, v)
 
 
+def max_sub_up_forms(monkeypatch):
+    """Sets core._DENSE_BELOW so that core.max_sub_up rounds only the ties at
+    every size, then back to its default, which rounds every cell of blocks
+    as small as these."""
+    for dense_below in (0, core._DENSE_BELOW):
+        monkeypatch.setattr(core, "_DENSE_BELOW", dense_below)
+        yield dense_below
+
+
 class TestConjugation:
     SHAPES = [(1, 1), (1, 7), (7, 1), (5, 4), (3, 10), (10, 3), (9, 13), (33, 7), (40, 10)]
 
     @pytest.mark.parametrize("budget", ["one_row", "ragged", "default"])
     def test_matches_one_tensor_forms(self, budget, monkeypatch):
-        for ran in worker_counts(monkeypatch):
-            rng = np.random.default_rng(680)
-            zero_signs = set()
-            for P, n in self.SHAPES + [tuple(int(v) for v in rng.integers(1, 40, 2))
-                                      for _ in range(60)]:
-                M, f = random_conjugation(rng, P, n)
-                dual = stub_dual(M)
-                monkeypatch.setattr(core, "BLOCK_BYTES", budgets(families._SUB_UP_BYTES * n)[budget])
-                assert same_bits(conjugate_transform(f, dual), old_conjugate_transform(f, dual))
-                monkeypatch.setattr(core, "BLOCK_BYTES", budgets(families._SUB_UP_BYTES * P)[budget])
-                got = biconjugate(f, dual).values
-                assert same_bits(got, old_biconjugate(f, dual))
-                zero_signs.update(np.signbit(got[got == 0.0]).tolist())
-            assert zero_signs == {True, False}
-            check_pool_ran(ran, budget != "default")
+        for _ in max_sub_up_forms(monkeypatch):
+            for ran in worker_counts(monkeypatch):
+                rng = np.random.default_rng(680)
+                zero_signs = set()
+                for P, n in self.SHAPES + [tuple(int(v) for v in rng.integers(1, 40, 2))
+                                          for _ in range(60)]:
+                    M, f = random_conjugation(rng, P, n)
+                    dual = stub_dual(M)
+                    monkeypatch.setattr(core, "BLOCK_BYTES",
+                                        budgets(families._SUB_UP_BYTES * n)[budget])
+                    assert same_bits(conjugate_transform(f, dual), old_conjugate_transform(f, dual))
+                    monkeypatch.setattr(core, "BLOCK_BYTES",
+                                        budgets(families._SUB_UP_BYTES * P)[budget])
+                    got = biconjugate(f, dual).values
+                    assert same_bits(got, old_biconjugate(f, dual))
+                    zero_signs.update(np.signbit(got[got == 0.0]).tolist())
+                assert zero_signs == {True, False}
+                check_pool_ran(ran, budget != "default")
 
     @pytest.mark.parametrize("budget", ["one_row", "ragged", "default"])
     def test_family_grids(self, budget, monkeypatch):
-        for ran in worker_counts(monkeypatch):
-            rng = np.random.default_rng(690)
-            for _ in range(12):
-                space = spaced_line(rng, int(rng.integers(2, 30)))
-                dual = random_dual_grid(rng, space)
-                f = GridFn(space, np.round(rng.normal(size=space.n), 1))
-                monkeypatch.setattr(core, "BLOCK_BYTES",
-                                    budgets(families._SUB_UP_BYTES * space.n)[budget])
-                assert same_bits(conjugate_transform(f, dual), old_conjugate_transform(f, dual))
-                monkeypatch.setattr(core, "BLOCK_BYTES",
-                                    budgets(families._SUB_UP_BYTES * dual.size)[budget])
-                assert same_bits(biconjugate(f, dual).values, old_biconjugate(f, dual))
-            check_pool_ran(ran, budget != "default")
+        for _ in max_sub_up_forms(monkeypatch):
+            for ran in worker_counts(monkeypatch):
+                rng = np.random.default_rng(690)
+                for _ in range(12):
+                    space = spaced_line(rng, int(rng.integers(2, 30)))
+                    dual = random_dual_grid(rng, space)
+                    f = GridFn(space, np.round(rng.normal(size=space.n), 1))
+                    monkeypatch.setattr(core, "BLOCK_BYTES",
+                                        budgets(families._SUB_UP_BYTES * space.n)[budget])
+                    assert same_bits(conjugate_transform(f, dual), old_conjugate_transform(f, dual))
+                    monkeypatch.setattr(core, "BLOCK_BYTES",
+                                        budgets(families._SUB_UP_BYTES * dual.size)[budget])
+                    assert same_bits(biconjugate(f, dual).values, old_biconjugate(f, dual))
+                check_pool_ran(ran, budget != "default")
 
     def test_undefined_sum_from_a_worker(self, monkeypatch):
         # +inf - +inf only in the last member row
         M = np.zeros((9, 4))
         M[8, 2] = np.inf
         f = GridFn(4, [0.0, 1.0, np.inf, 2.0])
-        for ran in worker_counts(monkeypatch):
-            monkeypatch.setattr(core, "BLOCK_BYTES", budgets(families._SUB_UP_BYTES * 4)["one_row"])
-            with pytest.raises(UndefinedSum):
-                conjugate_transform(f, stub_dual(M))
-            check_pool_ran(ran)
+        for _ in max_sub_up_forms(monkeypatch):
+            for ran in worker_counts(monkeypatch):
+                monkeypatch.setattr(core, "BLOCK_BYTES",
+                                    budgets(families._SUB_UP_BYTES * 4)["one_row"])
+                with pytest.raises(UndefinedSum):
+                    conjugate_transform(f, stub_dual(M))
+                check_pool_ran(ran)
 
     def test_undefined_sum_from_a_kernel_worker(self, monkeypatch):
         # +inf - +inf only in the last row and column, in blocks of rows
         # reduced along rows and in blocks of columns reduced along columns
         a, b = np.zeros((9, 9)), np.ones((9, 9))
         a[8, 8] = b[8, 8] = np.inf
-        for ran in worker_counts(monkeypatch):
-            monkeypatch.setattr(core, "BLOCK_BYTES", budgets(families._SUB_UP_BYTES * 9)["one_row"])
-            for fn in (lambda rows: core.max_sub_up(a[rows], b[rows], 1),
-                       lambda cols: core.max_sub_up(a[:, cols], b[:, cols], 0)):
-                with pytest.raises(UndefinedSum):
-                    core.by_row_blocks(fn, 9, families._SUB_UP_BYTES * 9)
-            check_pool_ran(ran)
+        for _ in max_sub_up_forms(monkeypatch):
+            for ran in worker_counts(monkeypatch):
+                monkeypatch.setattr(core, "BLOCK_BYTES",
+                                    budgets(families._SUB_UP_BYTES * 9)["one_row"])
+                for fn in (lambda rows: core.max_sub_up(a[rows], b[rows], 1),
+                           lambda cols: core.max_sub_up(a[:, cols], b[:, cols], 0)):
+                    with pytest.raises(UndefinedSum):
+                        core.by_row_blocks(fn, 9, families._SUB_UP_BYTES * 9)
+                check_pool_ran(ran)
 
     def test_kernel_peak_memory_when_every_cell_ties(self):
         # every difference ties at its line's maximum; a few round up, and
-        # the lines of zeros are reduced again for the sign of their maximum
+        # every third line ties at zeros of both signs
         rng = np.random.default_rng(710)
         A = np.ones((400, 1000))
         B = rng.choice([2.0 ** -60, -(2.0 ** -60)], A.shape, p=[0.999, 0.001])
