@@ -26,11 +26,12 @@ METRIC_TOL = 1e-12
 #: fewer than one row
 BLOCK_BYTES = 4 << 20
 
-#: threads that reduce the blocks of one call of by_row_blocks: the usable cores
+#: threads that reduce the blocks of one call of by_row_blocks, the calling
+#: thread among them: the usable cores
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
 
-_pools = {}  # WORKERS -> its ThreadPoolExecutor, made on the first parallel call
+_pools = {}  # WORKERS -> its pool of WORKERS - 1 threads, made on the first parallel call
 if hasattr(os, "register_at_fork"):  # a forked child has none of the pool threads
     os.register_at_fork(after_in_child=_pools.clear)
 
@@ -219,45 +220,32 @@ def by_row_blocks(fn: Callable[[slice], np.ndarray], n_rows: int,
     output in row order.
 
     fn makes row_bytes bytes of temporaries per row.  When all rows fit
-    BLOCK_BYTES, fn(slice(None)) is called once and returned as is.  Otherwise
-    WORKERS threads share the budget, BLOCK_BYTES // (WORKERS * row_bytes) rows
-    a block; when that is no row, or WORKERS is 1, the calling thread takes
-    blocks of the whole budget (at least one row) in turn.  Each worker takes
-    the next block in row order and copies it into the output at once, so
-    besides the output the call holds only the blocks in flight.  After a
-    block raises, no worker takes another, and the exception of the first
-    failing block in row order is raised with its type.  fn must compute each
-    output row from its own input row alone, so that blocking changes no bit
-    of the result, and must return one row per row of its slice, an empty
-    block for slice(0, 0) included: that block sets the output's dtype and
-    trailing shape, and every other block must have them too (ValueError
-    otherwise).  fn must not call by_row_blocks (a worker would wait on its
-    own pool).  It runs in a copy of the caller's context, so an np.errstate
-    around the call holds in the workers.
+    BLOCK_BYTES, fn(slice(None)) is called once and returned as is.
+    Otherwise the calling thread and workers - 1 pool threads run one loop:
+    each takes the next block in row order and copies it into the output at
+    once, so besides the output the call holds only the blocks in flight.
+    workers is WORKERS, or 1 when a worker's share of the budget is under a
+    row; a block has BLOCK_BYTES // (workers * row_bytes) rows, at least one.
+    After a block raises, no thread takes another, and the exception of the
+    first failing block in row order is raised with its type.  fn must
+    compute each output row from its own input row alone, so that blocking
+    changes no bit of the result, and must return one row per row of its
+    slice, an empty block for slice(0, 0) included: that block sets the
+    output's dtype and trailing shape, and every other block must have them
+    too (ValueError otherwise).  fn must not call by_row_blocks (a pool
+    thread would wait on its own pool).  Pool threads run it in a copy of
+    the caller's context, so an np.errstate around the call holds in them.
     """
     row_bytes = max(1, row_bytes)
-    serial = max(1, BLOCK_BYTES // row_bytes)
-    if serial >= n_rows:
+    if BLOCK_BYTES // row_bytes >= n_rows:
         return fn(slice(None))
-    step = BLOCK_BYTES // (WORKERS * row_bytes)
+    workers = WORKERS if BLOCK_BYTES // (WORKERS * row_bytes) else 1
+    step = max(1, BLOCK_BYTES // (workers * row_bytes))
     # The output is made here, in the calling thread, from fn's empty block:
     # outputs made in a worker thread's malloc arena raised the large-grids
     # peak RSS from about 115 to 122 MB over a 15 s run.
     empty = fn(slice(0, 0))
     out = np.empty((n_rows,) + empty.shape[1:], empty.dtype)
-
-    def put(rows):
-        part = fn(rows)
-        if part.dtype != out.dtype or part.shape != out[rows].shape:
-            raise ValueError(f"rows {rows.start}: a block of {part.dtype} {part.shape} "
-                             f"where {out.dtype} {out[rows].shape} was due")
-        out[rows] = part
-
-    if WORKERS == 1 or step < 1:
-        for i in range(0, n_rows, serial):
-            put(slice(i, i + serial))
-        return out
-    pool = _executor()
     starts = iter(range(0, n_rows, step))
     lock = threading.Lock()
     failed = []  # (first row, exception) of each block that raised
@@ -268,15 +256,21 @@ def by_row_blocks(fn: Callable[[slice], np.ndarray], n_rows: int,
                 i = next(starts, None)
             if i is None:
                 return
+            rows = slice(i, i + step)
             try:
-                put(slice(i, i + step))
+                part = fn(rows)
+                if part.dtype != out.dtype or part.shape != out[rows].shape:
+                    raise ValueError(f"rows {i}: a block of {part.dtype} {part.shape} "
+                                     f"where {out.dtype} {out[rows].shape} was due")
+                out[rows] = part
             except Exception as e:
                 failed.append((i, e))
 
-    workers = [pool.submit(contextvars.copy_context().run, work) for _ in range(WORKERS)]
+    helpers = [_executor().submit(contextvars.copy_context().run, work) for _ in range(workers - 1)]
     try:
-        for w in workers:
-            w.result()
+        work()
+        for h in helpers:
+            h.result()
     finally:
         starts = iter(())  # an interrupted caller leaves no block to be started
     if failed:
@@ -290,7 +284,7 @@ def _executor():
     if WORKERS not in _pools:  # racing callers keep one pool; the other starts no thread
         from concurrent.futures import ThreadPoolExecutor
 
-        pool = ThreadPoolExecutor(WORKERS, thread_name_prefix="abconvex-rows")
+        pool = ThreadPoolExecutor(WORKERS - 1, thread_name_prefix="abconvex-rows")
         _pools.setdefault(WORKERS, pool)
     return _pools[WORKERS]
 

@@ -175,12 +175,30 @@ class TestByRowBlocks:
         seen = seen[1:]
         assert sorted(rows.indices(7)[:2] for rows, _ in seen) == want
         threads = {t for _, t in seen}
-        if on_pool:
-            assert threading.main_thread() not in threads
+        if on_pool:  # the calling thread and pool threads, at most n_workers
             assert len(threads) <= n_workers
+            assert all(t is threading.main_thread() or t.name.startswith("abconvex-rows")
+                       for t in threads)
         else:
             assert [rows.indices(7)[:2] for rows, _ in seen] == want
             assert threads == {threading.main_thread()}
+
+    @pytest.mark.parametrize("n_workers, budget, helpers", [
+        # a worker's share of one row or more: the calling thread and n - 1 helpers
+        (2, 16, 1), (3, 24, 2), (4, 32, 3), (2, 64, 1),
+        # one worker, or a share below one row: the calling thread alone
+        (1, 8, 0), (1, 64, 0), (2, 8, 0), (4, 31, 0),
+    ])
+    def test_calling_thread_works_beside_n_minus_1_helpers(self, n_workers, budget, helpers,
+                                                           monkeypatch):
+        for ran in worker_counts(monkeypatch, (n_workers,)):
+            monkeypatch.setattr(core, "BLOCK_BYTES", budget)
+            rows = np.arange(9.0)
+            assert same_bits(core.by_row_blocks(lambda r: rows[r] * 2.0, 9, 8), rows * 2.0)
+            assert len(ran) == helpers
+            assert all(name.startswith("abconvex-rows") for name in ran)
+            if helpers:
+                assert core._pools[n_workers]._max_workers == n_workers - 1
 
     def test_one_budget_call_makes_no_pool(self, monkeypatch):
         monkeypatch.setattr(core, "WORKERS", 2)
