@@ -532,8 +532,10 @@ def _first_verified(family: ElemFamily, member, scale: float, step, holds,
                     failure: str, doomed=lambda vals: False) -> ElemParams:
     """The first member(scale) whose values on the grid pass holds, stepping
     the scale after each failed check; NoWitness(failure) after _MAX_NUDGES
-    tries, or as soon as the values of a failed member are doomed."""
+    tries or once a failed member's values are doomed; ImproperInput at inf."""
     for _ in range(_MAX_NUDGES):
+        if not math.isfinite(scale):
+            raise ImproperInput("the witness scale overflows the doubles")
         params = member(scale)
         vals = eval_on_domain(family, params)
         if holds(vals):
@@ -575,7 +577,8 @@ def peaking_witness(
     else:
         if (shape[far] <= 0).any():
             raise NoWitness("cone shape vanishes on the far set; no decay possible")
-        need = (eps + K - g_vals[far]) / shape[far]
+        with np.errstate(over="ignore"):  # an overflow leaves need at inf
+            need = (eps + K - g_vals[far]) / shape[far]
         a = float(need.max())
         if a <= 0.0:
             a = 1.0
@@ -616,7 +619,7 @@ def urysohn_witness(family: ElemFamily, y0: int, eps: float, delta: float) -> El
                     and (vals[~near] <= 0.0).all())
 
     if family.kind == FamilyKind.METRIC:
-        anchor, ell, a = y0, None, 1.0 / delta
+        anchor, ell, width = y0, None, delta
     elif domain.origin_index() == y0:
         # gauge ball centered at the peak: a = 1/(kappa * delta) with kappa the
         # grid equivalence constant between the gauge and the domain metric
@@ -627,13 +630,14 @@ def urysohn_witness(family: ElemFamily, y0: int, eps: float, delta: float) -> El
         if (mu[pos] <= 0).any():
             raise NoWitness("gauge vanishes away from the origin on this grid")
         kappa = float((mu[pos] / d[pos]).min())
-        anchor, ell, a = None, np.zeros(domain.dim), 1.0 / (kappa * delta)
+        anchor, ell, width = None, np.zeros(domain.dim), kappa * delta
     else:
         a, ell, c = _urysohn_gauge_lp(family, y0, eps, near)
         return _first_verified(
             family, lambda c: ElemParams(a=a, ell=ell, c=c), c,
             lambda c: np.nextafter(c, -np.inf),  # shave solver slack off the upper bounds
             peaks, "gauge urysohn LP solution failed exact grid verification")
+    a = 1.0 / width if width else math.inf  # kappa * delta may underflow to 0
     return _first_verified(
         family, lambda a: ElemParams(a=a, ell=ell, anchor=anchor, c=1.0), a, lambda a: a * _NUDGE,
         peaks, f"{family.kind.value} urysohn construction failed grid verification")

@@ -659,7 +659,34 @@ def _cli_subprocess(command, sc, tmp_path, *flags):
     )
 
 
+#: peaking scenarios whose witness scale leaves the doubles
+WITNESS_SCALE_OVERFLOWS = {
+    # kappa * delta underflows to 0 (a ZeroDivisionError traceback, exit 1)
+    "gauge_origin_width": {
+        "kind": "peaking", "y0": 0, "eps": 0.5, "delta": 5e-324, "urysohn": True,
+        "domain": {"points": [[0, 0, 0, 0, 0], [1, 1, 1, 1, 1], [2, 0, 0, 0, 0]]},
+        "family": {"kind": "gauge", "norm": "linf"}},
+    # eps + K - g overflows in need ("a must be finite", or a RuntimeWarning)
+    "peaking_need": {
+        "kind": "peaking", "y0": 0, "eps": 1e308, "delta": 1.0, "K": 0,
+        "domain": {"points": [[0.0], [1.0], [2.0]]}, "family": {"kind": "metric"},
+        "g": {"a": 8e307, "anchor": 0}},
+    # 1 / delta overflows ("a must be finite", a parameter never given)
+    "metric_scale": {
+        "kind": "peaking", "y0": 0, "eps": 0.5, "delta": 5e-324, "urysohn": True,
+        "domain": {"points": [[0.0], [1.0], [2.0]]}, "family": {"kind": "metric"}},
+}
+
+
 class TestBadInputsExit2:
+    @pytest.mark.parametrize("case", sorted(WITNESS_SCALE_OVERFLOWS))
+    def test_witness_scale_overflow(self, case, tmp_path, monkeypatch):
+        monkeypatch.setenv("PYTHONWARNINGS", "error::RuntimeWarning")
+        proc = _cli_subprocess("peaking", WITNESS_SCALE_OVERFLOWS[case], tmp_path)
+        assert proc.returncode == EXIT_BAD_SCENARIO
+        assert proc.stderr.splitlines()[0] == "error: the witness scale overflows the doubles"
+        assert "Traceback" not in proc.stderr
+
     def test_missing_cost_csv(self, tmp_path):
         sc = {"kind": "transport", "cost_csv": str(tmp_path / "absent.csv"),
               "mu": [1.0, 0.0], "nu": [0.0, 1.0]}

@@ -773,3 +773,54 @@ class TestUrysohnWitness:
             urysohn_witness(ElemFamily.metric(space), 0, eps=0.0, delta=1.0)
         with pytest.raises(BadParams):
             urysohn_witness(ElemFamily.affine(space), 0, eps=0.1, delta=1.0)
+
+
+class TestWitnessScaleOverflow:
+    """A witness scale outside the doubles is ImproperInput, reached with no
+    warning; every finite scale keeps its bits."""
+
+    GAUGE_POINTS = [[0.0] * 5, [1.0] * 5, [2.0, 0.0, 0.0, 0.0, 0.0]]
+
+    @staticmethod
+    def overflows(witness):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ImproperInput, match="^the witness scale overflows the doubles$"):
+                witness()
+
+    def test_gauge_origin_width_underflows(self):
+        # kappa * delta underflows to 0, where 1 / 0 raised ZeroDivisionError
+        fam = ElemFamily.gauge(build_metric_space(np.array(self.GAUGE_POINTS)), "linf")
+        self.overflows(lambda: urysohn_witness(fam, 0, eps=0.5, delta=5e-324))
+
+    def test_metric_scale_overflows(self):
+        # 1 / 5e-324 is inf, which was rejected as "a must be finite"
+        fam = ElemFamily.metric(line_space([0.0, 1.0, 2.0]))
+        self.overflows(lambda: urysohn_witness(fam, 0, eps=0.5, delta=5e-324))
+
+    def test_peaking_need_overflows(self):
+        # eps + K - g reaches 1.8e308 on the far set
+        fam = ElemFamily.metric(line_space([0.0, 1.0, 2.0]))
+        g = ElemParams(a=8e307, anchor=0)
+        self.overflows(lambda: peaking_witness(fam, 0, eps=1e308, delta=1.0, K=0.0, g=g))
+
+    def test_a_nudge_to_inf(self):
+        fam = ElemFamily.metric(line_space([0.0, 0.5]))
+        tried = []
+
+        def member(a):
+            tried.append(a)
+            return ElemParams(a=a, anchor=0, c=1.0)
+
+        top = float(np.finfo(float).max)
+        self.overflows(lambda: families._first_verified(
+            fam, member, top, lambda a: a * _NUDGE, lambda vals: False, "never"))
+        assert tried == [top]
+
+    def test_finite_scales_keep_their_bits(self):
+        fam = ElemFamily.metric(line_space([0.0, 1.0, 2.0]))
+        assert urysohn_witness(fam, 0, eps=0.5, delta=1e-300).a == 1.0 / 1e-300
+        fam = ElemFamily.gauge(build_metric_space(np.array(self.GAUGE_POINTS)), "linf")
+        d = fam.domain.dist[0]
+        kappa = float((fam.gauge_values()[1:] / d[1:]).min())
+        assert urysohn_witness(fam, 0, eps=0.5, delta=1e-300).a == 1.0 / (kappa * 1e-300)
