@@ -27,7 +27,12 @@ and 1e-300 mixed), elementwise and broadcast, and on every pair of 18 special
 values (signed zeros, subnormals, +-max, +-inf and NaN), and `c_transform` on
 integer and real potentials and costs with zeros of both signs and ties
 (n x 1, 1 x m and columns of 20 to 40 rows), each cost passed both as a C
-array and as a transposed view, as `solve_transport` passes it.
+array and as a transposed view, as `solve_transport` passes it, and the
+verdicts of `DualGrid` on members of every family kind, given as arrays and as
+member lists: the accepted parameter arrays, or the error that rejected the
+grid (planted repeats with zeros of either sign, members told apart only by
+their slope length or by having an anchor, and rule failures before and after
+the first repeat, 1 to 600 members).
 `tests/test_golden.py` recomputes every entry and compares it with
 `digests.json`.  Run this script to see which entries changed:
 
@@ -935,6 +940,176 @@ def c_transform_entries() -> dict:
     return out
 
 
+# -- DualGrid construction -------------------------------------------------------
+
+def _grid_verdict(build) -> bytes:
+    """The bytes of a, ell and anchor of an accepted grid, or the type and
+    message of the error that rejected it.  The member matrix is left out:
+    its sums follow the SIMD target, and the conjugation group pins it."""
+    try:
+        grid = build()
+    except (ValueError, AbconvexError) as e:
+        return b"E" + type(e).__name__.encode() + b"|" + str(e).encode()
+    arrays = [b"-" if arr is None else np.int64(arr.shape).tobytes() + arr.tobytes()
+              for arr in (grid.a, grid.ell, grid.anchor)]
+    return b"G" + b"|".join(arrays)
+
+
+def _signed(rng, v, zeros):
+    """v with a share `zeros` of its entries set to zeros of either sign."""
+    z = rng.random(v.shape) < zeros
+    v[z] = np.where(rng.random(v.shape) < 0.5, 0.0, -0.0)[z]
+    return v
+
+
+def _draw(rng, shape, zeros):
+    """Multiples of 1/8 in [-4, 4] (repeats are common) or uniform draws."""
+    if rng.random() < 0.3:
+        v = rng.integers(-32, 33, shape) / 8.0
+    else:
+        v = rng.uniform(-4.0, 4.0, shape)
+    return _signed(rng, v, zeros)
+
+
+def _curvatures(rng, kind, P, zeros):
+    """Curvatures that pass the kind's rule: zeros for affine, a >= 0 for
+    the quadratic and sigma_nu kinds, a > 0 for cones and gauges."""
+    if kind == "affine":
+        return _signed(rng, np.zeros(P), 1.0)
+    a = np.abs(_draw(rng, P, 0.0))
+    if kind in ("metric", "generalized_metric", "gauge"):
+        return a + 0.5
+    return _signed(rng, a, zeros)
+
+
+def _flip_zeros(row):
+    """row with the sign of each of its zeros flipped, where it has any."""
+    row = np.array(row, dtype=float)
+    zero = row == 0.0
+    row[zero] = -row[zero]
+    return row
+
+
+def _plant(rng, P, count):
+    """count (earlier, later) positions of planted repeats."""
+    pairs = []
+    for _ in range(count if P > 1 else 0):
+        j = int(rng.integers(1, P))
+        pairs.append((int(rng.integers(0, j)), j))
+    return pairs
+
+
+def _near(rng, P, pairs):
+    """A position near the first planted repeat (between its two members,
+    before them or after), else anywhere."""
+    if not pairs or rng.random() < 0.2:
+        return int(rng.integers(P))
+    i, j = min(pairs, key=lambda p: p[1])
+    return int(np.clip(rng.integers(i - 2, j + 3), 0, P - 1))
+
+
+def _array_case(rng, fam, kind, P):
+    """Arrays a, ell, anchor with planted repeats (zeros of either sign) and
+    now and then a member that breaks a rule near the first of them."""
+    dim, n, zeros = fam.domain.dim, fam.domain.n, float(rng.choice([0.0, 0.1, 0.5]))
+    a = _curvatures(rng, kind, P, zeros)
+    slopes = kind in ("affine", "quad_minus", "quad_plus", "gauge")
+    cone = kind in ("metric", "generalized_metric")
+    ell = _draw(rng, (P, dim), zeros) if slopes else None
+    anchor = rng.integers(0, n, P) if cone else None
+    if kind == "sigma_nu" and rng.random() < 0.3:
+        anchor = rng.integers(-2, n + 2, P)  # read by no rule of sigma_nu
+    if anchor is not None:
+        for i, j in _plant(rng, P, int(rng.choice([0, 2]))):  # told apart by the anchor alone
+            a[j], anchor[j] = a[i], (anchor[i] + 1) % n if cone else anchor[i] + 1
+    pairs = _plant(rng, P, int(rng.choice([0, 1, 3])))
+    for i, j in pairs:
+        a[j] = _flip_zeros(a[i]) if rng.random() < 0.5 else a[i]
+        if ell is not None:
+            ell[j] = _flip_zeros(ell[i])
+        if anchor is not None:
+            anchor[j] = anchor[i]
+    if rng.random() < 0.5:
+        f = _near(rng, P, pairs)
+        if cone and rng.random() < 0.5:
+            anchor[f] = n
+        else:
+            a[f] = 1.0 if kind == "affine" else -1.0
+    if slopes and rng.random() < 0.05:
+        ell = _draw(rng, (P, dim + 1), zeros)  # a slope dimension that does not match
+    return lambda: DualGrid(fam, a=a, ell=ell, anchor=anchor)
+
+
+def _near_repeat(rng, m, kind, n):
+    """m told apart from its copy by one field that no rule of the kind
+    rejects: another anchor for a cone; else an anchor added or dropped, or,
+    for sigma_nu, a zero appended to the slope (an empty slope for none)."""
+    if kind in ("metric", "generalized_metric"):
+        return ElemParams(a=m.a, anchor=(m.anchor + 1) % n)
+    if kind == "sigma_nu" and rng.random() < 0.5:
+        return ElemParams(a=m.a, anchor=m.anchor,
+                          ell=np.zeros(0) if m.ell is None else np.append(m.ell, 0.0))
+    return ElemParams(a=m.a, ell=m.ell, anchor=0 if m.anchor is None else None)
+
+
+def _params_case(rng, fam, kind, P):
+    """Member lists with planted repeats, zeros of either sign in a, ell and
+    c, and members told apart only by their slope length or by having an
+    anchor; now and then a member that breaks a rule near the first repeat."""
+    dim, n, zeros = fam.domain.dim, fam.domain.n, float(rng.choice([0.0, 0.1, 0.5]))
+    a = _curvatures(rng, kind, P, zeros)
+    slopes = kind in ("affine", "quad_minus", "quad_plus", "gauge")
+    cone = kind in ("metric", "generalized_metric")
+    members = []
+    for j in range(P):
+        ell = _draw(rng, dim, zeros) if slopes else None
+        anchor = int(rng.integers(n)) if cone else None
+        if kind == "sigma_nu":  # no rule reads ell or anchor here
+            width = int(rng.integers(-1, 3))
+            ell = None if width < 0 else _draw(rng, width, zeros)
+            anchor = int(rng.integers(-1, n + 1)) if rng.random() < 0.3 else None
+        members.append(ElemParams(a=a[j], ell=ell, anchor=anchor,
+                                  c=float(rng.choice([0.0, -0.0]))))
+    for i, j in _plant(rng, P, int(rng.choice([0, 2]))):
+        members[j] = _near_repeat(rng, members[i], kind, n)
+    pairs = _plant(rng, P, int(rng.choice([0, 1, 3])))
+    for i, j in pairs:
+        m = members[i]
+        members[j] = ElemParams(a=_flip_zeros(m.a)[()], anchor=m.anchor, c=-m.c,
+                                ell=None if m.ell is None else _flip_zeros(m.ell))
+    if rng.random() < 0.5:
+        f = _near(rng, P, pairs)
+        m = members[f]
+        broken = {"c": dict(c=1.0), "a": dict(a=1.0 if kind == "affine" else -1.0),
+                  "ell": dict(ell=None if slopes else np.ones(1)),
+                  "anchor": dict(anchor=n if cone else m.anchor)}
+        change = broken[str(rng.choice(list(broken)))]
+        members[f] = ElemParams(**{**dict(a=m.a, ell=m.ell, anchor=m.anchor, c=m.c), **change})
+    return lambda: DualGrid(fam, tuple(members))
+
+
+def _grid_size(rng, i):
+    """1, 2, 3, then a few, dozens and hundreds of members in turn."""
+    if i % 6 < 3:
+        return 1 + i % 6
+    return int(rng.integers(*[(4, 40), (40, 200), (200, 601)][i % 6 - 3]))
+
+
+def dual_grid_entries() -> dict:
+    out = {}
+    for k, kind in enumerate(KINDS):
+        rng = np.random.default_rng(8000 + k)
+        h = hashlib.sha256()
+        for i in range(48):  # both paths at every size, in 1-D and in 2-D
+            pts = rng.integers(-4, 5, (int(rng.integers(1, 7)), 1 + i // 12 % 2)).astype(float)
+            space = build_metric_space(np.unique(pts, axis=0), validate="fast")
+            fam = _family(rng, kind, space)
+            case = _params_case if i % 2 else _array_case
+            h.update(_grid_verdict(case(rng, fam, kind, _grid_size(rng, i // 2))))
+        out[f"dual_grid/{kind}"] = h.hexdigest()
+    return out
+
+
 #: every group of entries, by the prefix of its names; `tests/test_golden.py`
 #: checks each group as its own test
 GROUPS = {"report": report_entries, "certificate": certificate_entries,
@@ -942,7 +1117,7 @@ GROUPS = {"report": report_entries, "certificate": certificate_entries,
           "conjugation": conjugation_entries, "duality": duality_entries,
           "constrained": constrained_entries, "transport": transport_entries,
           "metric": metric_entries, "sub_up": sub_up_entries,
-          "c_transform": c_transform_entries}
+          "c_transform": c_transform_entries, "dual_grid": dual_grid_entries}
 
 
 def compute() -> dict:
