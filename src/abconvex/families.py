@@ -312,12 +312,13 @@ def eval_on_domain(family: ElemFamily, params: ElemParams) -> np.ndarray:
 
 
 def _repeats(m: _Members) -> np.ndarray:
-    """Members equal to an earlier one as tuples of floats, where 0.0 equals
-    -0.0: + 0.0 makes every zero +0.0 before the bits are compared."""
+    """Members equal to an earlier one as tuples of floats (+ 0.0 makes -0.0
+    equal 0.0): after a stable sort, the rows equal to the row before them."""
     floats = (np.column_stack([m.a, m.c, m.ell]) + 0.0).view(np.int64)
     keys = np.column_stack([floats, m.ell_len, m.anchor, m.no_anchor])
-    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    return first[inverse.reshape(-1)] < np.arange(m.a.size)
+    repeats, order = np.zeros(m.a.size, bool), np.lexsort(keys.T)
+    repeats[order[1:]] = (keys[order[1:]] == keys[order[:-1]]).all(axis=1)
+    return repeats
 
 
 class DualGrid:
@@ -328,10 +329,12 @@ class DualGrid:
     params_list) converts a member list; DualGrid(family, a=..., ell=...,
     anchor=...) takes the arrays.  Members are checked as validate_members
     does, and an offset other than zero or a repeated member (0.0 == -0.0)
-    is a ValueError; the first failing member decides the error.  matrix
-    comes from one members_on_domain call, after those checks, and is finite
-    (ImproperInput when member values overflow the doubles); params_list is
-    made on first use.
+    is a ValueError; the first failing member decides the error.  Repeats
+    are found by one stable lexsort of integer keys, in O(P log P): each run
+    of equal keys keeps member order, so its first row is its earliest member
+    and the rest repeat it.  matrix comes from one members_on_domain call,
+    after those checks, and is finite (ImproperInput when member values
+    overflow the doubles); params_list is made on first use.
     """
 
     def __init__(self, family: ElemFamily, params_list=None, *, a=None, ell=None,

@@ -836,6 +836,9 @@ CLI_EXITS = {
     "int_beyond_doubles": ("conjugate", _conjugate_abs_bytes("1" + "0" * 400), {},
                            "error: cannot read scenario: number 1%s lies outside the "
                            "doubles" % ("0" * 400)),
+    "signed_zero_repeat": ("conjugate", ("conjugate_abs.json", lambda sc: sc["family"][
+                               "params"].append({"ell": [-0.0]})), {},
+                           "error: duplicate parameter tuple in DualGrid"),
 }
 
 
@@ -858,10 +861,13 @@ class TestErrorExits:
         for key, flag in (("out", "--out"), ("csv_path", "--csv"), ("tol", "--tol")):
             if key in kwargs:
                 argv += [flag, str(kwargs[key])]
-        want = (EXIT_BAD_SCENARIO, line.format(tmp=tmp_path))
-        assert (main(argv), capsys.readouterr().err.splitlines()[0]) == want
-        code = run_scenario(str(path), command=command, **kwargs)
-        assert (code, capsys.readouterr().err.splitlines()[0]) == want
+        def outcome(code):  # the exit code, the first stderr line, and any traceback
+            err = capsys.readouterr().err
+            return code, err.splitlines()[0], "Traceback" in err
+
+        want = (EXIT_BAD_SCENARIO, line.format(tmp=tmp_path), False)
+        assert outcome(main(argv)) == want
+        assert outcome(run_scenario(str(path), command=command, **kwargs)) == want
 
     @pytest.mark.parametrize("command, code", [("transport", EXIT_OK),
                                                ("conic", EXIT_BAD_SCENARIO)])

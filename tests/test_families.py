@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from abconvex import (
     DualGrid,
@@ -130,6 +131,37 @@ class TestDualGrid:
             other = ElemParams(ell=[1.0, 1.0])
         with pytest.raises(ValueError, match="^duplicate parameter tuple in DualGrid$"):
             DualGrid(fam, (first, other, second))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 700), st.integers(0, 2 ** 32 - 1))
+    def test_repeats_match_a_pairwise_loop(self, P, seed):
+        """_repeats marks exactly the members equal to an earlier one, on
+        arrays and on member lists drawn from a small pool with both zeros."""
+        rng = np.random.default_rng(seed)
+        pool = np.array([0.0, -0.0, 1.0, -1.0, 0.5, 2.0])
+
+        def draw(*shape):
+            return pool[rng.integers(pool.size, size=shape)]
+
+        def earlier(tuples):  # the O(P^2) reference
+            return [any(t == s for s in tuples[:j]) for j, t in enumerate(tuples)]
+
+        width = int(rng.integers(3))
+        a, ell = draw(P), draw(P, width) if width else None
+        anchor = rng.integers(3, size=P) if rng.random() < 0.5 else None
+        want = earlier([(a[j] + 0.0, 0.0, () if ell is None else tuple(ell[j] + 0.0),
+                         width or -1, 0 if anchor is None else anchor[j], anchor is None)
+                        for j in range(P)])
+        assert families._repeats(families._arrays(a, ell, anchor)).tolist() == want
+
+        params = [ElemParams(a=draw(), c=draw() if rng.random() < 0.2 else 0.0,
+                             ell=None if rng.random() < 0.2 else draw(int(rng.integers(3))),
+                             anchor=None if rng.random() < 0.5 else int(rng.integers(3)))
+                  for _ in range(P)]
+        want = earlier([(p.a + 0.0, p.c + 0.0, () if p.ell is None else tuple(p.ell + 0.0),
+                         -1 if p.ell is None else p.ell.size, p.anchor or 0, p.anchor is None)
+                        for p in params])
+        assert families._repeats(families._from_params(params)).tolist() == want
 
     @pytest.mark.parametrize("kind, members, error, message", [
         # the first failing member wins, whatever the kind of its failure
