@@ -31,8 +31,8 @@ array and as a transposed view, as `solve_transport` passes it, and the
 verdicts of `DualGrid` on members of every family kind, given as arrays and as
 member lists: the accepted parameter arrays, or the error that rejected the
 grid (planted repeats with zeros of either sign, members told apart only by
-their slope length or by having an anchor, and rule failures before and after
-the first repeat, 1 to 600 members).
+their anchor, by having one or by their slope length, and rule failures before
+and after the first repeat, 1 to 600 members).
 `tests/test_golden.py` recomputes every entry and compares it with
 `digests.json`.  Run this script to see which entries changed:
 
@@ -942,6 +942,10 @@ def c_transform_entries() -> dict:
 
 # -- DualGrid construction -------------------------------------------------------
 
+SLOPED = ("affine", "quad_minus", "quad_plus", "gauge")
+CONES = ("metric", "generalized_metric")
+
+
 def _grid_verdict(build) -> bytes:
     """The bytes of a, ell and anchor of an accepted grid, or the type and
     message of the error that rejected it.  The member matrix is left out:
@@ -977,7 +981,7 @@ def _curvatures(rng, kind, P, zeros):
     if kind == "affine":
         return _signed(rng, np.zeros(P), 1.0)
     a = np.abs(_draw(rng, P, 0.0))
-    if kind in ("metric", "generalized_metric", "gauge"):
+    if kind in CONES + ("gauge",):
         return a + 0.5
     return _signed(rng, a, zeros)
 
@@ -1013,8 +1017,7 @@ def _array_case(rng, fam, kind, P):
     now and then a member that breaks a rule near the first of them."""
     dim, n, zeros = fam.domain.dim, fam.domain.n, float(rng.choice([0.0, 0.1, 0.5]))
     a = _curvatures(rng, kind, P, zeros)
-    slopes = kind in ("affine", "quad_minus", "quad_plus", "gauge")
-    cone = kind in ("metric", "generalized_metric")
+    slopes, cone = kind in SLOPED, kind in CONES
     ell = _draw(rng, (P, dim), zeros) if slopes else None
     anchor = rng.integers(0, n, P) if cone else None
     if kind == "sigma_nu" and rng.random() < 0.3:
@@ -1044,7 +1047,7 @@ def _near_repeat(rng, m, kind, n):
     """m told apart from its copy by one field that no rule of the kind
     rejects: another anchor for a cone; else an anchor added or dropped, or,
     for sigma_nu, a zero appended to the slope (an empty slope for none)."""
-    if kind in ("metric", "generalized_metric"):
+    if kind in CONES:
         return ElemParams(a=m.a, anchor=(m.anchor + 1) % n)
     if kind == "sigma_nu" and rng.random() < 0.5:
         return ElemParams(a=m.a, anchor=m.anchor,
@@ -1058,8 +1061,7 @@ def _params_case(rng, fam, kind, P):
     anchor; now and then a member that breaks a rule near the first repeat."""
     dim, n, zeros = fam.domain.dim, fam.domain.n, float(rng.choice([0.0, 0.1, 0.5]))
     a = _curvatures(rng, kind, P, zeros)
-    slopes = kind in ("affine", "quad_minus", "quad_plus", "gauge")
-    cone = kind in ("metric", "generalized_metric")
+    slopes, cone = kind in SLOPED, kind in CONES
     members = []
     for j in range(P):
         ell = _draw(rng, dim, zeros) if slopes else None

@@ -798,10 +798,15 @@ def _conjugate_abs_bytes(number):
     return text.replace('"function": [1.0,', f'"function": [{number},', 1).encode()
 
 
-#: every error exit of run_scenario and main, each exit code 2: (command, the
-#: scenario file as raw bytes, as a shipped scenario's name and an update of
-#: it, or None for no file, run_scenario's keywords, and the first stderr
-#: line); {tmp} is the test's directory
+def _signed_zero_repeat(sc):
+    """conjugate_abs.json's member {"ell": [0.0]} once more as {"ell": [-0.0]}."""
+    sc["family"]["params"].append({"ell": [-0.0]})
+
+
+#: every error exit of run_scenario and main, each exit code 2 with no
+#: traceback: (command, the scenario file as raw bytes, as a shipped
+#: scenario's name and an update of it, or None for no file, run_scenario's
+#: keywords, and the first stderr line); {tmp} is the test's directory
 CLI_EXITS = {
     "unreadable": ("transport", None, {},
                    "error: cannot read scenario: [Errno 2] No such file or directory: "
@@ -836,8 +841,7 @@ CLI_EXITS = {
     "int_beyond_doubles": ("conjugate", _conjugate_abs_bytes("1" + "0" * 400), {},
                            "error: cannot read scenario: number 1%s lies outside the "
                            "doubles" % ("0" * 400)),
-    "signed_zero_repeat": ("conjugate", ("conjugate_abs.json", lambda sc: sc["family"][
-                               "params"].append({"ell": [-0.0]})), {},
+    "signed_zero_repeat": ("conjugate", ("conjugate_abs.json", _signed_zero_repeat), {},
                            "error: duplicate parameter tuple in DualGrid"),
 }
 
