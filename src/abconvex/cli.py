@@ -50,6 +50,7 @@ from .lagrangian import (
     duality_report,
     gap_certificate,
     lsc_defect,
+    lsc_profile,
 )
 from .constrained import (DEFAULT_LADDER, ConstrainedInstance, ConstraintMap,
                           verify_zero_gap_metric)
@@ -103,11 +104,89 @@ def ext_from_json(v) -> float:
 def ext_list(values) -> list:
     return [ext_to_json(v) for v in values]
 
+def _decode_ext(v):
+    return [_decode_ext(x) for x in v] if isinstance(v, list) else ext_from_json(v)
+
 def ext_array(values) -> np.ndarray:
     """A vector or a matrix (a list of rows) of encoded extended reals."""
-    def decode(v):
-        return [decode(x) for x in v] if isinstance(v, list) else ext_from_json(v)
-    return np.asarray(decode(values), dtype=float)
+    return np.asarray(_decode_ext(values), dtype=float)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _float_text(x) -> str:
+    if not math.isfinite(x):
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return float.__repr__(x)
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _write_json(value, parts: list, newline: str) -> None:
+    """Append to parts the JSON text of value, whose line starts with
+    newline[1:] as indent.  The text is that of json.dumps(value,
+    sort_keys=True, indent=2, allow_nan=False), raising its errors, from
+    plain functions: json's indenting encoder is a set of closures whose
+    reference cycle outlives every call."""
+    if isinstance(value, str):
+        parts.append(_encode_str(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, float):
+        parts.append(_float_text(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            parts.append(sep)
+            _write_json(item, parts, inner)
+            sep = "," + inner
+        parts.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            parts.append(sep + _encode_str(_key_text(key)) + ": ")
+            _write_json(item, parts, inner)
+            sep = "," + inner
+        parts.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def json_text(value) -> str:
+    """json.dumps(value, sort_keys=True, indent=2, allow_nan=False)."""
+    parts: list = []
+    _write_json(value, parts, "\n")
+    return "".join(parts)
+
 
 def params_to_json(p: ElemParams) -> dict:
     return {
@@ -184,11 +263,8 @@ def report_certificate(cert) -> dict | None:
 
 def lsc_curve(rep: DualityReport) -> list[dict]:
     """Defect of the optimal value function per punctured-ball radius."""
-    V, y0 = rep.V, rep.y0
-    radii = np.unique(V.domain.dist[y0])
-    radii = radii[radii > 0]
-    return [{"radius": float(r), "defect": lsc_defect(V, y0, float(r))}
-            for r in radii]
+    radii, defects = lsc_profile(rep.V, rep.y0)
+    return [{"radius": r, "defect": d} for r, d in zip(radii.tolist(), defects.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -465,13 +541,50 @@ def _table(validator, table, instance, schema):
         yield from validator.descend(instance, definition)
 
 
+def _kind_branches(all_of: list) -> dict:
+    """{K: T_K} of an allOf whose every member is {"if": {"properties":
+    {"kind": {"const": K}}}, "then": T_K}, for distinct strings K; any other
+    allOf raises SchemaError."""
+    from jsonschema.exceptions import SchemaError
+
+    branches = {}
+    for member in all_of:
+        try:
+            kind = member["if"]["properties"]["kind"]["const"]
+        except (TypeError, KeyError):
+            kind = None
+        if (type(kind) is not str or kind in branches or set(member) != {"if", "then"}
+                or member["if"] != {"properties": {"kind": {"const": kind}}}):
+            raise SchemaError(f"allOf member {member!r} does not dispatch on a kind: "
+                              "{'if': {'properties': {'kind': {'const': K}}}, 'then': ...}")
+        branches[kind] = member["then"]
+    return branches
+
+
+def _by_kind(validator, branches, instance, schema):
+    """The "by_kind" keyword, which stands for the allOf _kind_branches
+    reads: instance gets the errors of each branch T_K whose if holds.  For
+    an object with a kind, that is T_K alone if kind is the string K, and no
+    branch otherwise; for an object without one, or any other instance,
+    every branch, in order."""
+    if isinstance(instance, dict) and "kind" in instance:
+        kind = instance["kind"]
+        if isinstance(kind, str) and kind in branches:
+            yield from validator.descend(instance, branches[kind], schema_path=kind)
+    else:
+        for kind, then in branches.items():
+            yield from validator.descend(instance, then, schema_path=kind)
+
+
 @functools.cache
 def scenario_validator():
     """The validator for the scenario schema, built once per process.  On
     first use the shipped schema is checked against its metaschema; each of
     its numeric-table definitions is then wrapped in the "table" keyword
-    (_table), and its local $refs are resolved (_resolve_refs), so that no
-    scenario cell pays for a reference lookup."""
+    (_table), its local $refs are resolved (_resolve_refs), so that no
+    scenario cell pays for a reference lookup, and its top-level allOf
+    becomes the "by_kind" keyword (_by_kind), so that a scenario is checked
+    against its own kind's branch without testing the other kinds' ifs."""
     from jsonschema.validators import extend, validator_for
 
     schema = load_schema(SCHEMA_PATH)
@@ -479,7 +592,10 @@ def scenario_validator():
     cls.check_schema(schema)
     defs = schema.get("$defs", {})
     tables = {name: {"table": [name, defs[name]]} for name in _TABLES if name in defs}
-    return extend(cls, {"table": _table})(_resolve_refs({**schema, "$defs": {**defs, **tables}}))
+    resolved = _resolve_refs({**schema, "$defs": {**defs, **tables}})
+    resolved = dict(("by_kind", _kind_branches(v)) if k == "allOf" else (k, v)
+                    for k, v in resolved.items())
+    return extend(cls, {"table": _table, "by_kind": _by_kind})(resolved)
 
 
 def validate_scenario(scenario: dict) -> None:
@@ -560,6 +676,8 @@ def run_scenario(path: str, out=None, seed=None, tol=None, validate="full",
             raise ScenarioError("randomized scenarios require a seed")
         rng = np.random.default_rng(seed_val)
         results, curve, code = RUNNERS[kind](scenario, rng, validate)
+        if csv_path is not None and not curve:
+            raise ScenarioError("this scenario produces no curve table")
 
         report = {
             "tool": {"name": "abconvex", "version": __version__},
@@ -569,15 +687,13 @@ def run_scenario(path: str, out=None, seed=None, tol=None, validate="full",
             "results": results,
             "exit_code": code,
         }
-        payload = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        payload = json_text(report) + "\n"
         if out in (None, "-"):
             sys.stdout.write(payload)
         else:
             with _writing("report"):
                 Path(out).write_text(payload, encoding="utf-8")
         if csv_path is not None:
-            if not curve:
-                raise ScenarioError("this scenario produces no curve table")
             with _writing("csv"), open(csv_path, "w", newline="", encoding="utf-8") as fh:
                 writer = csv.DictWriter(fh, fieldnames=list(curve[0]))
                 writer.writeheader()

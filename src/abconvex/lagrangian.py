@@ -305,6 +305,24 @@ def concavity_probe(prob: PerturbationProblem, family: ElemFamily,
     return bool((both_inf | (Lc >= rhs - EQ_TOL)).all())
 
 
+def lsc_profile(V: GridFn, y0: int) -> tuple[np.ndarray, np.ndarray]:
+    """(radii, defects): each distinct positive distance r from y0, ascending,
+    and lsc_defect(V, y0, r), from one stable sort of the distances and a
+    prefix minimum of V along it.  With no radius, V(y0) goes unchecked."""
+    d = V.domain.dist[y0]
+    order = np.argsort(d, kind="stable")
+    order = order[d[order] > 0]
+    ds = d[order]
+    if not ds.size:
+        return ds, ds
+    v0 = V.values[y0]
+    if not np.isfinite(v0):
+        raise ValueError("lsc_defect needs a finite value at y0")
+    last = np.flatnonzero(np.append(ds[1:] != ds[:-1], True))  # each distance's last point
+    excess = v0 - np.minimum.accumulate(V.values[order])[last]
+    return ds[last], np.where(excess > 0.0, excess, 0.0)
+
+
 def lsc_defect(V: GridFn, y0: int, radius: float) -> float:
     """max(0, V(y0) - min over the punctured ball of radius r); 0 on empty balls.
 
@@ -316,12 +334,8 @@ def lsc_defect(V: GridFn, y0: int, radius: float) -> float:
         raise ValueError("lsc_defect needs a metric domain")
     if radius <= 0:
         raise ValueError("radius must be positive")
-    v0 = V.values[y0]
-    if not np.isfinite(v0):
+    if not np.isfinite(V.values[y0]):
         raise ValueError("lsc_defect needs a finite value at y0")
-    d = V.domain.dist[y0]
-    ball = (d > 0) & (d <= radius)
-    if not ball.any():
-        return 0.0
-    m = V.values[ball].min()
-    return float(max(0.0, v0 - m))
+    radii, defects = lsc_profile(V, y0)
+    inside = np.count_nonzero(radii <= radius)  # a NaN radius has an empty ball
+    return float(defects[inside - 1]) if inside else 0.0

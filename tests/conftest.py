@@ -12,6 +12,7 @@ from abconvex import (
     ElemFamily,
     ElemParams,
     ExtReal,
+    FiniteMetricSpace,
     GridFn,
     PerturbationProblem,
     TCertificate,
@@ -673,3 +674,33 @@ def old_sub_up(a, b):
     if np.isnan(out).any():
         raise UndefinedSum("(+inf) + (-inf) arose in an array subtraction")
     return out
+
+
+# ---------------------------------------------------------------------------
+# the lower-semicontinuity defect as written before lsc_profile, one masked
+# minimum per radius, kept as the oracle lsc_defect and lsc_curve must match
+# bit for bit
+# ---------------------------------------------------------------------------
+
+def old_lsc_defect(V, y0, radius):
+    if not isinstance(V.domain, FiniteMetricSpace):
+        raise ValueError("lsc_defect needs a metric domain")
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    v0 = V.values[y0]
+    if not np.isfinite(v0):
+        raise ValueError("lsc_defect needs a finite value at y0")
+    d = V.domain.dist[y0]
+    ball = (d > 0) & (d <= radius)
+    if not ball.any():
+        return 0.0
+    m = V.values[ball].min()
+    return float(max(0.0, v0 - m))
+
+
+def old_lsc_curve(rep):
+    V, y0 = rep.V, rep.y0
+    radii = np.unique(V.domain.dist[y0])
+    radii = radii[radii > 0]
+    return [{"radius": float(r), "defect": old_lsc_defect(V, y0, float(r))}
+            for r in radii]

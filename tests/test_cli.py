@@ -2,12 +2,14 @@
 
 import copy
 import functools
+import gc
 import json
 import math
 import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import jsonschema
 import numpy as np
@@ -27,6 +29,7 @@ from abconvex import (
     convexity_defect,
     default_dual_grid,
     duality_report,
+    lsc_defect,
 )
 from abconvex.cli import (
     EXIT_BAD_SCENARIO,
@@ -36,8 +39,10 @@ from abconvex.cli import (
     SCHEMA_PATH,
     ext_from_json,
     ext_to_json,
+    json_text,
     load_scenario,
     load_schema,
+    lsc_curve,
     run_scenario,
     scenario_validator,
     validate_scenario,
@@ -47,7 +52,8 @@ from abconvex.errors import ScenarioError
 from abconvex.transport import kantorovich_gap_report, solve_transport
 from conftest import (CONIC_OVERFLOWS, LAGRANGIAN_OVERFLOWS, TRANSPORT_OVERFLOWS,
                       degenerate_transport, lagrangian_overflow_scenario,
-                      large_cost_transport, random_transport, transport_overflow_message)
+                      large_cost_transport, old_lsc_curve, old_lsc_defect, random_transport,
+                      transport_overflow_message)
 
 REPO = Path(__file__).resolve().parents[1]
 SCENARIOS = REPO / "scenarios"
@@ -219,6 +225,190 @@ class TestDeterminism:
         assert r1["results"]["draws"] != r2["results"]["draws"]
 
 
+def _stdlib_text(value):
+    return json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
+
+
+def _text_or_error(write, value):
+    try:
+        return write(value)
+    except (TypeError, ValueError) as e:
+        return type(e), str(e)
+
+
+class _LoudFloat(float):
+    def __repr__(self):
+        return "loud"
+
+
+class _LoudInt(int):
+    def __repr__(self):
+        return "loud"
+
+
+class _LoudStr(str):
+    def __str__(self):
+        return "loud"
+
+
+_WRITER_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-7, 1e22, 0.1, 2.0 ** 53]))
+_WRITER_TEXT = st.text(st.one_of(st.characters(codec=None, exclude_categories=()),
+                                 st.sampled_from('"\\\x00\x1f\x7f\u2028\ud800\udfff\U0001f600')),
+                       max_size=8)
+_WRITER_LEAVES = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(), st.integers(-2 ** 70, 2 ** 70),
+    _WRITER_FLOATS, _WRITER_FLOATS.map(np.float64), _WRITER_FLOATS.map(_LoudFloat),
+    st.integers().map(_LoudInt), _WRITER_TEXT, _WRITER_TEXT.map(_LoudStr))
+_WRITER_KEYS = st.one_of(_WRITER_TEXT, st.integers(), _WRITER_FLOATS)
+_WRITER_TREES = st.recursive(
+    _WRITER_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_WRITER_TEXT, inner, max_size=4),
+        st.dictionaries(_WRITER_KEYS, inner, max_size=3)),
+    max_leaves=24)
+
+
+class TestReportWriter:
+    """cli.json_text, the report writer, against the json.dumps call it
+    stands for: the same text, or the same exception and message."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_WRITER_TREES)
+    def test_trees_match_json_dumps(self, tree):
+        assert _text_or_error(json_text, tree) == _text_or_error(_stdlib_text, tree)
+
+    @pytest.mark.parametrize("tree", [
+        {}, [], (), {"a": {}, "b": [], "c": [[], {}]}, [[[[]]]], -0.0, 5e-324, 1e16,
+        1e-7, 2 ** 53 + 1, -(2 ** 64), True, None, "\"\\\x01\u00e9\ud800\U0001f600",
+        {"k": (1, 2.5, "x")}, {2: "b", 1.5: "a", -1: None}, {True: 1}, {None: 0},
+    ])
+    def test_edge_values(self, tree):
+        assert json_text(tree) == _stdlib_text(tree)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64(math.inf)],
+                             ids=["nan", "inf", "-inf", "np_inf"])
+    @pytest.mark.parametrize("where", ["top", "list", "value", "key"])
+    def test_non_finite_float(self, bad, where):
+        tree = {"top": bad, "list": [1.0, [bad]], "value": {"a": 1, "b": bad},
+                "key": {1.0: 0, bad: 1}}[where]
+        with pytest.raises(ValueError) as want:
+            _stdlib_text(tree)
+        with pytest.raises(ValueError) as got:
+            json_text(tree)
+        assert str(got.value) == str(want.value)
+        assert str(got.value) == f"Out of range float values are not JSON compliant: {bad!r}"
+
+    def test_infinity_message_names_the_value(self):
+        with pytest.raises(ValueError, match=r"^Out of range float values are not JSON "
+                                             r"compliant: inf$"):
+            json_text([math.inf])
+
+    @pytest.mark.parametrize("tree", [np.int64(3), {"a": [np.int64(3)]}, {1, 2},
+                                      [np.bool_(True)], {(1, 2): 0}, {"a": 1, 2: 0}])
+    def test_unserializable(self, tree):
+        with pytest.raises(TypeError) as want:
+            _stdlib_text(tree)
+        with pytest.raises(TypeError) as got:
+            json_text(tree)
+        assert str(got.value) == str(want.value)
+
+    def test_run_scenario_leaves_no_cycle(self, tmp_path):
+        """No report leaves garbage for the cycle collector: every shipped
+        scenario, run again with the collector off, leaves none."""
+        for path in ALL_SCENARIOS:
+            run_file(path, tmp_path, seed=7)  # fills the process-wide caches
+            gc.collect()
+            gc.disable()
+            try:
+                code = run_scenario(str(path), out=str(tmp_path / "again.json"), seed=7)
+                unreachable = gc.collect()
+            finally:
+                gc.enable()
+            assert (path.name, code, unreachable) == (
+                path.name, EXPECTED_EXITS.get(path.name, EXIT_OK), 0)
+
+
+_LSC_VALUES = st.sampled_from([0.0, -0.0, math.inf, -math.inf, 1.0, -1.0, 0.5, 2.0, -2.5,
+                               1e308, -1e308])
+
+
+@st.composite
+def _lsc_cases(draw):
+    """(V, y0) on points of an integer grid, scaled, so that distances repeat."""
+    dim = draw(st.integers(1, 2))
+    cells = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * dim), min_size=1, max_size=9,
+                          unique=True))
+    scale = draw(st.sampled_from([1.0, 0.1, 0.3]))
+    Y = build_metric_space(np.asarray(cells, dtype=float) * scale, validate="fast")
+    values = draw(st.lists(_LSC_VALUES, min_size=Y.n, max_size=Y.n))
+    return GridFn(Y, values), draw(st.integers(0, Y.n - 1))
+
+
+def _rows_bits(rows):
+    return [[(key, type(v), np.float64(v).tobytes()) for key, v in row.items()]
+            for row in rows]
+
+
+class TestLscProfile:
+    """lsc_curve and lsc_defect, both read off lsc_profile's one sort and
+    prefix minimum, against the per-radius loops they replaced
+    (conftest.old_lsc_curve, old_lsc_defect): the same values bit for bit,
+    or the same error."""
+
+    @staticmethod
+    def _outcome(curve, V, y0):
+        try:
+            with np.errstate(over="ignore"):  # 1e308 - (-1e308) overflows to +inf
+                return _rows_bits(curve(SimpleNamespace(V=V, y0=y0)))
+        except ValueError as e:
+            return type(e), str(e)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_lsc_cases())
+    def test_matches_per_radius_loop(self, case):
+        V, y0 = case
+        assert self._outcome(lsc_curve, V, y0) == self._outcome(old_lsc_curve, V, y0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_lsc_cases())
+    def test_lsc_defect_matches_masked_minimum(self, case):
+        V, y0 = case
+        d = np.unique(V.domain.dist[y0])
+        radii = [*d, *((d[1:] + d[:-1]) / 2), d[-1] * 2, *(d[1:2] / 2), math.inf, math.nan,
+                 0.0, -1.0]
+
+        def outcome(defect, r):
+            try:
+                with np.errstate(over="ignore"):
+                    return np.float64(defect(V, y0, float(r))).tobytes()
+            except ValueError as e:
+                return type(e), str(e)
+
+        assert [outcome(lsc_defect, r) for r in radii] == [
+            outcome(old_lsc_defect, r) for r in radii]
+
+    def test_one_point_domain_has_no_radius(self):
+        V = GridFn(build_metric_space([[0.0]]), [math.inf])
+        assert lsc_curve(SimpleNamespace(V=V, y0=0)) == old_lsc_curve(
+            SimpleNamespace(V=V, y0=0)) == []
+
+    def test_overflow_warns(self):
+        V = GridFn(build_metric_space([[0.0], [1.0]]), [1e308, -1e308])
+        for curve in (lsc_curve, old_lsc_curve):
+            with pytest.raises(RuntimeWarning, match="^overflow encountered in"):
+                curve(SimpleNamespace(V=V, y0=0))
+
+    def test_infinite_value_at_y0(self):
+        V = GridFn(build_metric_space([[0.0], [1.0]]), [math.inf, 0.0])
+        for curve in (lsc_curve, old_lsc_curve):
+            with pytest.raises(ValueError, match="^lsc_defect needs a finite value at y0$"):
+                curve(SimpleNamespace(V=V, y0=0))
+
+
 class TestErrorPaths:
     def test_schema_violation_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -325,6 +515,10 @@ SCHEMA_MUTATIONS = {
     "bad_family_kind": ("peaking_demo.json",
                         lambda sc: sc["family"].update(kind="cubic")),
     "bad_scenario_kind": ("conic_small.json", lambda sc: sc.update(kind="dual")),
+    "kind_missing": ("gap_vee_down.json", lambda sc: sc.pop("kind")),
+    "kind_null": ("transport_2x2.json", lambda sc: sc.update(kind=None)),
+    "kind_number": ("constrained_2x2.json", lambda sc: sc.update(kind=3)),
+    "kind_list": ("gap_refinement.json", lambda sc: sc.update(kind=["gap"])),
     "negative_seed": ("peaking_demo.json", lambda sc: sc.update(seed=-1)),
 }
 
@@ -393,6 +587,32 @@ class TestSchemaValidator:
         schema = {"$schema": "https://json-schema.org/draft/2020-12/schema",
                   "properties": {"kind": kind_schema}, "$defs": defs}
         _assert_schema_error_on_first_use(schema, monkeypatch, tmp_path)
+
+    @pytest.mark.parametrize("all_of", [
+        [{"required": ["kind"]}],
+        [True],
+        [{"if": {"properties": {"kind": {"enum": ["conic"]}}}, "then": {}}],
+        [{"if": {"properties": {"kind": {"const": 3}}}, "then": {}}],
+        [{"if": {"properties": {"kind": {"const": "conic"}}}, "then": {}, "else": False}],
+        [{"if": {"properties": {"kind": {"const": "conic"}}, "required": ["kind"]},
+          "then": {}}],
+        [{"if": {"properties": {"kind": {"const": "conic"}}}}],
+        [{"if": {"properties": {"kind": {"const": "conic"}}}, "then": {}}] * 2,
+    ], ids=["no_if", "boolean", "enum", "non_string_const", "else", "if_extra_keyword",
+            "no_then", "repeated_kind"])
+    def test_all_of_without_kind_dispatch_raises_on_first_use(self, all_of, monkeypatch,
+                                                              tmp_path):
+        schema = {"$schema": "https://json-schema.org/draft/2020-12/schema",
+                  "properties": {"kind": {"type": "string"}}, "allOf": all_of}
+        _assert_schema_error_on_first_use(schema, monkeypatch, tmp_path)
+
+    def test_all_of_becomes_by_kind_in_place(self):
+        shipped = load_schema(SCHEMA_PATH)
+        schema = scenario_validator().schema
+        assert list(schema) == ["by_kind" if k == "allOf" else k
+                                for k in shipped if k != "$defs"]
+        assert list(schema["by_kind"]) == [
+            member["if"]["properties"]["kind"]["const"] for member in shipped["allOf"]]
 
     def test_validator_schema_has_no_refs(self):
         text = json.dumps(scenario_validator().schema)
@@ -501,6 +721,19 @@ class TestResolvedSchemaOracle:
         [(want, got)] = _verdicts([_mutated(*SCHEMA_MUTATIONS[case])])
         assert want is not None
         assert got == want
+
+    def test_kind_mutations(self):
+        """Every shipped scenario under every kind, and under a kind that is
+        deleted or not one of them, and instances that are no object."""
+        kinds = load_schema(SCHEMA_PATH)["properties"]["kind"]["enum"]
+        scenarios = [json.loads(p.read_text()) for p in ALL_SCENARIOS]
+        mutants = [{**sc, "kind": kind}
+                   for sc in scenarios for kind in [*kinds, "dual", None, 3, ["gap"]]]
+        mutants += [{k: v for k, v in sc.items() if k != "kind"} for sc in scenarios]
+        mutants += [[], [{"kind": "gap"}], "gap", 3, None, True]
+        pairs = list(_verdicts(mutants))
+        assert [k for k, (want, got) in enumerate(pairs) if want != got] == []
+        assert len(scenarios) <= sum(want is None for want, _ in pairs) < len(pairs)
 
     @pytest.mark.parametrize("path", ALL_SCENARIOS, ids=lambda p: p.stem)
     def test_random_mutations(self, path):
@@ -872,6 +1105,8 @@ class TestErrorExits:
         want = (EXIT_BAD_SCENARIO, line.format(tmp=tmp_path), False)
         assert outcome(main(argv)) == want
         assert outcome(run_scenario(str(path), command=command, **kwargs)) == want
+        if case != "unwritable_csv":  # a csv path is opened after the report is written
+            assert not (tmp_path / "o.json").exists()
 
     @pytest.mark.parametrize("command, code", [("transport", EXIT_OK),
                                                ("conic", EXIT_BAD_SCENARIO)])
