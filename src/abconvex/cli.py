@@ -138,8 +138,8 @@ def _key_text(key) -> str:
 
 
 def _write_json(value, parts: list, newline: str) -> None:
-    """Append to parts the JSON text of value, whose line starts with
-    newline[1:] as indent.  The text is that of json.dumps(value,
+    """Append to parts the JSON text of value; newline is a line break and
+    the indent of value's line.  The text is that of json.dumps(value,
     sort_keys=True, indent=2, allow_nan=False), raising its errors, from
     plain functions: json's indenting encoder is a set of closures whose
     reference cycle outlives every call."""

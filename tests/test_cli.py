@@ -302,11 +302,6 @@ class TestReportWriter:
         assert str(got.value) == str(want.value)
         assert str(got.value) == f"Out of range float values are not JSON compliant: {bad!r}"
 
-    def test_infinity_message_names_the_value(self):
-        with pytest.raises(ValueError, match=r"^Out of range float values are not JSON "
-                                             r"compliant: inf$"):
-            json_text([math.inf])
-
     @pytest.mark.parametrize("tree", [np.int64(3), {"a": [np.int64(3)]}, {1, 2},
                                       [np.bool_(True)], {(1, 2): 0}, {"a": 1, 2: 0}])
     def test_unserializable(self, tree):
