@@ -688,16 +688,16 @@ def run_scenario(path: str, out=None, seed=None, tol=None, validate="full",
             "exit_code": code,
         }
         payload = json_text(report) + "\n"
+        if csv_path is not None:  # first, so that a report is never left by a failed table
+            with _writing("csv"), open(csv_path, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.DictWriter(fh, fieldnames=list(curve[0]))
+                writer.writeheader()
+                writer.writerows(curve)
         if out in (None, "-"):
             sys.stdout.write(payload)
         else:
             with _writing("report"):
                 Path(out).write_text(payload, encoding="utf-8")
-        if csv_path is not None:
-            with _writing("csv"), open(csv_path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.DictWriter(fh, fieldnames=list(curve[0]))
-                writer.writeheader()
-                writer.writerows(curve)
     except (AbconvexError, ValueError, KeyError, OSError, OverflowError, AssertionError,
             MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -23,6 +23,10 @@ from .families import CONVEX_KINDS, DualGrid, ElemFamily, ElemParams, eval_on_do
 from .minimax import TCertificate
 
 EQ_TOL = 1e-9
+#: bytes of differences one step of a _partial_conjugate block holds.  Swept
+#: on the large-grids tables (2 cores, 4 MiB L2 each; ROADMAP item 8): 256 kB
+#: to 1 MiB were equally fast, 2 MiB as slow as unstepped blocks.
+_STEP_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -140,12 +144,24 @@ def _partial_conjugate(E: np.ndarray, p: np.ndarray) -> np.ndarray:
     member j minus row x of the perturbation; -inf exactly on empty rows.
 
     The one reduction behind every Lagrangian in the package; reduced in row
-    blocks of x, so the n_x x P x n_y differences are never held at once.
+    blocks of x, so the n_x x P x n_y differences are never held at once.  A
+    block reduces its rows in steps of max(1, _STEP_BYTES // E.nbytes) rows,
+    so each step's differences stay in a core's cache; a block of one step
+    is one expression.  Each output line is one reduction over the last
+    axis either way, so the steps move no bit, the sign of zero included.
     A difference of finite operands that overflows raises ImproperInput, even
     where a larger term of its row would mask it.
     """
+    step = max(1, _STEP_BYTES // max(1, E.nbytes))
+
     def block(rows):
-        return (E[None, :, :] - p[rows, None, :]).max(axis=2)
+        p_rows = p[rows]
+        if len(p_rows) <= step:
+            return (E[None, :, :] - p_rows[:, None, :]).max(axis=2)
+        out = np.empty((len(p_rows), E.shape[0]))
+        for i in range(0, len(p_rows), step):
+            (E[None, :, :] - p_rows[i:i + step, None, :]).max(axis=2, out=out[i:i + step])
+        return out
 
     with np.errstate(over="raise", invalid="ignore"):
         try:
@@ -177,7 +193,7 @@ def _lagrangian(E: np.ndarray, p: np.ndarray, y0: int) -> tuple[np.ndarray, np.n
 def _reproduces(bidual: np.ndarray, p: np.ndarray) -> bool:
     """Whether a grid biconjugate reproduces p: within EQ_TOL where p is
     finite and +inf where p is +inf."""
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):  # an overflow is above EQ_TOL
         return bool(np.where(np.isfinite(p), np.abs(bidual - p) <= EQ_TOL,
                              np.isposinf(bidual)).all())
 
@@ -199,6 +215,14 @@ def duality_report(prob: PerturbationProblem, psi_grid: DualGrid,
     dual == V**(y0) holds bit-exactly because both sides reduce over the same
     partial-conjugate table.  gap is primal - dual (zero when they agree,
     including at shared infinities).
+
+    With convexity_scope="full", convexity_holds asks whether every p(x, .)
+    equals its grid biconjugate, a table of n_x x n_y partial conjugates.
+    Its column y0 reduces the cells of table.row_sup, so when the anchor
+    check fails the full check fails too, and the table is skipped whenever
+    fl(max|E| + max over finite S of |S|) is finite, which proves that none
+    of its differences overflows.  Otherwise it is built, and an overflow
+    raises ImproperInput as at every other partial conjugate.
     """
     if convexity_scope not in ("anchor", "full"):
         raise ValueError("convexity_scope must be 'anchor' or 'full'")
@@ -214,7 +238,9 @@ def duality_report(prob: PerturbationProblem, psi_grid: DualGrid,
         raise AssertionError("dual != V**(y0); internal reduction mismatch")
 
     reconstruction_ok = _reproduces(table.row_sup, prob.p[:, prob.y0])
-    if convexity_scope == "anchor":
+    if convexity_scope == "anchor" or not reconstruction_ok and math.isfinite(
+            float(np.abs(E).max(initial=0.0))
+            + float(np.abs(S).max(initial=0.0, where=S > -np.inf))):
         convexity_holds = reconstruction_ok
     else:
         convexity_holds = _reproduces(_partial_conjugate(E.T, S), prob.p)
@@ -305,22 +331,37 @@ def concavity_probe(prob: PerturbationProblem, family: ElemFamily,
     return bool((both_inf | (Lc >= rhs - EQ_TOL)).all())
 
 
-def lsc_profile(V: GridFn, y0: int) -> tuple[np.ndarray, np.ndarray]:
-    """(radii, defects): each distinct positive distance r from y0, ascending,
-    and lsc_defect(V, y0, r), from one stable sort of the distances and a
-    prefix minimum of V along it.  With no radius, V(y0) goes unchecked."""
+def _lsc_defects(V: GridFn, y0: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """lsc_profile's (radii, defects), unchecked, and a mask of the defects
+    whose V(y0) - min of finite operands overflowed to +inf."""
     d = V.domain.dist[y0]
     order = np.argsort(d, kind="stable")
     order = order[d[order] > 0]
     ds = d[order]
     if not ds.size:
-        return ds, ds
+        return ds, ds, ds > 0
     v0 = V.values[y0]
     if not np.isfinite(v0):
         raise ValueError("lsc_defect needs a finite value at y0")
     last = np.flatnonzero(np.append(ds[1:] != ds[:-1], True))  # each distance's last point
-    excess = v0 - np.minimum.accumulate(V.values[order])[last]
-    return ds[last], np.where(excess > 0.0, excess, 0.0)
+    low = np.minimum.accumulate(V.values[order])[last]
+    with np.errstate(over="ignore"):
+        excess = v0 - low
+    return ds[last], np.where(excess > 0.0, excess, 0.0), np.isposinf(excess) & (low > -np.inf)
+
+
+def lsc_profile(V: GridFn, y0: int) -> tuple[np.ndarray, np.ndarray]:
+    """(radii, defects): each distinct positive distance r from y0, ascending,
+    and lsc_defect(V, y0, r), from one stable sort of the distances and a
+    prefix minimum of V along it.  With no radius, V(y0) goes unchecked.
+
+    A defect whose V(y0) - min of finite operands leaves the doubles raises
+    ImproperInput: the profile itself is then no table of extended reals.
+    """
+    radii, defects, overflow = _lsc_defects(V, y0)
+    if overflow.any():
+        raise ImproperInput("the lsc defect overflows the doubles")
+    return radii, defects
 
 
 def lsc_defect(V: GridFn, y0: int, radius: float) -> float:
@@ -328,14 +369,19 @@ def lsc_defect(V: GridFn, y0: int, radius: float) -> float:
 
     A radius-indexed proxy: pointwise lower semicontinuity is vacuous on a
     finite grid, so callers watch the defect as the radius shrinks with the
-    grid spacing.
+    grid spacing.  A radius that is not positive (NaN included) raises
+    ValueError, and a defect that overflows the doubles ImproperInput.
     """
     if not isinstance(V.domain, FiniteMetricSpace):
         raise ValueError("lsc_defect needs a metric domain")
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError("radius must be positive")
     if not np.isfinite(V.values[y0]):
         raise ValueError("lsc_defect needs a finite value at y0")
-    radii, defects = lsc_profile(V, y0)
-    inside = np.count_nonzero(radii <= radius)  # a NaN radius has an empty ball
-    return float(defects[inside - 1]) if inside else 0.0
+    radii, defects, overflow = _lsc_defects(V, y0)
+    inside = np.count_nonzero(radii <= radius)
+    if not inside:
+        return 0.0
+    if overflow[inside - 1]:
+        raise ImproperInput("the lsc defect overflows the doubles")
+    return float(defects[inside - 1])

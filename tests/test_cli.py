@@ -48,7 +48,7 @@ from abconvex.cli import (
     validate_scenario,
 )
 import abconvex.transport as transport
-from abconvex.errors import ScenarioError
+from abconvex.errors import ImproperInput, ScenarioError
 from abconvex.transport import kantorovich_gap_report, solve_transport
 from conftest import (CONIC_OVERFLOWS, LAGRANGIAN_OVERFLOWS, TRANSPORT_OVERFLOWS,
                       degenerate_transport, lagrangian_overflow_scenario,
@@ -348,19 +348,32 @@ def _rows_bits(rows):
             for row in rows]
 
 
+_LSC_OVERFLOW = (ImproperInput, "the lsc defect overflows the doubles")
+
+
 class TestLscProfile:
     """lsc_curve and lsc_defect, both read off lsc_profile's one sort and
     prefix minimum, against the per-radius loops they replaced
     (conftest.old_lsc_curve, old_lsc_defect): the same values bit for bit,
-    or the same error."""
+    or the same error.  Where the old loop's V(y0) - min overflowed to +inf,
+    the new code raises ImproperInput."""
 
     @staticmethod
-    def _outcome(curve, V, y0):
+    def _overflowed(V, y0, radius, defect):
+        """Whether a defect of +inf at radius came from an overflow: a -inf in
+        the punctured ball makes an exact +inf."""
+        d = V.domain.dist[y0]
+        return defect == math.inf and V.values[(d > 0) & (d <= radius)].min() > -math.inf
+
+    def _outcome(self, curve, V, y0):
         try:
             with np.errstate(over="ignore"):  # 1e308 - (-1e308) overflows to +inf
-                return _rows_bits(curve(SimpleNamespace(V=V, y0=y0)))
-        except ValueError as e:
+                rows = curve(SimpleNamespace(V=V, y0=y0))
+        except (ValueError, ImproperInput) as e:
             return type(e), str(e)
+        if any(self._overflowed(V, y0, row["radius"], row["defect"]) for row in rows):
+            return _LSC_OVERFLOW
+        return _rows_bits(rows)
 
     @settings(max_examples=300, deadline=None)
     @given(_lsc_cases())
@@ -373,29 +386,40 @@ class TestLscProfile:
     def test_lsc_defect_matches_masked_minimum(self, case):
         V, y0 = case
         d = np.unique(V.domain.dist[y0])
-        radii = [*d, *((d[1:] + d[:-1]) / 2), d[-1] * 2, *(d[1:2] / 2), math.inf, math.nan,
-                 0.0, -1.0]
+        radii = [*d, *((d[1:] + d[:-1]) / 2), d[-1] * 2, *(d[1:2] / 2), math.inf, 0.0, -1.0]
 
         def outcome(defect, r):
             try:
                 with np.errstate(over="ignore"):
-                    return np.float64(defect(V, y0, float(r))).tobytes()
-            except ValueError as e:
+                    value = defect(V, y0, float(r))
+            except (ValueError, ImproperInput) as e:
                 return type(e), str(e)
+            if self._overflowed(V, y0, r, value):
+                return _LSC_OVERFLOW
+            return np.float64(value).tobytes()
 
         assert [outcome(lsc_defect, r) for r in radii] == [
             outcome(old_lsc_defect, r) for r in radii]
+        # a NaN radius is rejected like every radius that is not positive; the
+        # old loop's `radius <= 0` let it through to an empty ball and 0.0
+        assert outcome(lsc_defect, math.nan) == (ValueError, "radius must be positive")
 
     def test_one_point_domain_has_no_radius(self):
         V = GridFn(build_metric_space([[0.0]]), [math.inf])
         assert lsc_curve(SimpleNamespace(V=V, y0=0)) == old_lsc_curve(
             SimpleNamespace(V=V, y0=0)) == []
 
-    def test_overflow_warns(self):
-        V = GridFn(build_metric_space([[0.0], [1.0]]), [1e308, -1e308])
-        for curve in (lsc_curve, old_lsc_curve):
-            with pytest.raises(RuntimeWarning, match="^overflow encountered in"):
-                curve(SimpleNamespace(V=V, y0=0))
+    def test_overflow_is_rejected(self):
+        V = GridFn(build_metric_space([[0.0], [1.0], [2.0]]), [1e308, 0.0, -1e308])
+        with pytest.raises(RuntimeWarning, match="^overflow encountered in"):
+            old_lsc_curve(SimpleNamespace(V=V, y0=0))
+        with pytest.raises(ImproperInput, match="^the lsc defect overflows the doubles$"):
+            lsc_curve(SimpleNamespace(V=V, y0=0))
+        with pytest.raises(ImproperInput, match="^the lsc defect overflows the doubles$"):
+            lsc_defect(V, 0, 2.0)
+        assert lsc_defect(V, 0, 1.0) == 1e308  # its own defect is a double
+        V = GridFn(V.domain, [1e308, 0.0, -math.inf])  # an infinite defect is no overflow
+        assert lsc_defect(V, 0, 2.0) == old_lsc_defect(V, 0, 2.0) == math.inf
 
     def test_infinite_value_at_y0(self):
         V = GridFn(build_metric_space([[0.0], [1.0]]), [math.inf, 0.0])
@@ -1071,6 +1095,11 @@ CLI_EXITS = {
                            "doubles" % ("0" * 400)),
     "signed_zero_repeat": ("conjugate", ("conjugate_abs.json", _signed_zero_repeat), {},
                            "error: duplicate parameter tuple in DualGrid"),
+    # V(y0) - V(y1) = 1e308 - (-1e308); |bidual - p| overflows too, harmlessly
+    "lsc_defect_overflow": ("gap", json.dumps({
+        "kind": "gap", "domain": {"points": [[0.0], [1.0]]}, "p": [[1e308, -1e308]],
+        "y0": 0, "family": {"kind": "affine", "params": [{"ell": [0.0]}]}}).encode(), {},
+        "error: the lsc defect overflows the doubles"),
 }
 
 
@@ -1100,8 +1129,7 @@ class TestErrorExits:
         want = (EXIT_BAD_SCENARIO, line.format(tmp=tmp_path), False)
         assert outcome(main(argv)) == want
         assert outcome(run_scenario(str(path), command=command, **kwargs)) == want
-        if case != "unwritable_csv":  # a csv path is opened after the report is written
-            assert not (tmp_path / "o.json").exists()
+        assert not (tmp_path / "o.json").exists()
 
     @pytest.mark.parametrize("command, code", [("transport", EXIT_OK),
                                                ("conic", EXIT_BAD_SCENARIO)])
@@ -1186,9 +1214,7 @@ class TestUnwritableOutputExit2:
         assert proc.returncode == EXIT_BAD_SCENARIO
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: cannot write csv")
-        # the report is written before the table, with its usual bytes
-        code, _, ok = run_file(SCENARIOS / "gap_refinement.json", tmp_path, "ok.json")
-        assert code == EXIT_OK and out.read_bytes() == ok.read_bytes()
+        assert not out.exists()  # the table is written before the report
 
 
 class TestSolverLimitExit2:

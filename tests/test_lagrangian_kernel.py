@@ -2,15 +2,21 @@
 to write out by hand (the oracles in conftest), compared bit for bit."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
+import abconvex.core as core
+import abconvex.lagrangian as lag
 from abconvex import (
+    DualGrid,
     ElemFamily,
     ElemParams,
+    PerturbationProblem,
     build_constrained_perturbation,
     build_lagrangian,
+    build_metric_space,
     concavity_probe,
     duality_report,
     metric_dual_grid,
@@ -20,12 +26,14 @@ from abconvex import (
     quad_lagrangian,
     verify_zero_gap_metric,
 )
-from abconvex.errors import BadParams, ImproperProblem
+from abconvex.errors import BadParams, ImproperInput, ImproperProblem
 from abconvex.families import eval_on_domain
 from abconvex.lagrangian import DualityReport, LagTable
 from conftest import (
+    LAGRANGIAN_OVERFLOWS,
     kernel_constrained,
     kernel_perturbation,
+    lagrangian_overflow,
     old_concavity_probe,
     old_cone_lagrangian,
     old_duality_fields,
@@ -33,6 +41,7 @@ from conftest import (
     old_lagrangian,
     old_metric_grid_sup,
     old_partial_conjugate,
+    old_partial_conjugate_kernel,
     old_partial_conjugate_matrix,
     old_rung_and_bound,
     same_bits,
@@ -209,3 +218,134 @@ class TestConstrainedKernels:
             rungs.add(rung == min(ladder))
             bounds.add(bound > 0.0)
         assert rungs == bounds == {True, False}
+
+
+STEPS = ["one_row", "multi_row", "ragged", "single"]
+
+
+def step_bytes(mode, row_bytes, n_x):
+    """_STEP_BYTES giving steps of one row, of three rows, of five rows (a
+    ragged last step unless 5 divides the rows) and one step for all n_x."""
+    return {"one_row": 1, "multi_row": 3 * row_bytes, "ragged": 5 * row_bytes,
+            "single": n_x * row_bytes}[mode]
+
+
+def signed_zero_table(rng, n_x, P, n_y):
+    """Members and rows drawn from {+-0, +-1, 0.5}, so that many maxima are
+    zeros of either sign; p has +inf holes and, when n_x > 1, an empty row."""
+    E = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5], size=(P, n_y))
+    p = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5, math.inf], size=(n_x, n_y))
+    if n_x > 1:
+        p[rng.integers(n_x)] = np.inf
+    return E, p
+
+
+class TestSteppedKernel:
+    """_partial_conjugate's blocks reduced in steps of _STEP_BYTES // E.nbytes
+    rows, against the one-tensor reductions, bit for bit."""
+
+    @pytest.mark.parametrize("blocked", [False, True])
+    @pytest.mark.parametrize("mode", STEPS)
+    def test_tables_match_one_tensor(self, mode, blocked, monkeypatch):
+        rng = np.random.default_rng(570 + STEPS.index(mode))
+        signs = set()
+        shapes = [(12, 4, 3), (13, 1, 1), (1, 5, 2), (15, 7, 6)] + [
+            tuple(int(v) for v in rng.integers(1, 25, 3)) for _ in range(30)]
+        for n_x, P, n_y in shapes:
+            E, p = signed_zero_table(rng, n_x, P, n_y)
+            monkeypatch.setattr(lag, "_STEP_BYTES", step_bytes(mode, E.nbytes, n_x))
+            if blocked:  # row blocks of 7 rows, each reduced in steps
+                monkeypatch.setattr(core, "BLOCK_BYTES", 7 * core.WORKERS * E.nbytes)
+            got = lag._partial_conjugate(E, p)
+            assert same_bits(got, old_partial_conjugate_kernel(E, p))
+            signs |= set(np.signbit(got[got == 0]).tolist())
+            if n_x > 1:
+                assert np.isneginf(got).all(axis=1).any()
+
+            prob, grid = kernel_perturbation(rng, n_x, n_y, empty_rows=True)
+            monkeypatch.setattr(lag, "_STEP_BYTES", step_bytes(mode, grid.matrix.nbytes, n_x))
+            if blocked:
+                monkeypatch.setattr(core, "BLOCK_BYTES", 7 * core.WORKERS * grid.matrix.nbytes)
+            assert same_bits(build_lagrangian(prob, grid).S,
+                             old_partial_conjugate_matrix(prob, grid))
+        assert signs == {True, False}
+
+    @pytest.mark.parametrize("mode", STEPS)
+    @pytest.mark.parametrize("case", sorted(LAGRANGIAN_OVERFLOWS))
+    def test_overflow_raises_from_any_step(self, case, mode, monkeypatch):
+        prob, grid = lagrangian_overflow(case, pad_rows=11)  # the overflowing row last
+        monkeypatch.setattr(lag, "_STEP_BYTES", step_bytes(mode, grid.matrix.nbytes, prob.n_x))
+        with pytest.raises(ImproperInput) as err:
+            build_lagrangian(prob, grid)
+        assert str(err.value) == LAGRANGIAN_OVERFLOWS[case][3]
+
+
+def member_rows(rng, prob, grid):
+    """prob with each row p(x, .) a random member's values: every row equals
+    its grid biconjugate, up to rounding."""
+    p = grid.matrix[rng.integers(grid.size, size=prob.n_x)]
+    return PerturbationProblem(Y=prob.Y, p=p, y0=prob.y0)
+
+
+class TestFullScope:
+    """convexity_scope="full" skips the n_x x n_y biconjugate table once the
+    anchor check has failed, where no cell of that table can overflow."""
+
+    def test_verdicts_match_oracle(self):
+        rng = np.random.default_rng(580)
+        seen = set()
+        for n_x, n_y in table_shapes(rng, 60):
+            base, grid = kernel_perturbation(rng, n_x, n_y, holes=bool(rng.random() < 0.5))
+            member = member_rows(rng, base, grid)
+            probs = [base, member]
+            if n_x > 1 and n_y > 1:  # +inf off y0 in one row: the anchor still reproduces
+                bumped = member.p.copy()
+                bumped[rng.integers(n_x), (base.y0 + 1 + rng.integers(n_y - 1)) % n_y] = np.inf
+                probs.append(PerturbationProblem(Y=base.Y, p=bumped, y0=base.y0))
+            for prob in probs:
+                rep = duality_report(prob, grid, convexity_scope="full")
+                want = old_full_convexity_holds(prob, grid,
+                                                old_partial_conjugate_matrix(prob, grid))
+                assert rep.convexity_holds == want
+                seen.add((rep.reconstruction_ok, want))
+        assert seen == {(False, False), (True, False), (True, True)}
+
+    def test_column_y0_is_row_sup(self):
+        rng = np.random.default_rng(581)
+        for n_x, n_y in table_shapes(rng, 40):
+            prob, grid = kernel_perturbation(rng, n_x, n_y, empty_rows=bool(rng.random() < 0.5))
+            table = build_lagrangian(prob, grid)
+            full = lag._partial_conjugate(grid.matrix.T, table.S)
+            assert np.array_equal(full[:, prob.y0], table.row_sup)
+
+    def test_table_skipped_after_failed_anchor_check(self, monkeypatch):
+        seen = []
+        real = lag._partial_conjugate
+
+        def spy(E, p):
+            seen.append(p)
+            return real(E, p)
+
+        monkeypatch.setattr(lag, "_partial_conjugate", spy)
+        rng = np.random.default_rng(582)
+        built = set()
+        for n_x, n_y in table_shapes(rng, 40):
+            base, grid = kernel_perturbation(rng, n_x, n_y)
+            for prob in (base, member_rows(rng, base, grid)):
+                seen.clear()
+                rep = duality_report(prob, grid, convexity_scope="full")
+                full = any(p is rep.table.S for p in seen)
+                assert full == rep.reconstruction_ok
+                built.add(full)
+        assert built == {True, False}
+
+    def test_overflowing_table_is_still_built(self):
+        # S = (-1e308, 1e308) and L = (1e308, -1e308): the anchor check fails
+        # at x = 1, and the full table's cell 1e308 - S[0] overflows
+        Y = build_metric_space([[0.0], [1.0]])
+        grid = DualGrid(ElemFamily.affine(Y), (ElemParams(ell=[1e308]),))
+        prob = PerturbationProblem(Y=Y, p=[[1e308, math.inf], [0.0, 0.0]], y0=0)
+        rep = duality_report(prob, grid)
+        assert not rep.reconstruction_ok and not rep.convexity_holds
+        with pytest.raises(ImproperInput, match="^the partial conjugate overflows the doubles$"):
+            duality_report(prob, grid, convexity_scope="full")
