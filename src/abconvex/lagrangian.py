@@ -355,8 +355,8 @@ def lsc_profile(V: GridFn, y0: int) -> tuple[np.ndarray, np.ndarray]:
     and lsc_defect(V, y0, r), from one stable sort of the distances and a
     prefix minimum of V along it.  With no radius, V(y0) goes unchecked.
 
-    A defect whose V(y0) - min of finite operands leaves the doubles raises
-    ImproperInput: the profile itself is then no table of extended reals.
+    A defect V(y0) - min of finite operands that overflows raises
+    ImproperInput: its exact value is then a real above the largest double.
     """
     radii, defects, overflow = _lsc_defects(V, y0)
     if overflow.any():
