@@ -696,8 +696,13 @@ def run_scenario(path: str, out=None, seed=None, tol=None, validate="full",
         if out in (None, "-"):
             sys.stdout.write(payload)
         else:
-            with _writing("report"):
-                Path(out).write_text(payload, encoding="utf-8")
+            try:
+                with _writing("report"):
+                    Path(out).write_text(payload, encoding="utf-8")
+            except ScenarioError:  # nor a table by a failed report
+                if csv_path is not None:
+                    Path(csv_path).unlink(missing_ok=True)
+                raise
     except (AbconvexError, ValueError, KeyError, OSError, OverflowError, AssertionError,
             MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -146,9 +146,9 @@ def _partial_conjugate(E: np.ndarray, p: np.ndarray) -> np.ndarray:
     The one reduction behind every Lagrangian in the package; reduced in row
     blocks of x, so the n_x x P x n_y differences are never held at once.  A
     block reduces its rows in steps of max(1, _STEP_BYTES // E.nbytes) rows,
-    so each step's differences stay in a core's cache; a block of one step
-    is one expression.  Each output line is one reduction over the last
-    axis either way, so the steps move no bit, the sign of zero included.
+    so each step's differences stay in a core's cache.  Each output line is
+    one reduction over the last axis however the rows are stepped, so the
+    steps move no bit, the sign of zero included.
     A difference of finite operands that overflows raises ImproperInput, even
     where a larger term of its row would mask it.
     """
@@ -156,9 +156,7 @@ def _partial_conjugate(E: np.ndarray, p: np.ndarray) -> np.ndarray:
 
     def block(rows):
         p_rows = p[rows]
-        if len(p_rows) <= step:
-            return (E[None, :, :] - p_rows[:, None, :]).max(axis=2)
-        out = np.empty((len(p_rows), E.shape[0]))
+        out = np.empty((len(p_rows), E.shape[0]), dtype=np.result_type(E, p))
         for i in range(0, len(p_rows), step):
             (E[None, :, :] - p_rows[i:i + step, None, :]).max(axis=2, out=out[i:i + step])
         return out

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from abconvex import (
     DualGrid,
@@ -351,6 +351,15 @@ def _rows_bits(rows):
 _LSC_OVERFLOW = (ImproperInput, "the lsc defect overflows the doubles")
 
 
+def _lsc_line(values, y0=0):
+    return GridFn(build_metric_space([[float(i)] for i in range(len(values))]), values), y0
+
+
+# pinned, as random draws seldom meet them: a defect that overflows at the
+# second radius, and one behind a -inf, which is an exact +inf
+_LSC_OVERFLOW_CASES = [_lsc_line([1e308, 0.0, -1e308]), _lsc_line([1e308, -math.inf, -1e308])]
+
+
 class TestLscProfile:
     """lsc_curve and lsc_defect, both read off lsc_profile's one sort and
     prefix minimum, against the per-radius loops they replaced
@@ -365,41 +374,49 @@ class TestLscProfile:
         d = V.domain.dist[y0]
         return defect == math.inf and V.values[(d > 0) & (d <= radius)].min() > -math.inf
 
-    def _outcome(self, curve, V, y0):
+    def _outcome(self, curve, V, y0, oracle=False):
+        """The rows' bits or the error; only the old loop's overflowed +inf is
+        read as the rejection, so the new code has to raise it."""
         try:
-            with np.errstate(over="ignore"):  # 1e308 - (-1e308) overflows to +inf
+            with np.errstate(over="ignore" if oracle else "raise"):  # 1e308 - (-1e308)
                 rows = curve(SimpleNamespace(V=V, y0=y0))
         except (ValueError, ImproperInput) as e:
             return type(e), str(e)
-        if any(self._overflowed(V, y0, row["radius"], row["defect"]) for row in rows):
+        if oracle and any(self._overflowed(V, y0, row["radius"], row["defect"])
+                          for row in rows):
             return _LSC_OVERFLOW
         return _rows_bits(rows)
 
     @settings(max_examples=300, deadline=None)
     @given(_lsc_cases())
+    @example(_LSC_OVERFLOW_CASES[0])
+    @example(_LSC_OVERFLOW_CASES[1])
     def test_matches_per_radius_loop(self, case):
         V, y0 = case
-        assert self._outcome(lsc_curve, V, y0) == self._outcome(old_lsc_curve, V, y0)
+        assert self._outcome(lsc_curve, V, y0) == self._outcome(old_lsc_curve, V, y0,
+                                                                oracle=True)
 
     @settings(max_examples=300, deadline=None)
     @given(_lsc_cases())
+    @example(_LSC_OVERFLOW_CASES[0])
+    @example(_LSC_OVERFLOW_CASES[1])
     def test_lsc_defect_matches_masked_minimum(self, case):
         V, y0 = case
         d = np.unique(V.domain.dist[y0])
         radii = [*d, *((d[1:] + d[:-1]) / 2), d[-1] * 2, *(d[1:2] / 2), math.inf, 0.0, -1.0]
 
-        def outcome(defect, r):
+        def outcome(defect, r, oracle=False):
             try:
-                with np.errstate(over="ignore"):
+                with np.errstate(over="ignore" if oracle else "raise"):
                     value = defect(V, y0, float(r))
             except (ValueError, ImproperInput) as e:
                 return type(e), str(e)
-            if self._overflowed(V, y0, r, value):
+            if oracle and self._overflowed(V, y0, r, value):
                 return _LSC_OVERFLOW
             return np.float64(value).tobytes()
 
         assert [outcome(lsc_defect, r) for r in radii] == [
-            outcome(old_lsc_defect, r) for r in radii]
+            outcome(old_lsc_defect, r, oracle=True) for r in radii]
         # a NaN radius is rejected like every radius that is not positive; the
         # old loop's `radius <= 0` let it through to an empty ball and 0.0
         assert outcome(lsc_defect, math.nan) == (ValueError, "radius must be positive")
@@ -1215,6 +1232,16 @@ class TestUnwritableOutputExit2:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: cannot write csv")
         assert not out.exists()  # the table is written before the report
+
+    def test_unwritable_out_with_csv(self, tmp_path):
+        table = tmp_path / "c.csv"
+        proc = self._run("gap", "--scenario",
+                         str(SCENARIOS / "gap_refinement.json"),
+                         "--out", str(tmp_path / "missing" / "r.json"), "--csv", str(table))
+        assert proc.returncode == EXIT_BAD_SCENARIO
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: cannot write report")
+        assert not table.exists()  # the table of a failed run is removed
 
 
 class TestSolverLimitExit2:
