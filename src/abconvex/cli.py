@@ -107,9 +107,20 @@ def ext_list(values) -> list:
 def _decode_ext(v):
     return [_decode_ext(x) for x in v] if isinstance(v, list) else ext_from_json(v)
 
-def ext_array(values) -> np.ndarray:
+def float_array(values, field: str) -> np.ndarray:
+    """A vector or a matrix (a list of rows) of numbers as doubles; a matrix
+    whose rows differ in length raises ScenarioError naming field."""
+    try:
+        return np.asarray(values, dtype=float)
+    except ValueError:
+        lengths = [len(row) for row in values]
+        k = next(k for k, n in enumerate(lengths) if n != lengths[0])
+        raise ScenarioError(f"{field} row {k} has length {lengths[k]}, "
+                            f"row 0 has length {lengths[0]}") from None
+
+def ext_array(values, field: str) -> np.ndarray:
     """A vector or a matrix (a list of rows) of encoded extended reals."""
-    return np.asarray(_decode_ext(values), dtype=float)
+    return float_array(_decode_ext(values), field)
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -198,10 +209,10 @@ def params_to_json(p: ElemParams) -> dict:
 
 
 def parse_domain(spec: dict, validate: str) -> FiniteMetricSpace:
-    pts = spec["points"]
+    pts = float_array(spec["points"], "domain.points")
     metric = spec.get("metric", "euclidean")
     if isinstance(metric, dict):
-        metric = np.asarray(metric["custom"], dtype=float)
+        metric = float_array(metric["custom"], "domain.metric.custom")
     return build_metric_space(pts, metric_kind=metric, validate=validate)
 
 
@@ -273,7 +284,7 @@ def lsc_curve(rep: DualityReport) -> list[dict]:
 
 def run_conjugate(sc: dict, rng, validate: str):
     domain = parse_domain(sc["domain"], validate)
-    f = GridFn(domain, ext_array(sc["function"]))
+    f = GridFn(domain, ext_array(sc["function"], "function"))
     grid = parse_dual_grid(sc["family"], domain, f)
     star = conjugate_transform(f, grid)
     second = biconjugate(f, grid, star)
@@ -310,7 +321,7 @@ def _perturbation(sc: dict, validate: str):
     """The problem of a gap or certify scenario, and its multiplier grid
     (defaults drawn from the optimal value function V)."""
     domain = parse_domain(sc["domain"], validate)
-    p = ext_array(sc["p"])
+    p = ext_array(sc["p"], "p")
     prob = PerturbationProblem(Y=domain, p=p, y0=int(sc["y0"]))
     return prob, parse_dual_grid(sc["family"], domain, GridFn(domain, p.min(axis=0)))
 
@@ -353,7 +364,7 @@ def run_certify(sc: dict, rng, validate: str):
 
 def run_constrained(sc: dict, rng, validate: str):
     domain = parse_domain(sc["domain"], validate)
-    f = GridFn(len(sc["f"]), ext_array(sc["f"]))
+    f = GridFn(len(sc["f"]), ext_array(sc["f"], "f"))
     cmap = ConstraintMap(
         feasible=tuple(frozenset(s) for s in sc["A"]),
         n_x=f.size,
@@ -379,7 +390,7 @@ def run_transport(sc: dict, rng, validate: str):
     if "cost_csv" in sc:
         cost = np.loadtxt(sc["cost_csv"], delimiter=",", ndmin=2)
     else:
-        cost = np.asarray(sc["cost"], dtype=float)
+        cost = float_array(sc["cost"], "cost")
     prob = TransportProblem(cost=cost, mu=sc["mu"], nu=sc["nu"])
     coupling, pots, value = solve_transport(prob)
     audit = kantorovich_gap_report(prob, (coupling, pots, value))

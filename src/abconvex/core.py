@@ -338,7 +338,8 @@ def build_metric_space(points, metric_kind="euclidean", validate: str = "full") 
     bound under which no rounding can make it flag a triple (derived at the
     test; max(dist) below about 409 in 1-D, 375 in 2-D and 237 in 9-D).
     Custom matrices always run the sweep.
-    validate="fast" skips the sweep for large grids.
+    validate="fast" skips the sweep for every grid, Euclidean or custom;
+    the other checks still run.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:

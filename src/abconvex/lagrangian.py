@@ -217,10 +217,10 @@ def duality_report(prob: PerturbationProblem, psi_grid: DualGrid,
     With convexity_scope="full", convexity_holds asks whether every p(x, .)
     equals its grid biconjugate, a table of n_x x n_y partial conjugates.
     Its column y0 reduces the cells of table.row_sup, so when the anchor
-    check fails the full check fails too, and the table is skipped whenever
-    fl(max|E| + max over finite S of |S|) is finite, which proves that none
-    of its differences overflows.  Otherwise it is built, and an overflow
-    raises ImproperInput as at every other partial conjugate.
+    check fails the full check fails too: convexity_holds is then False and
+    the table is never built, even where one of its cells would overflow.
+    When it is built, an overflow raises ImproperInput as at every other
+    partial conjugate.
     """
     if convexity_scope not in ("anchor", "full"):
         raise ValueError("convexity_scope must be 'anchor' or 'full'")
@@ -236,12 +236,8 @@ def duality_report(prob: PerturbationProblem, psi_grid: DualGrid,
         raise AssertionError("dual != V**(y0); internal reduction mismatch")
 
     reconstruction_ok = _reproduces(table.row_sup, prob.p[:, prob.y0])
-    if convexity_scope == "anchor" or not reconstruction_ok and math.isfinite(
-            float(np.abs(E).max(initial=0.0))
-            + float(np.abs(S).max(initial=0.0, where=S > -np.inf))):
-        convexity_holds = reconstruction_ok
-    else:
-        convexity_holds = _reproduces(_partial_conjugate(E.T, S), prob.p)
+    convexity_holds = reconstruction_ok and (
+        convexity_scope == "anchor" or _reproduces(_partial_conjugate(E.T, S), prob.p))
 
     if primal == dual:
         gap = ExtReal(0.0)

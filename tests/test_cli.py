@@ -1072,6 +1072,28 @@ def _signed_zero_repeat(sc):
     sc["family"]["params"].append({"ell": [-0.0]})
 
 
+def _gap_30x40(last_cell=None):
+    """A 30 x 40 gap scenario whose 1200 table cells the one-pass check reads,
+    its last p cell replaced by last_cell if given."""
+    ys = [[-1.0 + 2.0 * j / 39] for j in range(40)]
+    p = [[((7 * i + 13 * j) % 17) / 4.0 - 2.0 for j in range(40)] for i in range(30)]
+    if last_cell is not None:
+        p[-1][-1] = last_cell
+    return {"kind": "gap", "domain": {"points": ys}, "p": p, "y0": 20,
+            "family": {"kind": "affine", "auto": {"slope_count": 7}}}
+
+
+def _collinear(shrink):
+    """A conjugate scenario on 8 near-collinear points in the plane about 1e5
+    from the origin, divided by shrink: rounding alone breaks the triangle
+    inequality by more than METRIC_TOL at shrink 1, and cannot at 1e5."""
+    pts = [[(1e5 + 1e5 * 0.6 * k / 7) / shrink, (1e5 + 1e5 * 0.8 * k / 7) / shrink]
+           for k in range(8)]
+    return {"kind": "conjugate", "domain": {"points": pts},
+            "function": [float(k % 3) for k in range(8)],
+            "family": {"kind": "affine", "params": [{"ell": [1.0, 0.0]}, {"ell": [0.0, 1.0]}]}}
+
+
 #: every error exit of run_scenario and main, each exit code 2 with no
 #: traceback: (command, the scenario file as raw bytes, as a shipped
 #: scenario's name and an update of it, or None for no file, run_scenario's
@@ -1117,6 +1139,28 @@ CLI_EXITS = {
         "kind": "gap", "domain": {"points": [[0.0], [1.0]]}, "p": [[1e308, -1e308]],
         "y0": 0, "family": {"kind": "affine", "params": [{"ell": [0.0]}]}}).encode(), {},
         "error: the lsc defect overflows the doubles"),
+    "gap_30x40_inf": ("gap", json.dumps(_gap_30x40("inf")).encode(), {},
+                      "error: scenario failed schema validation: "
+                      "'inf' is not valid under any of the given schemas"),
+    "collinear_1e5": ("conjugate", json.dumps(_collinear(1.0)).encode(), {},
+                      "error: triangle inequality violated"),
+    # tables whose rows differ in length pass the schema, which checks each row
+    "ragged_p": ("gap", ("gap_vee_down.json", lambda sc: sc["p"][1].pop()), {},
+                 "error: p row 1 has length 4, row 0 has length 5"),
+    "ragged_points": ("gap", ("gap_vee_down.json",
+                              lambda sc: sc["domain"]["points"][3].append(0.0)), {},
+                      "error: domain.points row 3 has length 2, row 0 has length 1"),
+    "ragged_custom": ("conjugate", ("conjugate_abs.json", lambda sc: sc["domain"].update(
+        metric={"custom": [[0, 1, 2], [1, 0], [2, 1, 0]]})), {},
+        "error: domain.metric.custom row 1 has length 2, row 0 has length 3"),
+    "ragged_cost": ("transport", ("transport_2x2.json", lambda sc: sc["cost"][1].pop()), {},
+                    "error: cost row 1 has length 1, row 0 has length 2"),
+}
+
+#: the valid neighbours of CLI_EXITS cases, which exit 0: (command, scenario)
+CLI_RUNS = {
+    "gap_30x40": ("gap", _gap_30x40()),
+    "collinear_1": ("conjugate", _collinear(1e5)),
 }
 
 
@@ -1147,6 +1191,13 @@ class TestErrorExits:
         assert outcome(main(argv)) == want
         assert outcome(run_scenario(str(path), command=command, **kwargs)) == want
         assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize("case", sorted(CLI_RUNS))
+    def test_valid_neighbour_exits_0(self, case, tmp_path, capsys):
+        command, sc = CLI_RUNS[case]
+        code, err = _run_main(command, sc, tmp_path, capsys)
+        assert (code, "Traceback" in err) == (EXIT_OK, False)
+        assert json.loads((tmp_path / "o.json").read_text())["exit_code"] == EXIT_OK
 
     @pytest.mark.parametrize("command, code", [("transport", EXIT_OK),
                                                ("conic", EXIT_BAD_SCENARIO)])

@@ -289,7 +289,7 @@ def member_rows(rng, prob, grid):
 
 class TestFullScope:
     """convexity_scope="full" skips the n_x x n_y biconjugate table once the
-    anchor check has failed, where no cell of that table can overflow."""
+    anchor check has failed."""
 
     def test_verdicts_match_oracle(self):
         rng = np.random.default_rng(580)
@@ -339,13 +339,17 @@ class TestFullScope:
                 built.add(full)
         assert built == {True, False}
 
-    def test_overflowing_table_is_still_built(self):
+    def test_overflowing_table_is_not_built(self, monkeypatch):
         # S = (-1e308, 1e308) and L = (1e308, -1e308): the anchor check fails
-        # at x = 1, and the full table's cell 1e308 - S[0] overflows
+        # at x = 1, and the full table's cell 1e308 - S[0] would overflow
         Y = build_metric_space([[0.0], [1.0]])
         grid = DualGrid(ElemFamily.affine(Y), (ElemParams(ell=[1e308]),))
         prob = PerturbationProblem(Y=Y, p=[[1e308, math.inf], [0.0, 0.0]], y0=0)
-        rep = duality_report(prob, grid)
-        assert not rep.reconstruction_ok and not rep.convexity_holds
         with pytest.raises(ImproperInput, match="^the partial conjugate overflows the doubles$"):
-            duality_report(prob, grid, convexity_scope="full")
+            lag._partial_conjugate(grid.matrix.T, build_lagrangian(prob, grid).S)
+        seen = []
+        real = lag._partial_conjugate
+        monkeypatch.setattr(lag, "_partial_conjugate", lambda E, p: seen.append(p) or real(E, p))
+        rep = duality_report(prob, grid, convexity_scope="full")
+        assert not rep.reconstruction_ok and not rep.convexity_holds
+        assert not any(p is rep.table.S for p in seen)
