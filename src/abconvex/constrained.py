@@ -141,7 +141,7 @@ def metric_grid_sup(inst: ConstrainedInstance, x: int,
     validate_members(fam, a, anchor=anchor)
     E = members_on_domain(fam, a, anchor=anchor)
     p = np.where(inst.map.mask[x], inst.f.values[x], np.inf)[None, :]
-    return _lagrangian(E, p, inst.y0)[0].reshape(ladder.size, n).max(axis=1)
+    return _lagrangian(E, p, inst.y0)[0].reshape(ladder.size, n).max(axis=1) + 0.0
 
 
 def metric_dual_grid(inst: ConstrainedInstance, a_ladder: Sequence[float]) -> DualGrid:

@@ -3,6 +3,13 @@
 Everything downstream computes on the types defined here.  Values are IEEE
 doubles where +inf and -inf are legitimate citizens but NaN never is: NaN is
 rejected at construction so that every later sup/inf stays total.
+
+A zero that a blocked max (or min) kernel returns is +0: the kernel adds 0.0
+to its result, which turns -0 into +0 and leaves every other value as it is.
+Max and min are exact, so only the sign of a zero could depend on the order
+of the reduction, which numpy sets by the SIMD target; with the rule, no
+kernel depends on how its rows are blocked, stepped or split, and every CPU
+gives the same bits.
 """
 
 from __future__ import annotations
@@ -170,31 +177,25 @@ _DENSE_BELOW = 2048
 
 
 def max_sub_up(a, b, axis: int) -> np.ndarray:
-    """sub_up(a, b).max(axis), bit for bit, rounding only the cells that tie
-    at the nearest maximum (every cell when the larger operand has fewer than
-    _DENSE_BELOW cells).
+    """sub_up(a, b).max(axis) + 0.0, bit for bit, rounding only the cells
+    that tie at the nearest maximum (every cell when the larger operand has
+    fewer than _DENSE_BELOW cells); a zero maximum is +0.
 
     Rounding up is monotone: a cell whose nearest difference s = a - b lies
     below its line's maximum S rounds up to at most S, so the result is S, or
-    the double above S when sub_up rounds some tie (s == S) up.  The sign of a
-    zero maximum is set by the order of the reduction, which depends on the
-    shape and memory layout of the array reduced; s has those of sub_up's
-    output.  On a line whose maximum is +-0 the zeros of s are exact (a
-    difference that rounds to zero or to a subnormal is exact), so sub_up
-    keeps their bits and leaves every other cell negative; the reduction of
-    s then picks the zero that the reduction of sub_up's output picks.  When
-    there are more than max(1024, s.size // 8) ties, they are rounded in
-    chunks of that many cells.  The temporaries measure 9.2 bytes a cell with
-    few ties and 12.3 when every cell ties, plus at most about 60 kB for a
-    chunk of 1024 ties; below _DENSE_BELOW cells, sub_up's 41 bytes a cell
-    stay below 100 kB.
+    the double above S when sub_up rounds some tie (s == S) up.  When there
+    are more than max(1024, s.size // 8) ties, they are rounded in chunks of
+    that many cells.  The temporaries measure 9.2 bytes a cell with few ties
+    and 12.3 when every cell ties, plus at most about 60 kB for a chunk of
+    1024 ties; below _DENSE_BELOW cells, sub_up's 41 bytes a cell stay below
+    100 kB.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if max(a.size, b.size) < _DENSE_BELOW:
-        return sub_up(a, b).max(axis)
+        return sub_up(a, b).max(axis) + 0.0
     with np.errstate(invalid="ignore", over="ignore"):
-        s = a - b  # the bits and the memory layout of sub_up's a + (-b)
+        s = a - b
     out = s.max(axis, keepdims=True)
     if np.isnan(out).any():
         raise UndefinedSum("(+inf) + (-inf) arose in an array subtraction")
@@ -211,6 +212,7 @@ def max_sub_up(a, b, axis: int) -> np.ndarray:
         k[axis][:] = 0  # each tie's line in out
         hit = up > out[k]
         out[tuple(ix[hit] for ix in k)] = up[hit]
+    out += 0.0
     return out.squeeze(axis)
 
 

@@ -491,16 +491,8 @@ def biconjugate(f: GridFn, dual: DualGrid, star: Optional[np.ndarray] = None) ->
     if star is None:
         star = conjugate_transform(f, dual)
     M = dual.matrix
-
-    def column_max(cols):
-        # max(axis=0) folds the rows in order, which sets the sign of a zero
-        # maximum; numpy would reduce a lone column as a vector, in another order
-        d = M[:, cols]
-        if d.shape[1] == 1 < M.shape[1]:
-            return max_sub_up(np.repeat(d, 2, axis=1), star[:, None], 0)[:1]
-        return max_sub_up(d, star[:, None], 0)
-
-    vals = by_row_blocks(column_max, M.shape[1], _SUB_UP_BYTES * M.shape[0])
+    vals = by_row_blocks(lambda cols: max_sub_up(M[:, cols], star[:, None], 0),
+                         M.shape[1], _SUB_UP_BYTES * M.shape[0])
     return GridFn(f.domain, vals)
 
 

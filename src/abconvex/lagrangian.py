@@ -73,7 +73,8 @@ class PerturbationProblem:
 @dataclass(frozen=True)
 class LagTable:
     """L(x, psi) over the multiplier grid; rows of +inf mark empty dom p(x, .).
-    row_sup = sup_psi L(x, .) = p_x**(y0) and col_inf = inf_x L(., psi)."""
+    row_sup = sup_psi L(x, .) = p_x**(y0) and col_inf = inf_x L(., psi), each
+    with a zero as +0 (see core)."""
 
     L: np.ndarray
     S: np.ndarray  # the partial conjugate p*_x(psi) that L is composed from
@@ -84,12 +85,12 @@ class LagTable:
 
     def __post_init__(self):
         L = _freeze(np.asarray(self.L, dtype=float))
-        row_sup = L.max(axis=1)
+        row_sup = L.max(axis=1) + 0.0
         if (np.isposinf(row_sup) & (L.min(axis=1) < np.inf)).any():
             raise ImproperProblem("a Lagrangian row mixes +inf with finite values")
         object.__setattr__(self, "L", L)
         object.__setattr__(self, "row_sup", _freeze(row_sup))
-        object.__setattr__(self, "col_inf", _freeze(L.min(axis=0)))
+        object.__setattr__(self, "col_inf", _freeze(L.min(axis=0) + 0.0))
         _freeze(self.S)
 
 
@@ -146,9 +147,8 @@ def _partial_conjugate(E: np.ndarray, p: np.ndarray) -> np.ndarray:
     The one reduction behind every Lagrangian in the package; reduced in row
     blocks of x, so the n_x x P x n_y differences are never held at once.  A
     block reduces its rows in steps of max(1, _STEP_BYTES // E.nbytes) rows,
-    so each step's differences stay in a core's cache.  Each output line is
-    one reduction over the last axis however the rows are stepped, so the
-    steps move no bit, the sign of zero included.
+    so each step's differences stay in a core's cache.  A zero maximum is +0
+    (see core), so the blocks and steps move no bit.
     A difference of finite operands that overflows raises ImproperInput, even
     where a larger term of its row would mask it.
     """
@@ -159,6 +159,7 @@ def _partial_conjugate(E: np.ndarray, p: np.ndarray) -> np.ndarray:
         out = np.empty((len(p_rows), E.shape[0]), dtype=np.result_type(E, p))
         for i in range(0, len(p_rows), step):
             (E[None, :, :] - p_rows[i:i + step, None, :]).max(axis=2, out=out[i:i + step])
+        out += 0.0
         return out
 
     with np.errstate(over="raise", invalid="ignore"):
@@ -230,7 +231,7 @@ def duality_report(prob: PerturbationProblem, psi_grid: DualGrid,
     dual = float(table.col_inf.max())
 
     V = GridFn(prob.Y, prob.p.min(axis=0))
-    V_star = S.max(axis=0)
+    V_star = S.max(axis=0) + 0.0
     V_bidual = float(_partial_conjugate(E[:, prob.y0][None, :], V_star[None, :])[0, 0])
     if V_bidual != dual:
         raise AssertionError("dual != V**(y0); internal reduction mismatch")

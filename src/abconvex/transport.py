@@ -241,11 +241,11 @@ def solve_transport(prob: TransportProblem):
     column never sits in a strongly feasible tree; its final basis is
     re-solved on them for the plan, and the value is summed over their cells.
     The rows and then the columns left out get zero mass and their
-    c-transforms, which are exactly feasible.  Raises ``SolverLimit`` after
-    400(n + m) + 200 pricing rounds (one more than the pivots), and
-    ``ImproperInput`` when the value, a potential or a reduced cost below zero
-    leaves the doubles.  Potentials are dual feasible within SLACK_TOL *
-    max(1, max|cost|), the loop's scale.
+    c-transforms, which are exactly feasible (a zero among them is +0).
+    Raises ``SolverLimit`` after 400(n + m) + 200 pricing rounds (one more
+    than the pivots), and ``ImproperInput`` when the value, a potential or a
+    reduced cost below zero leaves the doubles.  Potentials are dual feasible
+    within SLACK_TOL * max(1, max|cost|), the loop's scale.
     """
     cost, mu, nu = prob.cost, prob.mu, prob.nu
     n, m = cost.shape
@@ -267,10 +267,10 @@ def solve_transport(prob: TransportProblem):
         psi[rows], phi[cols] = pot[:k], pot[k:]
         if k < n:
             out = np.delete(np.arange(n), rows)
-            psi[out] = c_transform(phi[cols], cost[out[:, None], cols].T) + 0.0
+            psi[out] = c_transform(phi[cols], cost[out[:, None], cols].T)
         if cols.size < m:
             out = np.delete(np.arange(m), cols)
-            phi[out] = c_transform(psi, cost[:, out]) + 0.0
+            phi[out] = c_transform(psi, cost[:, out])
         red_min = float((cost - psi[:, None] - phi[None, :]).min())
         value = float((q * cost)[rows[:, None], cols].sum())
     # a reduced cost of +inf is positive beyond the doubles, and harmless
@@ -290,7 +290,8 @@ def c_transform(psi: np.ndarray, cost: np.ndarray) -> np.ndarray:
     The subtraction rounds downward (fl_down(x) = -fl_up(-x)), which keeps
     feasibility exact and makes two alternating sweeps a bit-exact fixed point.
     A row with psi_i = -inf bounds no column (cost_ij - psi_i = +inf), so a
-    psi of -inf alone gives +inf everywhere.
+    psi of -inf alone gives +inf everywhere.  A zero minimum is +0: 0.0 minus
+    the +0 that core.max_sub_up returns for a zero maximum.
     """
     psi = np.asarray(psi, dtype=float)
     cost = np.asarray(cost, dtype=float)
@@ -299,7 +300,7 @@ def c_transform(psi: np.ndarray, cost: np.ndarray) -> np.ndarray:
         if not live.any():
             return np.full(cost.shape[1], np.inf)
         psi, cost = psi[live], cost[live]
-    return -max_sub_up(psi[:, None], cost, 0)
+    return 0.0 - max_sub_up(psi[:, None], cost, 0)
 
 
 def dual_objective(psi, phi, mu, nu) -> float:

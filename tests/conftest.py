@@ -616,26 +616,40 @@ def old_triangle_violated(dist):
     return bool((via.min(axis=1) < dist - METRIC_TOL).any())
 
 
+# The one-tensor oracles below add 0.0 to each maximum, as the kernels do: a
+# zero maximum is +0 (see abconvex.core), whichever zero numpy's reduction kept.
+
 def old_partial_conjugate_kernel(E, p):
     """S[x, j] = max_k (E[j, k] - p[x, k]) in one n_x x P x n_y tensor."""
     with np.errstate(invalid="ignore"):
-        return (E[None, :, :] - p[:, None, :]).max(axis=2)
+        return (E[None, :, :] - p[:, None, :]).max(axis=2) + 0.0
 
 
 def old_max_sub_up(a, b, axis):
     """core.max_sub_up's reference: every difference rounded up, then reduced."""
-    return sub_up(a, b).max(axis)
+    return sub_up(a, b).max(axis) + 0.0
 
 
 def old_conjugate_transform(f, dual):
     """conjugate_transform with the differences of every member held at once."""
-    return sub_up(dual.matrix, f.values[None, :]).max(axis=1)
+    return sub_up(dual.matrix, f.values[None, :]).max(axis=1) + 0.0
 
 
 def old_biconjugate(f, dual):
     """biconjugate's values from one P x n difference table."""
     star = old_conjugate_transform(f, dual)
-    return sub_up(dual.matrix, star[:, None]).max(axis=0)
+    return sub_up(dual.matrix, star[:, None]).max(axis=0) + 0.0
+
+
+def loop_reduce(cells, axis, pick=max):
+    """The order-free reference of the zero rule: a plain Python loop over the
+    lines of the 2-D array cells along axis, pick() (max or min) of each
+    line's cells as floats, then + 0.0.  pick keeps whichever of two equal
+    zeros it meets first, and + 0.0 makes either one +0."""
+    lines = np.asarray(cells, dtype=float)
+    if axis == 0:
+        lines = lines.T
+    return np.asarray([pick(float(v) for v in line) + 0.0 for line in lines])
 
 
 def old_intersection_certificate(phi1, phi2, alpha):

@@ -57,9 +57,10 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[2]
 DIGESTS = Path(__file__).with_name("digests.json")
 
-for _path in (ROOT / "src", ROOT / "tests"):
-    if str(_path) not in sys.path:
-        sys.path.insert(0, str(_path))
+if __name__ == "__main__":  # a script sees the checkout's library and test helpers
+    for _path in (ROOT / "src", ROOT / "tests"):
+        if str(_path) not in sys.path:
+            sys.path.insert(0, str(_path))
 
 from abconvex import (  # noqa: E402
     ConicLP,
@@ -910,8 +911,8 @@ def _c_transform_pair(rng, style, n, m):
     """psi and an n x m cost with cost >= psi along each row in nine cells of
     ten: integers in 1..3 or reals of one decimal, half of psi and 30% of the
     increments exact zeros, every value of random sign.  Many columns have
-    their maximum psi - cost at zeros of both signs, whose sign the order of
-    the reduction sets."""
+    their maximum psi - cost at zeros of both signs, where c_transform
+    returns +0."""
     def draw(shape, zeros):
         if style == "integer":
             v = rng.integers(1, 4, shape).astype(float)

@@ -5,24 +5,32 @@ import ast
 import json
 import os
 import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import abconvex
 from golden import regen
 
 WANT = json.loads(regen.DIGESTS.read_text())
 
 
-def platform_line():
-    """The machine and numpy's enabled SIMD dispatch targets, which set the
-    signs of some zero maxima and sums the digests pin."""
+def enabled_targets():
+    """numpy's dispatched SIMD targets that are enabled in this process,
+    space-separated, as CI computes NPY_DISABLE_CPU_FEATURES."""
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
-    enabled = " ".join(t for t in __cpu_dispatch__ if __cpu_features__.get(t)) or "none"
+    return " ".join(t for t in __cpu_dispatch__ if __cpu_features__.get(t))
+
+
+def platform_line():
+    """The machine and numpy's enabled SIMD dispatch targets, which set the
+    sums the digests pin."""
     disabled = os.environ.get("NPY_DISABLE_CPU_FEATURES", "")
-    return (f"machine {platform.machine()}, numpy dispatch enabled: {enabled}, "
-            f"NPY_DISABLE_CPU_FEATURES={disabled!r}")
+    return (f"machine {platform.machine()}, numpy dispatch enabled: "
+            f"{enabled_targets() or 'none'}, NPY_DISABLE_CPU_FEATURES={disabled!r}")
 
 
 @pytest.mark.parametrize("group", sorted(regen.GROUPS))
@@ -31,6 +39,31 @@ def test_digests_unchanged(group):
     want = {name: d for name, d in WANT.items() if name.startswith(group + "/")}
     changed = regen.changed(want, got)
     assert want and changed == [], f"changed {changed} on {platform_line()}"
+
+
+#: the groups whose outputs hold maxima and minima that the kernels return
+#: under the zero rule (see abconvex.core)
+ZERO_RULE_GROUPS = ("c_transform", "conjugation", "constrained", "duality", "transport")
+
+
+def test_zero_rule_groups_unchanged_under_baseline_dispatch():
+    """Those groups, recomputed in a subprocess with every dispatched SIMD
+    target disabled, reproduce digests.json: no zero's sign follows numpy's
+    loop order."""
+    disabled = " ".join(filter(None, [os.environ.get("NPY_DISABLE_CPU_FEATURES"),
+                                      enabled_targets()]))
+    # the library this process tests, then the directory of the golden package
+    path = [str(Path(m.__file__).resolve().parents[1]) for m in (abconvex, regen)]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled, PYTHONPATH=os.pathsep.join(
+        filter(None, path + [os.environ.get("PYTHONPATH")])))
+    code = ("import json, sys; from golden import regen; print(json.dumps("
+            "{name: d for g in sys.argv[1:] for name, d in regen.GROUPS[g]().items()}))")
+    run = subprocess.run([sys.executable, "-c", code, *ZERO_RULE_GROUPS], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    want = {name: d for name, d in WANT.items() if name.split("/")[0] in ZERO_RULE_GROUPS}
+    changed = regen.changed(want, json.loads(run.stdout))
+    assert changed == [], f"changed {changed} with NPY_DISABLE_CPU_FEATURES={disabled!r}"
 
 
 def test_every_entry_belongs_to_a_group():
