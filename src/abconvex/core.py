@@ -317,6 +317,33 @@ class FiniteMetricSpace:
         return int(hits[0]) if hits.size else None
 
 
+def _pairwise_sum(term, lo, n):
+    """term(lo) + ... + term(lo + n - 1), n >= 1, for arrays term(c) of
+    nonnegative doubles, added in the order of numpy's pairwise_sum over a
+    contiguous axis of n values, so the result has the bits of np.sum over
+    that axis.  term(c) returns a fresh array, which the sum may overwrite."""
+    if n > 128:  # two halves, split at a multiple of eight
+        n2 = n // 2 - n // 2 % 8
+        total = _pairwise_sum(term, lo, n2)
+        total += _pairwise_sum(term, lo + n2, n - n2)
+        return total
+    if n < 8:  # one running sum; numpy's starts at 0, and 0 + x is x for x >= 0
+        total = term(lo)
+        for c in range(lo + 1, lo + n):
+            total += term(c)
+        return total
+    # eight running sums, each taking every eighth term, then the n % 8 left over
+    r = [term(lo + k) for k in range(8)]
+    end = lo + n - n % 8
+    for c in range(lo + 8, end):
+        r[(c - lo) % 8] += term(c)
+    for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+        r[a] += r[b]  # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for c in range(end, lo + n):
+        r[0] += term(c)
+    return r[0]
+
+
 def build_metric_space(points, metric_kind="euclidean", validate: str = "full") -> FiniteMetricSpace:
     """Build a FiniteMetricSpace from coordinates, validating the metric axioms.
 
@@ -325,10 +352,19 @@ def build_metric_space(points, metric_kind="euclidean", validate: str = "full") 
     keeps its own copy).  Euclidean distances are computed in row blocks of
     BLOCK_BYTES, written into one output in row order; each entry is
     sqrt(sum(diff * diff)) over its own coordinate differences, so the
-    blocking changes no bit of it.  When distinct points come out at distance
+    blocking changes no bit of it.  The squares are summed one coordinate at
+    a time into (rows, n) arrays, in the order numpy's pairwise sum adds a
+    contiguous axis (written out in _pairwise_sum), so no (rows, n, dim)
+    tensor is formed, every entry has the bits of
+    np.sqrt((diff * diff).sum(axis=-1)), and no entry depends on how numpy
+    sums.  The blocks are sized at (2 min(dim, 8) + 2) 8 n bytes a row, the
+    one-tensor figure up to dim 8 and an upper bound: the sum holds at most
+    min(dim, 8) + 1 arrays of n doubles a row, plus one for each halving
+    above 128 coordinates.  When distinct points come out at distance
     0 because their squared differences underflow (below about 1e-162), the
     distances are built again with each zero redone as
-    mx * sqrt(sum((diff / mx) ** 2)), mx the largest |diff|.
+    mx * sqrt(sum((diff / mx) ** 2)), mx the largest |diff|, summed over the
+    zero cells alone in the same order.
     validate="full" sweeps the triangle inequality over every triple in row
     blocks of BLOCK_BYTES, so O(n^2) memory.  The test for (i, k) is the test
     for (k, i), so a block starting at row k0 checks columns k >= k0 only:
@@ -356,18 +392,32 @@ def build_metric_space(points, metric_kind="euclidean", validate: str = "full") 
         if metric_kind != "euclidean":
             raise ValueError(f"unknown metric kind {metric_kind!r}")
 
+        xs = pts if pts.shape[1] else np.zeros((n, 1))  # no coordinates: the origin of a line
+        dim = xs.shape[1]
+
         def distances(rows, rescale=False):
-            diff = pts[rows, None, :] - pts[None, :, :]
-            d = np.sqrt((diff * diff).sum(axis=-1))
+            def square(c):
+                diff = xs[rows, c, None] - xs[:, c]
+                return np.multiply(diff, diff, out=diff)
+
+            d = _pairwise_sum(square, 0, dim)
+            np.sqrt(d, out=d)
             if rescale:
-                zero = d == 0
-                dz = diff[zero]
-                mx = np.abs(dz).max(axis=-1, initial=0.0)[:, None]
-                dz = np.divide(dz, mx, out=np.zeros_like(dz), where=mx > 0)
-                d[zero] = mx[:, 0] * np.sqrt((dz * dz).sum(axis=-1))
+                i, j = np.nonzero(d == 0)
+                block = xs[rows]
+                mx = np.zeros(i.size)
+                for c in range(dim):
+                    np.maximum(mx, np.abs(block[i, c] - xs[j, c]), out=mx)
+                scaled = mx > 0
+
+                def scaled_square(c):
+                    q = np.divide(block[i, c] - xs[j, c], mx, out=np.zeros_like(mx), where=scaled)
+                    return np.multiply(q, q, out=q)
+
+                d[i, j] = mx * np.sqrt(_pairwise_sum(scaled_square, 0, dim))
             return d
 
-        row_bytes = (2 * pts.shape[1] + 2) * 8 * n
+        row_bytes = (2 * min(pts.shape[1], 8) + 2) * 8 * n
         with np.errstate(over="ignore"):  # an overflow is rejected as non-finite below
             dist = by_row_blocks(distances, n, row_bytes)
     else:

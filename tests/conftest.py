@@ -590,6 +590,19 @@ def old_euclidean_dist(pts):
         return np.sqrt((diff * diff).sum(axis=-1))
 
 
+def old_rescaled_euclidean_dist(pts):
+    """old_euclidean_dist with each zero redone from the same tensor as
+    mx * sqrt(sum((diff / mx) ** 2)), mx the largest |diff|: the distances
+    build_metric_space gives when squared differences underflow."""
+    d = old_euclidean_dist(pts)
+    zero = d == 0
+    dz = (pts[:, None, :] - pts[None, :, :])[zero]
+    mx = np.abs(dz).max(axis=-1, initial=0.0)[:, None]
+    dz = np.divide(dz, mx, out=np.zeros_like(dz), where=mx > 0)
+    d[zero] = mx[:, 0] * np.sqrt((dz * dz).sum(axis=-1))
+    return d
+
+
 def old_slope_bound(f, domain):
     """slope_bound from the n x n quotient arrays of the finite values,
     selected by a boolean mask."""

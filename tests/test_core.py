@@ -26,8 +26,8 @@ from abconvex import core
 from abconvex.core import as_ext_array, is_proper, max_sub_up, sub_up
 from abconvex.errors import EmptyDomain, NonMetric, UndefinedSum
 
-from conftest import (SUB_UP_SPECIALS, SUB_UP_STYLES, old_max_sub_up, old_sub_up, same_bits,
-                      sub_up_pairs)
+from conftest import (SUB_UP_SPECIALS, SUB_UP_STYLES, old_max_sub_up, old_rescaled_euclidean_dist,
+                      old_sub_up, same_bits, sub_up_pairs)
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 anyext = st.floats(allow_nan=False, allow_infinity=True, width=64)
@@ -410,17 +410,30 @@ class TestMetricSpace:
             build_metric_space([0.0, 1e-170, 1e-170])
 
     def test_underflowing_distances_match_the_scaled_points(self, monkeypatch):
-        # scaling by a power of two is exact, and at 2**600 nothing underflows
-        pts = np.random.default_rng(3).uniform(-1.0, 1.0, (12, 3)) * 1e-165
-        tiny = build_metric_space(pts).dist
-        assert (tiny * 2.0 ** 600 > 0).sum() == 12 * 11
-        np.testing.assert_allclose(tiny * 2.0 ** 600,
-                                   build_metric_space(pts * 2.0 ** 600).dist,
-                                   rtol=4e-16, atol=0.0)
-        # two-row blocks on two workers give the same bits
-        monkeypatch.setattr(core, "WORKERS", 2)
-        monkeypatch.setattr(core, "BLOCK_BYTES", 2 * 2 * (2 * 3 + 2) * 8 * 12)
-        assert same_bits(build_metric_space(pts).dist, tiny)
+        # scaling by a power of two is exact, and at 2**600 nothing underflows;
+        # dims 3, 9, 17 and 130 sum their squares by a running sum, by eight
+        # running sums with and without a remainder, and by halves
+        for dim in (3, 9, 17, 130):
+            pts = np.random.default_rng(3).uniform(-1.0, 1.0, (12, dim)) * 1e-165
+            tiny = build_metric_space(pts).dist
+            assert (tiny * 2.0 ** 600 > 0).sum() == 12 * 11
+            np.testing.assert_allclose(tiny * 2.0 ** 600,
+                                       build_metric_space(pts * 2.0 ** 600).dist,
+                                       rtol=4e-16, atol=0.0)
+            assert same_bits(tiny, old_rescaled_euclidean_dist(pts))
+            # two-row blocks on two workers give the same bits
+            with monkeypatch.context() as m:
+                m.setattr(core, "WORKERS", 2)
+                m.setattr(core, "BLOCK_BYTES", 2 * 2 * (2 * min(dim, 8) + 2) * 8 * 12)
+                assert same_bits(build_metric_space(pts).dist, tiny)
+
+    @pytest.mark.parametrize("dim", [1, 9, 130])
+    def test_overflowing_coordinates_rejected_without_warning(self, dim):
+        pts = np.repeat([[-1e200], [0.0], [1e200]], dim, axis=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonMetric, match="distances must be finite"):
+                build_metric_space(pts)
 
     def test_nonzero_diagonal_rejected(self):
         with pytest.raises(NonMetric):

@@ -573,10 +573,13 @@ class TestTriangleCheck:
 
 
 def point_sets(rng):
-    """Points of dimension 1 to 9: uniform, integer-valued (exact squared
-    distances) and scaled so that squared differences reach about 1e300 or
-    1e-300, one and two points among them."""
-    for dim in range(1, 10):
+    """Points of dimension 0 to 20, 127, 128, 129 and 200, on both sides of
+    the 8 and 128 coordinates where numpy's pairwise sum changes its order:
+    uniform, integer-valued (exact squared distances) and scaled so that
+    squared differences reach about 1e300 or 1e-300, one and two points among
+    them, each set of three or more points also with its first point
+    repeated."""
+    for dim in (*range(21), 127, 128, 129, 200):
         for n in (1, 2, 3, 7, int(rng.integers(8, 40))):
             style = rng.integers(4)
             if style == 0:
@@ -584,6 +587,8 @@ def point_sets(rng):
             else:
                 pts = rng.uniform(-1.0, 1.0, (n, dim)) * (1.0, 1e150, 1e-150)[style - 1]
             yield pts
+            if n >= 3:
+                yield np.concatenate([pts, pts[:1]])
 
 
 class TestEuclideanDistances:
@@ -593,10 +598,24 @@ class TestEuclideanDistances:
             rng = np.random.default_rng(710)
             for pts in point_sets(rng):
                 n, dim = pts.shape
-                monkeypatch.setattr(core, "BLOCK_BYTES", budgets((2 * dim + 2) * 8 * n)[budget])
-                space = build_metric_space(pts, validate="fast")
-                assert same_bits(space.dist, old_euclidean_dist(pts))
+                monkeypatch.setattr(core, "BLOCK_BYTES",
+                                    budgets((2 * min(dim, 8) + 2) * 8 * n)[budget])
+                want = old_euclidean_dist(pts)
+                if np.count_nonzero(want == 0) > n:  # repeated points, or no coordinates
+                    with pytest.raises(NonMetric, match="zero distance between distinct points"):
+                        build_metric_space(pts, validate="fast")
+                else:
+                    assert same_bits(build_metric_space(pts, validate="fast").dist, want)
             check_pool_ran(ran, budget != "default")
+
+    def test_pairwise_sum_matches_numpy_sum(self):
+        # squares spread over 40 binades, so that the order of the additions
+        # shows in the last bits
+        rng = np.random.default_rng(715)
+        for n in (*range(1, 40), 64, 127, 128, 129, 136, 200, 255, 256, 257, 300, 520):
+            terms = np.square(rng.uniform(-1.0, 1.0, (n, 5, 3)) * 2.0 ** rng.integers(-20, 20, (n, 1, 1)))
+            got = core._pairwise_sum(lambda c: terms[c].copy(), 0, n)
+            assert same_bits(got, np.ascontiguousarray(np.moveaxis(terms, 0, -1)).sum(axis=-1))
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_overflow_rejected_on_the_pool_without_warning(self, dim, monkeypatch):
@@ -609,14 +628,16 @@ class TestEuclideanDistances:
             check_pool_ran(ran)
 
     def test_peak_memory_is_budget_plus_distances(self, monkeypatch):
-        pts = np.random.default_rng(720).uniform(-1.0, 1.0, (600, 3))
-        for ran in worker_counts(monkeypatch, (1, 2, 4)):
-            monkeypatch.setattr(core, "BLOCK_BYTES", 1 << 18)
-            bound = 600 * 600 * 8 + 4 * core.BLOCK_BYTES
-            assert traced_peak(lambda: old_euclidean_dist(pts)) > bound
-            peak = traced_peak(lambda: build_metric_space(pts, validate="fast"))
-            assert peak <= bound
-            check_pool_ran(ran)
+        # at dim 130 the coordinates are summed in halves
+        for n, dim in ((600, 3), (150, 130)):
+            pts = np.random.default_rng(720).uniform(-1.0, 1.0, (n, dim))
+            for ran in worker_counts(monkeypatch, (1, 2, 4)):
+                monkeypatch.setattr(core, "BLOCK_BYTES", 1 << 18)
+                bound = n * n * 8 + 4 * core.BLOCK_BYTES
+                assert traced_peak(lambda: old_euclidean_dist(pts)) > bound
+                peak = traced_peak(lambda: build_metric_space(pts, validate="fast"))
+                assert peak <= bound
+                check_pool_ran(ran)
 
 
 def slope_cases(rng):
