@@ -613,16 +613,17 @@ class TestEuclideanDistances:
         # shows in the last bits
         rng = np.random.default_rng(715)
         for n in (*range(1, 40), 64, 127, 128, 129, 136, 200, 255, 256, 257, 300, 520):
-            terms = np.square(rng.uniform(-1.0, 1.0, (n, 5, 3)) * 2.0 ** rng.integers(-20, 20, (n, 1, 1)))
+            scale = 2.0 ** rng.integers(-20, 20, (n, 1, 1))
+            terms = np.square(rng.uniform(-1.0, 1.0, (n, 5, 3)) * scale)
             got = core._pairwise_sum(lambda c: terms[c].copy(), 0, n)
             assert same_bits(got, np.ascontiguousarray(np.moveaxis(terms, 0, -1)).sum(axis=-1))
 
-    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 9, 130])
     def test_overflow_rejected_on_the_pool_without_warning(self, dim, monkeypatch):
         # the kernel's errstate must reach the workers
         pts = np.repeat([[-1e200], [0.0], [1.0], [2.0], [1e200]], dim, axis=1)
         for ran in worker_counts(monkeypatch):
-            monkeypatch.setattr(core, "BLOCK_BYTES", budgets((2 * dim + 2) * 8 * 5)["one_row"])
+            monkeypatch.setattr(core, "BLOCK_BYTES", budgets((2 * min(dim, 8) + 2) * 8 * 5)["one_row"])
             with pytest.raises(NonMetric, match="finite"):
                 build_metric_space(pts, validate="fast")
             check_pool_ran(ran)
