@@ -362,9 +362,11 @@ def build_metric_space(points, metric_kind="euclidean", validate: str = "full") 
     min(dim, 8) + 1 arrays of n doubles a row, plus one for each halving
     above 128 coordinates.  When distinct points come out at distance
     0 because their squared differences underflow (below about 1e-162), the
-    distances are built again with each zero redone as
+    block that holds them redoes its zeros as
     mx * sqrt(sum((diff / mx) ** 2)), mx the largest |diff|, summed over the
-    zero cells alone in the same order.
+    zero cells alone in the same order.  A Euclidean matrix is then checked
+    for overflow and for zeros between distinct points only; a custom one
+    first for non-finite, negative, asymmetric and nonzero diagonal entries.
     validate="full" sweeps the triangle inequality over every triple in row
     blocks of BLOCK_BYTES, so O(n^2) memory.  The test for (i, k) is the test
     for (k, i), so a block starting at row k0 checks columns k >= k0 only:
@@ -377,7 +379,7 @@ def build_metric_space(points, metric_kind="euclidean", validate: str = "full") 
     test; max(dist) below about 409 in 1-D, 375 in 2-D and 237 in 9-D).
     Custom matrices always run the sweep.
     validate="fast" skips the sweep for every grid, Euclidean or custom;
-    the other checks still run.
+    the other checks still run.  Other values raise ValueError at once.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -386,6 +388,8 @@ def build_metric_space(points, metric_kind="euclidean", validate: str = "full") 
         raise EmptyDomain("need at least one point")
     if not np.isfinite(pts).all():
         raise ValueError("point coordinates must be finite")
+    if validate not in ("full", "fast"):
+        raise ValueError("validate must be 'full' or 'fast'")
     n = pts.shape[0]
 
     if isinstance(metric_kind, str):
@@ -395,15 +399,17 @@ def build_metric_space(points, metric_kind="euclidean", validate: str = "full") 
         xs = pts if pts.shape[1] else np.zeros((n, 1))  # no coordinates: the origin of a line
         dim = xs.shape[1]
 
-        def distances(rows, rescale=False):
+        def distances(rows):
             def square(c):
                 diff = xs[rows, c, None] - xs[:, c]
                 return np.multiply(diff, diff, out=diff)
 
             d = _pairwise_sum(square, 0, dim)
             np.sqrt(d, out=d)
-            if rescale:
-                i, j = np.nonzero(d == 0)
+            zero = d == 0
+            if np.count_nonzero(zero) > len(d):  # underflowed squares besides the diagonal
+                # mx is 0 only on the diagonal and for equal points, which stay at 0
+                i, j = np.nonzero(zero)
                 block = xs[rows]
                 mx = np.zeros(i.size)
                 for c in range(dim):
@@ -417,39 +423,34 @@ def build_metric_space(points, metric_kind="euclidean", validate: str = "full") 
                 d[i, j] = mx * np.sqrt(_pairwise_sum(scaled_square, 0, dim))
             return d
 
-        row_bytes = (2 * min(pts.shape[1], 8) + 2) * 8 * n
         with np.errstate(over="ignore"):  # an overflow is rejected as non-finite below
-            dist = by_row_blocks(distances, n, row_bytes)
+            dist = by_row_blocks(distances, n, (2 * min(pts.shape[1], 8) + 2) * 8 * n)
+        # fl(a - b) = -fl(b - a) and both sum alike (repaired cells: same mx), so dist
+        # is its transpose bit for bit, with a +0 diagonal and no negative entry.
+        if not np.isfinite(dist).all():
+            raise NonMetric("distances must be finite")
     else:
         dist = np.array(metric_kind, dtype=float)  # a copy the caller cannot change
         if dist.shape != (n, n):
             raise NonMetric(f"custom matrix shape {dist.shape} does not match {n} points")
-
-    if not np.isfinite(dist).all():
-        raise NonMetric("distances must be finite")
-    if (dist < 0).any():
-        raise NonMetric("negative distance")
-    if not np.array_equal(dist, dist.T):
-        if np.abs(dist - dist.T).max() > METRIC_TOL:
-            raise NonMetric("asymmetry")
-        dist = 0.5 * (dist + dist.T)
-    if np.abs(np.diagonal(dist)).max() > 0:
-        raise NonMetric("nonzero diagonal")
-    zeros = np.count_nonzero(dist == 0)
-    if zeros > n and isinstance(metric_kind, str):
-        # squares that underflowed; mx is 0 only on the diagonal and for
-        # equal points, which stay at 0
-        dist = by_row_blocks(lambda rows: distances(rows, rescale=True), n, row_bytes)
-        zeros = np.count_nonzero(dist == 0)
-    if zeros > n:  # the n diagonal entries are zero
+        if not np.isfinite(dist).all():
+            raise NonMetric("distances must be finite")
+        if (dist < 0).any():
+            raise NonMetric("negative distance")
+        if not np.array_equal(dist, dist.T):
+            if np.abs(dist - dist.T).max() > METRIC_TOL:
+                raise NonMetric("asymmetry")
+            dist = 0.5 * (dist + dist.T)
+        if np.abs(np.diagonal(dist)).max() > 0:
+            raise NonMetric("nonzero diagonal")
+    if np.count_nonzero(dist == 0) > n:  # the n diagonal entries are zero
         raise NonMetric("zero distance between distinct points")
     if validate == "full":
         # dist[i,k] <= dist[i,j] + dist[j,k] within METRIC_TOL.  dist is
-        # exactly symmetric here (Euclidean differences negate exactly, and
-        # custom matrices were symmetrized), so dist[k,j] stands in for
-        # dist[j,k], the reduction runs over the contiguous last axis, and
-        # columns k < k0 are left to the earlier block that holds row k.
-        # Per-row flags then depend on the blocking; their any() does not.
+        # exactly symmetric here, so dist[k,j] stands in for dist[j,k], the
+        # reduction runs over the contiguous last axis, and columns k < k0
+        # are left to the earlier block that holds row k.  Per-row flags
+        # then depend on the blocking; their any() does not.
         def violated(rows):
             k0 = rows.start or 0
             via = (dist[rows, None, :] + dist[None, k0:, :]).min(axis=2)
@@ -479,8 +480,6 @@ def build_metric_space(points, metric_kind="euclidean", validate: str = "full") 
             < METRIC_TOL / 2)
         if not settled and by_row_blocks(violated, n, dist.nbytes).any():
             raise NonMetric("triangle inequality violated")
-    elif validate != "fast":
-        raise ValueError("validate must be 'full' or 'fast'")
 
     return FiniteMetricSpace(points=_freeze(pts.copy()), dist=_freeze(dist))
 

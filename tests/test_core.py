@@ -26,8 +26,8 @@ from abconvex import core
 from abconvex.core import as_ext_array, is_proper, max_sub_up, sub_up
 from abconvex.errors import EmptyDomain, NonMetric, UndefinedSum
 
-from conftest import (SUB_UP_SPECIALS, SUB_UP_STYLES, old_max_sub_up, old_rescaled_euclidean_dist,
-                      old_sub_up, same_bits, sub_up_pairs)
+from conftest import (SUB_UP_SPECIALS, SUB_UP_STYLES, old_euclidean_dist, old_max_sub_up,
+                      old_rescaled_euclidean_dist, old_sub_up, same_bits, sub_up_pairs)
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 anyext = st.floats(allow_nan=False, allow_infinity=True, width=64)
@@ -426,6 +426,16 @@ class TestMetricSpace:
                 m.setattr(core, "WORKERS", 2)
                 m.setattr(core, "BLOCK_BYTES", 2 * 2 * (2 * min(dim, 8) + 2) * 8 * 12)
                 assert same_bits(build_metric_space(pts).dist, tiny)
+                # 12 ordinary points, then 12 distinct points within 2e-170
+                # of each other: of the two-row blocks, only the cluster's
+                # hold zeros besides their diagonal and repair them
+                mixed = np.concatenate([pts * 1e165, pts * 1e-5])
+                m.setattr(core, "BLOCK_BYTES", 2 * 2 * (2 * min(dim, 8) + 2) * 8 * 24)
+                zero = old_euclidean_dist(mixed) == 0
+                assert zero[:12].sum() == 12 and zero[12:, 12:].all() and not zero[12:, :12].any()
+                dist = build_metric_space(mixed).dist
+                assert (dist[12:, 12:] > 0).sum() == 12 * 11
+                assert same_bits(dist, old_rescaled_euclidean_dist(mixed))
 
     def test_nonzero_diagonal_rejected(self):
         with pytest.raises(NonMetric):

@@ -546,20 +546,22 @@ class TestTriangleCheck:
         D = build_metric_space(pts, validate="fast").dist
         calls.clear()
         space = build_metric_space(pts)
-        assert calls == ["distances"] + ["<lambda>"] * (scale < 1e-160)
+        assert calls == ["distances"]
         calls.clear()
         assert same_bits(build_metric_space(pts, D).dist, space.dist)
         assert calls == ["violated"]
 
     def test_validate_values(self, monkeypatch):
         # the bound settles only validate="full": any other value but "fast"
-        # is still rejected, and "fast" still skips the sweep above the bound
+        # is rejected before a distance is computed, ahead of a bad custom
+        # matrix too, and "fast" still skips the sweep above the bound
         calls = row_block_calls(monkeypatch)
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         for bad in ("bogus", "FULL", None):
-            with pytest.raises(ValueError, match="validate must be 'full' or 'fast'"):
-                build_metric_space(pts, validate=bad)
-        calls.clear()
+            for metric in ("euclidean", [[1.0]]):
+                with pytest.raises(ValueError, match="validate must be 'full' or 'fast'"):
+                    build_metric_space(pts, metric, validate=bad)
+            assert calls == []
         assert same_bits(build_metric_space(pts, validate="fast").dist,
                          build_metric_space(pts).dist)
         assert calls == ["distances", "distances"]
@@ -605,7 +607,12 @@ class TestEuclideanDistances:
                     with pytest.raises(NonMetric, match="zero distance between distinct points"):
                         build_metric_space(pts, validate="fast")
                 else:
-                    assert same_bits(build_metric_space(pts, validate="fast").dist, want)
+                    dist = build_metric_space(pts, validate="fast").dist
+                    assert same_bits(dist, want)
+                    # the axioms build_metric_space leaves unchecked for Euclidean
+                    # points: symmetric bits, a +0 diagonal, no sign bit set
+                    assert same_bits(dist, dist.T)
+                    assert not np.diagonal(dist).any() and not np.signbit(dist).any()
             check_pool_ran(ran, budget != "default")
 
     def test_pairwise_sum_matches_numpy_sum(self):
@@ -629,9 +636,10 @@ class TestEuclideanDistances:
             check_pool_ran(ran)
 
     def test_peak_memory_is_budget_plus_distances(self, monkeypatch):
-        # at dim 130 the coordinates are summed in halves
-        for n, dim in ((600, 3), (150, 130)):
-            pts = np.random.default_rng(720).uniform(-1.0, 1.0, (n, dim))
+        # at dim 130 the coordinates are summed in halves; at 1e-170 every
+        # square underflows and each block repairs its own zeros
+        for n, dim, scale in ((600, 3, 1.0), (150, 130, 1.0), (600, 1, 1e-170), (600, 3, 1e-170)):
+            pts = np.random.default_rng(720).uniform(-1.0, 1.0, (n, dim)) * scale
             for ran in worker_counts(monkeypatch, (1, 2, 4)):
                 monkeypatch.setattr(core, "BLOCK_BYTES", 1 << 18)
                 bound = n * n * 8 + 4 * core.BLOCK_BYTES
