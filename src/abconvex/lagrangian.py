@@ -149,16 +149,30 @@ def _partial_conjugate(E: np.ndarray, p: np.ndarray) -> np.ndarray:
     block reduces its rows in steps of max(1, _STEP_BYTES // E.nbytes) rows,
     so each step's differences stay in a core's cache.  A zero maximum is +0
     (see core), so the blocks and steps move no bit.
+    numpy reduces a last axis with one inner loop per output cell, which
+    costs more than the subtractions when that axis is short.  So when E has
+    more members than grid points (P > n_y), a step holds its differences as
+    (n_y, step, P), from one C-contiguous copy of E.T, and reduces axis 0:
+    elementwise maxima across n_y slabs of step * P cells.  Otherwise it holds
+    them as (step, P, n_y) and reduces the last axis.  Max is exact, so both
+    forms give the same maxima; only the sign of a NaN (an inf - inf of
+    non-finite operands) follows the loop order, so a step that meets one is
+    reduced again along the last axis.
     A difference of finite operands that overflows raises ImproperInput, even
     where a larger term of its row would mask it.
     """
     step = max(1, _STEP_BYTES // max(1, E.nbytes))
+    ET = np.ascontiguousarray(E.T) if E.shape[0] > E.shape[1] else None
 
     def block(rows):
         p_rows = p[rows]
         out = np.empty((len(p_rows), E.shape[0]), dtype=np.result_type(E, p))
         for i in range(0, len(p_rows), step):
-            (E[None, :, :] - p_rows[i:i + step, None, :]).max(axis=2, out=out[i:i + step])
+            p_step, o = p_rows[i:i + step], out[i:i + step]
+            if ET is not None:
+                (ET[:, None, :] - p_step.T[:, :, None]).max(axis=0, out=o)
+            if ET is None or np.isnan(o).any():
+                (E[None, :, :] - p_step[:, None, :]).max(axis=2, out=o)
         out += 0.0
         return out
 

@@ -211,12 +211,14 @@ LAGRANGIAN_OVERFLOWS = {
 }
 
 
-def lagrangian_overflow(case, pad_rows=0):
+def lagrangian_overflow(case, pad_rows=0, wide=False):
     """The problem and multiplier grid of a LAGRANGIAN_OVERFLOWS case, after
-    pad_rows rows of zeros."""
+    pad_rows rows of zeros; wide adds a member of slope zero, so that the grid
+    has more members than parameters (P > n_y)."""
     y0, p, slopes, _ = LAGRANGIAN_OVERFLOWS[case]
     Y = build_metric_space([[0.0], [1.0]])
-    grid = DualGrid(ElemFamily.affine(Y), tuple(ElemParams(ell=[s]) for s in slopes))
+    grid = DualGrid(ElemFamily.affine(Y),
+                    tuple(ElemParams(ell=[s]) for s in slopes + (0.0,) * wide))
     return PerturbationProblem(Y=Y, p=[[0.0, 0.0]] * pad_rows + p, y0=y0), grid
 
 

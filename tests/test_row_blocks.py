@@ -55,12 +55,16 @@ def budgets(row_bytes):
 
 
 def worker_counts(monkeypatch, counts=(1, 2, 3)):
-    """Sets core.WORKERS to each count in turn.  Yields, for each, the list of
-    the names of the threads that ran a block on the pool, for the test to
-    check that the pool really ran."""
+    """Sets core.WORKERS to each count in turn and starts its pool, so that a
+    traced call does not count the pool's first import.  Yields, for each,
+    the list of the names of the threads that ran a block on the pool, for
+    the test to check that the pool really ran."""
     pool = core._executor
     for n in counts:
         ran = []
+        monkeypatch.setattr(core, "WORKERS", n)
+        if n > 1:
+            pool()
 
         class Spy:
             def submit(self, fn, *args, ran=ran):
@@ -69,7 +73,6 @@ def worker_counts(monkeypatch, counts=(1, 2, 3)):
                     return fn(*a)
                 return pool().submit(run, *args)
 
-        monkeypatch.setattr(core, "WORKERS", n)
         monkeypatch.setattr(core, "_executor", Spy)
         yield ran
 
@@ -718,15 +721,25 @@ def random_table(rng, n_x, P, n_y):
     return E, p
 
 
+#: (n_x, P, n_y) at the switch of _partial_conjugate between its last-axis
+#: form (P <= n_y) and its transposed form (P > n_y), on either side of it,
+#: at a constrained table's shape (9 rungs x 45 anchors), with one row of p,
+#: one member and one parameter
+SWITCH_SHAPES = [(9, 5, 6), (9, 6, 6), (9, 7, 6), (30, 405, 45), (1, 12, 4), (1, 4, 12),
+                 (7, 1, 4), (7, 1, 9), (12, 9, 1), (5, 1, 1)]
+
+
 class TestPartialConjugate:
     @pytest.mark.parametrize("budget", ["one_row", "ragged", "default"])
     def test_matches_one_tensor_kernel(self, budget, monkeypatch):
         for ran in worker_counts(monkeypatch):
             rng = np.random.default_rng(630)
+            blocked = budget != "default"
             for n_x, P, n_y in [(1, 1, 1), (1, 5, 3), (7, 1, 4), (10, 6, 5), (12, 9, 1)] + [
-                    tuple(int(v) for v in rng.integers(1, 30, 3)) for _ in range(40)]:
+                    tuple(int(v) for v in rng.integers(1, 30, 3)) for _ in range(40)] + SWITCH_SHAPES:
                 E, p = random_table(rng, n_x, P, n_y)
                 monkeypatch.setattr(core, "BLOCK_BYTES", budgets(E.nbytes)[budget])
+                blocked |= n_x * E.nbytes > core.BLOCK_BYTES  # (30, 405, 45) splits at the default
                 got = lagrangian._partial_conjugate(E, p)
                 want = old_partial_conjugate_kernel(E, p)
                 assert same_bits(got, want)
@@ -735,7 +748,7 @@ class TestPartialConjugate:
                 # the transposed call of the grid biconjugate
                 assert same_bits(lagrangian._partial_conjugate(E.T, got),
                                  old_partial_conjugate_kernel(E.T, got))
-            check_pool_ran(ran, budget != "default")
+            check_pool_ran(ran, blocked)
 
     def test_holes_warn_nowhere_on_the_pool(self, monkeypatch):
         # a +inf member value against a +inf hole is inf - inf, silent only
@@ -754,10 +767,28 @@ class TestPartialConjugate:
             assert same_bits(again, old_partial_conjugate_kernel(E.T, got))
             check_pool_ran(ran)
 
+    def test_undefined_cells_keep_the_last_axis_nan(self, monkeypatch):
+        # inf - inf at each parameter in turn, in tables with more members than
+        # parameters: the sign of the NaN a reduction returns follows its loop
+        # order, and the kernel returns the last-axis reduction's
+        rng = np.random.default_rng(636)
+        for ran in worker_counts(monkeypatch, (1, 2)):
+            for n_y in (1, 2, 7, 9, 17):
+                for k in range(n_y):
+                    E, p = random_table(rng, 12, n_y + 3, n_y)
+                    E[:, k] = np.inf
+                    p[:, k] = np.inf
+                    monkeypatch.setattr(core, "BLOCK_BYTES", budgets(E.nbytes)["ragged"])
+                    got = lagrangian._partial_conjugate(E, p)
+                    assert np.isnan(got).any()
+                    assert same_bits(got, old_partial_conjugate_kernel(E, p))
+            check_pool_ran(ran)
+
+    @pytest.mark.parametrize("wide", [False, True])
     @pytest.mark.parametrize("case", sorted(LAGRANGIAN_OVERFLOWS))
-    def test_overflow_raises_on_the_pool(self, case, monkeypatch):
+    def test_overflow_raises_on_the_pool(self, case, wide, monkeypatch):
         # the overflowing row is the last of five, in a worker's block
-        prob, grid = lagrangian_overflow(case, pad_rows=4)
+        prob, grid = lagrangian_overflow(case, pad_rows=4, wide=wide)
         for ran in worker_counts(monkeypatch, (2,)):
             monkeypatch.setattr(core, "BLOCK_BYTES", budgets(grid.matrix.nbytes)["one_row"])
             with warnings.catch_warnings():
@@ -783,17 +814,20 @@ class TestPartialConjugate:
             assert rep.convexity_holds == want["convexity_holds"]
 
     def test_peak_memory_is_budget_plus_tables(self, monkeypatch):
+        # the second table has more members than parameters, so the kernel
+        # also holds a copy of E.T
         rng = np.random.default_rng(650)
-        E, p = rng.normal(size=(100, 100)), rng.normal(size=(200, 100))
-        tables = E.nbytes + p.nbytes + p.shape[0] * E.shape[0] * 8
-        for ran in worker_counts(monkeypatch, (2, 4)):
-            monkeypatch.setattr(core, "BLOCK_BYTES", 1 << 18)
-            assert p.shape[0] * E.size * 8 > 50 * core.BLOCK_BYTES
-            assert traced_peak(lambda: old_partial_conjugate_kernel(E, p)) \
-                > 50 * core.BLOCK_BYTES
-            peak = traced_peak(lambda: lagrangian._partial_conjugate(E, p))
-            assert peak <= 2 * core.BLOCK_BYTES + 2 * tables
-            check_pool_ran(ran, core.WORKERS == 2)  # as for the triangle check
+        for P, n_y in ((100, 100), (400, 30)):
+            E, p = rng.normal(size=(P, n_y)), rng.normal(size=(200, n_y))
+            tables = E.nbytes + p.nbytes + p.shape[0] * E.shape[0] * 8
+            for ran in worker_counts(monkeypatch, (2, 4)):
+                monkeypatch.setattr(core, "BLOCK_BYTES", 1 << 18)
+                assert p.shape[0] * E.size * 8 > 50 * core.BLOCK_BYTES
+                assert traced_peak(lambda: old_partial_conjugate_kernel(E, p)) \
+                    > 50 * core.BLOCK_BYTES
+                peak = traced_peak(lambda: lagrangian._partial_conjugate(E, p))
+                assert peak <= 2 * core.BLOCK_BYTES + 2 * tables
+                check_pool_ran(ran, core.WORKERS == 2)  # as for the triangle check
 
 
 class TestEnvelope:
@@ -1008,7 +1042,19 @@ class TestZeroRule:
                 monkeypatch.setattr(lagrangian, "_STEP_BYTES", 2 * E.nbytes)
                 want = [loop_reduce(E - p[x], 1) for x in range(n_x)]
                 assert same_bits(lagrangian._partial_conjugate(E, p), want)
-            check_pool_ran(ran, budget != "default")
+            blocked = budget != "default"
+            for n_x, P, n_y in SWITCH_SHAPES:
+                E = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5], size=(P, n_y))
+                p = rng.choice([0.0, -0.0, 1.0, 0.5, np.inf], size=(n_x, n_y))
+                monkeypatch.setattr(core, "BLOCK_BYTES", budgets(E.nbytes)[budget])
+                blocked |= n_x * E.nbytes > core.BLOCK_BYTES
+                monkeypatch.setattr(lagrangian, "_STEP_BYTES", 2 * E.nbytes)
+                S = lagrangian._partial_conjugate(E, p)
+                assert same_bits(S, [loop_reduce(E - p[x], 1) for x in range(n_x)])
+                # E.T, a view that is not C-contiguous, as in the full-scope call
+                assert same_bits(lagrangian._partial_conjugate(E.T, S),
+                                 [loop_reduce(E.T - S[x], 1) for x in range(n_x)])
+            check_pool_ran(ran, blocked)
 
     def test_c_transform(self):
         rng = np.random.default_rng(740)
