@@ -270,16 +270,16 @@ class TestSteppedKernel:
                              old_partial_conjugate_matrix(prob, grid))
         assert signs == {False}
 
-    @pytest.mark.parametrize("wide", [False, True])
     @pytest.mark.parametrize("mode", STEPS)
     @pytest.mark.parametrize("case", sorted(LAGRANGIAN_OVERFLOWS))
-    def test_overflow_raises_from_any_step(self, case, mode, wide, monkeypatch):
+    def test_overflow_raises_from_any_step(self, case, mode, monkeypatch):
         # the overflowing row last; a wide grid has more members than parameters
-        prob, grid = lagrangian_overflow(case, pad_rows=11, wide=wide)
-        monkeypatch.setattr(lag, "_STEP_BYTES", step_bytes(mode, grid.matrix.nbytes, prob.n_x))
-        with pytest.raises(ImproperInput) as err:
-            build_lagrangian(prob, grid)
-        assert str(err.value) == LAGRANGIAN_OVERFLOWS[case][3]
+        for wide in (False, True):
+            prob, grid = lagrangian_overflow(case, pad_rows=11, wide=wide)
+            monkeypatch.setattr(lag, "_STEP_BYTES", step_bytes(mode, grid.matrix.nbytes, prob.n_x))
+            with pytest.raises(ImproperInput) as err:
+                build_lagrangian(prob, grid)
+            assert str(err.value) == LAGRANGIAN_OVERFLOWS[case][3]
 
 
 def member_rows(rng, prob, grid):

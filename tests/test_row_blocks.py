@@ -784,19 +784,20 @@ class TestPartialConjugate:
                     assert same_bits(got, old_partial_conjugate_kernel(E, p))
             check_pool_ran(ran)
 
-    @pytest.mark.parametrize("wide", [False, True])
     @pytest.mark.parametrize("case", sorted(LAGRANGIAN_OVERFLOWS))
-    def test_overflow_raises_on_the_pool(self, case, wide, monkeypatch):
-        # the overflowing row is the last of five, in a worker's block
-        prob, grid = lagrangian_overflow(case, pad_rows=4, wide=wide)
-        for ran in worker_counts(monkeypatch, (2,)):
-            monkeypatch.setattr(core, "BLOCK_BYTES", budgets(grid.matrix.nbytes)["one_row"])
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(ImproperInput) as err:
-                    lagrangian.build_lagrangian(prob, grid)
-            assert str(err.value) == LAGRANGIAN_OVERFLOWS[case][3]
-            check_pool_ran(ran)
+    def test_overflow_raises_on_the_pool(self, case, monkeypatch):
+        # the overflowing row is the last of five, in a worker's block; a wide
+        # grid has more members than parameters
+        for wide in (False, True):
+            prob, grid = lagrangian_overflow(case, pad_rows=4, wide=wide)
+            for ran in worker_counts(monkeypatch, (2,)):
+                monkeypatch.setattr(core, "BLOCK_BYTES", budgets(grid.matrix.nbytes)["one_row"])
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(ImproperInput) as err:
+                        lagrangian.build_lagrangian(prob, grid)
+                assert str(err.value) == LAGRANGIAN_OVERFLOWS[case][3]
+                check_pool_ran(ran)
 
     def test_duality_report_in_one_row_blocks(self, monkeypatch):
         monkeypatch.setattr(core, "BLOCK_BYTES", 1)
@@ -1014,9 +1015,10 @@ class TestConjugation:
 
 class TestZeroRule:
     """A zero that a blocked max kernel returns is +0: max_sub_up in both
-    forms, _partial_conjugate in one-row, ragged and default blocks reduced in
-    steps of two rows, and c_transform, each against loop_reduce, a plain loop
-    over the cells, on inputs whose lines tie at zeros of both signs."""
+    forms, _partial_conjugate in both forms (also on E.T) in one-row, ragged
+    and default blocks reduced in steps of two rows, and c_transform, each
+    against loop_reduce, a plain loop over the cells, on inputs whose lines
+    tie at zeros of both signs."""
 
     SHAPES = [(1, 1), (1, 9), (9, 1), (2, 2), (33, 7), (7, 33), (40, 40)]
 
@@ -1034,16 +1036,9 @@ class TestZeroRule:
     def test_partial_conjugate(self, budget, monkeypatch):
         for ran in worker_counts(monkeypatch, (1, 2)):
             rng = np.random.default_rng(730)
-            for n_x, P in self.SHAPES:
-                n_y = int(rng.integers(1, 12))
-                E = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5], size=(P, n_y))
-                p = rng.choice([0.0, -0.0, 1.0, 0.5, np.inf], size=(n_x, n_y))
-                monkeypatch.setattr(core, "BLOCK_BYTES", budgets(E.nbytes)[budget])
-                monkeypatch.setattr(lagrangian, "_STEP_BYTES", 2 * E.nbytes)
-                want = [loop_reduce(E - p[x], 1) for x in range(n_x)]
-                assert same_bits(lagrangian._partial_conjugate(E, p), want)
             blocked = budget != "default"
-            for n_x, P, n_y in SWITCH_SHAPES:
+            for n_x, P, n_y in [(n_x, P, int(rng.integers(1, 12)))
+                                for n_x, P in self.SHAPES] + SWITCH_SHAPES:
                 E = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5], size=(P, n_y))
                 p = rng.choice([0.0, -0.0, 1.0, 0.5, np.inf], size=(n_x, n_y))
                 monkeypatch.setattr(core, "BLOCK_BYTES", budgets(E.nbytes)[budget])
