@@ -22,7 +22,6 @@ from .families import (
     Sampled1D,
     biconjugate,
     conjugate_transform,
-    convexity_defect,
     default_dual_grid,
     eval_on_domain,
     is_support,
@@ -32,12 +31,10 @@ from .families import (
     validate_members,
 )
 from .minimax import (
-    SaddleTable,
     TCertificate,
     disjoint_sublevel,
     intersection_certificate,
     intersection_property_direct,
-    saddle_values,
 )
 from .lagrangian import (
     Certificate,
@@ -45,13 +42,11 @@ from .lagrangian import (
     LagTable,
     PerturbationProblem,
     SupportFn,
-    alpha_sweep,
     build_lagrangian,
     concavity_probe,
     duality_report,
     gap_certificate,
     lsc_defect,
-    partial_conjugate,
 )
 from .constrained import (
     ConstrainedInstance,
@@ -60,10 +55,8 @@ from .constrained import (
     build_constrained_perturbation,
     metric_dual_grid,
     metric_grid_sup,
-    metric_lagrangian,
     metric_primal_sup,
     phi_lsc_set_separation,
-    quad_lagrangian,
     verify_zero_gap_metric,
 )
 from .transport import (

@@ -2,10 +2,8 @@
 
 A feasibility map A sends each parameter point to the set of admissible
 arguments; perturbing the constraint set embeds the problem in the generic
-Lagrangian machinery.  Metric-cone multipliers admit a closed-form Lagrangian
-through the distance to the inverse-feasible set, quadratic multipliers
-through a parabola envelope; both are columns of the generic Lagrangian
-table of the constrained perturbation.
+Lagrangian machinery: metric-cone and quadratic multipliers are grids of
+the generic Lagrangian table of the constrained perturbation.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from .lagrangian import (
     EQ_TOL,
     PerturbationProblem,
     _lagrangian,
-    build_lagrangian,
     duality_report,
 )
 
@@ -102,24 +99,6 @@ def build_constrained_perturbation(inst: ConstrainedInstance) -> PerturbationPro
     finite_col = np.isfinite(p).any(axis=0)
     allow = frozenset(int(y) for y in np.flatnonzero(~finite_col))
     return PerturbationProblem(Y=inst.Y, p=p, y0=inst.y0, allow_improper_cols=allow)
-
-
-def metric_lagrangian(inst: ConstrainedInstance, anchor: int, a: float) -> GridFn:
-    """Closed-form metric-cone Lagrangian
-    -a d(y0, anchor) + f(x) + a min_{y in G(x)} d(y, anchor), with +inf on
-    arguments whose inverse-feasible set is empty: the one column of the
-    Lagrangian table of the constrained perturbation."""
-    grid = DualGrid(ElemFamily.metric(inst.Y), [ElemParams(a=float(a), anchor=int(anchor))])
-    return GridFn(inst.n_x, build_lagrangian(build_constrained_perturbation(inst), grid).L[:, 0])
-
-
-def quad_lagrangian(inst: ConstrainedInstance, u, a: float) -> GridFn:
-    """Quadratic-multiplier Lagrangian
-    -a||y0||^2 + <u, y0> - sup_{y in G(x)} (-a||y||^2 + <u, y> - f(x)), the
-    one column of the Lagrangian table of the constrained perturbation."""
-    params = ElemParams(a=float(a), ell=np.asarray(u, dtype=float))
-    grid = DualGrid(ElemFamily.quad_minus(inst.Y), [params])
-    return GridFn(inst.n_x, build_lagrangian(build_constrained_perturbation(inst), grid).L[:, 0])
 
 
 def metric_primal_sup(inst: ConstrainedInstance, x: int) -> ExtReal:
@@ -238,6 +217,10 @@ def phi_lsc_set_separation(space: FiniteMetricSpace, C, p_out: int,
     C = sorted(int(i) for i in C)
     if not C:
         raise ValueError("C must be nonempty")
+    if not 0 <= p_out < space.n:
+        raise ValueError("p_out out of range")
+    if C[0] < 0 or C[-1] >= space.n:
+        raise ValueError("C references an out-of-range point")
     if p_out in C:
         raise ValueError("p_out must lie outside C")
     fam = ElemFamily.quad_minus(space)

@@ -29,10 +29,6 @@ class BadParams(AbconvexError):
     """Elementary-function parameters are invalid for the given family."""
 
 
-class InfiniteAtPoint(AbconvexError):
-    """The queried point carries the value +inf, so the result is an infinity flag."""
-
-
 class NoWitness(AbconvexError):
     """No elementary witness satisfying the requested inequalities exists on the grid."""
 

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .core import FiniteMetricSpace, GridFn, _freeze, by_row_blocks, max_sub_up
-from .errors import BadParams, ImproperInput, InfiniteAtPoint, NoWitness
+from .errors import BadParams, ImproperInput, NoWitness
 
 _NUDGE = 1.0 + 2.0 ** -46
 _MAX_NUDGES = 64
@@ -498,20 +498,12 @@ def biconjugate(f: GridFn, dual: DualGrid, star: Optional[np.ndarray] = None) ->
 
 def is_support(family: ElemFamily, params: ElemParams, f: GridFn, tol: float = 0.0) -> bool:
     """Whether the member minorizes f up to tol: max(phi - f) <= tol."""
+    if f.size != family.domain.n:
+        raise ValueError("grid function and family live on different domains")
     if np.isneginf(f.values).any():
         return False
     gap = max_sub_up(eval_on_domain(family, params), f.values, 0)
     return bool(gap <= tol)
-
-
-def convexity_defect(f: GridFn, x0: int, dual: DualGrid) -> float:
-    """f(x0) - f**(x0) >= 0; zero iff f is family-convex at x0 on this grid."""
-    if np.isposinf(f.values[x0]):
-        raise InfiniteAtPoint(f"f is +inf at point {x0}")
-    if not np.isfinite(f.values[x0]):
-        raise ImproperInput("convexity defect needs a finite value at x0")
-    second = biconjugate(f, dual)
-    return float(f.values[x0] - second.values[x0])
 
 
 # ---------------------------------------------------------------------------

@@ -183,14 +183,6 @@ def _partial_conjugate(E: np.ndarray, p: np.ndarray) -> np.ndarray:
             raise ImproperInput("the partial conjugate overflows the doubles") from None
 
 
-def partial_conjugate(prob: PerturbationProblem, x: int,
-                      family: ElemFamily, params: ElemParams) -> ExtReal:
-    """sup over the parameter grid of psi(y) - p(x, y) for one multiplier;
-    ImproperInput when a difference overflows the doubles."""
-    vals = eval_on_domain(family, params)
-    return ExtReal(float(_partial_conjugate(vals[None, :], prob.p[x][None, :])[0, 0]))
-
-
 def _lagrangian(E: np.ndarray, p: np.ndarray, y0: int) -> tuple[np.ndarray, np.ndarray]:
     """(L, S) with S = _partial_conjugate(E, p) and L[x, j] = E[j, y0] - S[x, j]:
     the one composition of the Lagrangian (E finite, S finite or -inf, no NaN).
@@ -297,23 +289,6 @@ def gap_certificate(prob: PerturbationProblem, psi_grid: DualGrid, alpha: float,
     )
 
 
-def alpha_sweep(prob: PerturbationProblem,
-                psi_grid: DualGrid) -> list[tuple[float, Optional[Certificate]]]:
-    """Geometric approach of the certificate level to the primal value:
-    seven halvings of a unit offset, then the final step at primal - 1e-6,
-    each level at least one double below primal."""
-    table = build_lagrangian(prob, psi_grid)
-    primal = float(table.row_sup.min())
-    if not np.isfinite(primal):
-        raise LevelAbovePrimal("alpha sweep needs a finite primal value")
-    offsets = [2.0 ** -k for k in range(7)] + [1e-6]
-    out = []
-    for off in offsets:
-        alpha = min(primal - off, math.nextafter(primal, -math.inf))
-        out.append((alpha, gap_certificate(prob, psi_grid, alpha, _table=table)))
-    return out
-
-
 def concavity_probe(prob: PerturbationProblem, family: ElemFamily,
                     psi_a: ElemParams, psi_b: ElemParams, t: float) -> bool:
     """Verify L(x, t psi_a + (1-t) psi_b) >= t L(x, psi_a) + (1-t) L(x, psi_b)
@@ -343,6 +318,8 @@ def concavity_probe(prob: PerturbationProblem, family: ElemFamily,
 def _lsc_defects(V: GridFn, y0: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """lsc_profile's (radii, defects), unchecked, and a mask of the defects
     whose V(y0) - min of finite operands overflowed to +inf."""
+    if not 0 <= y0 < V.size:
+        raise ValueError("y0 out of range")
     d = V.domain.dist[y0]
     order = np.argsort(d, kind="stable")
     order = order[d[order] > 0]
@@ -378,16 +355,17 @@ def lsc_defect(V: GridFn, y0: int, radius: float) -> float:
 
     A radius-indexed proxy: pointwise lower semicontinuity is vacuous on a
     finite grid, so callers watch the defect as the radius shrinks with the
-    grid spacing.  A radius that is not positive (NaN included) raises
-    ValueError, and a defect that overflows the doubles ImproperInput.
+    grid spacing.  A radius that is not positive (NaN included) or a y0
+    outside the domain raises ValueError, and a defect that overflows the
+    doubles ImproperInput.
     """
     if not isinstance(V.domain, FiniteMetricSpace):
         raise ValueError("lsc_defect needs a metric domain")
     if not radius > 0:
         raise ValueError("radius must be positive")
+    radii, defects, overflow = _lsc_defects(V, y0)
     if not np.isfinite(V.values[y0]):
         raise ValueError("lsc_defect needs a finite value at y0")
-    radii, defects, overflow = _lsc_defects(V, y0)
     inside = np.count_nonzero(radii <= radius)
     if not inside:
         return 0.0

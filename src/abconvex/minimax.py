@@ -1,4 +1,4 @@
-"""Intersection-property checks, exact combination certificates, saddle values.
+"""Intersection-property checks and exact combination certificates.
 
 Two real-valued grid functions have the intersection property at a level
 exactly when some convex combination of them dominates the level everywhere;
@@ -17,23 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ExtReal, GridFn, _freeze, by_row_blocks
+from .core import GridFn, by_row_blocks
 from .errors import EmptyDomain, ImproperInput
-
-
-@dataclass(frozen=True)
-class SaddleTable:
-    """Extended-real payoff samples a(x, z) on finite X (rows) and Z (columns)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 2 or vals.shape[0] < 1 or vals.shape[1] < 1:
-            raise ValueError("SaddleTable needs a nonempty 2-D table")
-        if np.isnan(vals).any():
-            raise ValueError("SaddleTable cannot contain NaN")
-        object.__setattr__(self, "values", _freeze(vals.copy()))
 
 
 @dataclass(frozen=True)
@@ -190,12 +175,3 @@ def intersection_certificate(phi1: GridFn, phi2: GridFn, alpha: float):
         return None
     t0 = float(ts[np.flatnonzero(env == best)[0]])
     return TCertificate(t0=t0, level=float(alpha), lower_envelope_value=float(best))
-
-
-def saddle_values(table: SaddleTable) -> tuple[ExtReal, ExtReal]:
-    """(inf-sup, sup-inf) of the table; the weak inequality
-    sup-inf <= inf-sup always holds, and no equality is claimed here."""
-    vals = table.values
-    infsup = float(vals.max(axis=1).min())
-    supinf = float(vals.min(axis=0).max())
-    return ExtReal(infsup), ExtReal(supinf)

@@ -420,14 +420,6 @@ def old_partial_conjugate_matrix(prob, psi_grid):
     return diff.max(axis=2)
 
 
-def old_partial_conjugate(prob, x, family, params):
-    """sup over the parameter grid of psi(y) - p(x, y) for one multiplier."""
-    vals = eval_on_domain(family, params)
-    with np.errstate(invalid="ignore"):
-        out = (vals - prob.p[x]).max()
-    return ExtReal(float(out))
-
-
 def old_lagrangian(prob, psi_grid):
     """L(x, psi) = psi(y0) - p*_x(psi) for every multiplier on the grid."""
     S = old_partial_conjugate_matrix(prob, psi_grid)

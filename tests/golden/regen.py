@@ -69,10 +69,12 @@ from abconvex import (  # noqa: E402
     DualGrid,
     ElemFamily,
     ElemParams,
+    ExtReal,
     GridFn,
     Sampled1D,
     biconjugate,
     PerturbationProblem,
+    build_constrained_perturbation,
     build_lagrangian,
     build_metric_space,
     c_transform,
@@ -81,13 +83,11 @@ from abconvex import (  # noqa: E402
     conjugate_transform,
     default_dual_grid,
     duality_report,
+    eval_on_domain,
     intersection_certificate,
     kantorovich_gap_report,
     metric_grid_sup,
-    metric_lagrangian,
-    partial_conjugate,
     peaking_witness,
-    quad_lagrangian,
     solve_transport,
     urysohn_witness,
     verify_zero_gap_metric,
@@ -99,6 +99,7 @@ from abconvex.errors import (  # noqa: E402
     AbconvexError, BadParams, NonMetric, NoWitness, UndefinedSum)
 import abconvex.core as core  # noqa: E402
 from abconvex.families import slope_bound  # noqa: E402
+from abconvex.lagrangian import _partial_conjugate  # noqa: E402
 from conftest import (  # noqa: E402
     degenerate_transport,
     generic_transport,
@@ -633,7 +634,7 @@ def _lag_table(table) -> bytes:
 
 def _kernel_table(rng, kind) -> bytes:
     """Lagrangian tables with +inf holes, with and without empty rows, and
-    partial_conjugate of three (x, member) pairs of each."""
+    the partial conjugate of three (x, member) pairs of each, one cell at a time."""
     h = b""
     for n_x, n_y in table_shapes(rng, 25):
         for empty_rows in (False, True):
@@ -641,7 +642,8 @@ def _kernel_table(rng, kind) -> bytes:
             h += _lag_table(build_lagrangian(prob, grid))
             for _ in range(3):
                 x, j = int(rng.integers(n_x)), int(rng.integers(grid.size))
-                h += _ext(partial_conjugate(prob, x, grid.family, grid.member(j)))
+                vals = eval_on_domain(grid.family, grid.member(j))
+                h += _ext(ExtReal(float(_partial_conjugate(vals[None, :], prob.p[x][None, :])[0, 0])))
     return h
 
 
@@ -666,6 +668,13 @@ def _concavity(rng) -> bytes:
     return h
 
 
+def _cone_column(inst, family, params) -> GridFn:
+    """Column 0 of the Lagrangian table of the constrained perturbation on a
+    one-member grid: one metric-cone or quadratic multiplier's Lagrangian."""
+    grid = DualGrid(family, [params])
+    return GridFn(inst.n_x, build_lagrangian(build_constrained_perturbation(inst), grid).L[:, 0])
+
+
 def _cone_lagrangians(rng, which) -> bytes:
     h = b""
     for allow_empty in (False, True):
@@ -673,11 +682,13 @@ def _cone_lagrangians(rng, which) -> bytes:
             inst = kernel_constrained(rng, n_x, n_y, allow_empty)
             for _ in range(3):
                 if which == "metric":
-                    L = metric_lagrangian(inst, int(rng.integers(n_y)),
-                                          float(rng.uniform(0.1, 4.0)))
+                    anchor, a = int(rng.integers(n_y)), float(rng.uniform(0.1, 4.0))
+                    L = _cone_column(inst, ElemFamily.metric(inst.Y),
+                                     ElemParams(a=a, anchor=anchor))
                 else:
-                    L = quad_lagrangian(inst, [float(rng.uniform(-2, 2))],
-                                        float(rng.uniform(0.0, 3.0)))
+                    u, a = [float(rng.uniform(-2, 2))], float(rng.uniform(0.0, 3.0))
+                    L = _cone_column(inst, ElemFamily.quad_minus(inst.Y),
+                                     ElemParams(a=a, ell=np.asarray(u, dtype=float)))
                 h += L.values.tobytes()
     return h
 

@@ -26,7 +26,6 @@ from abconvex import (
     biconjugate,
     build_metric_space,
     conjugate_transform,
-    convexity_defect,
     default_dual_grid,
     duality_report,
     lsc_defect,
@@ -160,7 +159,7 @@ class TestScenarios:
 
     def test_conjugate_defects_are_convexity_defects(self, tmp_path):
         # a non-convex function with a +inf hole and a -0.0: the defect at each
-        # finite point is convexity_defect there, bit for bit
+        # finite point is f - f** there, from one biconjugate, bit for bit
         points, slopes = [-2.0, -1.0, 0.0, 1.0, 2.0], [-2.0, -1.0, 0.0, 1.0, 2.0]
         values = [1.0, -0.0, 1.5, np.inf, 3.0]
         sc = {"kind": "conjugate",
@@ -174,8 +173,8 @@ class TestScenarios:
         domain = build_metric_space(np.asarray(points)[:, None])
         f = GridFn(domain, values)
         grid = DualGrid(ElemFamily.affine(domain), tuple(ElemParams(ell=[s]) for s in slopes))
-        want = [convexity_defect(f, i, grid) if np.isfinite(v) else None
-                for i, v in enumerate(values)]
+        want = [float(v - w) if np.isfinite(v) else None
+                for v, w in zip(f.values, biconjugate(f, grid).values)]
         got = report["results"]["defect"]
         assert [repr(v) for v in got] == [repr(v) for v in want]
         assert got[3] is None and got[2] > 0

@@ -16,11 +16,9 @@ from abconvex import (
     build_lagrangian,
     eval_on_domain,
     metric_grid_sup,
-    metric_lagrangian,
     metric_dual_grid,
     metric_primal_sup,
     phi_lsc_set_separation,
-    quad_lagrangian,
     verify_zero_gap_metric,
 )
 from abconvex.errors import ImproperInput, ImproperObjective, NotSeparable
@@ -42,6 +40,12 @@ def empty_anchor():
     cmap = ConstraintMap(feasible=(frozenset(), frozenset({0})), n_x=1,
                          allow_empty=True)
     return ConstrainedInstance(f=GridFn(1, [1.0]), map=cmap, Y=Y, y0=0)
+
+
+def lagrangian_columns(inst, family, params):
+    """L[:, j]: the Lagrangian of the constrained perturbation for params[j]."""
+    grid = DualGrid(family, tuple(params))
+    return build_lagrangian(build_constrained_perturbation(inst), grid).L
 
 
 class TestConstraintMap:
@@ -86,43 +90,23 @@ class TestBuildPerturbation:
 class TestMetricLagrangian:
     def test_worked_values(self):
         inst = worked_2x2()
-        assert np.array_equal(metric_lagrangian(inst, anchor=0, a=2.0).values,
-                              [2.0, 2.0])
-        assert np.array_equal(metric_lagrangian(inst, anchor=0, a=1.0).values,
-                              [2.0, 1.0])
+        L = lagrangian_columns(inst, ElemFamily.metric(inst.Y),
+                               [ElemParams(a=2.0, anchor=0), ElemParams(a=1.0, anchor=0)])
+        assert np.array_equal(L[:, 0], [2.0, 2.0])
+        assert np.array_equal(L[:, 1], [2.0, 1.0])
 
     def test_anchor_at_y0_feasible_gives_f(self):
         inst = worked_2x2()
-        for a in (0.5, 1.0, 3.0, 10.0):
-            vals = metric_lagrangian(inst, anchor=0, a=a).values
-            assert vals[0] == 2.0  # x1 feasible at y0
+        L = lagrangian_columns(inst, ElemFamily.metric(inst.Y),
+                               [ElemParams(a=a, anchor=0) for a in (0.5, 1.0, 3.0, 10.0)])
+        assert (L[0] == 2.0).all()  # x1 feasible at y0
 
     def test_empty_inverse_set_gives_inf(self):
         Y = line_space([0.0, 1.0])
         cmap = ConstraintMap(feasible=(frozenset({0}), frozenset({0})), n_x=2)
         inst = ConstrainedInstance(f=GridFn(2, [1.0, 1.0]), map=cmap, Y=Y, y0=0)
-        vals = metric_lagrangian(inst, anchor=0, a=1.0).values
-        assert np.isposinf(vals[1]) and np.isfinite(vals[0])
-
-    def test_cross_implementation_exact(self):
-        rng = np.random.default_rng(41)
-        for _ in range(80):
-            inst = random_constrained(rng, max_x=8, max_y=8)
-            prob = build_constrained_perturbation(inst)
-            anchors = rng.integers(inst.Y.n, size=3)
-            rungs = rng.uniform(0.2, 4.0, size=3)
-            params = tuple(ElemParams(a=float(a), anchor=int(anc))
-                           for anc, a in zip(anchors, rungs))
-            seen = set()
-            params = tuple(p for p in params
-                           if p.key() not in seen and not seen.add(p.key()))
-            grid = DualGrid(ElemFamily.metric(inst.Y), params)
-            table = build_lagrangian(prob, grid)
-            oracle = old_lagrangian(prob, grid)
-            for j, p in enumerate(params):
-                direct = metric_lagrangian(inst, p.anchor, p.a).values
-                assert np.array_equal(direct, table.L[:, j])
-                assert np.array_equal(direct, oracle[:, j])
+        L = lagrangian_columns(inst, ElemFamily.metric(inst.Y), [ElemParams(a=1.0, anchor=0)])
+        assert np.isposinf(L[1, 0]) and np.isfinite(L[0, 0])
 
 
 class TestQuadLagrangian:
@@ -132,7 +116,8 @@ class TestQuadLagrangian:
                              allow_empty=True)
         inst = ConstrainedInstance(f=GridFn(1, [3.0]), map=cmap, Y=Y, y0=0)
         # G(x) = {y0}: the envelope collapses there
-        assert quad_lagrangian(inst, u=[0.0], a=1.0).values[0] == 3.0
+        L = lagrangian_columns(inst, ElemFamily.quad_minus(Y), [ElemParams(a=1.0, ell=[0.0])])
+        assert L[0, 0] == 3.0
 
     def test_zero_curvature_matches_affine_multiplier(self):
         rng = np.random.default_rng(42)
@@ -141,9 +126,9 @@ class TestQuadLagrangian:
         u = [0.7]
         grid = DualGrid(ElemFamily.affine(inst.Y), (ElemParams(ell=u),))
         table = build_lagrangian(prob, grid)
-        assert np.array_equal(quad_lagrangian(inst, u, 0.0).values, table.L[:, 0])
-        assert np.array_equal(quad_lagrangian(inst, u, 0.0).values,
-                              old_lagrangian(prob, grid)[:, 0])
+        quad = lagrangian_columns(inst, ElemFamily.quad_minus(inst.Y), [ElemParams(a=0.0, ell=u)])
+        assert np.array_equal(quad[:, 0], table.L[:, 0])
+        assert np.array_equal(quad[:, 0], old_lagrangian(prob, grid)[:, 0])
 
     def test_worked_one_dim(self):
         Y = line_space([-1.0, 0.0, 1.0])
@@ -152,24 +137,8 @@ class TestQuadLagrangian:
             allow_empty=True)
         inst = ConstrainedInstance(f=GridFn(1, [0.0]), map=cmap, Y=Y, y0=1)
         # sup over {-1, 1} of -y^2 is -1, so L = 0 - (-1) = 1
-        assert quad_lagrangian(inst, u=[0.0], a=1.0).values[0] == 1.0
-
-    def test_cross_implementation_exact(self):
-        rng = np.random.default_rng(43)
-        for _ in range(80):
-            inst = random_constrained(rng, max_x=8, max_y=8)
-            prob = build_constrained_perturbation(inst)
-            params = tuple(
-                ElemParams(a=float(a), ell=[float(u)])
-                for a, u in zip(rng.uniform(0, 3, 3), rng.uniform(-2, 2, 3))
-            )
-            grid = DualGrid(ElemFamily.quad_minus(inst.Y), params)
-            table = build_lagrangian(prob, grid)
-            oracle = old_lagrangian(prob, grid)
-            for j, p in enumerate(params):
-                direct = quad_lagrangian(inst, p.ell, p.a).values
-                assert np.array_equal(direct, table.L[:, j])
-                assert np.array_equal(direct, oracle[:, j])
+        L = lagrangian_columns(inst, ElemFamily.quad_minus(Y), [ElemParams(a=1.0, ell=[0.0])])
+        assert L[0, 0] == 1.0
 
 
 class TestMetricPrimalSup:

@@ -15,23 +15,22 @@ from abconvex import (
     GridFn,
     PerturbationProblem,
     Sampled1D,
-    SaddleTable,
     TransportProblem,
-    alpha_sweep,
     build_lagrangian,
     build_metric_space,
     concavity_probe,
     conjugate_transform,
-    convexity_defect,
     coupling_check,
     disjoint_sublevel,
     duality_report,
+    is_support,
     lsc_defect,
     peaking_witness,
+    phi_lsc_set_separation,
     urysohn_witness,
 )
-from abconvex.errors import (BadParams, ImproperInput, ImproperProblem, LevelAbovePrimal,
-                             NonMetric, NoWitness)
+from abconvex.errors import BadParams, ImproperProblem, NonMetric, NoWitness
+from abconvex.lagrangian import lsc_profile
 
 INF, NAN = np.inf, np.nan
 Y2 = build_metric_space([[0.0], [1.0]])
@@ -91,8 +90,9 @@ CHECKS = {
     "a_not_finite": (lambda: ElemParams(a=INF), BadParams, "a must be finite"),
     "conjugate_domains": (lambda: conjugate_transform(GridFn(Y3, [0.0, 1.0, 2.0]), GRID2),
                           ValueError, "grid function and dual grid live on different domains"),
-    "defect_at_minus_inf": (lambda: convexity_defect(GridFn(Y2, [-INF, 0.0]), 0, GRID2),
-                            ImproperInput, "convexity defect needs a finite value at x0"),
+    "support_domains": (lambda: is_support(ElemFamily.affine(Y3), ElemParams(ell=[0.0]),
+                                           GridFn(1, [0.0])),
+                        ValueError, "grid function and family live on different domains"),
     "peaking_delta": (lambda: peaking_witness(ElemFamily.metric(Y2), 0, 0.5, 0.0, 1.0,
                                               ElemParams(a=1.0, anchor=0)),
                       BadParams, "delta must be positive"),
@@ -109,10 +109,6 @@ CHECKS = {
                     "multiplier grid must live on the parameter domain"),
     "convexity_scope": (lambda: duality_report(PROB2, GRID2, convexity_scope="none"),
                         ValueError, "convexity_scope must be 'anchor' or 'full'"),
-    "sweep_infinite_primal": (lambda: alpha_sweep(
-                                  PerturbationProblem(Y=Y2, p=[[INF, INF]], y0=0,
-                                                      allow_improper_cols={0, 1}), GRID2),
-                              LevelAbovePrimal, "alpha sweep needs a finite primal value"),
     "probe_t": (lambda: concavity_probe(PROB2, AFFINE2, ElemParams(ell=[0.0]),
                                         ElemParams(ell=[1.0]), 1.5),
                 ValueError, "t must lie in [0, 1]"),
@@ -122,15 +118,21 @@ CHECKS = {
                    "radius must be positive"),
     "lsc_infinite_at_y0": (lambda: lsc_defect(GridFn(Y2, [INF, 1.0]), 0, 1.0), ValueError,
                            "lsc_defect needs a finite value at y0"),
+    "lsc_y0_range": (lambda: lsc_defect(GridFn(Y3, [0.0, 1.0, 5.0]), -1, 1.0), ValueError,
+                     "y0 out of range"),
+    "lsc_profile_y0_range": (lambda: lsc_profile(GridFn(Y3, [0.0, 1.0, 5.0]), 3), ValueError,
+                             "y0 out of range"),
     # constrained
     "map_objective": (lambda: _instance(f_size=2), ValueError,
                       "constraint map and objective disagree on |X|"),
     "map_grid": (lambda: _instance(f_size=3, sets=3), ValueError,
                  "constraint map and parameter grid disagree on |Y|"),
     "y0_range": (lambda: _instance(f_size=3, y0=2), ValueError, "y0 out of range"),
+    "separation_p_out": (lambda: phi_lsc_set_separation(Y3, {0}, -1), ValueError,
+                         "p_out out of range"),
+    "separation_set": (lambda: phi_lsc_set_separation(Y3, {1, 3}, 0), ValueError,
+                       "C references an out-of-range point"),
     # minimax
-    "saddle_empty": (lambda: SaddleTable([[]]), ValueError,
-                     "SaddleTable needs a nonempty 2-D table"),
     "pair_grids": (lambda: disjoint_sublevel(GridFn(2, [0.0, 1.0]),
                                              GridFn(3, [0.0, 1.0, 2.0]), 0.0),
                    ValueError, "functions must share a grid"),

@@ -11,14 +11,12 @@ from abconvex import (
     ElemParams,
     GridFn,
     PerturbationProblem,
-    alpha_sweep,
+    biconjugate,
     build_lagrangian,
     concavity_probe,
-    convexity_defect,
     duality_report,
     gap_certificate,
     lsc_defect,
-    partial_conjugate,
 )
 from abconvex.errors import (
     ImproperInput,
@@ -85,22 +83,19 @@ class TestPartialConjugate:
     def test_abs_zero_slope(self):
         Y = line_space([-1.0, 0.0, 1.0])
         prob = PerturbationProblem(Y=Y, p=np.abs(Y.points[:, 0])[None, :], y0=1)
-        fam = ElemFamily.affine(Y)
-        assert partial_conjugate(prob, 0, fam, ElemParams(ell=[0.0])) == 0.0
+        assert build_lagrangian(prob, affine_grid(Y, [0.0])).S[0, 0] == 0.0
 
     def test_neg_abs_zero_slope(self):
         Y = line_space([-1.0, 0.0, 1.0])
         prob = PerturbationProblem(Y=Y, p=-np.abs(Y.points[:, 0])[None, :], y0=1)
-        fam = ElemFamily.affine(Y)
-        assert partial_conjugate(prob, 0, fam, ElemParams(ell=[0.0])) == 1.0
+        assert build_lagrangian(prob, affine_grid(Y, [0.0])).S[0, 0] == 1.0
 
     def test_empty_row_gives_minus_inf_and_inf_lagrangian(self):
         Y = line_space([0.0, 1.0])
         p = np.array([[np.inf, np.inf], [0.0, 0.0]])
         prob = PerturbationProblem(Y=Y, p=p, y0=0)
-        fam = ElemFamily.affine(Y)
-        assert partial_conjugate(prob, 0, fam, ElemParams(ell=[1.0])).is_minus_inf
         table = build_lagrangian(prob, affine_grid(Y, [-1.0, 0.0, 1.0]))
+        assert np.isneginf(table.S[0]).all()
         assert np.isposinf(table.L[0]).all()
         assert np.isfinite(table.L[1]).all()
 
@@ -136,7 +131,7 @@ class TestOverflow:
     def test_one_multiplier(self):
         prob, grid = lagrangian_overflow("conjugate_plus")
         with pytest.raises(ImproperInput) as err:
-            partial_conjugate(prob, 0, grid.family, grid.member(0))
+            build_lagrangian(prob, DualGrid(grid.family, (grid.member(0),)))
         assert str(err.value) == "the partial conjugate overflows the doubles"
 
     def test_masked_overflow_rejected(self):
@@ -241,7 +236,7 @@ class TestRandomizedLaws:
             prob, grid = random_perturbation(rng, max_x=8, max_y=8, inf_prob=0.0)
             rep = duality_report(prob, grid)
             defects = [
-                convexity_defect(GridFn(prob.Y, prob.p[x]), prob.y0, grid)
+                prob.p[x, prob.y0] - biconjugate(GridFn(prob.Y, prob.p[x]), grid).values[prob.y0]
                 for x in range(prob.n_x)
             ]
             all_zero = max(defects) <= 1e-9
@@ -338,22 +333,12 @@ class TestGapCertificate:
             if dual >= alpha:                 # completeness at grid scale
                 assert cert is not None
 
-    def test_alpha_sweep_reaches_primal(self):
-        prob = vee_up_problem()
-        grid = affine_grid(prob.Y, [-1.0, 0.0, 1.0])
-        steps = alpha_sweep(prob, grid)
-        assert len(steps) == 8
-        assert steps[-1][0] == 0.0 - 1e-6
-        assert all(cert is not None for _, cert in steps)
-
     def test_levels_stay_below_a_huge_primal(self):
         # primal - 1e-6 rounds back to primal at 1e12
         prob = PerturbationProblem(Y=line_space([0.0, 1.0, 2.0]), p=[[1e12] * 3], y0=0)
         grid = affine_grid(prob.Y, [0.0])
         rep = duality_report(prob, grid)
         assert rep.primal == 1e12 and rep.certificate.t.level < 1e12
-        steps = alpha_sweep(prob, grid)
-        assert all(alpha < 1e12 and cert is not None for alpha, cert in steps)
 
 
 class TestConcavityProbe:

@@ -21,9 +21,6 @@ from abconvex import (
     duality_report,
     metric_dual_grid,
     metric_grid_sup,
-    metric_lagrangian,
-    partial_conjugate,
-    quad_lagrangian,
     verify_zero_gap_metric,
 )
 from abconvex.errors import BadParams, ImproperInput, ImproperProblem
@@ -40,7 +37,6 @@ from conftest import (
     old_full_convexity_holds,
     old_lagrangian,
     old_metric_grid_sup,
-    old_partial_conjugate,
     old_partial_conjugate_kernel,
     old_partial_conjugate_matrix,
     old_rung_and_bound,
@@ -65,12 +61,6 @@ class TestLagrangianTable:
                 assert same_bits(table.row_sup, table.L.max(axis=1))
                 assert same_bits(table.col_inf, table.L.min(axis=0))
                 assert not (table.row_sup.flags.writeable or table.col_inf.flags.writeable)
-                for _ in range(3):
-                    x = int(rng.integers(n_x))
-                    params = grid.params_list[int(rng.integers(grid.size))]
-                    got = partial_conjugate(prob, x, grid.family, params)
-                    want = old_partial_conjugate(prob, x, grid.family, params)
-                    assert same_bits(got.as_float(), want.as_float())
 
     def test_row_mixing_inf_with_finite_rejected(self):
         prob, grid = kernel_perturbation(np.random.default_rng(501), 3, 4)
@@ -164,17 +154,16 @@ class TestConstrainedKernels:
         rng = np.random.default_rng(530 + allow_empty)
         for n_x, n_y in table_shapes(rng, 30):
             inst = kernel_constrained(rng, n_x, n_y, allow_empty)
+            prob = build_constrained_perturbation(inst)
             for _ in range(3):
                 anchor, a = int(rng.integers(n_y)), float(rng.uniform(0.1, 4.0))
-                vals = eval_on_domain(ElemFamily.metric(inst.Y),
-                                      ElemParams(a=a, anchor=anchor, c=0.0))
-                assert same_bits(metric_lagrangian(inst, anchor, a).values,
-                                 old_cone_lagrangian(inst, vals))
+                metric = (ElemFamily.metric(inst.Y), ElemParams(a=a, anchor=anchor, c=0.0))
                 u, a = [float(rng.uniform(-2, 2))], float(rng.uniform(0.0, 3.0))
-                vals = eval_on_domain(ElemFamily.quad_minus(inst.Y),
-                                      ElemParams(a=a, ell=u, c=0.0))
-                assert same_bits(quad_lagrangian(inst, u, a).values,
-                                 old_cone_lagrangian(inst, vals))
+                quad = (ElemFamily.quad_minus(inst.Y), ElemParams(a=a, ell=u, c=0.0))
+                for family, params in (metric, quad):
+                    L = build_lagrangian(prob, DualGrid(family, (params,))).L
+                    assert same_bits(L[:, 0], old_cone_lagrangian(
+                        inst, eval_on_domain(family, params)))
 
     @pytest.mark.parametrize("allow_empty", [False, True])
     def test_metric_grid_sup_matches_oracle(self, allow_empty):

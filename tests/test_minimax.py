@@ -1,4 +1,4 @@
-"""Intersection property, combination certificates, saddle values."""
+"""Intersection property and combination certificates."""
 
 import numpy as np
 import pytest
@@ -8,13 +8,11 @@ from abconvex import (
     ElemFamily,
     ElemParams,
     GridFn,
-    SaddleTable,
     TCertificate,
     disjoint_sublevel,
     eval_on_domain,
     intersection_certificate,
     intersection_property_direct,
-    saddle_values,
 )
 from abconvex import minimax
 from abconvex.errors import EmptyDomain, ImproperInput
@@ -369,33 +367,3 @@ class TestEnvelopeExactness:
             cert = intersection_certificate(phi1, phi2, -1e9)
             dense = (v2[None, :] + ts[:, None] * (v1 - v2)[None, :]).min(axis=1)
             assert cert.lower_envelope_value >= dense.max()
-
-
-class TestSaddleValues:
-    def test_singleton(self):
-        infsup, supinf = saddle_values(SaddleTable(np.array([[1.0]])))
-        assert infsup == 1.0 and supinf == 1.0
-
-    def test_gap_without_mixing(self):
-        infsup, supinf = saddle_values(SaddleTable(np.array([[0.0, 1.0], [1.0, 0.0]])))
-        assert infsup == 1.0 and supinf == 0.0
-
-    def test_constant_row_bounds_infsup(self):
-        table = np.array([[5.0, 5.0], [9.0, 0.0]])
-        infsup, _ = saddle_values(SaddleTable(table))
-        assert infsup <= 5.0
-
-    def test_weak_inequality_random_extended(self):
-        rng = np.random.default_rng(26)
-        for _ in range(500):
-            shape = (int(rng.integers(1, 8)), int(rng.integers(1, 8)))
-            vals = rng.normal(size=shape)
-            mask = rng.random(size=shape)
-            vals = np.where(mask < 0.1, np.inf, vals)
-            vals = np.where(mask > 0.9, -np.inf, vals)
-            infsup, supinf = saddle_values(SaddleTable(vals))
-            assert supinf <= infsup
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValueError):
-            SaddleTable(np.array([[np.nan]]))
