@@ -158,7 +158,9 @@ def verify_zero_gap_metric(inst: ConstrainedInstance,
     infeasible arguments, the gap must close.
 
     An instance with no feasible argument at y0 is reported with primal +inf
-    and flagged instead of rejected.
+    and flagged instead of rejected.  A quotient of the bound that overflows
+    to +inf makes proof_bound +inf, which no rung dominates, so the
+    sufficiency check is skipped; one that overflows to -inf leaves it as is.
     """
     ladder = tuple(sorted({float(a) for a in a_ladder}))
     if not ladder or ladder[0] <= 0:
@@ -177,10 +179,11 @@ def verify_zero_gap_metric(inst: ConstrainedInstance,
     infeasible = ~inst.map.mask[:, inst.y0] & np.isfinite(inst.f.values) \
         & np.isfinite(dist_to_G) & (dist_to_G > 0)
     if np.isfinite(primal) and infeasible.any():
-        proof_bound = float(
-            np.max((primal - inst.f.values[infeasible]) / dist_to_G[infeasible],
-                   initial=0.0)
-        )
+        with np.errstate(over="ignore"):  # a bound past the largest double reads +inf
+            proof_bound = float(
+                np.max((primal - inst.f.values[infeasible]) / dist_to_G[infeasible],
+                       initial=0.0)
+            )
     else:
         proof_bound = 0.0
 

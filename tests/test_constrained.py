@@ -254,6 +254,19 @@ class TestVerifyZeroGap:
         with pytest.raises(ValueError):
             verify_zero_gap_metric(worked_2x2(), (0.0, 1.0))
 
+    def test_overflowing_bound_quotient_warns_nothing(self):
+        # (primal - f(x)) / d(y0, G(x)) = (-2e300 - 2e300) / 1e-100 overflows
+        # to -inf, which leaves the bound at 0.0
+        Y = line_space([0.0, 1e-100, 2e-100])
+        cmap = ConstraintMap(feasible=(frozenset(), frozenset({0}), frozenset({1})), n_x=2,
+                             allow_empty=True)
+        inst = ConstrainedInstance(f=GridFn(2, [2e300, -2e300]), map=cmap, Y=Y, y0=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = verify_zero_gap_metric(inst, (1.0,))
+        assert same_bits(rep.duality.primal.as_float(), -2e300)
+        assert same_bits(rep.proof_bound, 0.0)
+
     @pytest.mark.parametrize("make", [worked_2x2, empty_anchor])
     def test_rejects_nan_tol(self, make):
         with pytest.raises(ValueError, match="tol"):
