@@ -15,7 +15,10 @@ default and explicit multiplier grids; the corpus of
 reports with empty rows, concavity probes, cone Lagrangians, finite-ladder
 sups and zero-gap reports; explicit grids whose members reach about +-1e300
 and stay finite), and the constrained layer: zero-gap reports, finite-ladder
-sups and the conic LP, and the transportation simplex: plans, potentials,
+sups and the conic LP, and both at extreme magnitudes (f near +-1e300 and
++-1e308 with +inf and signed zeros, points scaled by 1e-100 and 1e100, rungs
+up to the largest double, empty inverse-feasible sets, unsorted, repeated,
+empty and invalid ladders; rejections included), and the transportation simplex: plans, potentials,
 values and strong-duality audits of seeded generic and degenerate instances
 (square, rectangular, 1 x m, n x 1 and 1 x 1), and the Euclidean distance
 matrices of `build_metric_space` (dimensions 1, 2, 3 and 5, sizes that fit one
@@ -539,9 +542,13 @@ def _report(rep) -> bytes:
 
 
 def _outcome(run) -> bytes:
+    """The result, or the type and message of the error that rejected the
+    call.  verify_zero_gap_metric's sufficiency check raises AssertionError
+    where rounding keeps the gap open at extreme magnitudes, and that counts
+    as an outcome too."""
     try:
         return b"R" + run()
-    except (AbconvexError, ValueError) as e:
+    except (AbconvexError, ValueError, AssertionError) as e:
         return b"X" + type(e).__name__.encode() + str(e).encode()
 
 
@@ -840,8 +847,74 @@ def _conic(rng, dim) -> bytes:
     return _ext(rep.primal) + _ext(rep.dual) + q
 
 
+#: rungs from near the smallest normal double to near the largest
+EXTREME_RUNGS = (1e-300, 1e-100, 1e-10, 0.5, 1.0, 3.0, 1e10, 1e100, 1e200, 1e300, 1.7e308)
+
+
+def _extreme_ladder(rng, inst):
+    """The default ladder, extreme rungs (sorted, unsorted, repeated), rungs
+    that take the members near the largest double, an empty ladder, or one
+    with a zero, negative, infinite or NaN rung (NaN only among positive
+    rungs: a set orders NaN by its object id)."""
+    style = rng.integers(6)
+    if style == 0:
+        return DEFAULT_LADDER
+    rungs = [float(a) for a in rng.choice(EXTREME_RUNGS, int(rng.integers(1, 6)))]
+    if style == 1:
+        return tuple(sorted(set(rungs)))
+    if style == 2:
+        return tuple(rungs + rungs[:int(rng.integers(0, 3))])
+    if style == 3:
+        return ()
+    if style == 4:  # the largest member from about 2e307 to past the largest double
+        top = 1e308 / float(inst.Y.dist.max())
+        return tuple(min(1.7e308, float(c) * top) for c in rng.uniform(0.2, 2.0, 3))
+    bad = float(rng.choice([0.0, -0.0, -1.0, math.inf, math.nan]))
+    rungs.insert(int(rng.integers(len(rungs) + 1)), bad)
+    return tuple(rungs)
+
+
+def _extreme_instance(rng, dim):
+    """Points scaled by 1e-100, 1 or 1e100; f scaled towards +-1e300 and
+    +-1e308, with +inf and zeros of both signs (one finite value kept);
+    feasible sets that may be empty."""
+    pts = _grid(rng, dim, origin=False, n_min=2).points
+    Y = build_metric_space(pts * float(rng.choice([1e-100, 1.0, 1e100])), validate="fast")
+    n_x = int(rng.integers(1, 7))
+    with np.errstate(over="ignore"):
+        f = _values(rng, n_x) * float(rng.choice([1.0, 1e300, 1e307, 5e307]))
+    f[f == -np.inf] = -1.7e308
+    if not np.isfinite(f).any():
+        f[int(rng.integers(n_x))] = float(rng.choice([-1e300, 1e300, -0.0]))
+    allow_empty = rng.random() < 0.4
+    sets = tuple(frozenset(rng.choice(n_x, int(rng.integers(0 if allow_empty else 1, n_x + 1)),
+                                      replace=False).tolist()) for _ in range(Y.n))
+    return ConstrainedInstance(f=GridFn(n_x, f), map=ConstraintMap(sets, n_x, allow_empty),
+                               Y=Y, y0=int(rng.integers(Y.n)))
+
+
+def _extremes(rng, dim) -> bytes:
+    """verify_zero_gap_metric and metric_grid_sup outcomes, rejections
+    included, at extreme magnitudes of f, of the points and of the rungs."""
+    h = b""
+    for _ in range(4):
+        inst = _extreme_instance(rng, dim)
+        ladder = _extreme_ladder(rng, inst)
+
+        def run():
+            rep = verify_zero_gap_metric(inst, ladder)
+            rung = b"-" if rep.minimal_rung is None else f64(rep.minimal_rung)
+            return b"|".join([_report(rep.duality), _ext(rep.constrained_value),
+                              np.asarray(rep.ladder).tobytes(), rung, f64(rep.proof_bound),
+                              bytes([rep.anchor_feasible])])
+        h += _outcome(run)
+        for x in range(inst.n_x):
+            h += _outcome(lambda: metric_grid_sup(inst, x, ladder).tobytes())
+    return h
+
+
 CONSTRAINED_CASES = {"verify_zero_gap_metric": _zero_gap, "metric_grid_sup": _grid_sup,
-                     "conic_lp_dual": _conic}
+                     "conic_lp_dual": _conic, "extremes": _extremes}
 
 
 def constrained_entries() -> dict:
