@@ -4,6 +4,13 @@ A feasibility map A sends each parameter point to the set of admissible
 arguments; perturbing the constraint set embeds the problem in the generic
 Lagrangian machinery: metric-cone and quadratic multipliers are grids of
 the generic Lagrangian table of the constrained perturbation.
+
+The metric-cone tables of verify_zero_gap_metric and metric_grid_sup skip
+the generic partial conjugate.  Row x of the perturbation is f(x) on G(x)
+and +inf off it, and a cone's value fl(-a * d) falls as d grows, so, since
+rounding is monotone, the sup over G(x) is taken at the point of G(x)
+nearest the anchor: one masked min per anchor, D[x, i] = min over G(x) of
+d(i, k), gives every rung's cell bit for bit (_cone_lagrangian).
 """
 
 from __future__ import annotations
@@ -14,15 +21,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ExtReal, FiniteMetricSpace, GridFn, PLUS_INF, _freeze
-from .errors import ImproperObjective, NotSeparable
+from .core import ExtReal, FiniteMetricSpace, GridFn, PLUS_INF, _freeze, by_row_blocks
+from .errors import ImproperInput, ImproperObjective, NotSeparable
 from .families import (DualGrid, ElemFamily, ElemParams, eval_on_domain, members_on_domain,
                        validate_members)
 from .lagrangian import (
     DualityReport,
     EQ_TOL,
+    LagTable,
     PerturbationProblem,
-    _lagrangian,
     duality_report,
 )
 
@@ -109,18 +116,62 @@ def metric_primal_sup(inst: ConstrainedInstance, x: int) -> ExtReal:
     return PLUS_INF
 
 
+def _cone_lagrangian(inst: ConstrainedInstance, ladder: np.ndarray,
+                     rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(L, S, D) of the constrained perturbation at the arguments rows, for
+    every metric cone (a, i): anchor i of Y and rung a of ladder, whose
+    values fl(-a * d) the caller has checked to be finite.  L and S have
+    shape (rows, n, rungs) and D shape (rows, n).
+
+    D[x, i] = min over k in G(x) of d(i, k), +inf when G(x) is empty.  It is
+    reduced in row blocks, each held as (k, x, i) and reduced across its
+    slabs (dist is exactly symmetric, so its row k is d(., k)).
+    S[x, i, r] = fl(fl(fl(D[x, i] * -a) + 0.0) - f(x)) is the cell that
+    _partial_conjugate gives, the max over k in G(x) of the same expression
+    at d(i, k), + 0.0: rounding is monotone, so that max is taken at the
+    argmin point, and its zero is +0 as well.
+    L = fl(fl(-a * d(i, y0)) + 0.0) - S.
+
+    A cell of finite operands that overflows raises ImproperInput, as in the
+    generic kernels.  Row x of the partial conjugate overflows if and only
+    if its extreme cell does: the largest rung at the point of G(x) farthest
+    from an anchor.
+    """
+    dist, f, mask = inst.Y.dist, inst.f.values[rows], inst.map.mask[rows]
+    in_G = np.ascontiguousarray(mask.T)
+    D = by_row_blocks(lambda b: np.where(in_G[:, b, None], dist[:, None, :], np.inf).min(axis=0),
+                      mask.shape[0], dist.nbytes)
+    neg = -ladder
+    far = np.where(mask, dist.max(axis=0), 0.0).max(axis=1)  # 0 on an empty G(x)
+    with np.errstate(over="raise"):  # an inf operand raises no overflow
+        try:
+            far * neg.min(initial=0.0) + 0.0 - f
+        except FloatingPointError:
+            raise ImproperInput("the partial conjugate overflows the doubles") from None
+        S = D[:, :, None] * neg
+        S += 0.0
+        S -= f[:, None, None]
+        try:
+            L = dist[:, inst.y0, None] * neg + 0.0 - S
+        except FloatingPointError:
+            raise ImproperInput("the Lagrangian overflows the doubles") from None
+    return L, S, D
+
+
 def metric_grid_sup(inst: ConstrainedInstance, x: int,
                     a_ladder: Sequence[float]) -> np.ndarray:
     """sup over every anchor of the metric Lagrangian at x, one value per rung;
-    the finite-ladder companion of metric_primal_sup.  The members come from
-    one members_on_domain call; only row x of the perturbation is built."""
-    fam, n = ElemFamily.metric(inst.Y), inst.Y.n
-    ladder = np.asarray(a_ladder, dtype=float).reshape(-1)
-    a, anchor = np.repeat(ladder, n), np.tile(np.arange(n), ladder.size)
-    validate_members(fam, a, anchor=anchor)
-    E = members_on_domain(fam, a, anchor=anchor)
-    p = np.where(inst.map.mask[x], inst.f.values[x], np.inf)[None, :]
-    return _lagrangian(E, p, inst.y0)[0].reshape(ladder.size, n).max(axis=1) + 0.0
+    the finite-ladder companion of metric_primal_sup.  Row x of the cone
+    table comes from _cone_lagrangian, after the checks its members would
+    get: the rung rules of validate_members, then the one extreme member
+    (the largest rung at the largest distance), whose values overflow the
+    doubles if any member's do."""
+    fam, ladder = ElemFamily.metric(inst.Y), np.asarray(a_ladder, dtype=float).reshape(-1)
+    validate_members(fam, ladder, anchor=np.zeros(ladder.size, np.int64))
+    if ladder.size:
+        members_on_domain(fam, ladder.max(keepdims=True),
+                          anchor=[inst.Y.dist.argmax() // inst.Y.n])
+    return _cone_lagrangian(inst, ladder, [x])[0][0].max(axis=0) + 0.0
 
 
 def metric_dual_grid(inst: ConstrainedInstance, a_ladder: Sequence[float]) -> DualGrid:
@@ -169,13 +220,16 @@ def verify_zero_gap_metric(inst: ConstrainedInstance,
         raise ValueError("tol must not be NaN")
     prob = build_constrained_perturbation(inst)
     grid = metric_dual_grid(inst, ladder)
-    report = duality_report(prob, grid)
+    L, S, D = _cone_lagrangian(inst, np.asarray(ladder), slice(None))
+    table = LagTable(L=L.reshape(inst.n_x, -1), S=S.reshape(inst.n_x, -1),
+                     psi_grid=grid, y0=inst.y0)
+    report = duality_report(prob, grid, _table=table)
 
     primal = report.primal.as_float()
     anchor_feasible = bool(np.isfinite(prob.p[:, inst.y0]).any())
     constrained_value = ExtReal(float(prob.p[:, inst.y0].min()))
 
-    dist_to_G = np.where(inst.map.mask, inst.Y.dist[inst.y0], np.inf).min(axis=1)
+    dist_to_G = D[:, inst.y0]
     infeasible = ~inst.map.mask[:, inst.y0] & np.isfinite(inst.f.values) \
         & np.isfinite(dist_to_G) & (dist_to_G > 0)
     if np.isfinite(primal) and infeasible.any():
@@ -189,11 +243,12 @@ def verify_zero_gap_metric(inst: ConstrainedInstance,
 
     minimal_rung = None
     if np.isfinite(primal):
-        for a in ladder:
-            best = report.table.col_inf[grid.a <= a].max()
-            if primal - best <= tol:
-                minimal_rung = a
-                break
+        # the best multiplier of each rung or a lower one
+        best = np.maximum.accumulate(table.col_inf.reshape(-1, len(ladder)).max(axis=0))
+        with np.errstate(over="ignore"):  # a difference past the largest double is open
+            closed = np.flatnonzero(primal - best <= tol)
+        if closed.size:
+            minimal_rung = ladder[closed[0]]
 
     if anchor_feasible and np.isfinite(primal) and ladder[-1] >= proof_bound:
         if not report.gap <= tol:
@@ -209,6 +264,10 @@ def verify_zero_gap_metric(inst: ConstrainedInstance,
     )
 
 
+def _is_index(i) -> bool:
+    return isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+
+
 def phi_lsc_set_separation(space: FiniteMetricSpace, C, p_out: int,
                            ladder: Sequence[float] = DEFAULT_LADDER) -> ElemParams:
     """A quadratic-minorant member positive at p_out and nonpositive on C.
@@ -216,10 +275,17 @@ def phi_lsc_set_separation(space: FiniteMetricSpace, C, p_out: int,
     Tries the affine separator through the centroid first, then ball-shaped
     quadratics centered at the excluded point along the rung ladder; every
     candidate is re-verified exactly on the grid before being returned.
+    Indices must be Python or numpy integers (not bools); anything else
+    raises ValueError before any point is read.
     """
+    C = list(C)
+    if not all(map(_is_index, C)):
+        raise ValueError("C must hold integer point indices")
     C = sorted(int(i) for i in C)
     if not C:
         raise ValueError("C must be nonempty")
+    if not _is_index(p_out):
+        raise ValueError("p_out must be an integer point index")
     if not 0 <= p_out < space.n:
         raise ValueError("p_out out of range")
     if C[0] < 0 or C[-1] >= space.n:

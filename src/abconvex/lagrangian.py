@@ -4,7 +4,10 @@ A problem instance is a table p(x, y) with a distinguished parameter y0.
 Multipliers are drawn from a finite sample of an elementary family over the
 parameter grid; the Lagrangian is L(x, psi) = psi(y0) - sup_y (psi(y) - p(x, y)).
 The sup, the partial conjugate, and its composition into L each have one
-kernel for every caller, the constrained module included.
+generic kernel.  The constrained module's metric-cone tables come from its
+own kernel instead (constrained._cone_lagrangian: the sup of a cone over an
+indicator row is taken at the nearest feasible point, bit for bit) and
+reach duality_report as a ready LagTable.
 Reports expose the primal/dual values, the optimal value function V and its
 grid biconjugate at y0, and level certificates built from constant supports.
 """
@@ -213,7 +216,8 @@ def build_lagrangian(prob: PerturbationProblem, psi_grid: DualGrid) -> LagTable:
 
 def duality_report(prob: PerturbationProblem, psi_grid: DualGrid,
                    convexity_scope: str = "anchor",
-                   attach_certificate: bool = True) -> DualityReport:
+                   attach_certificate: bool = True,
+                   _table: Optional[LagTable] = None) -> DualityReport:
     """Full primal/dual report.
 
     primal = min_x max_psi L, dual = max_psi min_x L.  The identity
@@ -228,10 +232,13 @@ def duality_report(prob: PerturbationProblem, psi_grid: DualGrid,
     the table is never built, even where one of its cells would overflow.
     When it is built, an overflow raises ImproperInput as at every other
     partial conjugate.
+
+    _table, when given, is build_lagrangian(prob, psi_grid) as the caller
+    built it, bit for bit (verify_zero_gap_metric's cone tables).
     """
     if convexity_scope not in ("anchor", "full"):
         raise ValueError("convexity_scope must be 'anchor' or 'full'")
-    table = build_lagrangian(prob, psi_grid)
+    table = _table if _table is not None else build_lagrangian(prob, psi_grid)
     E, S = psi_grid.matrix, table.S
     primal = float(table.row_sup.min())
     dual = float(table.col_inf.max())
@@ -318,6 +325,8 @@ def concavity_probe(prob: PerturbationProblem, family: ElemFamily,
 def _lsc_defects(V: GridFn, y0: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """lsc_profile's (radii, defects), unchecked, and a mask of the defects
     whose V(y0) - min of finite operands overflowed to +inf."""
+    if not isinstance(V.domain, FiniteMetricSpace):
+        raise ValueError("lsc_defect needs a metric domain")
     if not 0 <= y0 < V.size:
         raise ValueError("y0 out of range")
     d = V.domain.dist[y0]
@@ -340,6 +349,8 @@ def lsc_profile(V: GridFn, y0: int) -> tuple[np.ndarray, np.ndarray]:
     """(radii, defects): each distinct positive distance r from y0, ascending,
     and lsc_defect(V, y0, r), from one stable sort of the distances and a
     prefix minimum of V along it.  With no radius, V(y0) goes unchecked.
+    A V without a metric domain or a y0 outside it raises ValueError, as in
+    lsc_defect.
 
     A defect V(y0) - min of finite operands that overflows raises
     ImproperInput: its exact value is then a real above the largest double.
@@ -355,12 +366,10 @@ def lsc_defect(V: GridFn, y0: int, radius: float) -> float:
 
     A radius-indexed proxy: pointwise lower semicontinuity is vacuous on a
     finite grid, so callers watch the defect as the radius shrinks with the
-    grid spacing.  A radius that is not positive (NaN included) or a y0
-    outside the domain raises ValueError, and a defect that overflows the
-    doubles ImproperInput.
+    grid spacing.  A radius that is not positive (NaN included), then a V
+    without a metric domain or a y0 outside it, raises ValueError, and a
+    defect that overflows the doubles ImproperInput.
     """
-    if not isinstance(V.domain, FiniteMetricSpace):
-        raise ValueError("lsc_defect needs a metric domain")
     if not radius > 0:
         raise ValueError("radius must be positive")
     radii, defects, overflow = _lsc_defects(V, y0)

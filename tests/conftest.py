@@ -23,8 +23,11 @@ from abconvex import (
     eval_on_domain,
     metric_dual_grid,
 )
+from abconvex.constrained import MetricZeroGapReport
 from abconvex.core import METRIC_TOL, sub_up
 from abconvex.errors import ImproperInput, UndefinedSum
+from abconvex.families import members_on_domain, validate_members
+from abconvex.lagrangian import _lagrangian, duality_report
 from abconvex.minimax import envelope_candidates
 
 
@@ -153,6 +156,51 @@ def kernel_constrained(rng, n_x, n_y, allow_empty):
     sets[y0] = sets[y0] | {int(rng.integers(n_x))}
     cmap = ConstraintMap(feasible=tuple(sets), n_x=n_x, allow_empty=allow_empty)
     return ConstrainedInstance(f=GridFn(n_x, f), map=cmap, Y=Y, y0=y0)
+
+
+#: rungs from near the smallest normal double to near the largest
+EXTREME_RUNGS = (1e-300, 1e-120, 1e-8, 0.25, 1.0, 7.0, 1e12, 1e150, 1e250, 1e300, 1e308)
+#: scales of the objective, up to the largest double
+EXTREME_F = (1.0, 1e-300, 1e200, 1e300, 1e307, 8e307, 1.7e308)
+
+
+def extreme_constrained(rng):
+    """(instance, ladder) at extreme magnitudes: points scaled by 1e-100, 1 or
+    1e100; f up to the largest double, with +inf and zeros of both signs;
+    inverse-feasible sets that may be empty; a ladder that is the default
+    one, of extreme rungs (unsorted and repeated), empty, one whose largest
+    member lies near the largest double, or one with a zero, negative or
+    infinite rung."""
+    n_y, dim = int(rng.integers(2, 10)), int(rng.integers(1, 3))
+    pts = rng.integers(-40, 41, (n_y, dim)).astype(float) if rng.random() < 0.3 \
+        else rng.uniform(-2.0, 2.0, (n_y, dim))
+    pts = np.unique(pts, axis=0) * float(rng.choice([1e-100, 1.0, 1e100]))
+    Y = build_metric_space(pts, validate="fast")
+    n_x = int(rng.integers(1, 7))
+    f = rng.uniform(-1.0, 1.0, n_x) * float(rng.choice(EXTREME_F))
+    f[rng.random(n_x) < 0.15] = np.inf
+    f[rng.random(n_x) < 0.15] = float(rng.choice([0.0, -0.0]))
+    if not np.isfinite(f).any():
+        f[int(rng.integers(n_x))] = -0.0
+    allow_empty = bool(rng.random() < 0.4)
+    sets = [frozenset(rng.choice(n_x, int(rng.integers(0 if allow_empty else 1, n_x + 1)),
+                                 replace=False).tolist()) for _ in range(Y.n)]
+    inst = ConstrainedInstance(f=GridFn(n_x, f), Y=Y, y0=int(rng.integers(Y.n)),
+                               map=ConstraintMap(tuple(sets), n_x, allow_empty))
+    style = int(rng.integers(6))
+    rungs = [float(a) for a in rng.choice(EXTREME_RUNGS, int(rng.integers(1, 5)))]
+    if style == 0:
+        ladder = tuple(2.0 ** k for k in range(7))
+    elif style == 1:
+        ladder = tuple(rungs + rungs[:int(rng.integers(0, 3))])
+    elif style == 2:
+        ladder = ()
+    elif style == 5:
+        ladder = tuple(rungs + [float(rng.choice([0.0, -1.0, np.inf]))])
+    else:  # the largest member from about 1e307 to past the largest double
+        top = 1e308 / float(Y.dist.max())
+        ladder = tuple(min(1.7e308, c * top) for c in rng.uniform(0.1, 2.0, 3).tolist())
+    return inst, ladder
 
 
 def random_transport(rng, max_n=50, max_m=50):
@@ -567,6 +615,64 @@ def old_rung_and_bound(inst, a_ladder, tol=1e-9):
                 minimal_rung = a
                 break
     return minimal_rung, proof_bound
+
+
+def old_generic_grid_sup(inst, x, a_ladder):
+    """metric_grid_sup as the generic kernels computed it: every rung x anchor
+    member checked and evaluated, in rung-major order, then row x of the
+    generic Lagrangian table; its rejections are the oracle's too."""
+    fam, n = ElemFamily.metric(inst.Y), inst.Y.n
+    ladder = np.asarray(a_ladder, dtype=float).reshape(-1)
+    a, anchor = np.repeat(ladder, n), np.tile(np.arange(n), ladder.size)
+    validate_members(fam, a, anchor=anchor)
+    E = members_on_domain(fam, a, anchor=anchor)
+    p = np.where(inst.map.mask[x], inst.f.values[x], np.inf)[None, :]
+    return _lagrangian(E, p, inst.y0)[0].reshape(ladder.size, n).max(axis=1) + 0.0
+
+
+def old_generic_zero_gap(inst, a_ladder, tol=1e-9):
+    """verify_zero_gap_metric as it was computed from the generic Lagrangian
+    table that duality_report builds (its overflowing bound quotient made
+    quiet), with its rejections."""
+    ladder = tuple(sorted({float(a) for a in a_ladder}))
+    if not ladder or ladder[0] <= 0:
+        raise ValueError("the rung ladder must contain positive values only")
+    if np.isnan(tol):
+        raise ValueError("tol must not be NaN")
+    prob = build_constrained_perturbation(inst)
+    grid = metric_dual_grid(inst, ladder)
+    report = duality_report(prob, grid)
+
+    primal = report.primal.as_float()
+    anchor_feasible = bool(np.isfinite(prob.p[:, inst.y0]).any())
+    dist_to_G = np.where(inst.map.mask, inst.Y.dist[inst.y0], np.inf).min(axis=1)
+    infeasible = ~inst.map.mask[:, inst.y0] & np.isfinite(inst.f.values) \
+        & np.isfinite(dist_to_G) & (dist_to_G > 0)
+    proof_bound = 0.0
+    if np.isfinite(primal) and infeasible.any():
+        with np.errstate(over="ignore"):
+            proof_bound = float(np.max(
+                (primal - inst.f.values[infeasible]) / dist_to_G[infeasible], initial=0.0))
+
+    minimal_rung = None
+    if np.isfinite(primal):
+        for a in ladder:
+            best = report.table.col_inf[grid.a <= a].max()
+            with np.errstate(over="ignore"):
+                closed = primal - best <= tol
+            if closed:
+                minimal_rung = a
+                break
+
+    if anchor_feasible and np.isfinite(primal) and ladder[-1] >= proof_bound:
+        if not report.gap <= tol:
+            raise AssertionError(
+                "rung ladder dominates the sufficiency bound but the gap stayed open")
+    return MetricZeroGapReport(
+        duality=report, constrained_value=ExtReal(float(prob.p[:, inst.y0].min())),
+        ladder=ladder, minimal_rung=minimal_rung, proof_bound=proof_bound,
+        anchor_feasible=anchor_feasible,
+        hypothesis="peaking metric cones (anchored-rung certificates)")
 
 
 # ---------------------------------------------------------------------------

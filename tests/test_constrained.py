@@ -334,3 +334,11 @@ class TestSeparation:
             phi_lsc_set_separation(space, set(), 0)
         with pytest.raises(ValueError):
             phi_lsc_set_separation(space, {0}, 0)
+
+    def test_numpy_integer_indices_accepted(self):
+        space = line_space([0.0, 1.0, 2.0])
+        want = phi_lsc_set_separation(space, {1, 2}, 0)
+        got = phi_lsc_set_separation(space, np.array([2, 1]), np.int32(0))
+        assert (got.a, got.c) == (want.a, want.c) and same_bits(got.ell, want.ell)
+        with pytest.raises(ValueError, match="integer point indices"):
+            phi_lsc_set_separation(space, {True}, 0)

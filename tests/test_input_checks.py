@@ -122,6 +122,8 @@ CHECKS = {
                      "y0 out of range"),
     "lsc_profile_y0_range": (lambda: lsc_profile(GridFn(Y3, [0.0, 1.0, 5.0]), 3), ValueError,
                              "y0 out of range"),
+    "lsc_profile_point_count": (lambda: lsc_profile(GridFn(2, [0.0, 1.0]), 0), ValueError,
+                                "lsc_defect needs a metric domain"),
     # constrained
     "map_objective": (lambda: _instance(f_size=2), ValueError,
                       "constraint map and objective disagree on |X|"),
@@ -132,6 +134,12 @@ CHECKS = {
                          "p_out out of range"),
     "separation_set": (lambda: phi_lsc_set_separation(Y3, {1, 3}, 0), ValueError,
                        "C references an out-of-range point"),
+    "separation_set_float": (lambda: phi_lsc_set_separation(Y3, {1.7}, 0), ValueError,
+                             "C must hold integer point indices"),
+    "separation_p_out_half": (lambda: phi_lsc_set_separation(Y3, {1}, 0.5), ValueError,
+                              "p_out must be an integer point index"),
+    "separation_p_out_float": (lambda: phi_lsc_set_separation(Y3, {1}, 0.0), ValueError,
+                               "p_out must be an integer point index"),
     # minimax
     "pair_grids": (lambda: disjoint_sublevel(GridFn(2, [0.0, 1.0]),
                                              GridFn(3, [0.0, 1.0, 2.0]), 0.0),

@@ -1,6 +1,7 @@
 """Every caller of the partial-conjugate kernel against the reduction it used
 to write out by hand (the oracles in conftest), compared bit for bit."""
 
+import collections
 import dataclasses
 import math
 
@@ -10,9 +11,12 @@ import pytest
 import abconvex.core as core
 import abconvex.lagrangian as lag
 from abconvex import (
+    ConstrainedInstance,
+    ConstraintMap,
     DualGrid,
     ElemFamily,
     ElemParams,
+    GridFn,
     PerturbationProblem,
     build_constrained_perturbation,
     build_lagrangian,
@@ -23,11 +27,12 @@ from abconvex import (
     metric_grid_sup,
     verify_zero_gap_metric,
 )
-from abconvex.errors import BadParams, ImproperInput, ImproperProblem
+from abconvex.errors import AbconvexError, BadParams, ImproperInput, ImproperProblem
 from abconvex.families import eval_on_domain
 from abconvex.lagrangian import DualityReport, LagTable
 from conftest import (
     LAGRANGIAN_OVERFLOWS,
+    extreme_constrained,
     kernel_constrained,
     kernel_perturbation,
     lagrangian_overflow,
@@ -35,6 +40,8 @@ from conftest import (
     old_cone_lagrangian,
     old_duality_fields,
     old_full_convexity_holds,
+    old_generic_grid_sup,
+    old_generic_zero_gap,
     old_lagrangian,
     old_metric_grid_sup,
     old_partial_conjugate_kernel,
@@ -207,6 +214,100 @@ class TestConstrainedKernels:
             rungs.add(rung == min(ladder))
             bounds.add(bound > 0.0)
         assert rungs == bounds == {True, False}
+
+
+def outcome(call):
+    """The call's result, or the type and message of what rejected it."""
+    try:
+        return call()
+    except (AbconvexError, ValueError, AssertionError) as e:
+        return type(e), str(e)
+
+
+def same_zero_gap(got, want):
+    """Every field of two zero-gap reports, and of the tables and reports
+    under them, equal bit for bit."""
+    a, b = got.duality, want.duality
+    arrays = [(a.table.L, b.table.L), (a.table.S, b.table.S),
+              (a.table.row_sup, b.table.row_sup), (a.table.col_inf, b.table.col_inf),
+              (a.V.values, b.V.values), (a.V_star, b.V_star)]
+    values = [(x.as_float(), y.as_float()) for x, y in (
+        (a.primal, b.primal), (a.dual, b.dual), (a.gap, b.gap),
+        (a.V_bidual_at_y0, b.V_bidual_at_y0), (got.constrained_value, want.constrained_value))]
+    return (all(same_bits(x, y) for x, y in arrays + values)
+            and same_bits(got.proof_bound, want.proof_bound)
+            and got.minimal_rung == want.minimal_rung and got.ladder == want.ladder
+            and (got.anchor_feasible, a.reconstruction_ok, a.convexity_holds)
+            == (want.anchor_feasible, b.reconstruction_ok, b.convexity_holds)
+            and a.certificate == b.certificate and a.psi_grid.a.tobytes() == b.psi_grid.a.tobytes())
+
+
+class TestConeKernel:
+    """The constrained cone tables from distances to G(x) against the generic
+    partial conjugate they replace, at extreme magnitudes: every value bit
+    for bit and every rejection by type and message."""
+
+    REJECTIONS = {"a must be finite", "member values overflow the doubles",
+                  "the partial conjugate overflows the doubles",
+                  "the Lagrangian overflows the doubles"}
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_generic_path(self, seed):
+        rng = np.random.default_rng(590 + seed)
+        seen = collections.Counter()
+        for _ in range(300):
+            inst, ladder = extreme_constrained(rng)
+            got = outcome(lambda: verify_zero_gap_metric(inst, ladder))
+            want = outcome(lambda: old_generic_zero_gap(inst, ladder))
+            if isinstance(want, tuple):
+                assert got == want
+            else:
+                assert same_zero_gap(got, want)
+            seen["verify", want[1] if isinstance(want, tuple) else "report"] += 1
+            for x in range(inst.n_x):
+                got = outcome(lambda: metric_grid_sup(inst, x, ladder))
+                want = outcome(lambda: old_generic_grid_sup(inst, x, ladder))
+                assert got == want if isinstance(want, tuple) else same_bits(got, want)
+                seen["grid_sup", want[1] if isinstance(want, tuple) else "row"] += 1
+        assert {("verify", m) for m in self.REJECTIONS | {
+            "report", "the rung ladder must contain positive values only"}} <= set(seen)
+        assert {("grid_sup", m) for m in self.REJECTIONS | {
+            "row", "metric cones need a > 0"}} <= set(seen)
+
+    def test_matches_independent_oracle(self):
+        """Reports the kernel accepts against the reductions written out by
+        hand (conftest's old_duality_fields and old_rung_and_bound)."""
+        rng = np.random.default_rng(595)
+        checked = 0
+        for _ in range(200):
+            inst, ladder = extreme_constrained(rng)
+            rep = outcome(lambda: verify_zero_gap_metric(inst, ladder))
+            if isinstance(rep, tuple):
+                continue
+            with np.errstate(over="ignore"):
+                want = old_duality_fields(build_constrained_perturbation(inst), rep.duality.psi_grid)
+                rung, bound = old_rung_and_bound(inst, rep.ladder)
+            assert same_bits(rep.duality.table.S, want["S"])
+            assert same_bits(rep.duality.table.L, want["L"])
+            for name in ("primal", "dual", "V_bidual_at_y0"):
+                assert same_bits(getattr(rep.duality, name).as_float(), want[name])
+            assert same_bits(rep.duality.V_star, want["V_star"] + 0.0)
+            assert (rep.minimal_rung, rep.proof_bound) == (rung, bound)
+            checked += 1
+        assert checked > 50
+
+    def test_partial_conjugate_overflow_read_at_farthest_point(self):
+        # f(0) = 1e308 on G(0) = {0, 1}: the cone anchored at 0 takes -1e308
+        # at 1, so 1e308 - 1e308 overflows there, while every nearest-point
+        # cell is finite
+        inst = ConstrainedInstance(f=GridFn(1, [1e308]), Y=build_metric_space([[0.0], [1.0]]),
+                                   map=ConstraintMap((frozenset({0}), frozenset({0})), 1), y0=0)
+        for call in (lambda: verify_zero_gap_metric(inst, (1e308,)),
+                     lambda: metric_grid_sup(inst, 0, (1e308,)),
+                     lambda: old_generic_grid_sup(inst, 0, (1e308,)),
+                     lambda: old_generic_zero_gap(inst, (1e308,))):
+            with pytest.raises(ImproperInput, match="the partial conjugate overflows"):
+                call()
 
 
 STEPS = ["one_row", "multi_row", "ragged", "single"]
