@@ -243,12 +243,11 @@ def verify_zero_gap_metric(inst: ConstrainedInstance,
 
     minimal_rung = None
     if np.isfinite(primal):
-        # the best multiplier of each rung or a lower one
+        # the best multiplier of each rung or a lower one, as Python floats:
+        # a difference past the largest double is +inf, and open
         best = np.maximum.accumulate(table.col_inf.reshape(-1, len(ladder)).max(axis=0))
-        with np.errstate(over="ignore"):  # a difference past the largest double is open
-            closed = np.flatnonzero(primal - best <= tol)
-        if closed.size:
-            minimal_rung = ladder[closed[0]]
+        minimal_rung = next((a for a, b in zip(ladder, best.tolist()) if primal - b <= tol),
+                            None)
 
     if anchor_feasible and np.isfinite(primal) and ladder[-1] >= proof_bound:
         if not report.gap <= tol:
