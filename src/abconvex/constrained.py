@@ -5,12 +5,11 @@ arguments; perturbing the constraint set embeds the problem in the generic
 Lagrangian machinery: metric-cone and quadratic multipliers are grids of
 the generic Lagrangian table of the constrained perturbation.
 
-The metric-cone tables of verify_zero_gap_metric and metric_grid_sup skip
-the generic partial conjugate.  Row x of the perturbation is f(x) on G(x)
-and +inf off it, and a cone's value fl(-a * d) falls as d grows, so, since
-rounding is monotone, the sup over G(x) is taken at the point of G(x)
-nearest the anchor: one masked min per anchor, D[x, i] = min over G(x) of
-d(i, k), gives every rung's cell bit for bit (_cone_lagrangian).
+The metric-cone tables of verify_zero_gap_metric and metric_grid_sup come
+from _cone_lagrangian, not the generic partial conjugate: a cone's value
+fl(-a * d) falls as d grows and rounding is monotone, so its sup over the
+indicator row of G(x) is taken, bit for bit, at the point of G(x) nearest
+the anchor, and one masked min per anchor serves every rung.
 """
 
 from __future__ import annotations

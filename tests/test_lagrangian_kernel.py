@@ -1,5 +1,6 @@
 """Every caller of the partial-conjugate kernel against the reduction it used
-to write out by hand (the oracles in conftest), compared bit for bit."""
+to write out by hand (the oracles in conftest), and the constrained cone
+kernel against the generic path it replaces, compared bit for bit."""
 
 import collections
 import dataclasses
