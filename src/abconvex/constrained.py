@@ -5,11 +5,12 @@ arguments; perturbing the constraint set embeds the problem in the generic
 Lagrangian machinery: metric-cone and quadratic multipliers are grids of
 the generic Lagrangian table of the constrained perturbation.
 
-The metric-cone tables of verify_zero_gap_metric and metric_grid_sup come
-from _cone_lagrangian, not the generic partial conjugate: a cone's value
-fl(-a * d) falls as d grows and rounding is monotone, so its sup over the
-indicator row of G(x) is taken, bit for bit, at the point of G(x) nearest
-the anchor, and one masked min per anchor serves every rung.
+The metric-cone tables of verify_zero_gap_metric and metric_grid_sup take
+their partial conjugate from _cone_lagrangian, not the generic kernel: a
+cone's value fl(-a * d) falls as d grows and rounding is monotone, so its
+sup over the indicator row of G(x) is taken, bit for bit, at the point of
+G(x) nearest the anchor, and one masked min per anchor serves every rung.
+The Lagrangian is then composed by the generic lagrangian._lagrangian.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .lagrangian import (
     EQ_TOL,
     LagTable,
     PerturbationProblem,
+    _lagrangian,
     duality_report,
 )
 
@@ -129,7 +131,7 @@ def _cone_lagrangian(inst: ConstrainedInstance, ladder: np.ndarray,
     _partial_conjugate gives, the max over k in G(x) of the same expression
     at d(i, k), + 0.0: rounding is monotone, so that max is taken at the
     argmin point, and its zero is +0 as well.
-    L = fl(fl(-a * d(i, y0)) + 0.0) - S.
+    L = _lagrangian(fl(-a * d(i, y0)) + 0.0, S), the generic composition.
 
     A cell of finite operands that overflows raises ImproperInput, as in the
     generic kernels.  Row x of the partial conjugate overflows if and only
@@ -150,11 +152,7 @@ def _cone_lagrangian(inst: ConstrainedInstance, ladder: np.ndarray,
         S = D[:, :, None] * neg
         S += 0.0
         S -= f[:, None, None]
-        try:
-            L = dist[:, inst.y0, None] * neg + 0.0 - S
-        except FloatingPointError:
-            raise ImproperInput("the Lagrangian overflows the doubles") from None
-    return L, S, D
+    return _lagrangian(dist[:, inst.y0, None] * neg + 0.0, S), S, D
 
 
 def metric_grid_sup(inst: ConstrainedInstance, x: int,
@@ -213,7 +211,7 @@ def verify_zero_gap_metric(inst: ConstrainedInstance,
     sufficiency check is skipped; one that overflows to -inf leaves it as is.
     """
     ladder = tuple(sorted({float(a) for a in a_ladder}))
-    if not ladder or ladder[0] <= 0:
+    if not ladder or any(a <= 0 for a in ladder):  # a NaN leaves sorted() unordered
         raise ValueError("the rung ladder must contain positive values only")
     if np.isnan(tol):
         raise ValueError("tol must not be NaN")

@@ -3,11 +3,12 @@
 A problem instance is a table p(x, y) with a distinguished parameter y0.
 Multipliers are drawn from a finite sample of an elementary family over the
 parameter grid; the Lagrangian is L(x, psi) = psi(y0) - sup_y (psi(y) - p(x, y)).
-The sup, the partial conjugate, and its composition into L each have one
-generic kernel.  The constrained module's metric-cone tables come from its
-own kernel instead (constrained._cone_lagrangian: the sup of a cone over an
-indicator row is taken at the nearest feasible point, bit for bit) and
-reach duality_report as a ready LagTable.
+The sup, the partial conjugate S, has one generic kernel, _partial_conjugate,
+and the composition psi(y0) - S one, _lagrangian.  The constrained module's
+metric-cone tables take S from their own kernel instead
+(constrained._cone_lagrangian: the sup of a cone over an indicator row is
+taken at the nearest feasible point, bit for bit), compose it with
+_lagrangian, and reach duality_report as a ready LagTable.
 Reports expose the primal/dual values, the optimal value function V and its
 grid biconjugate at y0, and level certificates built from constant supports.
 """
@@ -147,35 +148,23 @@ def _partial_conjugate(E: np.ndarray, p: np.ndarray) -> np.ndarray:
     """S[x, j] = max_k (E[j, k] - p[x, k]): the sup over the parameter grid of
     member j minus row x of the perturbation; -inf exactly on empty rows.
 
-    The one reduction behind every Lagrangian in the package; reduced in row
+    The one generic reduction behind the Lagrangian tables; reduced in row
     blocks of x, so the n_x x P x n_y differences are never held at once.  A
     block reduces its rows in steps of max(1, _STEP_BYTES // E.nbytes) rows,
-    so each step's differences stay in a core's cache.  A zero maximum is +0
-    (see core), so the blocks and steps move no bit.
-    numpy reduces a last axis with one inner loop per output cell, which
-    costs more than the subtractions when that axis is short.  So when E has
-    more members than grid points (P > n_y), a step holds its differences as
-    (n_y, step, P), from one C-contiguous copy of E.T, and reduces axis 0:
-    elementwise maxima across n_y slabs of step * P cells.  Otherwise it holds
-    them as (step, P, n_y) and reduces the last axis.  Max is exact, so both
-    forms give the same maxima; only the sign of a NaN (an inf - inf of
-    non-finite operands) follows the loop order, so a step that meets one is
-    reduced again along the last axis.
+    so each step's (step, P, n_y) differences stay in a core's cache.  Each
+    cell is still one reduction along the last axis, so the blocks and steps
+    move no bit, not even the sign of a NaN (an inf - inf of non-finite
+    operands); a zero maximum is +0 (see core).
     A difference of finite operands that overflows raises ImproperInput, even
     where a larger term of its row would mask it.
     """
     step = max(1, _STEP_BYTES // max(1, E.nbytes))
-    ET = np.ascontiguousarray(E.T) if E.shape[0] > E.shape[1] else None
 
     def block(rows):
         p_rows = p[rows]
         out = np.empty((len(p_rows), E.shape[0]), dtype=np.result_type(E, p))
         for i in range(0, len(p_rows), step):
-            p_step, o = p_rows[i:i + step], out[i:i + step]
-            if ET is not None:
-                (ET[:, None, :] - p_step.T[:, :, None]).max(axis=0, out=o)
-            if ET is None or np.isnan(o).any():
-                (E[None, :, :] - p_step[:, None, :]).max(axis=2, out=o)
+            (E[None, :, :] - p_rows[i:i + step, None, :]).max(axis=2, out=out[i:i + step])
         out += 0.0
         return out
 
@@ -186,14 +175,13 @@ def _partial_conjugate(E: np.ndarray, p: np.ndarray) -> np.ndarray:
             raise ImproperInput("the partial conjugate overflows the doubles") from None
 
 
-def _lagrangian(E: np.ndarray, p: np.ndarray, y0: int) -> tuple[np.ndarray, np.ndarray]:
-    """(L, S) with S = _partial_conjugate(E, p) and L[x, j] = E[j, y0] - S[x, j]:
-    the one composition of the Lagrangian (E finite, S finite or -inf, no NaN).
-    An L that overflows the doubles raises ImproperInput."""
-    S = _partial_conjugate(E, p)
+def _lagrangian(psi_y0: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """L = psi_y0 - S, broadcast: the one composition of the Lagrangian from
+    the members' values at y0 (finite) and a partial conjugate S (finite or
+    -inf, no NaN).  An L that overflows the doubles raises ImproperInput."""
     with np.errstate(over="raise"):
         try:
-            return E[:, y0][None, :] - S, S
+            return psi_y0 - S
         except FloatingPointError:
             raise ImproperInput("the Lagrangian overflows the doubles") from None
 
@@ -210,8 +198,9 @@ def build_lagrangian(prob: PerturbationProblem, psi_grid: DualGrid) -> LagTable:
     """L(x, psi) = psi(y0) - p*_x(psi) for every multiplier on the grid."""
     if psi_grid.family.domain.n != prob.Y.n:
         raise ImproperProblem("multiplier grid must live on the parameter domain")
-    L, S = _lagrangian(psi_grid.matrix, prob.p, prob.y0)
-    return LagTable(L=L, S=S, psi_grid=psi_grid, y0=prob.y0)
+    S = _partial_conjugate(psi_grid.matrix, prob.p)
+    return LagTable(L=_lagrangian(psi_grid.matrix[:, prob.y0], S), S=S,
+                    psi_grid=psi_grid, y0=prob.y0)
 
 
 def duality_report(prob: PerturbationProblem, psi_grid: DualGrid,
@@ -309,7 +298,7 @@ def concavity_probe(prob: PerturbationProblem, family: ElemFamily,
     Ea = eval_on_domain(family, psi_a)
     Eb = eval_on_domain(family, psi_b)
     E = np.vstack([Ea, Eb, t * Ea + (1.0 - t) * Eb])
-    La, Lb, Lc = _lagrangian(E, prob.p, prob.y0)[0].T
+    La, Lb, Lc = _lagrangian(E[:, prob.y0], _partial_conjugate(E, prob.p)).T
     if t == 0.0:
         rhs = Lb
     elif t == 1.0:

@@ -27,7 +27,7 @@ from abconvex.constrained import MetricZeroGapReport
 from abconvex.core import METRIC_TOL, sub_up
 from abconvex.errors import ImproperInput, UndefinedSum
 from abconvex.families import members_on_domain, validate_members
-from abconvex.lagrangian import _lagrangian, duality_report
+from abconvex.lagrangian import _lagrangian, _partial_conjugate, duality_report
 from abconvex.minimax import envelope_candidates
 
 
@@ -262,7 +262,7 @@ LAGRANGIAN_OVERFLOWS = {
 def lagrangian_overflow(case, pad_rows=0, wide=False):
     """The problem and multiplier grid of a LAGRANGIAN_OVERFLOWS case, after
     pad_rows rows of zeros; wide adds a member of slope zero, so that the grid
-    has more members than parameters (P > n_y)."""
+    has more members (P = 3) than parameters (n_y = 2)."""
     y0, p, slopes, _ = LAGRANGIAN_OVERFLOWS[case]
     Y = build_metric_space([[0.0], [1.0]])
     grid = DualGrid(ElemFamily.affine(Y),
@@ -620,14 +620,16 @@ def old_rung_and_bound(inst, a_ladder, tol=1e-9):
 def old_generic_grid_sup(inst, x, a_ladder):
     """metric_grid_sup as the generic kernels computed it: every rung x anchor
     member checked and evaluated, in rung-major order, then row x of the
-    generic Lagrangian table; its rejections are the oracle's too."""
+    generic Lagrangian table, from the generic partial conjugate and the one
+    composition; its rejections are the oracle's too."""
     fam, n = ElemFamily.metric(inst.Y), inst.Y.n
     ladder = np.asarray(a_ladder, dtype=float).reshape(-1)
     a, anchor = np.repeat(ladder, n), np.tile(np.arange(n), ladder.size)
     validate_members(fam, a, anchor=anchor)
     E = members_on_domain(fam, a, anchor=anchor)
     p = np.where(inst.map.mask[x], inst.f.values[x], np.inf)[None, :]
-    return _lagrangian(E, p, inst.y0)[0].reshape(ladder.size, n).max(axis=1) + 0.0
+    L = _lagrangian(E[:, inst.y0], _partial_conjugate(E, p))
+    return L.reshape(ladder.size, n).max(axis=1) + 0.0
 
 
 def old_generic_zero_gap(inst, a_ladder, tol=1e-9):
@@ -635,7 +637,7 @@ def old_generic_zero_gap(inst, a_ladder, tol=1e-9):
     table that duality_report builds (its overflowing bound quotient made
     quiet), with its rejections."""
     ladder = tuple(sorted({float(a) for a in a_ladder}))
-    if not ladder or ladder[0] <= 0:
+    if not ladder or any(a <= 0 for a in ladder):
         raise ValueError("the rung ladder must contain positive values only")
     if np.isnan(tol):
         raise ValueError("tol must not be NaN")

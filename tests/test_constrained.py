@@ -21,7 +21,7 @@ from abconvex import (
     phi_lsc_set_separation,
     verify_zero_gap_metric,
 )
-from abconvex.errors import ImproperInput, ImproperObjective, NotSeparable
+from abconvex.errors import BadParams, ImproperInput, ImproperObjective, NotSeparable
 
 from conftest import line_space, old_lagrangian, random_constrained, same_bits
 
@@ -253,6 +253,17 @@ class TestVerifyZeroGap:
     def test_rejects_bad_ladder(self):
         with pytest.raises(ValueError):
             verify_zero_gap_metric(worked_2x2(), (0.0, 1.0))
+
+    def test_nonpositive_rung_beside_nan_rejected(self):
+        # a set of distinct NaN objects iterates in an order set by their ids,
+        # which sorted() cannot repair; the rejection must not follow it
+        nans = [float("nan") for _ in range(50)]
+        for bad in (0.0, -0.0, -1.0, -np.inf):
+            for nan in nans:
+                with pytest.raises(ValueError, match="^the rung ladder must contain positive"):
+                    verify_zero_gap_metric(worked_2x2(), (nan, bad, 1.0))
+        with pytest.raises(BadParams, match="^a must be finite$"):
+            verify_zero_gap_metric(worked_2x2(), (nans[0], 1.0))
 
     def test_overflowing_bound_quotient_warns_nothing(self):
         # (primal - f(x)) / d(y0, G(x)) = (-2e300 - 2e300) / 1e-100 overflows

@@ -721,9 +721,8 @@ def random_table(rng, n_x, P, n_y):
     return E, p
 
 
-#: (n_x, P, n_y) at the switch of _partial_conjugate between its last-axis
-#: form (P <= n_y) and its transposed form (P > n_y), on either side of it,
-#: at a constrained table's shape (9 rungs x 45 anchors), with one row of p,
+#: (n_x, P, n_y) with fewer, as many and more members than parameters, at
+#: a constrained table's shape (9 rungs x 45 anchors), with one row of p,
 #: one member and one parameter
 SWITCH_SHAPES = [(9, 5, 6), (9, 6, 6), (9, 7, 6), (30, 405, 45), (1, 12, 4), (1, 4, 12),
                  (7, 1, 4), (7, 1, 9), (12, 9, 1), (5, 1, 1)]
@@ -770,7 +769,7 @@ class TestPartialConjugate:
     def test_undefined_cells_keep_the_last_axis_nan(self, monkeypatch):
         # inf - inf at each parameter in turn, in tables with more members than
         # parameters: the sign of the NaN a reduction returns follows its loop
-        # order, and the kernel returns the last-axis reduction's
+        # order, and the kernel's blocks and steps keep the one-tensor order
         rng = np.random.default_rng(636)
         for ran in worker_counts(monkeypatch, (1, 2)):
             for n_y in (1, 2, 7, 9, 17):
@@ -815,8 +814,7 @@ class TestPartialConjugate:
             assert rep.convexity_holds == want["convexity_holds"]
 
     def test_peak_memory_is_budget_plus_tables(self, monkeypatch):
-        # the second table has more members than parameters, so the kernel
-        # also holds a copy of E.T
+        # the second table has more members than parameters
         rng = np.random.default_rng(650)
         for P, n_y in ((100, 100), (400, 30)):
             E, p = rng.normal(size=(P, n_y)), rng.normal(size=(200, n_y))
@@ -1015,7 +1013,7 @@ class TestConjugation:
 
 class TestZeroRule:
     """A zero that a blocked max kernel returns is +0: max_sub_up in both
-    forms, _partial_conjugate in both forms (also on E.T) in one-row, ragged
+    forms, _partial_conjugate (also on E.T) in one-row, ragged
     and default blocks reduced in steps of two rows, and c_transform, each
     against loop_reduce, a plain loop over the cells, on inputs whose lines
     tie at zeros of both signs."""
