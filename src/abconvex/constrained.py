@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ExtReal, FiniteMetricSpace, GridFn, PLUS_INF, _freeze, by_row_blocks
+from .core import ExtReal, FiniteMetricSpace, GridFn, PLUS_INF, _freeze, _is_index, by_row_blocks
 from .errors import ImproperInput, ImproperObjective, NotSeparable
 from .families import (DualGrid, ElemFamily, ElemParams, eval_on_domain, members_on_domain,
                        validate_members)
@@ -36,27 +36,38 @@ from .lagrangian import (
 
 DEFAULT_LADDER = tuple(2.0 ** k for k in range(7))
 
+_BOOLS = frozenset((bool, np.bool_))
+
 
 @dataclass(frozen=True)
 class ConstraintMap:
-    """Feasible sets A(y) together with the derived inverse map G = A^(-1)."""
+    """Feasible sets A(y) = feasible[y] and their (n_x, n_y) boolean mask:
+    mask[x, y] iff x in A(y) iff y in G(x), G = A^(-1) the inverse map.  An
+    index is an integer or an integral float, read as its integer; a bool or
+    any other value raises ValueError."""
 
     feasible: tuple[frozenset, ...]  # A(y) per parameter index
     n_x: int
     allow_empty: bool = False
 
     def __post_init__(self):
-        sets = tuple(frozenset(int(i) for i in s) for s in self.feasible)
-        for y, s in enumerate(sets):
-            if any(not 0 <= i < self.n_x for i in s):
+        sets = []
+        for y, s in enumerate(map(frozenset, self.feasible)):
+            try:  # int(i) == i unless i is non-integral; a bool is told by its type
+                ints = frozenset(map(int, s))
+            except (OverflowError, TypeError, ValueError):  # inf, NaN or not a number
+                ints = None
+            if ints != s or not _BOOLS.isdisjoint(map(type, s)):
+                raise ValueError(f"A(y={y}) holds an index that is not an integer")
+            if ints and not 0 <= min(ints) <= max(ints) < self.n_x:
                 raise ValueError(f"A(y={y}) references an out-of-range argument")
-            if not s and not self.allow_empty:
+            if not ints and not self.allow_empty:
                 raise ValueError(f"A(y={y}) is empty; pass allow_empty to permit this")
-        object.__setattr__(self, "feasible", sets)
+            sets.append(ints)
         mask = np.zeros((self.n_x, len(sets)), dtype=bool)
-        for y, s in enumerate(sets):
-            for x in s:
-                mask[x, y] = True
+        mask[np.fromiter(itertools.chain.from_iterable(sets), np.intp),
+             np.repeat(np.arange(len(sets)), list(map(len, sets)))] = True
+        object.__setattr__(self, "feasible", tuple(sets))
         object.__setattr__(self, "_mask", _freeze(mask))
 
     @property
@@ -67,12 +78,6 @@ class ConstraintMap:
     def mask(self) -> np.ndarray:
         """(n_x, n_y) boolean: mask[x, y] iff x in A(y) iff y in G(x)."""
         return self._mask
-
-    def A(self, y: int) -> frozenset:
-        return self.feasible[y]
-
-    def G(self, x: int) -> frozenset:
-        return frozenset(np.flatnonzero(self._mask[x]).tolist())
 
 
 @dataclass(frozen=True)
@@ -91,7 +96,7 @@ class ConstrainedInstance:
             raise ValueError("constraint map and objective disagree on |X|")
         if self.map.n_y != self.Y.n:
             raise ValueError("constraint map and parameter grid disagree on |Y|")
-        if not 0 <= self.y0 < self.Y.n:
+        if not (_is_index(self.y0) and 0 <= self.y0 < self.Y.n):
             raise ValueError("y0 out of range")
 
     @property
@@ -111,7 +116,10 @@ def build_constrained_perturbation(inst: ConstrainedInstance) -> PerturbationPro
 
 def metric_primal_sup(inst: ConstrainedInstance, x: int) -> ExtReal:
     """Analytic sup over all metric multipliers: f(x) when y0 is feasible for
-    x, +inf otherwise (the unbounded-rung divergence)."""
+    x, +inf otherwise (the unbounded-rung divergence); an x that is not a
+    Python or numpy integer in [0, n_x) raises ValueError."""
+    if not (_is_index(x) and 0 <= x < inst.n_x):
+        raise ValueError("x out of range")
     if inst.map.mask[x, inst.y0]:
         return ExtReal(float(inst.f.values[x]))
     return PLUS_INF
@@ -162,7 +170,9 @@ def metric_grid_sup(inst: ConstrainedInstance, x: int,
     table comes from _cone_lagrangian, after the checks its members would
     get: the rung rules of validate_members, then the one extreme member
     (the largest rung at the largest distance), whose values overflow the
-    doubles if any member's do."""
+    doubles if any member's do.  x is checked as in metric_primal_sup."""
+    if not (_is_index(x) and 0 <= x < inst.n_x):
+        raise ValueError("x out of range")
     fam, ladder = ElemFamily.metric(inst.Y), np.asarray(a_ladder, dtype=float).reshape(-1)
     validate_members(fam, ladder, anchor=np.zeros(ladder.size, np.int64))
     if ladder.size:
@@ -258,10 +268,6 @@ def verify_zero_gap_metric(inst: ConstrainedInstance,
         anchor_feasible=anchor_feasible,
         hypothesis="peaking metric cones (anchored-rung certificates)",
     )
-
-
-def _is_index(i) -> bool:
-    return isinstance(i, (int, np.integer)) and not isinstance(i, bool)
 
 
 def phi_lsc_set_separation(space: FiniteMetricSpace, C, p_out: int,

@@ -65,10 +65,6 @@ class ExtReal(float):
         return self
 
     @property
-    def is_finite(self) -> bool:
-        return math.isfinite(self)
-
-    @property
     def is_plus_inf(self) -> bool:
         return self == math.inf
 
@@ -289,6 +285,11 @@ def _executor():
         pool = ThreadPoolExecutor(WORKERS - 1, thread_name_prefix="abconvex-rows")
         _pools.setdefault(WORKERS, pool)
     return _pools[WORKERS]
+
+
+def _is_index(i) -> bool:
+    """i is a Python or numpy integer, not a bool."""
+    return isinstance(i, (int, np.integer)) and not isinstance(i, bool)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -518,7 +519,3 @@ class GridFn:
     @property
     def is_real_valued(self) -> bool:
         return bool(np.isfinite(self.values).all())
-
-    def shifted(self, c: float) -> "GridFn":
-        """The function plus a finite constant."""
-        return GridFn(self.domain, self.values + float(c))

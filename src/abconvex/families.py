@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import FiniteMetricSpace, GridFn, _freeze, by_row_blocks, max_sub_up
+from .core import FiniteMetricSpace, GridFn, _freeze, _is_index, by_row_blocks, max_sub_up
 from .errors import BadParams, ImproperInput, NoWitness
 
 _NUDGE = 1.0 + 2.0 ** -46
@@ -163,7 +163,8 @@ class ElemFamily:
 
 @dataclass(frozen=True)
 class ElemParams:
-    """Parameters of one family member: curvature a, slope ell, anchor, offset c."""
+    """Parameters of one family member: curvature a, slope ell, anchor, offset c.
+    An anchor is an integer or an integral float, not a bool (BadParams)."""
 
     a: float = 0.0
     ell: Optional[np.ndarray] = None
@@ -184,11 +185,10 @@ class ElemParams:
                 raise BadParams(f"{name} must be finite")
             object.__setattr__(self, name, v)
         if self.anchor is not None:
+            if not (_is_index(self.anchor) or isinstance(self.anchor, (float, np.floating))
+                    and self.anchor.is_integer()):
+                raise BadParams("anchor must be an integer")
             object.__setattr__(self, "anchor", int(self.anchor))
-
-    def key(self) -> tuple:
-        ell = None if self.ell is None else tuple(self.ell.tolist())
-        return (self.a, ell, self.anchor, self.c)
 
 
 # Members as arrays of shape (P,), or one member's scalars: a, ell (zero-
@@ -511,7 +511,7 @@ def is_support(family: ElemFamily, params: ElemParams, f: GridFn, tol: float = 0
 # ---------------------------------------------------------------------------
 
 def _check_y0(family: ElemFamily, y0: int) -> None:
-    if not 0 <= y0 < family.domain.n:
+    if not (_is_index(y0) and 0 <= y0 < family.domain.n):
         raise BadParams(f"y0 must index a point of the {family.domain.n}-point domain")
 
 

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ExtReal, FiniteMetricSpace, GridFn, _freeze, by_row_blocks
+from .core import ExtReal, FiniteMetricSpace, GridFn, _freeze, _is_index, by_row_blocks
 from .errors import ImproperInput, ImproperProblem, LevelAbovePrimal, NotConvexCombinable
 from .families import CONVEX_KINDS, DualGrid, ElemFamily, ElemParams, eval_on_domain
 from .minimax import TCertificate
@@ -57,7 +57,7 @@ class PerturbationProblem:
             raise ImproperProblem("p cannot contain NaN")
         if np.isneginf(p).any():
             raise ImproperProblem("p takes -inf; every p(., y) must be proper")
-        if not (0 <= self.y0 < self.Y.n):
+        if not (_is_index(self.y0) and 0 <= self.y0 < self.Y.n):
             raise ImproperProblem("y0 out of range")
         finite_col = np.isfinite(p).any(axis=0)
         for y in np.flatnonzero(~finite_col):
@@ -68,10 +68,6 @@ class PerturbationProblem:
         object.__setattr__(self, "p", _freeze(p.copy()))
         object.__setattr__(self, "allow_improper_cols",
                            frozenset(int(y) for y in self.allow_improper_cols))
-
-    @property
-    def n_x(self) -> int:
-        return self.p.shape[0]
 
 
 @dataclass(frozen=True)
@@ -316,7 +312,7 @@ def _lsc_defects(V: GridFn, y0: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     whose V(y0) - min of finite operands overflowed to +inf."""
     if not isinstance(V.domain, FiniteMetricSpace):
         raise ValueError("lsc_defect needs a metric domain")
-    if not 0 <= y0 < V.size:
+    if not (_is_index(y0) and 0 <= y0 < V.size):
         raise ValueError("y0 out of range")
     d = V.domain.dist[y0]
     order = np.argsort(d, kind="stable")
@@ -338,8 +334,8 @@ def lsc_profile(V: GridFn, y0: int) -> tuple[np.ndarray, np.ndarray]:
     """(radii, defects): each distinct positive distance r from y0, ascending,
     and lsc_defect(V, y0, r), from one stable sort of the distances and a
     prefix minimum of V along it.  With no radius, V(y0) goes unchecked.
-    A V without a metric domain or a y0 outside it raises ValueError, as in
-    lsc_defect.
+    A V without a metric domain or a y0 that is not an integer index of it
+    raises ValueError, as in lsc_defect.
 
     A defect V(y0) - min of finite operands that overflows raises
     ImproperInput: its exact value is then a real above the largest double.
@@ -356,8 +352,8 @@ def lsc_defect(V: GridFn, y0: int, radius: float) -> float:
     A radius-indexed proxy: pointwise lower semicontinuity is vacuous on a
     finite grid, so callers watch the defect as the radius shrinks with the
     grid spacing.  A radius that is not positive (NaN included), then a V
-    without a metric domain or a y0 outside it, raises ValueError, and a
-    defect that overflows the doubles ImproperInput.
+    without a metric domain or a y0 that is not an integer index of it,
+    raises ValueError, and a defect that overflows the doubles ImproperInput.
     """
     if not radius > 0:
         raise ValueError("radius must be positive")

@@ -585,7 +585,8 @@ def _explicit_grid(rng, fam):
             w = ElemParams(a=float(rng.choice([a, 2.0 * rng.random()])))
         else:
             w = ElemParams(a=a if kind != "gauge" else a or 1.0, ell=_slope(rng, dim))
-        members.setdefault(w.key(), w)
+        ell = None if w.ell is None else tuple(w.ell.tolist())
+        members.setdefault((w.a, ell, w.anchor, w.c), w)
     members = list(members.values())
     if rng.random() < 0.15:
         w = members[int(rng.integers(len(members)))]

@@ -25,6 +25,8 @@ from abconvex import (
     duality_report,
     is_support,
     lsc_defect,
+    metric_grid_sup,
+    metric_primal_sup,
     peaking_witness,
     phi_lsc_set_separation,
     urysohn_witness,
@@ -88,6 +90,8 @@ CHECKS = {
                    "unsupported gauge norm 'l3'"),
     "slope_not_finite": (lambda: ElemParams(ell=[INF]), BadParams, "slope must be finite"),
     "a_not_finite": (lambda: ElemParams(a=INF), BadParams, "a must be finite"),
+    "anchor_float": (lambda: ElemParams(anchor=1.7), BadParams, "anchor must be an integer"),
+    "anchor_bool": (lambda: ElemParams(anchor=True), BadParams, "anchor must be an integer"),
     "conjugate_domains": (lambda: conjugate_transform(GridFn(Y3, [0.0, 1.0, 2.0]), GRID2),
                           ValueError, "grid function and dual grid live on different domains"),
     "support_domains": (lambda: is_support(ElemFamily.affine(Y3), ElemParams(ell=[0.0]),
@@ -96,6 +100,11 @@ CHECKS = {
     "peaking_delta": (lambda: peaking_witness(ElemFamily.metric(Y2), 0, 0.5, 0.0, 1.0,
                                               ElemParams(a=1.0, anchor=0)),
                       BadParams, "delta must be positive"),
+    "peaking_y0_float": (lambda: peaking_witness(ElemFamily.metric(Y2), 1.0, 0.5, 0.5, 1.0,
+                                                 ElemParams(a=1.0, anchor=0)),
+                         BadParams, "y0 must index a point of the 2-point domain"),
+    "urysohn_y0_bool": (lambda: urysohn_witness(ElemFamily.metric(Y2), True, 0.5, 0.5),
+                        BadParams, "y0 must index a point of the 2-point domain"),
     "gauge_vanishes": (lambda: urysohn_witness(ElemFamily.gauge(ORIGIN_TWICE), 0, 0.5, 0.5),
                        NoWitness, "gauge vanishes away from the origin on this grid"),
     # lagrangian
@@ -105,6 +114,10 @@ CHECKS = {
                   ImproperProblem, "p column count must match the parameter grid"),
     "p_nan": (lambda: PerturbationProblem(Y=Y2, p=[[NAN, 1.0]], y0=0),
               ImproperProblem, "p cannot contain NaN"),
+    "p_y0_float": (lambda: PerturbationProblem(Y=Y2, p=[[0.0, 1.0]], y0=1.0),
+                   ImproperProblem, "y0 out of range"),
+    "p_y0_bool": (lambda: PerturbationProblem(Y=Y2, p=[[0.0, 1.0]], y0=True),
+                  ImproperProblem, "y0 out of range"),
     "grid_domain": (lambda: build_lagrangian(PROB2, GRID3), ImproperProblem,
                     "multiplier grid must live on the parameter domain"),
     "convexity_scope": (lambda: duality_report(PROB2, GRID2, convexity_scope="none"),
@@ -122,6 +135,10 @@ CHECKS = {
                      "y0 out of range"),
     "lsc_profile_y0_range": (lambda: lsc_profile(GridFn(Y3, [0.0, 1.0, 5.0]), 3), ValueError,
                              "y0 out of range"),
+    "lsc_y0_float": (lambda: lsc_defect(GridFn(Y3, [0.0, 1.0, 5.0]), 1.0, 1.0), ValueError,
+                     "y0 out of range"),
+    "lsc_profile_y0_bool": (lambda: lsc_profile(GridFn(Y3, [0.0, 1.0, 5.0]), True), ValueError,
+                            "y0 out of range"),
     "lsc_profile_point_count": (lambda: lsc_profile(GridFn(2, [0.0, 1.0]), 0), ValueError,
                                 "lsc_defect needs a metric domain"),
     # constrained
@@ -130,6 +147,24 @@ CHECKS = {
     "map_grid": (lambda: _instance(f_size=3, sets=3), ValueError,
                  "constraint map and parameter grid disagree on |Y|"),
     "y0_range": (lambda: _instance(f_size=3, y0=2), ValueError, "y0 out of range"),
+    "y0_float": (lambda: _instance(f_size=3, y0=1.0), ValueError, "y0 out of range"),
+    "y0_bool": (lambda: _instance(f_size=3, y0=True), ValueError, "y0 out of range"),
+    "map_float": (lambda: ConstraintMap(({1.7}, {0}, {2}), 3), ValueError,
+                  "A(y=0) holds an index that is not an integer"),
+    "map_bool": (lambda: ConstraintMap(({0}, {True}), 3), ValueError,
+                 "A(y=1) holds an index that is not an integer"),
+    "primal_sup_x_negative": (lambda: metric_primal_sup(_instance(f_size=3), -1), ValueError,
+                              "x out of range"),
+    "primal_sup_x_n_x": (lambda: metric_primal_sup(_instance(f_size=3), 3), ValueError,
+                         "x out of range"),
+    "primal_sup_x_half": (lambda: metric_primal_sup(_instance(f_size=3), 0.5), ValueError,
+                          "x out of range"),
+    "grid_sup_x_negative": (lambda: metric_grid_sup(_instance(f_size=3), -1, (1.0,)),
+                            ValueError, "x out of range"),
+    "grid_sup_x_n_x": (lambda: metric_grid_sup(_instance(f_size=3), 3, (1.0,)), ValueError,
+                       "x out of range"),
+    "grid_sup_x_half": (lambda: metric_grid_sup(_instance(f_size=3), 0.5, (1.0,)),
+                        ValueError, "x out of range"),
     "separation_p_out": (lambda: phi_lsc_set_separation(Y3, {0}, -1), ValueError,
                          "p_out out of range"),
     "separation_set": (lambda: phi_lsc_set_separation(Y3, {1, 3}, 0), ValueError,

@@ -192,7 +192,11 @@ class TestDualityReport:
         assert cert is not None
         # the returned multiplier genuinely dominates the level everywhere
         table = build_lagrangian(prob, grid)
-        j = [p.key() for p in grid.params_list].index(cert.psi1.key())
+
+        def key(p):
+            return p.a, None if p.ell is None else tuple(p.ell.tolist()), p.anchor, p.c
+
+        j = [key(p) for p in grid.params_list].index(key(cert.psi1))
         assert table.L[:, j].min() >= cert.t.level
         # slope 0 is among the valid certificates for this instance
         assert gap_certificate(prob, grid, -1e-6) is not None
@@ -237,7 +241,7 @@ class TestRandomizedLaws:
             rep = duality_report(prob, grid)
             defects = [
                 prob.p[x, prob.y0] - biconjugate(GridFn(prob.Y, prob.p[x]), grid).values[prob.y0]
-                for x in range(prob.n_x)
+                for x in range(prob.p.shape[0])
             ]
             all_zero = max(defects) <= 1e-9
             assert rep.reconstruction_ok == all_zero

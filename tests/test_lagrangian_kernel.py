@@ -367,7 +367,7 @@ class TestSteppedKernel:
         # the overflowing row last; a wide grid has more members than parameters
         for wide in (False, True):
             prob, grid = lagrangian_overflow(case, pad_rows=11, wide=wide)
-            monkeypatch.setattr(lag, "_STEP_BYTES", step_bytes(mode, grid.matrix.nbytes, prob.n_x))
+            monkeypatch.setattr(lag, "_STEP_BYTES", step_bytes(mode, grid.matrix.nbytes, prob.p.shape[0]))
             with pytest.raises(ImproperInput) as err:
                 build_lagrangian(prob, grid)
             assert str(err.value) == LAGRANGIAN_OVERFLOWS[case][3]
@@ -376,7 +376,7 @@ class TestSteppedKernel:
 def member_rows(rng, prob, grid):
     """prob with each row p(x, .) a random member's values: every row equals
     its grid biconjugate, up to rounding."""
-    p = grid.matrix[rng.integers(grid.size, size=prob.n_x)]
+    p = grid.matrix[rng.integers(grid.size, size=prob.p.shape[0])]
     return PerturbationProblem(Y=prob.Y, p=p, y0=prob.y0)
 
 
