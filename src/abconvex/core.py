@@ -492,7 +492,8 @@ Domain = Union[FiniteMetricSpace, int]
 class GridFn:
     """An extended-real-valued function sampled on a finite domain.
 
-    `domain` is a FiniteMetricSpace or a plain point count.  Values may be
+    `domain` is a FiniteMetricSpace or a plain point count, a Python or
+    numpy integer and not a bool (ValueError otherwise).  Values may be
     +-inf but never NaN or all-infinite surprises: see `proper`.
     """
 
@@ -503,7 +504,12 @@ class GridFn:
         vals = as_ext_array(self.values)
         if vals.ndim != 1:
             raise ValueError("GridFn values must be one-dimensional")
-        n = self.domain if isinstance(self.domain, numbers.Integral) else self.domain.n
+        if isinstance(self.domain, FiniteMetricSpace):
+            n = self.domain.n
+        elif _is_index(self.domain):
+            n = self.domain
+        else:
+            raise ValueError("GridFn domain must be a FiniteMetricSpace or an integer point count")
         if vals.shape[0] != n:
             raise ValueError("GridFn length does not match its domain")
         object.__setattr__(self, "values", _freeze(vals.copy()))

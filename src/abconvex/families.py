@@ -185,15 +185,20 @@ class ElemParams:
                 raise BadParams(f"{name} must be finite")
             object.__setattr__(self, name, v)
         if self.anchor is not None:
-            if not (_is_index(self.anchor) or isinstance(self.anchor, (float, np.floating))
-                    and self.anchor.is_integer()):
+            if not _is_anchor(self.anchor):
                 raise BadParams("anchor must be an integer")
             object.__setattr__(self, "anchor", int(self.anchor))
 
 
+def _is_anchor(v) -> bool:
+    """v is an integer or an integral float, not a bool."""
+    return _is_index(v) or isinstance(v, (float, np.floating)) and v.is_integer()
+
+
 # Members as arrays of shape (P,), or one member's scalars: a, ell (zero-
 # padded to the longest slope in a batch), ell_len (-1 for no slope), anchor
-# (0 where no_anchor) and c.  A member list of any shape keeps all it says.
+# (0 where no_anchor) and c.  Beside arrays, a field held as a scalar has
+# that value for every member.  A member list of any shape keeps all it says.
 _Members = namedtuple("_Members", "a ell ell_len anchor no_anchor c")
 
 
@@ -213,15 +218,26 @@ def _from_params(params) -> _Members:
 
 
 def _arrays(a, ell=None, anchor=None) -> _Members:
-    """Parameter arrays as members; non-finite values are rejected first, as
-    making every ElemParams before checking any would."""
+    """Parameter arrays as members, with ell_len, no_anchor and c (and the
+    anchor when there is none) held as scalars.  A non-finite slope, a
+    non-finite a, then an anchor that is a bool or not integral are rejected
+    first, as making every ElemParams before checking any would; an integral
+    float anchor reads as its integer.  An integer array holds neither kind
+    of bad anchor; other anchors are checked one by one, as ElemParams
+    checks its own."""
     a = np.array(a, dtype=float).reshape(-1)
     ell = np.zeros((a.size, 0)) if ell is None else np.array(ell, dtype=float).reshape(a.size, -1)
-    ell_len = np.full(a.size, ell.shape[1] or -1)  # zero width: no slopes
-    _raise_first([(~np.isfinite(ell).all(axis=1), BadParams, "slope must be finite"),
-                  (~np.isfinite(a), BadParams, "a must be finite")])
-    anchors = np.zeros(a.size, np.int64) if anchor is None else np.array(anchor, np.int64)
-    return _Members(a, ell, ell_len, anchors, np.full(a.size, anchor is None), np.zeros(a.size))
+    if anchor is None or isinstance(anchor, np.ndarray) and anchor.dtype.kind in "iu":
+        odd = []
+    else:
+        odd = [not _is_anchor(v) for v in np.array(anchor, dtype=object).ravel().tolist()]
+    if not ((not ell.size or np.isfinite(ell).all()) and np.isfinite(a).all()) or any(odd):
+        _raise_first([(~np.isfinite(ell).all(axis=1), BadParams, "slope must be finite"),
+                      (~np.isfinite(a), BadParams, "a must be finite"),
+                      (np.array(odd or False), BadParams, "anchor must be an integer")])
+    return _Members(a, ell, ell.shape[1] or -1,  # zero width: no slopes
+                    0 if anchor is None else np.array(anchor, np.int64).reshape(a.size),
+                    anchor is None, 0.0)
 
 
 #: the curvature rule of each kind: members with test(a, 0.0) fail it
@@ -253,18 +269,21 @@ def _member_rules(family: ElemFamily, m: _Members) -> list:
 
 def _raise_first(rules: list) -> None:
     """Raise (error, message) of the first member that breaks a rule, taking
-    that member's rules in order."""
-    fails = np.array([f for f, _, _ in rules]).reshape(len(rules), -1)
-    bad = fails.any(axis=0)
-    if bad.any():
-        _, error, message = rules[int(fails[:, bad.argmax()].argmax())]
-        raise error(message)
+    that member's rules in order.  A fails mask has the members' shape or is
+    one value for them all; the masks are stacked only when one is set."""
+    fails = [f for f, _, _ in rules]
+    if not any(f.any() if isinstance(f, np.ndarray) else f for f in fails):
+        return
+    fails = np.array(np.broadcast_arrays(*fails)).reshape(len(rules), -1)
+    _, error, message = rules[int(fails[:, fails.any(axis=0).argmax()].argmax())]
+    raise error(message)
 
 
 def validate_members(family: ElemFamily, a, ell=None, anchor=None) -> None:
     """Raise BadParams unless every member (a[j], ell[j], anchor[j]) is
     admissible for the family; a has shape (P,), ell (P, dim) or None and
-    anchor (P,) or None.  The first failing member decides the error."""
+    anchor (P,) or None, each anchor an integer or an integral float, not a
+    bool.  The first failing member decides the error."""
     _raise_first(_member_rules(family, _arrays(a, ell, anchor)))
 
 
@@ -272,10 +291,14 @@ def members_on_domain(family: ElemFamily, a, ell=None, anchor=None, c=0.0) -> np
     """(P, n) values at every domain point of the members (a[j], ell[j],
     anchor[j]) plus c (a scalar or shape (P,)), not validated.  Each row is
     bit-identical to the member's formula evaluated alone: one (P, n) array
-    updated in place, one matrix-vector product per slope (a product with
-    the stacked slopes rounds differently), and a last + c that turns -0.0
-    into +0.0 as the formula does.  Every matrix returned is finite: values
-    that overflow the doubles raise ImproperInput."""
+    updated in place, then a last + c, which keeps a -0.0 only where c is
+    -0.0.  A slope term is the product pts @ ell[j], whose sum starts at +0.
+    On a one-coordinate domain that is one product a cell, so the terms of
+    all members are formed at once, plus 0.0 for that start.  With more
+    coordinates the bits follow BLAS, which may fuse a multiply and an add,
+    so each member keeps its own product (a product with the stacked slopes
+    rounds differently).  Every matrix returned is finite: values that
+    overflow the doubles raise ImproperInput."""
     kind, domain, a = family.kind, family.domain, np.asarray(a, dtype=float)
     pts = domain.points
     with np.errstate(over="ignore", invalid="ignore"):
@@ -287,18 +310,24 @@ def members_on_domain(family: ElemFamily, a, ell=None, anchor=None, c=0.0) -> np
         elif kind == FamilyKind.SIGMA_NU:
             out = np.multiply.outer(a, family.sigma.values)
             out += family.nu.values
-        elif kind == FamilyKind.AFFINE:
-            out = np.empty((a.size, domain.n))
-            for row, slope in zip(out, ell):
-                row[:] = pts @ slope
         else:
-            base = family.gauge_values() if kind == FamilyKind.GAUGE else (pts * pts).sum(axis=1)
-            out = np.multiply.outer(a if kind == FamilyKind.QUAD_PLUS else -a, base)
-            for row, slope in zip(out, ell):
-                row += pts @ slope
+            ell = np.asarray(ell, dtype=float)
+            if pts.shape[1] == 1 and ell.shape[1:] == (1,):
+                out = np.multiply.outer(ell[:, 0], pts[:, 0])
+                out += 0.0
+            else:
+                out = np.empty((a.size, domain.n))
+                for row, slope in zip(out, ell):
+                    row[:] = pts @ slope
+            if kind != FamilyKind.AFFINE:
+                base = (family.gauge_values() if kind == FamilyKind.GAUGE
+                        else (pts * pts).sum(axis=1))
+                out += np.multiply.outer(a if kind == FamilyKind.QUAD_PLUS else -a, base)
         out += np.asarray(c, dtype=float)[..., None]
-    # min and max propagate inf and nan, and make no temporary the size of out
-    if not (math.isfinite(out.min(initial=0.0)) and math.isfinite(out.max(initial=0.0))):
+        # a sum propagates inf and nan and makes no temporary the size of out;
+        # only a sum that overflows on finite values needs the min and max
+        total = out.sum()
+    if not (math.isfinite(total) or math.isfinite(out.min()) and math.isfinite(out.max())):
         raise ImproperInput("member values overflow the doubles")
     return out
 
@@ -313,11 +342,20 @@ def eval_on_domain(family: ElemFamily, params: ElemParams) -> np.ndarray:
 
 def _repeats(m: _Members) -> np.ndarray:
     """Members equal to an earlier one as tuples of floats (+ 0.0 makes -0.0
-    equal 0.0): after a stable sort, the rows equal to the row before them."""
-    floats = (np.column_stack([m.a, m.c, m.ell]) + 0.0).view(np.int64)
-    keys = np.column_stack([floats, m.ell_len, m.anchor, m.no_anchor])
-    repeats, order = np.zeros(m.a.size, bool), np.lexsort(keys.T)
-    repeats[order[1:]] = (keys[order[1:]] == keys[order[:-1]]).all(axis=1)
+    equal 0.0): after a stable lexsort of one (P, fields) int64 array of
+    keys, the rows whose bytes equal the row's before them.  A field held as
+    a scalar is the same for every member and is left out."""
+    floats = [f for f in (m.a, m.c) if isinstance(f, np.ndarray)] + list(m.ell.T)
+    ints = [f for f in (m.ell_len, m.anchor, m.no_anchor) if isinstance(f, np.ndarray)]
+    keys = np.empty((m.a.size, len(floats) + len(ints)), np.int64)
+    for j, f in enumerate(floats):
+        np.add(f, 0.0, out=keys[:, j].view(np.float64))
+    for j, f in enumerate(ints, len(floats)):
+        keys[:, j] = f
+    order = np.lexsort(keys.T)
+    rows = keys.view(f"V{keys.itemsize * keys.shape[1]}").ravel()[order]
+    repeats = np.zeros(m.a.size, bool)
+    repeats[order[1:]] = rows[1:] == rows[:-1]
     return repeats
 
 
@@ -398,21 +436,27 @@ def _slope_vectors(dim: int, bound: float, count: int) -> np.ndarray:
 def slope_bound(f: GridFn, domain: FiniteMetricSpace) -> float:
     """Twice the largest finite difference quotient of f over the grid, 1.0
     when there is none or it is 0, reduced in row blocks of BLOCK_BYTES (a
-    maximum of quotients does not depend on the blocking).  Raises
-    ImproperInput when that bound overflows the doubles."""
-    finite = np.isfinite(f.values)
-    idx = np.flatnonzero(finite)
-    if idx.size < 2:
+    maximum of quotients does not depend on the blocking).  Each block reads
+    its rows of the distances in place when f is finite everywhere, else
+    gathers the cells between finite points.  Raises ImproperInput when that
+    bound overflows the doubles."""
+    vals, dist, idx = f.values, domain.dist, None
+    finite = np.isfinite(vals)
+    if not finite.all():
+        idx = np.flatnonzero(finite)
+        vals = vals[idx]
+    if vals.size < 2:
         return 1.0
-    vals = f.values[idx]
 
     def steepest(rows):  # -inf for a row with no pair at a positive distance
-        num = np.abs(vals[rows, None] - vals[None, :])
-        den = domain.dist[np.ix_(idx[rows], idx)]
+        num = vals[rows, None] - vals
+        np.abs(num, out=num)
+        # f's points are the domain's first vals.size points
+        den = dist[rows, :vals.size] if idx is None else dist[idx[rows, None], idx]
         return np.divide(num, den, out=np.full(num.shape, -np.inf), where=den > 0).max(axis=1)
 
     with np.errstate(over="ignore"):  # num, den, quotients and mask: under four doubles a cell
-        bound = 2.0 * float(by_row_blocks(steepest, idx.size, 32 * idx.size).max())
+        bound = 2.0 * float(by_row_blocks(steepest, vals.size, 32 * vals.size).max())
     if bound == math.inf:
         raise ImproperInput("the slope bound of f overflows the doubles")
     return bound if bound > 0 else 1.0
@@ -436,11 +480,14 @@ def default_dual_grid(
     bound of f, curvatures ride a geometric ladder, metric anchors default to
     every domain point.  Raises ImproperInput when the slope bound, the
     slope ladder, the curvature rungs or the members' values overflow the
-    doubles; every member matrix returned is finite."""
+    doubles, and ValueError when a slope bound is read from an f that does
+    not live on the family's domain; every member matrix returned is finite."""
     kind = family.kind
     domain = family.domain
     if kind == FamilyKind.SIGMA_NU:
         return DualGrid(family, a=[0.0] + _curvature_rungs(curvature_levels))
+    if f is not None and f.size != domain.n:
+        raise ValueError("grid function and family live on different domains")
     L = slope_bound(f, domain) if f is not None else 1.0
     if kind == FamilyKind.AFFINE:
         vecs = _slope_vectors(domain.dim, L, slope_count)
@@ -452,12 +499,12 @@ def default_dual_grid(
         if max_anchors is not None and anchors.size > max_anchors:
             anchors = anchors[np.linspace(0, anchors.size - 1, max_anchors).round().astype(int)]
         ladder = rungs if f is None else sorted(set(rungs) | {max(L, rungs[0])})
-        return DualGrid(family, a=np.tile(ladder, anchors.size),
+        return DualGrid(family, a=np.repeat([ladder], anchors.size, axis=0).reshape(-1),
                         anchor=np.repeat(anchors, len(ladder)))
     vecs = _slope_vectors(domain.dim, L, min(slope_count, 5))
     curvatures = rungs if kind == FamilyKind.GAUGE else [0.0] + rungs
     return DualGrid(family, a=np.repeat(curvatures, len(vecs)),
-                    ell=np.tile(vecs, (len(curvatures), 1)))
+                    ell=np.repeat(vecs[None], len(curvatures), axis=0).reshape(-1, domain.dim))
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,9 @@ from abconvex import (
 )
 from abconvex.constrained import MetricZeroGapReport
 from abconvex.core import METRIC_TOL, sub_up
-from abconvex.errors import ImproperInput, UndefinedSum
-from abconvex.families import members_on_domain, validate_members
+from abconvex.errors import BadParams, ImproperInput, UndefinedSum
+from abconvex.families import (PEAKING_KINDS, SLOPE_KINDS, FamilyKind, _from_params,
+                               _member_rules, _Members, members_on_domain, validate_members)
 from abconvex.lagrangian import _lagrangian, _partial_conjugate, duality_report
 from abconvex.minimax import envelope_candidates
 
@@ -833,3 +834,79 @@ def old_lsc_curve(rep):
     radii = radii[radii > 0]
     return [{"radius": float(r), "defect": old_lsc_defect(V, y0, float(r))}
             for r in radii]
+
+
+# ---------------------------------------------------------------------------
+# DualGrid construction as written before its checks ran in one pass: the
+# member-array conversion, the repeat search, the first-failure rule and the
+# member matrix copied as they were, kept as the oracle every grid, member
+# check and member matrix must match bit for bit
+# ---------------------------------------------------------------------------
+
+def old_raise_first(rules):
+    fails = np.array([f for f, _, _ in rules]).reshape(len(rules), -1)
+    bad = fails.any(axis=0)
+    if bad.any():
+        _, error, message = rules[int(fails[:, bad.argmax()].argmax())]
+        raise error(message)
+
+
+def old_arrays(a, ell=None, anchor=None):
+    """Member arrays as _arrays made them; it truncated anchors."""
+    a = np.array(a, dtype=float).reshape(-1)
+    ell = np.zeros((a.size, 0)) if ell is None else np.array(ell, dtype=float).reshape(a.size, -1)
+    ell_len = np.full(a.size, ell.shape[1] or -1)
+    old_raise_first([(~np.isfinite(ell).all(axis=1), BadParams, "slope must be finite"),
+                     (~np.isfinite(a), BadParams, "a must be finite")])
+    anchors = np.zeros(a.size, np.int64) if anchor is None else np.array(anchor, np.int64)
+    return _Members(a, ell, ell_len, anchors, np.full(a.size, anchor is None), np.zeros(a.size))
+
+
+def old_repeats(m):
+    floats = (np.column_stack([m.a, m.c, m.ell]) + 0.0).view(np.int64)
+    keys = np.column_stack([floats, m.ell_len, m.anchor, m.no_anchor])
+    repeats, order = np.zeros(m.a.size, bool), np.lexsort(keys.T)
+    repeats[order[1:]] = (keys[order[1:]] == keys[order[:-1]]).all(axis=1)
+    return repeats
+
+
+def old_members_on_domain(family, a, ell=None, anchor=None, c=0.0):
+    """members_on_domain with one pts @ slope product per member."""
+    kind, domain, a = family.kind, family.domain, np.asarray(a, dtype=float)
+    pts = domain.points
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind in PEAKING_KINDS:
+            out = domain.dist[np.asarray(anchor)]
+            if kind == FamilyKind.GENERALIZED_METRIC:
+                out = family.g_shape(out)
+            out *= (-a)[:, None]
+        elif kind == FamilyKind.SIGMA_NU:
+            out = np.multiply.outer(a, family.sigma.values)
+            out += family.nu.values
+        elif kind == FamilyKind.AFFINE:
+            out = np.empty((a.size, domain.n))
+            for row, slope in zip(out, ell):
+                row[:] = pts @ slope
+        else:
+            base = family.gauge_values() if kind == FamilyKind.GAUGE else (pts * pts).sum(axis=1)
+            out = np.multiply.outer(a if kind == FamilyKind.QUAD_PLUS else -a, base)
+            for row, slope in zip(out, ell):
+                row += pts @ slope
+        out += np.asarray(c, dtype=float)[..., None]
+    if not (math.isfinite(out.min(initial=0.0)) and math.isfinite(out.max(initial=0.0))):
+        raise ImproperInput("member values overflow the doubles")
+    return out
+
+
+def old_dual_grid(family, params_list=None, *, a=None, ell=None, anchor=None):
+    """(a, ell, anchor, matrix) of the grid DualGrid built, or its error."""
+    params = tuple(params_list or ())
+    m = _from_params(params) if params else old_arrays(() if a is None else a, ell, anchor)
+    if not m.a.size:
+        raise ValueError("DualGrid needs at least one parameter tuple")
+    old_raise_first(_member_rules(family, m) + [
+        (m.c != 0.0, ValueError, "DualGrid offsets are eliminated analytically; use c = 0"),
+        (old_repeats(m), ValueError, "duplicate parameter tuple in DualGrid")])
+    return (m.a, m.ell if family.kind in SLOPE_KINDS else None,
+            m.anchor if family.kind in PEAKING_KINDS else None,
+            old_members_on_domain(family, m.a, m.ell, m.anchor, m.c))

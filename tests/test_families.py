@@ -22,15 +22,19 @@ from abconvex import (
     urysohn_witness,
     validate_members,
 )
-from abconvex.errors import BadParams, ImproperInput, NoWitness
+from abconvex.errors import AbconvexError, BadParams, ImproperInput, NoWitness
 from abconvex import families
-from abconvex.families import _NUDGE
+from abconvex.families import _NUDGE, members_on_domain
 
 from conftest import (
     brute_biconjugate,
     brute_conjugate,
     line_space,
     lower_convex_envelope_1d,
+    old_arrays,
+    old_dual_grid,
+    old_members_on_domain,
+    old_raise_first,
     random_sigma_nu,
     same_bits,
     spaced_line,
@@ -259,12 +263,217 @@ class TestDualGrid:
         with pytest.raises(BadParams, match=f"^{message}$"):
             DualGrid(fam, a=a, ell=ell, anchor=anchor)
 
+    def test_integral_float_anchors_read_as_integers(self):
+        fam = ElemFamily.metric(line_space([0.0, 1.0, 3.0]))
+        for anchor in ([2.0, np.float64(1.0)], np.array([2.0, 1.0]), [np.int32(2), 1]):
+            validate_members(fam, [1.0, 1.0], anchor=anchor)
+            grid = DualGrid(fam, a=[1.0, 1.0], anchor=anchor)
+            assert grid.anchor.dtype == np.int64 and grid.anchor.tolist() == [2, 1]
+
+    def test_anchor_count_must_match_members(self):
+        fam = ElemFamily.metric(line_space([0.0, 1.0, 3.0]))
+        for anchor in ([0, 1, 2], [0]):
+            with pytest.raises(ValueError):
+                validate_members(fam, [1.0, 2.0], anchor=anchor)
+            with pytest.raises(ValueError):
+                DualGrid(fam, a=[1.0, 2.0], anchor=anchor)
+
+    def test_subnormal_slope_ladder_collides(self):
+        # a slope bound of 1e-323 spaces a 9-rung ladder below the least
+        # subnormal, so np.linspace rounds its steps onto each other
+        space = line_space([0.0, 1.0])
+        f = GridFn(space, [0.0, 5e-324])
+        with pytest.raises(ValueError, match="^duplicate parameter tuple in DualGrid$"):
+            default_dual_grid(ElemFamily.affine(space), f)
+
     def test_default_grid_covers_slope_bound(self):
         space = line_space([-1.0, 0.0, 1.0])
         f = GridFn(space, [3.0, 0.0, 3.0])  # difference quotient 3, bound 6
         grid = default_dual_grid(ElemFamily.affine(space), f)
         slopes = sorted(p.ell[0] for p in grid.params_list)
         assert slopes[0] == -6.0 and slopes[-1] == 6.0 and 0.0 in slopes
+
+
+#: entries that collide once +0.0 is added, sit an ulp apart, underflow or
+#: overflow against the points
+_POOL = np.array([0.0, -0.0, 1.0, -1.0, 0.5, np.nextafter(0.5, 1.0), 2.0, -3.0,
+                  5e-324, -5e-324, 1e-310, 1e300, -1e300, 1.5e308])
+_KINDS = ("affine", "quad_minus", "quad_plus", "sigma_nu", "metric",
+          "generalized_metric", "gauge")
+
+
+def _oracle_family(rng, kind, dim):
+    """A family on 1 to 7 distinct points in dim coordinates, some of them
+    zeros of either sign, now and then scaled down to 1e-300."""
+    pts = np.unique(rng.integers(-3, 4, (int(rng.integers(1, 8)), dim)), axis=0).astype(float)
+    pts *= float(rng.choice([1.0, 1.0, 0.25, 1e-300]))
+    pts[(pts == 0.0) & (rng.random(pts.shape) < 0.5)] = -0.0
+    space = build_metric_space(pts, validate="fast")
+    if kind == "sigma_nu":
+        sigma, nu = random_sigma_nu(rng, space)
+        return ElemFamily.sigma_nu(space, sigma, nu)
+    if kind == "generalized_metric":
+        return ElemFamily.generalized_metric(
+            space, Sampled1D([0.0, 0.5, 2.0], [0.0, float(rng.uniform(0.2, 1.0)), 2.0]), 2.0)
+    if kind == "gauge":
+        return ElemFamily.gauge(space, str(rng.choice(["l1", "l2", "linf"])))
+    return getattr(ElemFamily, kind)(space)
+
+
+def _oracle_draw(rng, shape):
+    """Pool entries, uniform draws or multiples of 1/4 (repeats are common)."""
+    style = rng.integers(3)
+    if style == 0:
+        return _POOL[rng.integers(_POOL.size, size=shape)]
+    if style == 1:
+        return rng.uniform(-4.0, 4.0, shape)
+    return rng.integers(-8, 9, shape) / 4.0
+
+
+def _oracle_members(rng, fam):
+    """Arrays a, ell, anchor for fam: mostly admissible, with near-repeats
+    (copies with flipped zero signs, an ulp apart), subnormal slope ladders,
+    and now and then non-finite entries and broken rules at random
+    positions; anchors as integer arrays, lists or integral floats."""
+    kind, n, dim = fam.kind.value, fam.domain.n, fam.domain.dim
+    P = int(rng.choice([1, 2, 3, int(rng.integers(4, 40)), int(rng.integers(40, 200))]))
+    a = np.abs(_oracle_draw(rng, P))
+    if kind in ("metric", "generalized_metric", "gauge"):
+        a[a == 0.0] = 1.0
+    if kind == "affine":
+        a[:] = np.where(rng.random(P) < 0.5, 0.0, -0.0)
+    ell = None
+    if kind in ("affine", "quad_minus", "quad_plus", "gauge") and rng.random() < 0.97 \
+            or rng.random() < 0.1:
+        ell = _oracle_draw(rng, (P, dim))
+        if rng.random() < 0.3:  # a subnormal ladder: its steps collide
+            ell[:, 0] = np.linspace(-1.0, 1.0, P) * 5e-324 * int(rng.integers(1, 9))
+    anchor = None
+    if kind in ("metric", "generalized_metric") or rng.random() < 0.1:
+        anchor = rng.integers(0, n, P)
+    for _ in range(int(rng.choice([0, 1, 3]))):  # near-repeats
+        i, j = sorted(rng.integers(0, P, 2))
+        a[j] = a[i] if rng.random() < 0.5 else np.nextafter(a[i], np.inf)
+        if ell is not None:
+            ell[j] = np.where(ell[i] == 0.0, -ell[i], ell[i])
+        if anchor is not None:
+            anchor[j] = anchor[i]
+    if rng.random() < 0.3:  # a broken rule
+        j = int(rng.integers(P))
+        if anchor is not None and rng.random() < 0.5:
+            anchor[j] = n if rng.random() < 0.5 else -1
+        else:
+            a[j] = -1.0 if kind != "affine" else 1.0
+    if rng.random() < 0.15:  # a non-finite entry
+        arr = ell if ell is not None and rng.random() < 0.5 else a
+        arr.flat[int(rng.integers(arr.size))] = rng.choice([np.inf, -np.inf, np.nan])
+    if ell is not None and rng.random() < 0.05:
+        ell = _oracle_draw(rng, (P, dim + 1))
+    if anchor is not None:
+        form = rng.integers(4)
+        if form == 1:
+            anchor = anchor.tolist()
+        elif form >= 2:
+            anchor = anchor.astype(float)
+            if form == 3:  # an anchor ElemParams rejects
+                bad = anchor.tolist()
+                bad[int(rng.integers(P))] = [0.5, True, np.nan, -np.inf][int(rng.integers(4))]
+                anchor = bad
+    return a, ell, anchor
+
+
+def _made_alone(a, ell, anchor):
+    """The first error making each member's ElemParams in turn raises."""
+    for j in range(len(a)):
+        try:
+            ElemParams(a=a[j], ell=None if ell is None else ell[j],
+                       anchor=None if anchor is None else anchor[j])
+        except BadParams as e:
+            return BadParams, str(e)
+    return None
+
+
+def _outcome(build):
+    """build()'s arrays, or the type and message of the error it raised."""
+    try:
+        return build()
+    except (ValueError, AbconvexError) as e:
+        return type(e), str(e)
+
+
+def _failed(outcome):
+    return len(outcome) == 2 and isinstance(outcome[0], type)
+
+
+def _grid_arrays(grid):
+    return grid.a, grid.ell, grid.anchor, grid.matrix
+
+
+def _same_outcome(got, want):
+    """The same error, or arrays with the same bits and zero signs."""
+    if _failed(got) or _failed(want):
+        return got == want
+    return len(got) == len(want) and all(
+        g is None if w is None else g is not None and same_bits(g, w)
+        and np.array_equal(np.signbit(g), np.signbit(w)) for g, w in zip(got, want))
+
+
+class TestConstructionOracle:
+    """DualGrid, validate_members and members_on_domain against the
+    construction they replaced (conftest.old_dual_grid): the same a, ell,
+    anchor and member-matrix bits, or the same error type and message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(_KINDS), st.sampled_from([1, 2]), st.integers(0, 2 ** 32 - 1))
+    def test_arrays_match_the_old_construction(self, kind, dim, seed):
+        rng = np.random.default_rng(seed)
+        fam = _oracle_family(rng, kind, dim)
+        a, ell, anchor = _oracle_members(rng, fam)
+        first = _made_alone(a, ell, anchor)
+        want = first or _outcome(lambda: old_dual_grid(fam, a=a, ell=ell, anchor=anchor))
+        got = _outcome(lambda: _grid_arrays(DualGrid(fam, a=a, ell=ell, anchor=anchor)))
+        assert _same_outcome(got, want), (got, want)
+        want = first or _outcome(lambda: (old_raise_first(
+            families._member_rules(fam, old_arrays(a, ell, anchor))),))
+        got = _outcome(lambda: (validate_members(fam, a, ell, anchor),))
+        assert got == want, (got, want)
+        if got == (None,):  # admissible, repeats allowed: the matrix plus offsets c
+            ints = None if anchor is None else np.array(anchor, np.int64)
+            c = _oracle_draw(rng, len(a) if rng.random() < 0.5 else ())
+            want = _outcome(lambda: (old_members_on_domain(fam, a, ell, ints, c),))
+            got = _outcome(lambda: (members_on_domain(fam, a, ell, ints, c),))
+            assert _same_outcome(got, want), (got, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(_KINDS), st.sampled_from([1, 2]), st.integers(0, 2 ** 32 - 1))
+    def test_member_lists_match_the_old_construction(self, kind, dim, seed):
+        rng = np.random.default_rng(seed)
+        fam = _oracle_family(rng, kind, dim)
+        a, ell, anchor = _oracle_members(rng, fam)
+        if _made_alone(a, ell, anchor) is not None:
+            return
+        members = []
+        for j in range(len(a)):  # offsets of either zero sign, now and then another
+            c = float(rng.choice([0.0, -0.0])) if rng.random() < 0.97 else 1.0
+            keep_ell, keep_anchor = rng.random(2) < 0.95
+            members.append(ElemParams(
+                a=a[j], c=c, ell=None if ell is None or not keep_ell else ell[j],
+                anchor=None if anchor is None or not keep_anchor else anchor[j]))
+        for _ in range(int(rng.choice([0, 1, 2]))):  # told apart by one field only
+            i, j = sorted(rng.integers(0, len(a), 2))
+            m = members[i]
+            members[j] = [
+                ElemParams(a=m.a, ell=m.ell, anchor=0 if m.anchor is None else None),
+                ElemParams(a=m.a, anchor=m.anchor,
+                           ell=np.zeros(0) if m.ell is None else np.append(m.ell, -0.0)),
+                ElemParams(a=m.a, anchor=m.anchor, ell=m.ell, c=-m.c)][int(rng.integers(3))]
+        got = _outcome(lambda: _grid_arrays(DualGrid(fam, members)))
+        assert _same_outcome(got, _outcome(lambda: old_dual_grid(fam, members))), got
+        for p in members[:5]:  # each member alone, its offset's zero sign included
+            want = _outcome(lambda: (old_raise_first(families._member_rules(
+                fam, families._one(p))) or old_members_on_domain(
+                fam, [p.a], [p.ell], [p.anchor], p.c)[0],))
+            assert _same_outcome(_outcome(lambda: (eval_on_domain(fam, p),)), want)
 
 
 class TestConjugate:

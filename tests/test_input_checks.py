@@ -21,6 +21,7 @@ from abconvex import (
     concavity_probe,
     conjugate_transform,
     coupling_check,
+    default_dual_grid,
     disjoint_sublevel,
     duality_report,
     is_support,
@@ -30,6 +31,7 @@ from abconvex import (
     peaking_witness,
     phi_lsc_set_separation,
     urysohn_witness,
+    validate_members,
 )
 from abconvex.errors import BadParams, ImproperProblem, NonMetric, NoWitness
 from abconvex.lagrangian import lsc_profile
@@ -65,6 +67,10 @@ CHECKS = {
                           NonMetric, "negative distance"),
     "gridfn_2d": (lambda: GridFn(2, [[0.0, 1.0]]),
                   ValueError, "GridFn values must be one-dimensional"),
+    "gridfn_float_count": (lambda: GridFn(2.0, [1.0, 2.0]), ValueError,
+                           "GridFn domain must be a FiniteMetricSpace or an integer point count"),
+    "gridfn_bool_count": (lambda: GridFn(True, [1.0]), ValueError,
+                          "GridFn domain must be a FiniteMetricSpace or an integer point count"),
     # families
     "sampled_too_short": (lambda: Sampled1D([0.0], [0.0]), ValueError,
                           "Sampled1D needs matching 1-D arrays of length >= 2"),
@@ -92,11 +98,33 @@ CHECKS = {
     "a_not_finite": (lambda: ElemParams(a=INF), BadParams, "a must be finite"),
     "anchor_float": (lambda: ElemParams(anchor=1.7), BadParams, "anchor must be an integer"),
     "anchor_bool": (lambda: ElemParams(anchor=True), BadParams, "anchor must be an integer"),
+    "grid_anchor_half": (lambda: DualGrid(ElemFamily.metric(Y2), a=[1.0], anchor=[0.5]),
+                         BadParams, "anchor must be an integer"),
+    "grid_anchor_bool": (lambda: DualGrid(ElemFamily.metric(Y2), a=[1.0], anchor=[True]),
+                         BadParams, "anchor must be an integer"),
+    "grid_anchor_fraction": (lambda: DualGrid(ElemFamily.metric(Y2), a=[1.0],
+                                              anchor=np.array([1.7])),
+                             BadParams, "anchor must be an integer"),
+    "grid_anchor_bool_array": (lambda: DualGrid(ElemFamily.metric(Y2), a=[1.0, 2.0],
+                                                anchor=np.array([False, True])),
+                               BadParams, "anchor must be an integer"),
+    "grid_anchor_after_a": (lambda: DualGrid(ElemFamily.metric(Y2), a=[1.0, INF],
+                                             anchor=[0.5, 0]),
+                            BadParams, "anchor must be an integer"),
+    "grid_a_before_anchor": (lambda: DualGrid(ElemFamily.metric(Y2), a=[INF, 1.0],
+                                              anchor=[0.5, 0]),
+                             BadParams, "a must be finite"),
+    "validate_anchor_half": (lambda: validate_members(ElemFamily.metric(Y2), [1.0],
+                                                      anchor=[0.5]),
+                             BadParams, "anchor must be an integer"),
     "conjugate_domains": (lambda: conjugate_transform(GridFn(Y3, [0.0, 1.0, 2.0]), GRID2),
                           ValueError, "grid function and dual grid live on different domains"),
     "support_domains": (lambda: is_support(ElemFamily.affine(Y3), ElemParams(ell=[0.0]),
                                            GridFn(1, [0.0])),
                         ValueError, "grid function and family live on different domains"),
+    "default_grid_domains": (lambda: default_dual_grid(ElemFamily.affine(Y3),
+                                                       GridFn(Y2, [0.0, 1.0])),
+                             ValueError, "grid function and family live on different domains"),
     "peaking_delta": (lambda: peaking_witness(ElemFamily.metric(Y2), 0, 0.5, 0.0, 1.0,
                                               ElemParams(a=1.0, anchor=0)),
                       BadParams, "delta must be positive"),
