@@ -368,19 +368,16 @@ def build_metric_space(points, metric_kind="euclidean", validate: str = "full") 
     zero cells alone in the same order.  A Euclidean matrix is then checked
     for overflow and for zeros between distinct points only; a custom one
     first for non-finite, negative, asymmetric and nonzero diagonal entries.
-    validate="full" sweeps the triangle inequality over every triple in row
-    blocks of BLOCK_BYTES, so O(n^2) memory.  The test for (i, k) is the test
-    for (k, i), so a block starting at row k0 checks columns k >= k0 only:
-    each unordered pair once (twice when both rows share a block), about
-    n^3 / 2 sums instead of n^3 once the rows span many blocks.  Euclidean
-    distances satisfy the triangle inequality exactly, so for them the sweep
-    can only flag rounding error; it is skipped when
-    (dim + 10) 2**-53 max(dist) + 4 sqrt(dim) 2**-537 < METRIC_TOL / 2, a
-    bound under which no rounding can make it flag a triple (derived at the
-    test; max(dist) below about 409 in 1-D, 375 in 2-D and 237 in 9-D).
-    Custom matrices always run the sweep.
-    validate="fast" skips the sweep for every grid, Euclidean or custom;
-    the other checks still run.  Other values raise ValueError at once.
+    validate="full" sweeps a custom matrix for the triangle inequality over
+    every triple in row blocks of BLOCK_BYTES, so O(n^2) memory.  The test for
+    (i, k) is the test for (k, i), so a block starting at row k0 checks
+    columns k >= k0 only: each unordered pair once (twice when both rows share
+    a block), about n^3 / 2 sums instead of n^3 once the rows span many
+    blocks.  Euclidean distances are never swept: they are a metric in exact
+    arithmetic, so a sweep could flag only rounding, which grows with
+    max(dist) while METRIC_TOL stays absolute.
+    validate="fast" skips the sweep for custom matrices too; the other checks
+    still run.  Other values raise ValueError at once.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -446,7 +443,7 @@ def build_metric_space(points, metric_kind="euclidean", validate: str = "full") 
             raise NonMetric("nonzero diagonal")
     if np.count_nonzero(dist == 0) > n:  # the n diagonal entries are zero
         raise NonMetric("zero distance between distinct points")
-    if validate == "full":
+    if validate == "full" and not isinstance(metric_kind, str):
         # dist[i,k] <= dist[i,j] + dist[j,k] within METRIC_TOL.  dist is
         # exactly symmetric here, so dist[k,j] stands in for dist[j,k], the
         # reduction runs over the contiguous last axis, and columns k < k0
@@ -457,29 +454,7 @@ def build_metric_space(points, metric_kind="euclidean", validate: str = "full") 
             via = (dist[rows, None, :] + dist[None, k0:, :]).min(axis=2)
             return (via < dist[rows, k0:] - METRIC_TOL).any(axis=1)
 
-        # A Euclidean dist can break the triangle inequality by rounding alone.
-        # With u = 2**-53 and m = dim, each entry is d^ = d (1 + r) + e with
-        # |r| <= c = (m + 8) u / 2 and |e| < sqrt(m) 2**-537, to first order in u:
-        # - differences, squares and sqrt are correctly rounded, and a sum of
-        #   m nonnegative terms in any order is within gamma(m - 1), so the
-        #   sum of squares is within gamma(m + 2) and d^ within (m + 4) u / 2;
-        #   the rescaled entries mx * sqrt(sum((diff / mx) ** 2)) add a
-        #   division inside the sqrt and a product outside, (m + 8) u / 2;
-        # - a square that underflows is off by at most 2**-1075, which moves
-        #   d^ by at most sqrt(m 2**-1075); subnormal sums and differences are
-        #   exact.
-        # (i, k) is flagged only if fl(d^ij + d^jk) < fl(d^ik - METRIC_TOL).
-        # As d_ik <= d_ij + d_jk, the left side is at least
-        # (1 - u)(1 - c) d_ik - 2|e|, and the right side is negative or at most
-        # (1 + u)((1 + c) d_ik + |e| - METRIC_TOL), so nothing is flagged once
-        # METRIC_TOL >= 2 (c + u) d_ik + (3 + u)|e|, that is once
-        # (m + 10) u max(dist) + 3 sqrt(m) 2**-537 <= METRIC_TOL to first
-        # order.  The test below asks for that with a factor 2 to spare.
-        m = pts.shape[1]
-        settled = isinstance(metric_kind, str) and (
-            (m + 10) * 2.0 ** -53 * float(dist.max()) + 4 * math.sqrt(m) * 2.0 ** -537
-            < METRIC_TOL / 2)
-        if not settled and by_row_blocks(violated, n, dist.nbytes).any():
+        if by_row_blocks(violated, n, dist.nbytes).any():
             raise NonMetric("triangle inequality violated")
 
     return FiniteMetricSpace(points=_freeze(pts.copy()), dist=_freeze(dist))

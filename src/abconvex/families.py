@@ -224,13 +224,20 @@ def _arrays(a, ell=None, anchor=None) -> _Members:
     first, as making every ElemParams before checking any would; an integral
     float anchor reads as its integer.  An integer array holds neither kind
     of bad anchor; other anchors are checked one by one, as ElemParams
-    checks its own."""
+    checks its own.  Before any of that, an ell with other than a.size rows
+    or an anchor with other than a.size entries is a ValueError naming both
+    lengths."""
     a = np.array(a, dtype=float).reshape(-1)
-    ell = np.zeros((a.size, 0)) if ell is None else np.array(ell, dtype=float).reshape(a.size, -1)
+    ell = np.zeros((a.size, 0)) if ell is None else np.array(ell, dtype=float, ndmin=1)
     if anchor is None or isinstance(anchor, np.ndarray) and anchor.dtype.kind in "iu":
-        odd = []
+        odd, n_anchor = [], a.size if anchor is None else anchor.size
     else:
-        odd = [not _is_anchor(v) for v in np.array(anchor, dtype=object).ravel().tolist()]
+        anchors = np.array(anchor, dtype=object)
+        odd, n_anchor = [not _is_anchor(v) for v in anchors.ravel().tolist()], anchors.size
+    for field, length in (("ell", len(ell)), ("anchor", n_anchor)):
+        if length != a.size:
+            raise ValueError(f"{field} has length {length}, a has length {a.size}")
+    ell = ell.reshape(a.size, math.prod(ell.shape[1:]))
     if not ((not ell.size or np.isfinite(ell).all()) and np.isfinite(a).all()) or any(odd):
         _raise_first([(~np.isfinite(ell).all(axis=1), BadParams, "slope must be finite"),
                       (~np.isfinite(a), BadParams, "a must be finite"),

@@ -28,7 +28,7 @@ from .minimax import TCertificate
 
 EQ_TOL = 1e-9
 #: bytes of differences one step of a _partial_conjugate block holds.  Swept
-#: on the large-grids tables (2 cores, 4 MiB L2 each; ROADMAP item 8): 256 kB
+#: on the large-grids tables (2 cores, 4 MiB L2 each; BENCH_35.json): 256 kB
 #: to 1 MiB were equally fast, 2 MiB as slow as unstepped blocks.
 _STEP_BYTES = 1 << 20
 

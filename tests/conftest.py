@@ -335,11 +335,12 @@ def sub_up_pairs(rng, style, n):
 
 
 def rounding_scale(dim):
-    """The largest distance at which rounding provably cannot make the
-    triangle sweep flag Euclidean distances in dim dimensions, with a factor
-    2 to spare: METRIC_TOL / (2 (dim + 10) 2**-53), about 409 in 1-D and 237
-    in 9-D (see build_metric_space).  Restated here, not imported, so that a
-    change of the library's rule shows."""
+    """The scale unit of the Euclidean point sets of scaled_point_sets and the
+    golden triangle/euclidean_scale corpus in dim dimensions:
+    METRIC_TOL / (2 (dim + 10) 2**-53), about 409 in 1-D and 237 in 9-D.
+    Below it, rounding cannot make Euclidean distances break the triangle
+    inequality by more than METRIC_TOL; at 100 and 1000 times it, it can.
+    Kept at these values so that no corpus input changes."""
     return METRIC_TOL / (2 * (dim + 10) * 2.0 ** -53)
 
 

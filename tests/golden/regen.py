@@ -4,8 +4,9 @@ Entries cover the reports of the shipped scenarios, `intersection_certificate`
 on a fixed seeded corpus (integer, one-decimal, flat-top, near-tied-slope and
 scaled inputs, levels of +-inf included), the triangle verdicts of
 `build_metric_space(validate="full")` on spaces with planted violations and on
-Euclidean points whose largest distance lies on either side of the scale below
-which rounding cannot trip the sweep (see `conftest.rounding_scale`), the
+Euclidean points whose largest distance spans 0.5 to 1000 times
+`conftest.rounding_scale`, where rounding can break the triangle inequality
+by more than METRIC_TOL but no Euclidean build is swept, the
 peaking and Urysohn witnesses (searches that step and searches that fail
 included), the conjugate/biconjugate pair of every family kind on grid
 functions with +inf holes and signed zeros, the duality reports of every
@@ -244,9 +245,9 @@ def triangle_entries() -> dict:
                 h.update(_verdict(np.arange(n, dtype=float), _planted(rng, n, i, k, delta)))
     out["triangle/blocks"] = h.hexdigest()
 
-    # Euclidean points in dimensions 1 to 9 whose largest distance lies on
-    # either side of rounding_scale(dim), with large offsets, and in the
-    # range where squared differences underflow
+    # Euclidean points in dimensions 1 to 9 whose largest distance is 0.5 to
+    # 1000 times rounding_scale(dim), with large offsets, and in the range
+    # where squared differences underflow; all are accepted
     rng = np.random.default_rng(7204)
     h = hashlib.sha256()
     for _ in range(3):

@@ -1085,7 +1085,8 @@ def _gap_30x40(last_cell=None):
 def _collinear(shrink):
     """A conjugate scenario on 8 near-collinear points in the plane about 1e5
     from the origin, divided by shrink: rounding alone breaks the triangle
-    inequality by more than METRIC_TOL at shrink 1, and cannot at 1e5."""
+    inequality by more than METRIC_TOL at shrink 1, and cannot at 1e5.  Both
+    run, as Euclidean points are never swept."""
     pts = [[(1e5 + 1e5 * 0.6 * k / 7) / shrink, (1e5 + 1e5 * 0.8 * k / 7) / shrink]
            for k in range(8)]
     return {"kind": "conjugate", "domain": {"points": pts},
@@ -1141,8 +1142,6 @@ CLI_EXITS = {
     "gap_30x40_inf": ("gap", json.dumps(_gap_30x40("inf")).encode(), {},
                       "error: scenario failed schema validation: "
                       "'inf' is not valid under any of the given schemas"),
-    "collinear_1e5": ("conjugate", json.dumps(_collinear(1.0)).encode(), {},
-                      "error: triangle inequality violated"),
     # tables whose rows differ in length pass the schema, which checks each row
     "ragged_p": ("gap", ("gap_vee_down.json", lambda sc: sc["p"][1].pop()), {},
                  "error: p row 1 has length 4, row 0 has length 5"),
@@ -1156,10 +1155,12 @@ CLI_EXITS = {
                     "error: cost row 1 has length 1, row 0 has length 2"),
 }
 
-#: the valid neighbours of CLI_EXITS cases, which exit 0: (command, scenario)
+#: valid scenarios beside CLI_EXITS cases, which exit 0 with a report that
+#: validates: (command, scenario)
 CLI_RUNS = {
     "gap_30x40": ("gap", _gap_30x40()),
     "collinear_1": ("conjugate", _collinear(1e5)),
+    "collinear_1e5": ("conjugate", _collinear(1.0)),
 }
 
 
@@ -1196,7 +1197,9 @@ class TestErrorExits:
         command, sc = CLI_RUNS[case]
         code, err = _run_main(command, sc, tmp_path, capsys)
         assert (code, "Traceback" in err) == (EXIT_OK, False)
-        assert json.loads((tmp_path / "o.json").read_text())["exit_code"] == EXIT_OK
+        report = json.loads((tmp_path / "o.json").read_text())
+        assert report["exit_code"] == EXIT_OK
+        jsonschema.validate(report, load_schema(REPORT_SCHEMA_PATH))
 
     @pytest.mark.parametrize("command, code", [("transport", EXIT_OK),
                                                ("conic", EXIT_BAD_SCENARIO)])

@@ -496,54 +496,42 @@ class TestTriangleCheck:
             # on four workers a share is below one row: serial budget blocks
             check_pool_ran(ran, core.WORKERS == 2)
 
-    def test_rounding_bound_settles_only_what_the_sweep_passes(self, monkeypatch):
-        # Euclidean points skip the sweep exactly when their largest distance
-        # is below rounding_scale(dim), and there the one-tensor sweep passes
+    def test_euclidean_points_are_never_swept(self, monkeypatch):
+        # Euclidean points are accepted under validate="full" at every scale,
+        # without the sweep and with the bits of validate="fast": sets from
+        # scaled_point_sets at every multiple of rounding_scale(dim), and 8
+        # near-collinear points in the plane about 1e5 apart, where rounding
+        # alone breaks the triangle inequality by more than METRIC_TOL
         calls = row_block_calls(monkeypatch)
         rng = np.random.default_rng(630)
-        seen = {}
-        for _ in range(16):
-            for dim in range(1, 10):
-                for mult, pts in scaled_point_sets(rng, dim, (0.5, 0.99, 1.01, 10.0, 100.0, 1e3)):
-                    dist = build_metric_space(pts, validate="fast").dist
-                    want = old_triangle_violated(dist)
-                    calls.clear()
-                    try:
-                        space = build_metric_space(pts)
-                        assert same_bits(space.dist, dist)
-                        got = False
-                    except NonMetric as e:
-                        assert e.reason == "triangle inequality violated"
-                        got = True
-                    swept = "violated" in calls
-                    assert swept == (mult is not None and mult > 1), (dim, mult)
-                    assert swept or not want, (dim, mult)
-                    assert got == want, (dim, mult)
-                    seen[swept, got] = seen.get((swept, got), 0) + 1
-        assert sum(seen.values()) >= 2000
-        assert seen[False, False] and seen[True, False] and seen[True, True]
 
-    def test_rounding_above_the_bound_is_flagged(self, monkeypatch):
-        # 8 near-collinear points in the plane about 1e5 apart: rounding alone
-        # breaks the triangle inequality by more than METRIC_TOL; shrunk by
-        # 1e5 they fall under the bound
-        calls = row_block_calls(monkeypatch)
-        rng = np.random.default_rng(640)
-        for _ in range(40):
-            v = rng.normal(size=2)
-            pts = 1e5 + np.sort(rng.uniform(0.0, 1.0, 8))[:, None] * (v / np.linalg.norm(v)) * 1e5
-            assert old_triangle_violated(build_metric_space(pts, validate="fast").dist)
+        def point_sets():
+            for _ in range(16):
+                for dim in range(1, 10):
+                    yield from scaled_point_sets(rng, dim, (0.5, 0.99, 1.01, 10.0, 100.0, 1e3))
+            for _ in range(40):
+                v = rng.normal(size=2)
+                yield "collinear", 1e5 + np.sort(rng.uniform(0.0, 1.0, 8))[:, None] * (
+                    v / np.linalg.norm(v)) * 1e5
+
+        seen = {}
+        for mult, pts in point_sets():
             calls.clear()
-            with pytest.raises(NonMetric, match="^triangle inequality violated$"):
-                build_metric_space(pts)
-            assert calls == ["distances", "violated"]
-            calls.clear()
-            build_metric_space(pts / 1e5)
-            assert calls == ["distances"]
+            dist = build_metric_space(pts, validate="fast").dist
+            space = build_metric_space(pts)
+            assert calls == ["distances", "distances"], mult
+            assert same_bits(space.dist, dist), mult
+            flagged = old_triangle_violated(dist)
+            assert flagged or mult != "collinear"
+            seen[flagged] = seen.get(flagged, 0) + 1
+        assert sum(seen.values()) >= 2000
+        # the one-tensor sweep would have rejected some of them, and only by rounding
+        assert seen[True] >= 40 and seen[False]
 
     @pytest.mark.parametrize("scale", [1e-165, 1e-3, 1.0])
     def test_custom_matrices_are_always_swept(self, scale, monkeypatch):
-        # even entries as small as Euclidean distances the bound settles
+        # a custom matrix of Euclidean distances is swept under validate="full"
+        # and never under "fast"; the points' own Euclidean build is not swept
         calls = row_block_calls(monkeypatch)
         pts = np.random.default_rng(650).uniform(-1.0, 1.0, (12, 2)) * scale
         D = build_metric_space(pts, validate="fast").dist
@@ -553,11 +541,14 @@ class TestTriangleCheck:
         calls.clear()
         assert same_bits(build_metric_space(pts, D).dist, space.dist)
         assert calls == ["violated"]
+        calls.clear()
+        assert same_bits(build_metric_space(pts, D, validate="fast").dist, space.dist)
+        assert calls == []
 
     def test_validate_values(self, monkeypatch):
-        # the bound settles only validate="full": any other value but "fast"
-        # is rejected before a distance is computed, ahead of a bad custom
-        # matrix too, and "fast" still skips the sweep above the bound
+        # any value but "full" or "fast" is rejected before a distance is
+        # computed, ahead of a bad custom matrix too; Euclidean points whose
+        # rounding breaks the triangle inequality are accepted under both
         calls = row_block_calls(monkeypatch)
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         for bad in ("bogus", "FULL", None):
@@ -569,12 +560,12 @@ class TestTriangleCheck:
                          build_metric_space(pts).dist)
         assert calls == ["distances", "distances"]
         far = 1e5 + np.arange(8.0)[:, None] * np.array([0.6, 0.8]) * (1e5 / 7)
-        with pytest.raises(NonMetric, match="triangle"):
-            build_metric_space(far)
-        calls.clear()
-        space = build_metric_space(far, validate="fast")
-        assert same_bits(space.dist, old_euclidean_dist(far))
-        assert calls == ["distances"]
+        assert old_triangle_violated(old_euclidean_dist(far))
+        for validate in ("full", "fast"):
+            calls.clear()
+            space = build_metric_space(far, validate=validate)
+            assert same_bits(space.dist, old_euclidean_dist(far))
+            assert calls == ["distances"]
 
 
 def point_sets(rng):
